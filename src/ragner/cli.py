@@ -34,6 +34,7 @@ from .corpus import (
     read_sentences_jsonl,
     write_sentences_jsonl,
 )
+from .embedder import PrecomputedEmbeddingProvider
 from .errors import ConfigError, MissingArtifact, RagnerError
 from .evaluation import (
     PredictionRecord,
@@ -61,13 +62,18 @@ def _manifest_path(cfg: RunConfig, command: str) -> Path:
 
 
 def _write_manifest(
-    cfg: RunConfig, command: str, inputs: list[Path], outputs: list[Path]
+    cfg: RunConfig,
+    command: str,
+    inputs: list[Path],
+    outputs: list[Path],
+    input_digests: dict[str, str] | None = None,
 ) -> None:
+    """`input_digests` records inputs already hashed while they were read."""
     doc = {
         "command": command,
         "config_fingerprint": cfg.fingerprint,
         "seed": cfg.seed,
-        "inputs": {str(p): _sha256_file(p) for p in sorted(inputs)},
+        "inputs": {**{str(p): _sha256_file(p) for p in sorted(inputs)}, **(input_digests or {})},
         "outputs": {str(p): _sha256_file(p) for p in sorted(outputs)},
     }
     path = _manifest_path(cfg, command)
@@ -120,7 +126,16 @@ def main(ctx, config_path, overrides):
 
 
 def _load_store(cfg: RunConfig) -> ExampleStore:
-    return ExampleStore.load(cfg.paths.out_path("store"), embedder=pipeline.make_embedder(cfg))
+    """The indexed store, with the embedder opened from its embedding cache;
+    refuses a store built under another config."""
+    store_dir = cfg.paths.out_path("store")
+    store = ExampleStore.load(store_dir, embedder=pipeline.make_embedder(cfg, store_dir))
+    if store.build_key != cfg.store_build_key:
+        raise ConfigError(
+            f"the store in {store_dir} was built under another [embedder], [store] or "
+            "retriever index config; re-run `ragner index` with this config"
+        )
+    return store
 
 
 @main.command()
@@ -171,12 +186,17 @@ def index(cfg: RunConfig):
     sentences = read_sentences_jsonl(cfg.paths.out_path("corpus", "store.jsonl"))
     schema = load_schema(cfg.paths.out_path("schema.json"))
     embedder = pipeline.make_embedder(cfg)
-    store = ExampleStore.build(sentences, schema, embedder, cfg.retriever, modes=cfg.store.modes)
+    store = pipeline.build_store(sentences, schema, embedder, cfg)
     store_dir = cfg.paths.out_path("store")
     store.save(store_dir)
+    digests = {}
+    if isinstance(embedder.provider, PrecomputedEmbeddingProvider):
+        # later commands open this cache instead of parsing the file again
+        embedder.provider.save_cache(store_dir)
+        digests[str(Path(embedder.provider.path))] = embedder.provider.sha256
     outputs = sorted(p for p in store_dir.iterdir() if p.is_file())
     inputs = [cfg.paths.out_path("corpus", "store.jsonl"), cfg.paths.out_path("schema.json")]
-    _write_manifest(cfg, "index", inputs, outputs)
+    _write_manifest(cfg, "index", inputs, outputs, input_digests=digests)
     built = [m for m, attr in (("word", store.word_index), ("sentence", store.sentence_index))
              if attr is not None]
     click.echo(f"indexed {len(sentences)} store sentences ({' + '.join(built)})")

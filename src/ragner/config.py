@@ -20,7 +20,7 @@ import yaml
 from .augment import AugmentConfig
 from .errors import ConfigError
 from .generation import GeneratorSpec
-from .retriever import RetrieverConfig
+from .retriever import STORE_BUILD_FIELDS, RetrieverConfig
 
 
 def _defaults() -> dict:
@@ -85,23 +85,28 @@ def _merge(base: dict, user: dict, trail: str = "") -> dict:
     return out
 
 
-def apply_override(doc: dict, assignment: str) -> None:
-    """Apply one ``section.key=value`` override in place; values parse as YAML."""
+def parse_override(assignment: str) -> tuple[str, object]:
+    """Split one ``section.key=value`` override; the value parses as YAML."""
     if "=" not in assignment:
         raise ConfigError(f"override must look like key=value, got {assignment!r}")
     dotted, _, raw_value = assignment.partition("=")
-    keys = dotted.strip().split(".")
-    target = doc
-    for key in keys[:-1]:
-        if not isinstance(target.get(key), dict):
-            raise ConfigError(f"unknown config key: {dotted.strip()}")
-        target = target[key]
-    if keys[-1] not in target:
-        raise ConfigError(f"unknown config key: {dotted.strip()}")
     try:
         value = yaml.safe_load(raw_value)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse override value {raw_value!r}: {exc}") from exc
+    return dotted.strip(), value
+
+
+def set_key(doc: dict, dotted: str, value) -> None:
+    """Set an existing dotted key of a config document in place."""
+    keys = dotted.split(".")
+    target = doc
+    for key in keys[:-1]:
+        if not isinstance(target.get(key), dict):
+            raise ConfigError(f"unknown config key: {dotted}")
+        target = target[key]
+    if keys[-1] not in target:
+        raise ConfigError(f"unknown config key: {dotted}")
     target[keys[-1]] = value
 
 
@@ -169,6 +174,16 @@ class RunConfig:
     def fingerprint(self) -> str:
         return fingerprint(self.raw)
 
+    @property
+    def store_build_key(self) -> str:
+        """Fingerprint of every setting a built store depends on: the
+        embedder and store sections and the retriever's build fields.
+        Query-time retriever fields (k, mode, nprobe, ...) are left out."""
+        retriever = {key: self.raw["retriever"][key] for key in STORE_BUILD_FIELDS}
+        return fingerprint(
+            {"embedder": self.raw["embedder"], "store": self.raw["store"], "retriever": retriever}
+        )
+
 
 def fingerprint(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -234,5 +249,5 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
             raise ConfigError(f"{path}: top level must be a mapping")
         doc = _merge(doc, user)
     for assignment in overrides or []:
-        apply_override(doc, assignment)
+        set_key(doc, *parse_override(assignment))
     return resolve(doc)

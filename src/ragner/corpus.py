@@ -161,9 +161,6 @@ class NerOutput:
         output did not cover map to empty lists."""
         return NerOutput({n: list(self.entries.get(n, [])) for n in schema.names})
 
-    def total_entities(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
 
 @dataclass
 class CorpusSplit:

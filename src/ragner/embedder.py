@@ -9,9 +9,11 @@ deterministic offline runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -26,6 +28,7 @@ from .errors import (
     EmbedderError,
     EmptyInput,
     FormatError,
+    MissingArtifact,
     MissingEntry,
     ProviderUnavailable,
 )
@@ -96,61 +99,226 @@ def l2_normalize(vector: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _encoding_from_dict(doc: dict, source: str) -> ProviderEncoding:
-    try:
-        tokens = tuple(
-            SubwordToken(
-                text=t["text"],
-                start_char=int(t["start_char"]),
-                end_char=int(t["end_char"]),
-                vector=np.asarray(t["vector"], dtype=np.float64),
-            )
-            for t in doc["tokens"]
-        )
-        sentence_vector = np.asarray(doc["sentence_vector"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{source}: bad embedding record: {exc}") from exc
-    return ProviderEncoding(tokens=tokens, sentence_vector=sentence_vector)
+def _encoding(
+    text: str, token_vectors: np.ndarray, token_spans: np.ndarray, sentence_vector: np.ndarray
+) -> ProviderEncoding:
+    """Token texts are the characters of `text` under each token span."""
+    tokens = tuple(
+        SubwordToken(text[start:end], start, end, vector)
+        for (start, end), vector in zip(token_spans.tolist(), token_vectors)
+    )
+    return ProviderEncoding(tokens, sentence_vector)
+
+
+# The embedding cache `index` writes into the store directory: one .npy
+# file per array (opened memory-mapped) plus the texts in row order.
+CACHE_ARRAYS = {
+    "token_vectors": "embeddings.token_vectors.npy",
+    "token_spans": "embeddings.token_spans.npy",
+    "token_offsets": "embeddings.token_offsets.npy",
+    "sentence_vectors": "embeddings.sentence_vectors.npy",
+}
+CACHE_TEXTS = "embeddings.texts.json"
 
 
 class PrecomputedEmbeddingProvider:
-    """Serves embeddings from a JSON-lines file keyed by exact sentence text.
+    """Serves embeddings keyed by exact sentence text, from arrays.
 
-    One record per line: {"text", "tokens": [{"text", "start_char",
-    "end_char", "vector"}, ...], "sentence_vector"}. Vectors may be stored
-    non-normalized; normalization happens at the embedding-op boundary.
+    Sentence row i owns token rows token_offsets[i]:token_offsets[i + 1]
+    of token_vectors (float64, n_tokens x d) and token_spans (int64 start
+    and end chars); its pooled vector is sentence_vectors[i]. Vectors may
+    be stored non-normalized; normalization happens at the embedding-op
+    boundary. Built by `load_precomputed` (parses the JSON-lines file) or
+    `open_precomputed_cache` (memory-maps what `save_cache` wrote).
     """
 
-    def __init__(self, entries: dict[str, ProviderEncoding], path: str | None = None):
-        self._entries = entries
+    def __init__(
+        self,
+        texts: list[str],
+        token_vectors: np.ndarray,
+        token_spans: np.ndarray,
+        token_offsets: np.ndarray,
+        sentence_vectors: np.ndarray,
+        path: str | None = None,
+        sha256: str | None = None,
+    ):
+        n = len(texts)
+        n_tokens = token_vectors.shape[0] if token_vectors.ndim == 2 else -1
+        dim = sentence_vectors.shape[1] if sentence_vectors.ndim == 2 else -1
+        expected = {
+            "token_vectors": (token_vectors, np.float64, (n_tokens, dim)),
+            "token_spans": (token_spans, np.int64, (n_tokens, 2)),
+            "token_offsets": (token_offsets, np.int64, (n + 1,)),
+            "sentence_vectors": (sentence_vectors, np.float64, (n, dim)),
+        }
+        for name, (values, dtype, shape) in expected.items():
+            if values.dtype != dtype or values.shape != shape:
+                raise FormatError(
+                    f"embeddings: {name} is {values.dtype} {values.shape}, "
+                    f"expected {np.dtype(dtype)} {shape}"
+                )
+        if token_offsets[0] != 0 or token_offsets[-1] != n_tokens or np.any(np.diff(token_offsets) < 0):
+            raise FormatError("embeddings: token_offsets do not partition the token rows")
+        self._rows = {text: i for i, text in enumerate(texts)}
+        if len(self._rows) != n:
+            raise FormatError("embeddings: duplicate texts")
+        self.texts = texts
+        self.token_vectors = token_vectors
+        self.token_spans = token_spans
+        self.token_offsets = token_offsets
+        self.sentence_vectors = sentence_vectors
         self.path = path
+        self.sha256 = sha256  # of the parsed file; None when opened from a cache
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.texts)
+
+    @property
+    def dimension(self) -> int:
+        return self.sentence_vectors.shape[1]
 
     def encode(self, text: str) -> ProviderEncoding:
+        row = self._rows.get(text)
+        if row is None:
+            raise MissingEntry(f"no precomputed embedding for {text!r}")
+        lo, hi = self.token_offsets[row], self.token_offsets[row + 1]
+        return _encoding(
+            text, self.token_vectors[lo:hi], self.token_spans[lo:hi], self.sentence_vectors[row]
+        )
+
+    def save_cache(self, directory: str | Path) -> None:
+        """Write the arrays and texts into `directory`."""
+        directory = Path(directory)
+        for attr, name in CACHE_ARRAYS.items():
+            np.save(directory / name, getattr(self, attr), allow_pickle=False)
+        (directory / CACHE_TEXTS).write_text(
+            json.dumps(self.texts, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+
+
+def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvider:
+    """Memory-map the embedding cache `save_cache` wrote into `directory`.
+
+    Raises MissingArtifact when a cache file is absent and FormatError when
+    one cannot be read.
+    """
+    directory = Path(directory)
+    for name in (*CACHE_ARRAYS.values(), CACHE_TEXTS):
+        if not (directory / name).is_file():
+            raise MissingArtifact(
+                f"no embedding cache in {directory} ({name} is missing); re-run `ragner index`"
+            )
+    arrays = {}
+    for attr, name in CACHE_ARRAYS.items():
         try:
-            return self._entries[text]
-        except KeyError:
-            raise MissingEntry(f"no precomputed embedding for {text!r}") from None
+            arrays[attr] = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
+        except (OSError, ValueError, EOFError) as exc:
+            raise FormatError(f"{directory / name}: unreadable embedding cache: {exc}") from exc
+    try:
+        texts = json.loads((directory / CACHE_TEXTS).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{directory / CACHE_TEXTS}: unreadable embedding cache: {exc}") from exc
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise FormatError(f"{directory / CACHE_TEXTS}: expected a JSON list of texts")
+    return PrecomputedEmbeddingProvider(texts, **arrays)
+
+
+def _record_arrays(doc: dict, source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(token vectors, token spans, sentence vector) of one record in the
+    file schema, which the remote service answers in."""
+    vectors, spans, sentence_vector = array("d"), array("q"), array("d")
+    n_tokens = _append_record(doc, source, vectors, spans, sentence_vector)
+    return (
+        np.frombuffer(vectors, dtype=np.float64).reshape(n_tokens, len(sentence_vector)),
+        np.frombuffer(spans, dtype=np.int64).reshape(n_tokens, 2),
+        np.frombuffer(sentence_vector, dtype=np.float64),
+    )
+
+
+def _flat_vector(values, dim: int | None) -> np.ndarray:
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.ndim != 1 or (dim is not None and len(vector) != dim):
+        raise ValueError(f"vector of shape {vector.shape}, expected ({dim},)")
+    return vector
+
+
+def _append_record(
+    doc: dict, source: str, vectors: array, spans: array, sentence_vectors: array,
+    dim: int | None = None,
+) -> int:
+    """Append one record's vectors and spans to growing buffers; returns its
+    token count. The sentence vector must have `dim` entries when `dim` is
+    given, and every token vector as many as the sentence vector."""
+    try:
+        tokens = doc["tokens"]
+        sentence_vector = _flat_vector(doc["sentence_vector"], dim)
+        for t in tokens:
+            if "text" not in t:
+                raise KeyError("text")
+            vectors.frombytes(_flat_vector(t["vector"], len(sentence_vector)).tobytes())
+            spans.extend((int(t["start_char"]), int(t["end_char"])))
+        sentence_vectors.frombytes(sentence_vector.tobytes())
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{source}: bad embedding record: {exc}") from exc
+    return len(tokens)
 
 
 def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
-    """Load a precomputed embedding file; raises FormatError on bad records."""
-    entries: dict[str, ProviderEncoding] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    """Parse a precomputed embedding file; raises FormatError on bad records.
+
+    One record per line: {"text", "tokens": [{"text", "start_char",
+    "end_char", "vector"}, ...], "sentence_vector"}. When a text appears on
+    several lines, the last one wins. The provider's sha256 is the digest of
+    the bytes parsed, so the file is read once.
+    """
+    digest = hashlib.sha256()
+    texts: list[str] = []
+    offsets = [0]
+    # growing C buffers: their reallocation does not hold two full copies
+    vectors, spans, sentence_vectors = array("d"), array("q"), array("d")
+    dim = None
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            digest.update(raw)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(doc, dict) or "text" not in doc:
+            if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
                 raise FormatError(f"{path}:{line_no}: record missing 'text'")
-            entries[doc["text"]] = _encoding_from_dict(doc, f"{path}:{line_no}")
-    return PrecomputedEmbeddingProvider(entries, path=str(path))
+            n_tokens = _append_record(
+                doc, f"{path}:{line_no}", vectors, spans, sentence_vectors, dim
+            )
+            if dim is None:  # the first record fixes it for the file
+                dim = len(sentence_vectors)
+            texts.append(doc["text"])
+            offsets.append(offsets[-1] + n_tokens)
+
+    dim = dim or 0
+    token_vectors = np.frombuffer(vectors, dtype=np.float64).reshape(offsets[-1], dim)
+    token_spans = np.frombuffer(spans, dtype=np.int64).reshape(offsets[-1], 2)
+    token_offsets = np.array(offsets, dtype=np.int64)
+    sentence_matrix = np.frombuffer(sentence_vectors, dtype=np.float64).reshape(len(texts), dim)
+    last = {text: i for i, text in enumerate(texts)}
+    if len(last) < len(texts):
+        keep = np.zeros(len(texts), dtype=bool)
+        keep[list(last.values())] = True
+        counts = np.diff(token_offsets)
+        token_vectors = token_vectors[np.repeat(keep, counts)]
+        token_spans = token_spans[np.repeat(keep, counts)]
+        token_offsets = np.concatenate(([0], np.cumsum(counts[keep]))).astype(np.int64)
+        sentence_matrix = sentence_matrix[keep]
+        texts = [text for text, kept in zip(texts, keep) if kept]
+    return PrecomputedEmbeddingProvider(
+        texts, token_vectors, token_spans, token_offsets, sentence_matrix,
+        path=str(path), sha256=digest.hexdigest(),
+    )
 
 
 class RemoteEmbeddingProvider:
@@ -193,7 +361,7 @@ class RemoteEmbeddingProvider:
                         f"embedding service rejected request: {resp.status_code} {resp.text[:200]}"
                     )
                 else:
-                    return _encoding_from_dict(resp.json(), self.endpoint)
+                    return _encoding(text, *_record_arrays(resp.json(), self.endpoint))
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
             except json.JSONDecodeError as exc:
@@ -221,6 +389,11 @@ class Embedder:
         self.spec = spec
         self._cache: dict[str, ProviderEncoding] = {}
         self._cache_lock = threading.Lock()
+        self._dimension_checked = False
+
+    def _check_dimension(self, shape: tuple, what: str) -> None:
+        if shape != (self.spec.dimension,):
+            raise DimensionMismatch(f"{what} has shape {shape}, expected ({self.spec.dimension},)")
 
     def _encode(self, text: str) -> ProviderEncoding:
         with self._cache_lock:
@@ -228,17 +401,15 @@ class Embedder:
         if cached is not None:
             return cached
         enc = self.provider.encode(text)
-        for tok in enc.tokens:
-            if tok.vector.shape != (self.spec.dimension,):
-                raise DimensionMismatch(
-                    f"provider returned {tok.vector.shape} for token {tok.text!r}, "
-                    f"expected ({self.spec.dimension},)"
-                )
-        if enc.sentence_vector.shape != (self.spec.dimension,):
-            raise DimensionMismatch(
-                f"provider sentence vector has shape {enc.sentence_vector.shape}, "
-                f"expected ({self.spec.dimension},)"
-            )
+        if isinstance(self.provider, PrecomputedEmbeddingProvider):
+            # one matrix holds every vector: its shape is checked once
+            if not self._dimension_checked:
+                self._check_dimension((self.provider.dimension,), "precomputed embeddings")
+                self._dimension_checked = True
+        else:
+            for tok in enc.tokens:
+                self._check_dimension(tok.vector.shape, f"provider token {tok.text!r}")
+            self._check_dimension(enc.sentence_vector.shape, "provider sentence vector")
         with self._cache_lock:
             self._cache[text] = enc
         return enc
@@ -273,10 +444,3 @@ class Embedder:
             raise EmptyInput(f"sentence {sentence.id} has no tokens")
         enc = self._encode(sentence.text)
         return SentenceEmbedding(sentence.id, l2_normalize(enc.sentence_vector))
-
-
-def write_precomputed(records: list[dict], path: str | Path) -> None:
-    """Write precomputed embedding records (dicts in the file schema)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

@@ -21,12 +21,10 @@ returned texts.
 from __future__ import annotations
 
 import hashlib
-import json
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import requests
@@ -239,27 +237,3 @@ def latency_summary(results: Iterable[GenerationResult]) -> dict:
         "mean": statistics.fmean(latencies),
         "p95": latencies[p95_index],
     }
-
-
-def result_payload(task: GenerationTask, result: GenerationResult) -> dict:
-    payload = {
-        "query_id": result.query_id,
-        "prompt_hash": prompt_hash(task.prompt),
-        "completion": result.completion_text,
-        "latency": result.latency,
-    }
-    if result.error is not None:
-        payload["error"] = result.error
-    return payload
-
-
-def write_results_jsonl(
-    tasks: Sequence[GenerationTask], results: Sequence[GenerationResult], path: str | Path
-) -> None:
-    by_id = {t.query_id: t for t in tasks}
-    with open(path, "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(
-                json.dumps(result_payload(by_id[result.query_id], result), ensure_ascii=False)
-                + "\n"
-            )

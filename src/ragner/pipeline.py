@@ -11,7 +11,7 @@ import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import RunConfig, resolve
+from .config import RunConfig, fingerprint, resolve, set_key
 from .corpus import (
     CorpusSplit,
     EntitySchema,
@@ -19,6 +19,7 @@ from .corpus import (
     NerOutput,
     ParseWarnings,
     gold_output,
+    load_schema,
     parse_bio,
     read_sentences_jsonl,
     split_store_finetune,
@@ -26,9 +27,9 @@ from .corpus import (
 from .embedder import (
     Embedder,
     EmbedderSpec,
-    PrecomputedEmbeddingProvider,
     RemoteEmbeddingProvider,
     load_precomputed,
+    open_precomputed_cache,
 )
 from .errors import ConfigError, NoDictionaryFound, RagnerError
 from .evaluation import EvalReport, PredictionRecord, score
@@ -50,8 +51,13 @@ from .retriever import ExampleStore, retrieve
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 
-def make_embedder(cfg: RunConfig) -> Embedder:
-    """Build the embedder named by the config's [embedder] section."""
+def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedder:
+    """Build the embedder named by the config's [embedder] section.
+
+    A precomputed-file embedder parses its JSON-lines file, unless
+    `store_dir` is given: it then opens the embedding cache `index` wrote
+    there and never reads the file.
+    """
     e = cfg.embedder
     stopwords = (
         load_stopwords(e.stopwords_file) if e.stopwords_file else DEFAULT_STOPWORDS
@@ -65,7 +71,10 @@ def make_embedder(cfg: RunConfig) -> Embedder:
     if e.provider == "precomputed-file":
         if not e.precomputed_path:
             raise ConfigError("embedder.provider=precomputed-file needs precomputed_path")
-        provider = load_precomputed(e.precomputed_path)
+        if store_dir is not None:
+            provider = open_precomputed_cache(store_dir)
+        else:
+            provider = load_precomputed(e.precomputed_path)
     else:
         if not e.endpoint:
             raise ConfigError("embedder.provider=remote-service needs endpoint")
@@ -136,9 +145,11 @@ def build_store(
     embedder: Embedder,
     cfg: RunConfig,
 ) -> ExampleStore:
-    return ExampleStore.build(
+    store = ExampleStore.build(
         sentences, schema, embedder, cfg.retriever, modes=cfg.store.modes
     )
+    store.build_key = cfg.store_build_key
+    return store
 
 
 def _task_description(cfg: RunConfig) -> str:
@@ -277,27 +288,68 @@ def predict_sentences(
     )
 
 
-def run_cell(base: RunConfig, axes: dict) -> tuple[RunConfig, "CellOutcome"]:
-    """Run one ablation cell: base config plus dotted-key overrides."""
-    doc = copy.deepcopy(base.raw)
-    for dotted, value in axes.items():
-        keys = dotted.split(".")
-        target = doc
-        for key in keys[:-1]:
-            if not isinstance(target.get(key), dict):
-                raise ConfigError(f"unknown ablation axis: {dotted}")
-            target = target[key]
-        if keys[-1] not in target:
-            raise ConfigError(f"unknown ablation axis: {dotted}")
-        target[keys[-1]] = value
-    cfg = resolve(doc)
+class _Memo:
+    """One cached value and the key it was built for."""
+
+    def __init__(self):
+        self.key = None
+        self.value = None
+
+    def get(self, key, build):
+        if self.value is None or self.key != key:
+            self.value = None  # release the old value before building the next
+            self.value = build()
+            self.key = key
+        return self.value
+
+
+@dataclass
+class AblationLoads:
+    """What consecutive ablation cells share, each keyed on the config it
+    depends on: splits and schema on [paths], the embedder on [paths] +
+    [embedder], the store on [paths] + the store build key."""
+
+    inputs: _Memo = field(default_factory=_Memo)
+    embedder: _Memo = field(default_factory=_Memo)
+    store: _Memo = field(default_factory=_Memo)
+
+
+def _load_cell_inputs(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]], EntitySchema]:
     splits, _ = load_splits(cfg)
     if "test" not in splits:
         raise ConfigError("ablation needs a corpus_test file")
-    schema = _load_schema_from_cfg(cfg)
-    embedder = make_embedder(cfg)
-    split = select_store_split(splits, cfg)
-    store = build_store(split.store, schema, embedder, cfg)
+    if not cfg.paths.schema:
+        raise ConfigError("paths.schema is not configured")
+    return splits, load_schema(cfg.paths.schema)
+
+
+def run_cell(
+    base: RunConfig, axes: dict, loads: AblationLoads
+) -> tuple[RunConfig, "CellOutcome"]:
+    """Run one ablation cell: base config plus dotted-key overrides.
+
+    Every cell of a sweep gets the same `loads`, so that a cell reuses the
+    splits, embedder and store of the cell before when its config allows.
+    """
+    doc = copy.deepcopy(base.raw)
+    for dotted, value in axes.items():
+        set_key(doc, dotted, value)
+    cfg = resolve(doc)
+    paths_key = fingerprint(doc["paths"])
+
+    def inputs():
+        return loads.inputs.get(paths_key, lambda: _load_cell_inputs(cfg))
+
+    def new_store():
+        splits, schema = inputs()
+        embedder = loads.embedder.get(
+            (paths_key, fingerprint(doc["embedder"])), lambda: make_embedder(cfg)
+        )
+        return build_store(select_store_split(splits, cfg).store, schema, embedder, cfg)
+
+    # the old store (and what only it holds) is released before a new one is built
+    store = loads.store.get((paths_key, cfg.store_build_key), new_store)
+    splits, _ = inputs()
     outcome = predict_sentences(splits["test"], store, cfg)
     report = score(
         outcome.records, dedupe=cfg.eval.dedupe, match_mode=cfg.eval.match_mode
@@ -311,19 +363,15 @@ class CellOutcome:
     latency: dict
 
 
-def _load_schema_from_cfg(cfg: RunConfig) -> EntitySchema:
-    from .corpus import load_schema
-
-    if not cfg.paths.schema:
-        raise ConfigError("paths.schema is not configured")
-    return load_schema(cfg.paths.schema)
-
-
 def make_ablation_runner(base: RunConfig):
-    """Adapter for evaluation.run_ablation: axes dict -> (report, latency)."""
+    """Adapter for evaluation.run_ablation: axes dict -> (report, latency).
+
+    The runner keeps its loads for the sweep it serves and no longer.
+    """
+    loads = AblationLoads()
 
     def runner(axes: dict):
-        _, outcome = run_cell(base, dict(axes))
+        _, outcome = run_cell(base, dict(axes), loads)
         return outcome.report, outcome.latency
 
     return runner

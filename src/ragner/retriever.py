@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl, write_sentences_jsonl
@@ -42,6 +42,8 @@ _MODES = ("word-level", "sentence-level")
 _STORE_WORDS = ("entity-only", "all")
 _INDEX_KINDS = ("flat", "ivf")
 _AGGREGATORS = ("max", "sum")
+# the RetrieverConfig fields ExampleStore.build reads; the rest are query-time
+STORE_BUILD_FIELDS = ("store_words", "index_kind", "nlist", "kmeans_iters", "seed")
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,7 @@ class ExampleStore:
         store_words: str = "entity-only",
         model_name: str | None = None,
         embedder: Embedder | None = None,
+        build_key: str | None = None,
     ):
         ids = [s.id for s in sentences]
         if len(set(ids)) != len(ids):
@@ -174,6 +177,7 @@ class ExampleStore:
         self.store_words = store_words
         self.model_name = model_name
         self.embedder = embedder
+        self.build_key = build_key
         self._word_counts: Counter | None = None
 
     def __len__(self) -> int:
@@ -235,6 +239,7 @@ class ExampleStore:
         meta = {
             "store_words": self.store_words,
             "model_name": self.model_name,
+            "build_key": self.build_key,
             "indexes": {},
         }
         if self.word_index is not None:
@@ -269,6 +274,7 @@ class ExampleStore:
             store_words=meta.get("store_words", "entity-only"),
             model_name=meta.get("model_name"),
             embedder=embedder,
+            build_key=meta.get("build_key"),
         )
 
 
@@ -384,7 +390,3 @@ def retrieval_payload(query_text: str, examples: list[RetrievedExample]) -> dict
             for ex in examples
         ],
     }
-
-
-def with_mode(cfg: RetrieverConfig, mode: str) -> RetrieverConfig:
-    return replace(cfg, mode=mode)

@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from ragner.corpus import EntitySchema, EntitySpan, EntityType, LabeledSentence
-from ragner.embedder import Embedder, EmbedderSpec, load_precomputed, token_char_ranges
+from ragner.embedder import (
+    Embedder,
+    EmbedderSpec,
+    PrecomputedEmbeddingProvider,
+    ProviderEncoding,
+    load_precomputed,
+    token_char_ranges,
+)
 
 
 def hash_unit_vector(key: str, dim: int) -> list[float]:
@@ -51,6 +58,27 @@ def encoding_record(
     if sentence_vector is None:
         sentence_vector = hash_unit_vector(f"sent::{text}", dim)
     return {"text": text, "tokens": token_records, "sentence_vector": list(sentence_vector)}
+
+
+def precomputed_provider(encodings: dict[str, ProviderEncoding]) -> PrecomputedEmbeddingProvider:
+    """An array-backed provider serving hand-made encodings."""
+    texts = list(encodings)
+    tokens = [tok for text in texts for tok in encodings[text].tokens]
+    dim = len(encodings[texts[0]].sentence_vector) if texts else 0
+    return PrecomputedEmbeddingProvider(
+        texts,
+        np.array([tok.vector for tok in tokens], dtype=np.float64).reshape(len(tokens), dim),
+        np.array([(tok.start_char, tok.end_char) for tok in tokens], dtype=np.int64).reshape(len(tokens), 2),
+        np.cumsum([0] + [len(encodings[text].tokens) for text in texts], dtype=np.int64),
+        np.array([encodings[text].sentence_vector for text in texts], dtype=np.float64).reshape(len(texts), dim),
+    )
+
+
+def write_precomputed(records: list[dict], path: Path) -> None:
+    """Write precomputed embedding records (dicts in the file schema)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def write_embedding_file(

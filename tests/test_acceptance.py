@@ -15,6 +15,7 @@ import json
 import random
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from ragner.corpus import (
 from ragner.errors import NoDictionaryFound
 from ragner.evaluation import PredictionRecord, score
 from ragner.promptkit import parse_output, render_output
-from ragner.retriever import ExampleStore, RetrieverConfig, retrieve, with_mode
+from ragner.retriever import ExampleStore, RetrieverConfig, retrieve
 from ragner.vector_index import default_nlist, flat_from_matrix, ivf_from_matrix
 
 from helpers import (
@@ -162,7 +163,7 @@ def test_word_level_contrast_fixture(tmp_path):
     query = fixture_query()
 
     word_ids = [ex.sentence_id for ex in retrieve(query, store, cfg)]
-    sent_ids = [ex.sentence_id for ex in retrieve(query, store, with_mode(cfg, "sentence-level"))]
+    sent_ids = [ex.sentence_id for ex in retrieve(query, store, replace(cfg, mode="sentence-level"))]
     # word level surfaces the sentence sharing the entity word; sentence
     # level prefers the globally closer sentence embedding
     assert word_ids == [1, 0]

@@ -21,6 +21,7 @@ from click.testing import CliRunner
 from ragner.cli import main
 from ragner.config import load_config
 from ragner.corpus import EntitySpan, LabeledSentence, write_sentences_jsonl
+from ragner.embedder import CACHE_ARRAYS, CACHE_TEXTS
 
 from helpers import write_embedding_file
 
@@ -485,3 +486,126 @@ def test_predict_needs_input_sentences(mini):
     err = error_payload(run(["-c", mini.cfg, "predict"], expect=2))
     assert err["error"] == "MissingArtifact"
     assert "no input sentences at" in err["message"]
+
+
+# --- the embedding cache and the store build key ------------------------------
+
+CACHE_FILES = (*CACHE_ARRAYS.values(), CACHE_TEXTS)
+
+
+def indexed_project(root: Path):
+    ns = make_project(root)
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, "index"])
+    return ns
+
+
+def test_index_manifest_records_cache_and_embedding_file(proj):
+    doc = json.loads((proj.out / "manifests" / "index.json").read_text(encoding="utf-8"))
+    for name in CACHE_FILES:
+        assert str(proj.out / "store" / name) in doc["outputs"]
+    jsonl = proj.data / "embeddings.jsonl"
+    assert doc["inputs"][str(jsonl)] == hashlib.sha256(jsonl.read_bytes()).hexdigest()
+
+
+def test_store_built_under_another_config_is_refused(proj, tmp_path):
+    before = (proj.out / "predictions.jsonl").read_bytes()
+    for override in ("retriever.index_kind=ivf", "retriever.store_words=all",
+                     "store.size=5", "embedder.model_name=other"):
+        result = run(["-c", proj.cfg, "-S", override, "predict"], expect=2)
+        err = error_payload(result)
+        assert err["error"] == "ConfigError", override
+        assert "re-run `ragner index`" in err["message"]
+    assert (proj.out / "predictions.jsonl").read_bytes() == before
+    # query-time fields stay free
+    run(["-c", proj.cfg, "-S", "retriever.nprobe=1", "-S", "retriever.k=2", "retrieve",
+         "--text", TEST[0].text, "--output", tmp_path / "r.jsonl"])
+
+
+def test_cache_outputs_match_a_parsed_embedder(tmp_path, monkeypatch):
+    from ragner import embedder as embedder_mod
+    from ragner import pipeline
+
+    ns = indexed_project(tmp_path)
+    commands = {
+        "retrieval.jsonl": ["retrieve", "--input", ns.out / "corpus" / "test.jsonl"],
+        "finetune_dataset.jsonl": ["augment"],
+        "predictions.jsonl": ["predict"],
+    }
+
+    # downstream commands never read the embedding file
+    jsonl = ns.data / "embeddings.jsonl"
+    hidden = jsonl.rename(ns.data / "hidden.jsonl")
+    for name, args in commands.items():
+        run(["-c", ns.cfg, *args, "--output", tmp_path / f"cached-{name}"])
+    hidden.rename(jsonl)
+
+    monkeypatch.setattr(pipeline, "open_precomputed_cache",
+                        lambda store_dir: embedder_mod.load_precomputed(jsonl))
+    for name, args in commands.items():
+        run(["-c", ns.cfg, *args, "--output", tmp_path / f"parsed-{name}"])
+        cached = (tmp_path / f"cached-{name}").read_bytes()
+        assert cached and cached == (tmp_path / f"parsed-{name}").read_bytes(), name
+
+
+@pytest.mark.parametrize("damage", ["truncate", "alter"])
+def test_damaged_cache_file_fails_downstream(tmp_path, damage):
+    ns = indexed_project(tmp_path)
+    victim = ns.out / "store" / CACHE_ARRAYS["token_vectors"]
+    data = victim.read_bytes()
+    if damage == "truncate":
+        victim.write_bytes(data[: len(data) // 2])
+    else:
+        victim.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+    for command in (["predict"], ["augment"], ["retrieve", "--text", TEST[0].text]):
+        err = error_payload(run(["-c", ns.cfg, *command], expect=2))
+        assert err["error"] == "MissingArtifact"
+        assert "changed since its manifest" in err["message"]
+
+
+def test_store_without_cache_asks_for_reindex(tmp_path):
+    # a store written before the cache existed: no cache files, none in the manifest
+    ns = indexed_project(tmp_path)
+    manifest_path = ns.out / "manifests" / "index.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for name in CACHE_FILES:
+        (ns.out / "store" / name).unlink()
+        del doc["outputs"][str(ns.out / "store" / name)]
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["predict"], ["augment"], ["retrieve", "--text", TEST[0].text]):
+        err = error_payload(run(["-c", ns.cfg, *command], expect=2))
+        assert err["error"] == "MissingArtifact"
+        assert "no embedding cache" in err["message"]
+        assert "re-run `ragner index`" in err["message"]
+
+
+@pytest.mark.parametrize("axes, builds", [
+    ({"retriever.k": [1, 3], "retriever.mode": ["word-level", "sentence-level"]}, 1),
+    ({"retriever.index_kind": ["flat", "ivf"]}, 2),
+])
+def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatch, axes, builds):
+    from ragner import pipeline
+    from ragner.retriever import ExampleStore
+
+    calls = {"parse": 0, "build": 0}
+    parse = pipeline.load_precomputed
+    build = ExampleStore.build.__func__
+
+    def counting_parse(path):
+        calls["parse"] += 1
+        return parse(path)
+
+    def counting_build(cls, *args, **kwargs):
+        calls["build"] += 1
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_precomputed", counting_parse)
+    monkeypatch.setattr(ExampleStore, "build", classmethod(counting_build))
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"axes": axes}), encoding="utf-8")
+    out = tmp_path / "ablation.json"
+    run(["-c", proj.cfg, "ablate", "--grid", grid, "--output", out])
+
+    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert all(c["error"] is None and c["report"]["micro"]["f1"] == 1.0 for c in cells)
+    assert calls == {"parse": 1, "build": builds}

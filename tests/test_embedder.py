@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -13,14 +14,13 @@ from ragner.corpus import LabeledSentence
 from ragner.embedder import (
     Embedder,
     EmbedderSpec,
-    PrecomputedEmbeddingProvider,
     ProviderEncoding,
     RemoteEmbeddingProvider,
     SubwordToken,
     l2_normalize,
     load_precomputed,
+    open_precomputed_cache,
     token_char_ranges,
-    write_precomputed,
 )
 from ragner.errors import (
     AlignmentGap,
@@ -28,12 +28,13 @@ from ragner.errors import (
     EmbedderError,
     EmptyInput,
     FormatError,
+    MissingArtifact,
     MissingEntry,
     ProviderUnavailable,
 )
 from ragner.stopwords import load_stopwords
 
-from helpers import encoding_record, make_embedder
+from helpers import encoding_record, make_embedder, precomputed_provider, write_precomputed
 
 
 def sent(text: str, sid: int = 0) -> LabeledSentence:
@@ -143,7 +144,7 @@ def test_word_vector_is_normalized_mean_of_subwords():
         SubwordToken("ing", 9, 12, np.array(v3)),
     ]
     enc = ProviderEncoding(tokens, np.array([1.0, 0.0, 0.0]))
-    provider = PrecomputedEmbeddingProvider({"snowboarding": enc})
+    provider = precomputed_provider({"snowboarding": enc})
     spec = EmbedderSpec(provider="precomputed-file", dimension=3)
     [word] = Embedder(provider, spec).embed_words(sent("snowboarding"))
     expected = np.array([1.0, 2.0, 3.0]) / 3.0
@@ -155,7 +156,7 @@ def test_subword_sharing_across_word_boundary():
     shared = SubwordToken("b c", 1, 4, np.array([0.0, 1.0]))
     tokens = [SubwordToken("a", 0, 1, np.array([1.0, 0.0])), shared]
     enc = ProviderEncoding(tokens, np.array([1.0, 0.0]))
-    provider = PrecomputedEmbeddingProvider({"ab cd": enc})
+    provider = precomputed_provider({"ab cd": enc})
     spec = EmbedderSpec(provider="precomputed-file", dimension=2, stopwords=frozenset())
     words = Embedder(provider, spec).embed_words(sent("ab cd"))
     assert np.allclose(words[0].vector, l2_normalize(np.array([1.0, 1.0])))
@@ -165,14 +166,14 @@ def test_subword_sharing_across_word_boundary():
 def test_embed_words_alignment_gap():
     tokens = [SubwordToken("hello", 0, 5, np.array([1.0, 0.0]))]
     enc = ProviderEncoding(tokens, np.array([1.0, 0.0]))
-    provider = PrecomputedEmbeddingProvider({"hello world": enc})
+    provider = precomputed_provider({"hello world": enc})
     spec = EmbedderSpec(provider="precomputed-file", dimension=2)
     with pytest.raises(AlignmentGap, match="world"):
         Embedder(provider, spec).embed_words(sent("hello world"))
 
 
 def test_embed_empty_sentence_raises():
-    provider = PrecomputedEmbeddingProvider({})
+    provider = precomputed_provider({})
     spec = EmbedderSpec(provider="precomputed-file", dimension=2)
     empty = LabeledSentence(0, (), ())
     with pytest.raises(EmptyInput):
@@ -311,3 +312,73 @@ def test_remote_provider_unreachable():
     )
     with pytest.raises(ProviderUnavailable):
         provider.encode("hello")
+
+
+# --- the array representation and its cache ----------------------------------------
+
+
+def test_precomputed_last_duplicate_line_wins(tmp_path):
+    first = encoding_record(["hello", "world"], dim=4)
+    last = encoding_record(["hello", "world"], dim=4, sentence_vector=[0.0, 0.0, 0.0, 1.0])
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([first, encoding_record(["bye"], dim=4), last], path)
+    provider = load_precomputed(path)
+    assert len(provider) == 2
+    assert list(provider.encode("hello world").sentence_vector) == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_precomputed_records_digest_of_parsed_bytes(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["hello"], dim=4)], path)
+    assert load_precomputed(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_precomputed_rejects_vectors_of_different_lengths(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["a"], dim=4), encoding_record(["b"], dim=3)], path)
+    with pytest.raises(FormatError):
+        load_precomputed(path)
+    rec = encoding_record(["a", "b"], dim=4)
+    rec["tokens"][1]["vector"] = [1.0, 0.0]
+    write_precomputed([rec], path)
+    with pytest.raises(FormatError):
+        load_precomputed(path)
+
+
+def test_cache_round_trip_is_bit_exact(tmp_path):
+    sentences = [sent("quantum computing accelerates discovery"), sent("hello world", 1)]
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(list(s.tokens), dim=8) for s in sentences], path)
+    parsed = load_precomputed(path)
+    parsed.save_cache(tmp_path)
+    cached = open_precomputed_cache(tmp_path)
+    assert cached.texts == parsed.texts
+    for attr in ("token_vectors", "token_spans", "token_offsets", "sentence_vectors"):
+        assert getattr(cached, attr).tobytes() == getattr(parsed, attr).tobytes()
+    spec = EmbedderSpec(provider="precomputed-file", dimension=8)
+    for s in sentences:
+        a, b = Embedder(parsed, spec).embed_words(s), Embedder(cached, spec).embed_words(s)
+        assert [w.vector.tobytes() for w in a] == [w.vector.tobytes() for w in b]
+    with pytest.raises(DimensionMismatch):
+        Embedder(cached, EmbedderSpec(provider="precomputed-file", dimension=16)).embed_words(
+            sentences[0]
+        )
+
+
+def test_cache_open_rejects_missing_and_malformed_files(tmp_path):
+    with pytest.raises(MissingArtifact):
+        open_precomputed_cache(tmp_path)
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["hello", "world"], dim=4)], path)
+    load_precomputed(path).save_cache(tmp_path)
+    victim = tmp_path / "embeddings.token_vectors.npy"
+    data = victim.read_bytes()
+    victim.write_bytes(data[:-8])
+    with pytest.raises(FormatError):
+        open_precomputed_cache(tmp_path)
+    victim.write_bytes(b"not an npy file")
+    with pytest.raises(FormatError):
+        open_precomputed_cache(tmp_path)
+    np.save(victim, np.zeros((2, 4), dtype=np.float32))
+    with pytest.raises(FormatError):
+        open_precomputed_cache(tmp_path)

@@ -19,8 +19,6 @@ from ragner.generation import (
     generate_batch,
     latency_summary,
     prompt_hash,
-    result_payload,
-    write_results_jsonl,
 )
 from ragner.promptkit import build_prompt, parse_output, render_output
 
@@ -174,31 +172,6 @@ def test_latency_summary_statistics():
 
 def test_latency_summary_empty():
     assert latency_summary([]) == {"count": 0, "median": None, "mean": None, "p95": None}
-
-
-# --- result serialization ------------------------------------------------------------
-
-
-def test_result_payload_shape(tmp_path):
-    task = GenerationTask(7, make_prompt(), gold(product=["lamp"]))
-    result = generate(task, GeneratorSpec(backend="mock-gold"))
-    payload = result_payload(task, result)
-    assert payload["query_id"] == 7
-    assert payload["prompt_hash"] == prompt_hash(task.prompt)
-    assert payload["completion"] == "{product:[lamp], time:[]}"
-    assert "error" not in payload
-
-    path = tmp_path / "results.jsonl"
-    write_results_jsonl([task], [result], path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert rows == [payload]
-
-
-def test_result_payload_records_errors():
-    task = GenerationTask(3, make_prompt(), None)
-    [result] = generate_batch([task], GeneratorSpec(backend="mock-gold"))
-    payload = result_payload(task, result)
-    assert payload["error"].startswith("MissingGold")
 
 
 # --- remote backend -------------------------------------------------------------------

@@ -18,7 +18,6 @@ from ragner.retriever import (
     retrieve,
     retrieve_sentence_level,
     retrieve_word_level,
-    with_mode,
 )
 
 from helpers import (
@@ -71,17 +70,6 @@ def test_per_word_k_defaults_to_k():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         RetrieverConfig(**kwargs)
-
-
-def test_with_mode_returns_modified_copy():
-    cfg = RetrieverConfig(k=3)
-    other = with_mode(cfg, "sentence-level")
-    assert other.mode == "sentence-level"
-    assert other.k == 3
-    assert cfg.mode == "word-level"
-
-
-# --- the engineered contrast fixture ----------------------------------------------
 
 
 def test_word_level_ranks_entity_match_first(tmp_path):

@@ -9,166 +9,4 @@ regularized finetuning dataset (entity-type dropout and shuffling), and
 an ablation runner sweeps configuration grids reproducibly.
 """
 
-from . import errors
-from .augment import (
-    AugmentConfig,
-    FinetuneRecord,
-    Provenance,
-    build_finetune_dataset,
-    drop_entity_types,
-    shuffle_entity_types,
-    write_finetune_jsonl,
-)
-from .config import RunConfig, load_config
-from .corpus import (
-    CorpusSplit,
-    EntitySchema,
-    EntitySpan,
-    EntityType,
-    LabeledSentence,
-    NerOutput,
-    ParseWarnings,
-    bio_tags,
-    gold_output,
-    load_schema,
-    parse_bio,
-    read_sentences_jsonl,
-    render_bio,
-    split_store_finetune,
-    write_sentences_jsonl,
-)
-from .embedder import (
-    Embedder,
-    EmbedderSpec,
-    PrecomputedEmbeddingProvider,
-    RemoteEmbeddingProvider,
-    SentenceEmbedding,
-    WordEmbedding,
-    l2_normalize,
-    load_precomputed,
-)
-from .evaluation import (
-    EvalReport,
-    PredictionRecord,
-    expand_grid,
-    format_ablation,
-    format_report,
-    run_ablation,
-    score,
-    to_multiset,
-)
-from .generation import (
-    GenerationResult,
-    GenerationTask,
-    GeneratorSpec,
-    generate,
-    generate_batch,
-    latency_summary,
-)
-from .promptkit import (
-    DEFAULT_TASK_DESCRIPTION,
-    Prompt,
-    PromptExample,
-    build_prompt,
-    parse_output,
-    render_output,
-)
-from .retriever import (
-    ExampleStore,
-    MatchedPair,
-    RetrievedExample,
-    RetrieverConfig,
-    retrieve,
-    retrieve_sentence_level,
-    retrieve_word_level,
-)
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords
-from .vector_index import (
-    FlatIndex,
-    IvfIndex,
-    SearchHit,
-    SentenceRecord,
-    WordRecord,
-    build_flat,
-    build_ivf,
-    load_index,
-    save_index,
-    search,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugmentConfig",
-    "CorpusSplit",
-    "DEFAULT_STOPWORDS",
-    "DEFAULT_TASK_DESCRIPTION",
-    "Embedder",
-    "EmbedderSpec",
-    "EntitySchema",
-    "EntitySpan",
-    "EntityType",
-    "EvalReport",
-    "ExampleStore",
-    "FinetuneRecord",
-    "FlatIndex",
-    "GenerationResult",
-    "GenerationTask",
-    "GeneratorSpec",
-    "IvfIndex",
-    "LabeledSentence",
-    "MatchedPair",
-    "NerOutput",
-    "ParseWarnings",
-    "PrecomputedEmbeddingProvider",
-    "PredictionRecord",
-    "Prompt",
-    "PromptExample",
-    "Provenance",
-    "RemoteEmbeddingProvider",
-    "RetrievedExample",
-    "RetrieverConfig",
-    "RunConfig",
-    "SearchHit",
-    "SentenceEmbedding",
-    "SentenceRecord",
-    "WordEmbedding",
-    "WordRecord",
-    "bio_tags",
-    "build_finetune_dataset",
-    "build_flat",
-    "build_ivf",
-    "build_prompt",
-    "drop_entity_types",
-    "errors",
-    "expand_grid",
-    "format_ablation",
-    "format_report",
-    "generate",
-    "generate_batch",
-    "gold_output",
-    "l2_normalize",
-    "latency_summary",
-    "load_config",
-    "load_index",
-    "load_precomputed",
-    "load_schema",
-    "load_stopwords",
-    "parse_bio",
-    "parse_output",
-    "read_sentences_jsonl",
-    "render_bio",
-    "render_output",
-    "retrieve",
-    "retrieve_sentence_level",
-    "retrieve_word_level",
-    "run_ablation",
-    "save_index",
-    "score",
-    "search",
-    "shuffle_entity_types",
-    "split_store_finetune",
-    "to_multiset",
-    "write_finetune_jsonl",
-    "write_sentences_jsonl",
-]

@@ -26,53 +26,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .config import AugmentConfig, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
-from .errors import RagnerError, SchemaTooSmall
+from .errors import RagnerError
 from .promptkit import DEFAULT_TASK_DESCRIPTION, DEFAULT_TEMPLATE_ID, build_prompt, render_output
-from .retriever import ExampleStore, RetrieverConfig, retrieve
+from .retriever import ExampleStore, retrieve
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Regularization knobs.
-
-    max_removed defaults to |schema| - 1, resolved where the schema is
-    known.
-    """
-
-    dropout_fraction: float = 0.3
-    shuffle_fraction: float = 0.5
-    min_removed: int = 1
-    max_removed: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, value in (
-            ("dropout_fraction", self.dropout_fraction),
-            ("shuffle_fraction", self.shuffle_fraction),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.min_removed < 1:
-            raise ValueError("min_removed must be >= 1")
-        if self.max_removed is not None and self.max_removed < self.min_removed:
-            raise ValueError("max_removed must be >= min_removed")
-
-    def removal_bounds(self, schema_size: int) -> tuple[int, int]:
-        if schema_size < 2:
-            raise SchemaTooSmall(
-                f"entity-type dropout needs at least 2 types, schema has {schema_size}"
-            )
-        upper = self.max_removed if self.max_removed is not None else schema_size - 1
-        upper = min(upper, schema_size - 1)
-        if not 1 <= self.min_removed <= upper:
-            raise SchemaTooSmall(
-                f"removal bounds [{self.min_removed}, {upper}] invalid for "
-                f"schema of {schema_size}"
-            )
-        return self.min_removed, upper
 
 
 @dataclass(frozen=True)

@@ -24,18 +24,19 @@ from pathlib import Path
 import click
 import yaml
 
-from . import pipeline
-from .augment import build_finetune_dataset, write_finetune_jsonl
 from .config import RunConfig, load_config
 from .corpus import (
+    LabeledSentence,
     NerOutput,
     gold_output,
     load_schema,
+    load_split_file,
+    load_splits,
     read_sentences_jsonl,
+    select_store_split,
     write_sentences_jsonl,
 )
-from .embedder import PrecomputedEmbeddingProvider
-from .errors import ConfigError, MissingArtifact, RagnerError
+from .errors import AblationFailed, ConfigError, MissingArtifact, RagnerError
 from .evaluation import (
     PredictionRecord,
     ablation_to_dict,
@@ -46,7 +47,9 @@ from .evaluation import (
     score,
     write_report_json,
 )
-from .retriever import ExampleStore, retrieval_payload, retrieve
+
+# Each command imports the modules it runs in its body: ingest and evaluate
+# never load numpy, and no command loads what it does not use.
 
 
 def _sha256_file(path: Path) -> str:
@@ -79,6 +82,12 @@ def _write_manifest(
     path = _manifest_path(cfg, command)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_telemetry(out_path: Path, doc: dict) -> None:
+    """Wall-clock figures go next to `out_path`, outside every manifest."""
+    telemetry_path = out_path.with_name(out_path.stem + "_telemetry.json")
+    telemetry_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _verify_upstream(cfg: RunConfig, command: str) -> None:
@@ -125,19 +134,6 @@ def main(ctx, config_path, overrides):
     ctx.obj = load_config(config_path, list(overrides))
 
 
-def _load_store(cfg: RunConfig) -> ExampleStore:
-    """The indexed store, with the embedder opened from its embedding cache;
-    refuses a store built under another config."""
-    store_dir = cfg.paths.out_path("store")
-    store = ExampleStore.load(store_dir, embedder=pipeline.make_embedder(cfg, store_dir))
-    if store.build_key != cfg.store_build_key:
-        raise ConfigError(
-            f"the store in {store_dir} was built under another [embedder], [store] or "
-            "retriever index config; re-run `ragner index` with this config"
-        )
-    return store
-
-
 @main.command()
 @click.pass_obj
 @_handle_errors
@@ -146,11 +142,11 @@ def ingest(cfg: RunConfig):
     if not cfg.paths.schema:
         raise ConfigError("paths.schema is not configured")
     schema = load_schema(cfg.paths.schema)
-    splits, warnings = pipeline.load_splits(cfg)
+    splits, warnings = load_splits(cfg)
     for sentences in splits.values():
         for s in sentences:
             s.validate(schema)
-    split = pipeline.select_store_split(splits, cfg)
+    split = select_store_split(splits, cfg)
 
     corpus_dir = cfg.paths.out_path("corpus")
     corpus_dir.mkdir(parents=True, exist_ok=True)
@@ -182,6 +178,9 @@ def ingest(cfg: RunConfig):
 @_handle_errors
 def index(cfg: RunConfig):
     """Embed the store split and build the configured vector indexes."""
+    from . import pipeline
+    from .embedder import PrecomputedEmbeddingProvider
+
     _verify_upstream(cfg, "ingest")
     sentences = read_sentences_jsonl(cfg.paths.out_path("corpus", "store.jsonl"))
     schema = load_schema(cfg.paths.out_path("schema.json"))
@@ -211,12 +210,10 @@ def _read_queries(cfg: RunConfig, input_path: str | None, texts: tuple[str, ...]
         else:
             # ad-hoc BIO input gets negative ids so it can never collide
             # with store sentence ids
-            sentences, _ = pipeline.load_split_file(path)
+            sentences, _ = load_split_file(path)
             for i, s in enumerate(sentences):
                 s.id = -(i + 1)
             queries.extend(sentences)
-    from .corpus import LabeledSentence
-
     base = len(queries)
     for i, text in enumerate(texts):
         queries.append(LabeledSentence(id=-(base + i + 1), tokens=text.split()))
@@ -234,8 +231,11 @@ def _read_queries(cfg: RunConfig, input_path: str | None, texts: tuple[str, ...]
 @_handle_errors
 def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
     """Retrieve in-prompt examples for query sentences (JSON lines out)."""
+    from . import pipeline
+    from .retriever import retrieval_payload, retrieve
+
     _verify_upstream(cfg, "index")
-    store = _load_store(cfg)
+    store = pipeline.load_store(cfg)
     queries = _read_queries(cfg, input_path, texts)
     out_path = Path(output_path) if output_path else cfg.paths.out_path("retrieval.jsonl")
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -254,6 +254,10 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
 @_handle_errors
 def augment(cfg: RunConfig, output_path):
     """Generate the regularized finetune dataset from the finetune split."""
+    from . import pipeline
+    from .augment import build_finetune_dataset, write_finetune_jsonl
+    from .promptkit import resolve_template
+
     _verify_upstream(cfg, "ingest")
     _verify_upstream(cfg, "index")
     finetune_sentences = read_sentences_jsonl(
@@ -263,7 +267,7 @@ def augment(cfg: RunConfig, output_path):
         raise ConfigError(
             "finetune split is empty; set store.size so ingest leaves sentences to finetune on"
         )
-    store = _load_store(cfg)
+    store = pipeline.load_store(cfg)
     out_path = Path(output_path) if output_path else cfg.paths.out_path("finetune_dataset.jsonl")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     skipped: list[tuple[int, str]] = []
@@ -273,7 +277,7 @@ def augment(cfg: RunConfig, output_path):
         cfg.augment,
         cfg.retriever,
         template_id=cfg.prompt.template_id,
-        template_text=None if cfg.prompt.template_file is None else Path(cfg.prompt.template_file).read_text(encoding="utf-8"),
+        template_text=resolve_template(cfg.prompt.template_id, cfg.prompt.template_file),
         task_description=pipeline._task_description(cfg),
         skipped=skipped,
     )
@@ -291,13 +295,15 @@ def augment(cfg: RunConfig, output_path):
 @_handle_errors
 def predict(cfg: RunConfig, input_path, output_path):
     """Retrieve, prompt, generate and parse for every input sentence."""
+    from . import pipeline
+
     _verify_upstream(cfg, "index")
-    store = _load_store(cfg)
+    store = pipeline.load_store(cfg)
     in_path = Path(input_path) if input_path else cfg.paths.out_path("corpus", "test.jsonl")
     if not in_path.exists():
         raise MissingArtifact(f"no input sentences at {in_path}")
     sentences = read_sentences_jsonl(in_path) if in_path.suffix == ".jsonl" else \
-        pipeline.load_split_file(in_path)[0]
+        load_split_file(in_path)[0]
     outcome = pipeline.predict_sentences(sentences, store, cfg)
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("predictions.jsonl")
@@ -305,12 +311,7 @@ def predict(cfg: RunConfig, input_path, output_path):
     with open(out_path, "w", encoding="utf-8") as fh:
         for row in outcome.rows:
             fh.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
-    telemetry_path = out_path.with_name(out_path.stem + "_telemetry.json")
-    telemetry_path.write_text(
-        json.dumps({"latency": outcome.latency, "failures": len(outcome.failures)},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_telemetry(out_path, {"latency": outcome.latency, "failures": len(outcome.failures)})
     _write_manifest(cfg, "predict", [in_path], [out_path])
     median = outcome.latency.get("median")
     timing = f", median latency {median:.4f}s" if median is not None else ""
@@ -378,7 +379,11 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
 @click.pass_obj
 @_handle_errors
 def ablate(cfg: RunConfig, grid_path, output_path):
-    """Run one end-to-end evaluation per grid cell, same seed everywhere."""
+    """Run one end-to-end evaluation per grid cell, same seed everywhere.
+
+    Exits 2 after writing the table when no cell succeeds."""
+    from . import pipeline
+
     doc = yaml.safe_load(Path(grid_path).read_text(encoding="utf-8")) or {}
     if "axes" in doc:
         cells = expand_grid(doc["axes"])
@@ -397,7 +402,10 @@ def ablate(cfg: RunConfig, grid_path, output_path):
         ) + "\n",
         encoding="utf-8",
     )
+    _write_telemetry(out_path, {"cells": [{"axes": c.axes, "latency": c.latency} for c in results]})
     _write_manifest(cfg, "ablate", [Path(grid_path)], [out_path])
+    if not any(cell.ok for cell in results):
+        raise AblationFailed(f"no cell of {len(results)} succeeded; see {out_path}")
 
 
 if __name__ == "__main__":

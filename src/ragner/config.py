@@ -2,10 +2,10 @@
 stable fingerprint that ties every artifact back to the exact settings
 that produced it.
 
-Section defaults for retriever/generator/augment come straight from the
-owning dataclasses, so the config layer cannot drift from the code. A
-seed left as null in the retriever/store/augment sections inherits the
-global seed.
+Section defaults for retriever/generator/augment come straight from
+their dataclasses, which live here so that reading a config imports
+nothing beyond errors and yaml. A seed left as null in the
+retriever/store/augment sections inherits the global seed.
 """
 
 from __future__ import annotations
@@ -17,10 +17,124 @@ from pathlib import Path
 
 import yaml
 
-from .augment import AugmentConfig
-from .errors import ConfigError
-from .generation import GeneratorSpec
-from .retriever import STORE_BUILD_FIELDS, RetrieverConfig
+from .errors import ConfigError, SchemaTooSmall
+
+_MODES = ("word-level", "sentence-level")
+_STORE_WORDS = ("entity-only", "all")
+_INDEX_KINDS = ("flat", "ivf")
+_AGGREGATORS = ("max", "sum")
+# the RetrieverConfig fields ExampleStore.build reads; the rest are query-time
+STORE_BUILD_FIELDS = ("store_words", "index_kind", "nlist", "kmeans_iters", "seed")
+_BACKENDS = ("remote-completion", "mock-gold", "mock-echo-nearest")
+_WIRE_FORMATS = ("prompt", "chat")
+
+
+@dataclass(frozen=True)
+class RetrieverConfig:
+    """Knobs for example selection.
+
+    per_word_k defaults to k. The sum aggregator (sum of each query
+    word's best match per sentence) is an experimental alternative to the
+    default max.
+    """
+
+    k: int = 5
+    mode: str = "word-level"
+    per_word_k: int | None = None
+    store_words: str = "entity-only"
+    index_kind: str = "flat"
+    nlist: int | None = None
+    nprobe: int | None = None
+    kmeans_iters: int = 20
+    seed: int = 0
+    exclude_self: bool = True
+    aggregator: str = "max"
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.per_word_k is not None and self.per_word_k < 1:
+            raise ValueError("per_word_k must be >= 1")
+        for value, allowed, name in (
+            (self.mode, _MODES, "mode"),
+            (self.store_words, _STORE_WORDS, "store_words"),
+            (self.index_kind, _INDEX_KINDS, "index_kind"),
+            (self.aggregator, _AGGREGATORS, "aggregator"),
+        ):
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+
+    @property
+    def effective_per_word_k(self) -> int:
+        return self.per_word_k if self.per_word_k is not None else self.k
+
+
+@dataclass(frozen=True)
+class GeneratorSpec:
+    backend: str = "mock-gold"
+    endpoint: str | None = None
+    model_name: str | None = None
+    wire_format: str = "prompt"
+    max_tokens: int = 256
+    temperature: float = 0.0
+    timeout: float = 30.0
+    max_retries: int = 2
+    parallelism: int = 4
+    mock_delay: float = 0.0
+    mock_jitter: float = 0.0
+
+    def __post_init__(self):
+        if self.backend not in _BACKENDS:
+            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
+        if self.wire_format not in _WIRE_FORMATS:
+            raise ValueError(f"wire_format must be one of {_WIRE_FORMATS}")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        if self.backend == "remote-completion" and not self.endpoint:
+            raise ValueError("remote-completion backend requires an endpoint")
+
+
+@dataclass(frozen=True)
+class AugmentConfig:
+    """Regularization knobs.
+
+    max_removed defaults to |schema| - 1, resolved where the schema is
+    known.
+    """
+
+    dropout_fraction: float = 0.3
+    shuffle_fraction: float = 0.5
+    min_removed: int = 1
+    max_removed: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        for name, value in (
+            ("dropout_fraction", self.dropout_fraction),
+            ("shuffle_fraction", self.shuffle_fraction),
+        ):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if self.min_removed < 1:
+            raise ValueError("min_removed must be >= 1")
+        if self.max_removed is not None and self.max_removed < self.min_removed:
+            raise ValueError("max_removed must be >= min_removed")
+
+    def removal_bounds(self, schema_size: int) -> tuple[int, int]:
+        if schema_size < 2:
+            raise SchemaTooSmall(
+                f"entity-type dropout needs at least 2 types, schema has {schema_size}"
+            )
+        upper = self.max_removed if self.max_removed is not None else schema_size - 1
+        upper = min(upper, schema_size - 1)
+        if not 1 <= self.min_removed <= upper:
+            raise SchemaTooSmall(
+                f"removal bounds [{self.min_removed}, {upper}] invalid for "
+                f"schema of {schema_size}"
+            )
+        return self.min_removed, upper
 
 
 def _defaults() -> dict:
@@ -98,7 +212,8 @@ def parse_override(assignment: str) -> tuple[str, object]:
 
 
 def set_key(doc: dict, dotted: str, value) -> None:
-    """Set an existing dotted key of a config document in place."""
+    """Set an existing dotted key of a config document in place; a section
+    takes only a mapping, merged into it as a config file's would be."""
     keys = dotted.split(".")
     target = doc
     for key in keys[:-1]:
@@ -107,6 +222,10 @@ def set_key(doc: dict, dotted: str, value) -> None:
         target = target[key]
     if keys[-1] not in target:
         raise ConfigError(f"unknown config key: {dotted}")
+    if isinstance(target[keys[-1]], dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {dotted} must be a mapping")
+        value = _merge(target[keys[-1]], value, trail=f"{dotted}.")
     target[keys[-1]] = value
 
 

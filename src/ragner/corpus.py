@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .config import RunConfig
 from .errors import (
+    ConfigError,
     DuplicateTypeName,
     EmptyDefinition,
     FormatError,
@@ -257,25 +259,6 @@ def _spans_from_tags(tokens: list[str], tags: list[str]) -> list[EntitySpan]:
     return spans
 
 
-def bio_tags(sentence: LabeledSentence) -> list[str]:
-    """Per-token BIO tags reconstructed from the sentence's spans."""
-    tags = ["O"] * len(sentence.tokens)
-    for span in sentence.spans:
-        tags[span.start] = "B-" + span.entity_type
-        for i in range(span.start + 1, span.end):
-            tags[i] = "I-" + span.entity_type
-    return tags
-
-
-def render_bio(sentences: Iterable[LabeledSentence]) -> str:
-    """Render sentences back to BIO text (inverse of parse_bio)."""
-    blocks = []
-    for s in sentences:
-        lines = [f"{tok}\t{tag}" for tok, tag in zip(s.tokens, bio_tags(s))]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
-
-
 def load_schema(path: str | Path) -> EntitySchema:
     """Load an EntitySchema from a JSON file.
 
@@ -367,3 +350,55 @@ def read_sentences_jsonl(path: str | Path) -> list[LabeledSentence]:
             if line:
                 sentences.append(sentence_from_dict(json.loads(line)))
     return sentences
+
+
+def load_split_file(path: str | Path, id_base: int = 0) -> tuple[list[LabeledSentence], ParseWarnings]:
+    """Read one corpus file (BIO text or sentence JSONL), re-basing ids."""
+    path = Path(path)
+    warnings = ParseWarnings()
+    if path.suffix == ".jsonl":
+        sentences = read_sentences_jsonl(path)
+    else:
+        sentences = parse_bio(path.read_text(encoding="utf-8"), warnings)
+    for i, s in enumerate(sentences):
+        s.id = id_base + i
+    return sentences, warnings
+
+
+def load_splits(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]], ParseWarnings]:
+    """Load the configured corpus files with globally unique sentence ids.
+
+    Ids run on across splits (train, then dev, then test), so store records
+    and incoming queries can never collide on id and self-exclusion in the
+    retriever stays sound.
+    """
+    sources = (("train", cfg.paths.corpus_train), ("dev", cfg.paths.corpus_dev),
+               ("test", cfg.paths.corpus_test))
+    splits: dict[str, list[LabeledSentence]] = {}
+    warnings = ParseWarnings()
+    next_id = 0
+    for name, path in sources:
+        if path is None:
+            continue
+        sentences, w = load_split_file(path, id_base=next_id)
+        warnings.dangling_inside += w.dangling_inside
+        warnings.messages.extend(w.messages)
+        next_id += len(sentences)
+        splits[name] = sentences
+    if not splits:
+        raise ConfigError("no corpus files configured under [paths]")
+    return splits, warnings
+
+
+def select_store_split(splits: dict[str, list[LabeledSentence]], cfg: RunConfig) -> CorpusSplit:
+    """Assemble the store per [store]: concatenate source splits, then
+    either sample store.size of them (rest becomes the finetune split) or
+    take them all."""
+    source: list[LabeledSentence] = []
+    for name in cfg.store.source_splits:
+        if name not in splits:
+            raise ConfigError(f"store.source_splits names {name!r} but no such corpus file")
+        source.extend(splits[name])
+    if cfg.store.size is None:
+        return CorpusSplit(store=source, finetune=[], seed=cfg.store.seed)
+    return split_store_finetune(source, cfg.store.size, cfg.store.seed)

@@ -12,14 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
-import requests
 
 from .corpus import LabeledSentence
 from .errors import (
@@ -32,6 +30,7 @@ from .errors import (
     MissingEntry,
     ProviderUnavailable,
 )
+from .remote import post_json
 from .stopwords import DEFAULT_STOPWORDS
 
 NORM_TOLERANCE = 1e-6
@@ -325,8 +324,10 @@ class RemoteEmbeddingProvider:
     """HTTP embedding service client.
 
     Wire contract: POST {model, text} as JSON; the response carries the
-    same record shape as the precomputed file. In-flight requests are
-    bounded by `max_in_flight`; transient failures are retried.
+    same record shape as the precomputed file. At most `max_in_flight`
+    posts are open at once; transient failures are retried (see
+    `remote.post_json`). Every failure is a ProviderUnavailable, except a
+    reply that is not an embedding record, which is a FormatError.
     """
 
     def __init__(
@@ -336,39 +337,21 @@ class RemoteEmbeddingProvider:
         timeout: float = 30.0,
         max_retries: int = 2,
         max_in_flight: int = 8,
-        session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
         self.model_name = model_name
         self.timeout = timeout
         self.max_retries = max_retries
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._session = session or requests.Session()
 
     def encode(self, text: str) -> ProviderEncoding:
-        payload = {"model": self.model_name, "text": text}
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                with self._semaphore:
-                    resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    last_error = ProviderUnavailable(
-                        f"embedding service returned {resp.status_code}"
-                    )
-                elif resp.status_code >= 400:
-                    raise ProviderUnavailable(
-                        f"embedding service rejected request: {resp.status_code} {resp.text[:200]}"
-                    )
-                else:
-                    return _encoding(text, *_record_arrays(resp.json(), self.endpoint))
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_error = exc
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{self.endpoint}: non-JSON response: {exc}") from exc
-            if attempt < self.max_retries:
-                time.sleep(min(0.1 * 2**attempt, 2.0))
-        raise ProviderUnavailable(f"embedding service unreachable: {last_error}")
+        with self._semaphore:
+            doc, _ = post_json(
+                self.endpoint, {"model": self.model_name, "text": text},
+                self.timeout, self.max_retries,
+                error=ProviderUnavailable, format_error=FormatError,
+            )
+        return _encoding(text, *_record_arrays(doc, self.endpoint))
 
 
 def token_char_ranges(tokens: list[str]) -> list[tuple[int, int]]:

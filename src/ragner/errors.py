@@ -102,6 +102,16 @@ class NoDictionaryFound(RagnerError):
     """A completion contains no balanced {...} region to parse."""
 
 
+class UnknownTemplate(RagnerError, KeyError):
+    """A template id names no built-in template and no template file is given."""
+
+    __str__ = RagnerError.__str__  # the message, not KeyError's repr of it
+
+
+class TemplateError(RagnerError, ValueError):
+    """A template file cannot be read or lacks a placeholder."""
+
+
 # --- augment --------------------------------------------------------------
 
 class SchemaTooSmall(RagnerError):
@@ -119,11 +129,8 @@ class MissingGold(GenerationError):
 
 
 class HttpError(GenerationError):
-    """The completion endpoint answered with a non-retryable error."""
-
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
+    """The completion endpoint failed: an error answer, no connection, or a
+    reply without a completion text."""
 
 
 class GenerationTimeout(GenerationError):
@@ -144,3 +151,7 @@ class ConfigError(RagnerError):
 
 class MissingArtifact(RagnerError):
     """A required upstream artifact is absent or fails hash verification."""
+
+
+class AblationFailed(RagnerError):
+    """No cell of an ablation grid succeeded."""

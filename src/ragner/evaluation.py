@@ -323,12 +323,14 @@ def format_ablation(cells: Sequence[AblationCell]) -> str:
 
 
 def ablation_to_dict(cells: Sequence[AblationCell], **context) -> dict:
+    """The deterministic part of a sweep: of each cell's latency summary
+    only the count stays, so that a rerun writes the same bytes."""
     doc = {
         "cells": [
             {
                 "axes": cell.axes,
                 "report": report_to_dict(cell.report) if cell.report else None,
-                "latency": cell.latency,
+                "latency": {"count": cell.latency["count"]} if cell.latency else None,
                 "error": cell.error,
             }
             for cell in cells

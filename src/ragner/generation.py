@@ -27,41 +27,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import requests
-
+from .config import GeneratorSpec
 from .corpus import NerOutput
 from .errors import GenerationError, GenerationTimeout, HttpError, MissingGold
 from .promptkit import Prompt, render_output
-
-_BACKENDS = ("remote-completion", "mock-gold", "mock-echo-nearest")
-_WIRE_FORMATS = ("prompt", "chat")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    backend: str = "mock-gold"
-    endpoint: str | None = None
-    model_name: str | None = None
-    wire_format: str = "prompt"
-    max_tokens: int = 256
-    temperature: float = 0.0
-    timeout: float = 30.0
-    max_retries: int = 2
-    parallelism: int = 4
-    mock_delay: float = 0.0
-    mock_jitter: float = 0.0
-
-    def __post_init__(self):
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        if self.wire_format not in _WIRE_FORMATS:
-            raise ValueError(f"wire_format must be one of {_WIRE_FORMATS}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.backend == "remote-completion" and not self.endpoint:
-            raise ValueError("remote-completion backend requires an endpoint")
+from .remote import post_json
 
 
 @dataclass(frozen=True)
@@ -114,64 +84,35 @@ def _mock_echo_completion(task: GenerationTask) -> str:
     return render_output(nearest.output.restricted_to(task.prompt.schema))
 
 
-def _chat_body(spec: GeneratorSpec, prompt_text: str) -> dict:
-    body = {
-        "messages": [{"role": "user", "content": prompt_text}],
-        "max_tokens": spec.max_tokens,
-        "temperature": spec.temperature,
-    }
-    if spec.model_name:
-        body["model"] = spec.model_name
-    return body
-
-
-def _extract_text(doc: dict) -> str:
-    if isinstance(doc.get("text"), str):
-        return doc["text"]
-    choices = doc.get("choices")
-    if isinstance(choices, list) and choices:
-        first = choices[0]
-        message = first.get("message")
-        if isinstance(message, dict) and isinstance(message.get("content"), str):
-            return message["content"]
-        if isinstance(first.get("text"), str):
-            return first["text"]
-    raise HttpError(f"completion response has no text field: {sorted(doc)}")
+def _extract_text(doc: object) -> str:
+    if isinstance(doc, dict):
+        if isinstance(doc.get("text"), str):
+            return doc["text"]
+        choices = doc.get("choices")
+        first = choices[0] if isinstance(choices, list) and choices else None
+        if isinstance(first, dict):
+            message = first.get("message")
+            if isinstance(message, dict) and isinstance(message.get("content"), str):
+                return message["content"]
+            if isinstance(first.get("text"), str):
+                return first["text"]
+    shape = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+    raise HttpError(f"completion response has no text field: {shape}")
 
 
 def _remote_completion(spec: GeneratorSpec, prompt_text: str) -> tuple[str, int]:
+    body = {"max_tokens": spec.max_tokens, "temperature": spec.temperature}
     if spec.wire_format == "chat":
-        body = _chat_body(spec, prompt_text)
+        body["messages"] = [{"role": "user", "content": prompt_text}]
     else:
-        body = {
-            "prompt": prompt_text,
-            "max_tokens": spec.max_tokens,
-            "temperature": spec.temperature,
-        }
-        if spec.model_name:
-            body["model"] = spec.model_name
-    last_exc: Exception | None = None
-    for attempt in range(spec.max_retries + 1):
-        if attempt:
-            time.sleep(min(0.1 * 2 ** (attempt - 1), 2.0))
-        try:
-            resp = requests.post(spec.endpoint, json=body, timeout=spec.timeout)
-        except requests.Timeout as exc:
-            last_exc = GenerationTimeout(f"no answer within {spec.timeout}s: {exc}")
-            continue
-        except requests.ConnectionError as exc:
-            last_exc = HttpError(f"connection failed: {exc}")
-            continue
-        if resp.status_code >= 500:
-            last_exc = HttpError(f"server error {resp.status_code}", status=resp.status_code)
-            continue
-        if resp.status_code >= 400:
-            raise HttpError(f"request rejected: {resp.status_code}", status=resp.status_code)
-        return _extract_text(resp.json()), attempt + 1
-    assert last_exc is not None
-    if isinstance(last_exc, GenerationError):
-        raise last_exc
-    raise HttpError(str(last_exc))
+        body["prompt"] = prompt_text
+    if spec.model_name:
+        body["model"] = spec.model_name
+    doc, attempts = post_json(
+        spec.endpoint, body, spec.timeout, spec.max_retries,
+        error=HttpError, timeout_error=GenerationTimeout,
+    )
+    return _extract_text(doc), attempts
 
 
 def generate(task: GenerationTask, spec: GeneratorSpec) -> GenerationResult:

@@ -1,9 +1,4 @@
-"""End-to-end pipeline steps shared by the CLI and the ablation runner.
-
-Sentence ids are renumbered globally across splits at load time (train,
-then dev, then test), so store records and incoming queries can never
-collide on id and self-exclusion in the retriever stays sound.
-"""
+"""End-to-end pipeline steps shared by the CLI and the ablation runner."""
 
 from __future__ import annotations
 
@@ -13,16 +8,13 @@ from pathlib import Path
 
 from .config import RunConfig, fingerprint, resolve, set_key
 from .corpus import (
-    CorpusSplit,
     EntitySchema,
     LabeledSentence,
     NerOutput,
-    ParseWarnings,
     gold_output,
     load_schema,
-    parse_bio,
-    read_sentences_jsonl,
-    split_store_finetune,
+    load_splits,
+    select_store_split,
 )
 from .embedder import (
     Embedder,
@@ -88,55 +80,17 @@ def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedd
     return Embedder(provider, spec)
 
 
-def load_split_file(path: str | Path, id_base: int = 0) -> tuple[list[LabeledSentence], ParseWarnings]:
-    """Read one corpus file (BIO text or sentence JSONL), re-basing ids."""
-    path = Path(path)
-    warnings = ParseWarnings()
-    if path.suffix == ".jsonl":
-        sentences = read_sentences_jsonl(path)
-    else:
-        sentences = parse_bio(path.read_text(encoding="utf-8"), warnings)
-    for i, s in enumerate(sentences):
-        s.id = id_base + i
-    return sentences, warnings
-
-
-def load_splits(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]], ParseWarnings]:
-    """Load the configured corpus files with globally unique sentence ids."""
-    sources = {
-        "train": cfg.paths.corpus_train,
-        "dev": cfg.paths.corpus_dev,
-        "test": cfg.paths.corpus_test,
-    }
-    splits: dict[str, list[LabeledSentence]] = {}
-    warnings = ParseWarnings()
-    next_id = 0
-    for name in ("train", "dev", "test"):
-        path = sources[name]
-        if path is None:
-            continue
-        sentences, w = load_split_file(path, id_base=next_id)
-        warnings.dangling_inside += w.dangling_inside
-        warnings.messages.extend(w.messages)
-        next_id += len(sentences)
-        splits[name] = sentences
-    if not splits:
-        raise ConfigError("no corpus files configured under [paths]")
-    return splits, warnings
-
-
-def select_store_split(splits: dict[str, list[LabeledSentence]], cfg: RunConfig) -> CorpusSplit:
-    """Assemble the store per [store]: concatenate source splits, then
-    either sample store.size of them (rest becomes the finetune split) or
-    take them all."""
-    source: list[LabeledSentence] = []
-    for name in cfg.store.source_splits:
-        if name not in splits:
-            raise ConfigError(f"store.source_splits names {name!r} but no such corpus file")
-        source.extend(splits[name])
-    if cfg.store.size is None:
-        return CorpusSplit(store=source, finetune=[], seed=cfg.store.seed)
-    return split_store_finetune(source, cfg.store.size, cfg.store.seed)
+def load_store(cfg: RunConfig) -> ExampleStore:
+    """The indexed store, with the embedder opened from its embedding cache;
+    refuses a store built under another config."""
+    store_dir = cfg.paths.out_path("store")
+    store = ExampleStore.load(store_dir, embedder=make_embedder(cfg, store_dir))
+    if store.build_key != cfg.store_build_key:
+        raise ConfigError(
+            f"the store in {store_dir} was built under another [embedder], [store] or "
+            "retriever index config; re-run `ragner index` with this config"
+        )
+    return store
 
 
 def build_store(
@@ -161,7 +115,7 @@ def _task_description(cfg: RunConfig) -> str:
 
 
 def build_query_prompt(
-    sentence: LabeledSentence, store: ExampleStore, cfg: RunConfig
+    sentence: LabeledSentence, store: ExampleStore, cfg: RunConfig, template_text: str
 ) -> Prompt:
     """Retrieve examples and render the prompt, most similar example last."""
     examples = retrieve(sentence, store, cfg.retriever)
@@ -169,7 +123,6 @@ def build_query_prompt(
         (store.by_id[ex.sentence_id], gold_output(store.by_id[ex.sentence_id], store.schema))
         for ex in reversed(examples)
     ]
-    template_text = resolve_template(cfg.prompt.template_id, cfg.prompt.template_file)
     return build_prompt(
         store.schema,
         example_gold,
@@ -228,6 +181,8 @@ def predict_sentences(
     failed and score as all-false-negative; they never abort the batch.
     """
     schema = store.schema
+    # a template that cannot be used fails the whole command, not every row
+    template_text = resolve_template(cfg.prompt.template_id, cfg.prompt.template_file)
     rows: dict[int, PredictionRow] = {}
     tasks: list[GenerationTask] = []
     failures: list[tuple[int, str]] = []
@@ -235,7 +190,7 @@ def predict_sentences(
         row = PredictionRow(query_id=sentence.id, text=sentence.text)
         rows[sentence.id] = row
         try:
-            prompt = build_query_prompt(sentence, store, cfg)
+            prompt = build_query_prompt(sentence, store, cfg, template_text)
         except RagnerError as exc:
             row.parse_failed = True
             row.error = f"{type(exc).__name__}: {exc}"
@@ -323,10 +278,9 @@ def _load_cell_inputs(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]],
     return splits, load_schema(cfg.paths.schema)
 
 
-def run_cell(
-    base: RunConfig, axes: dict, loads: AblationLoads
-) -> tuple[RunConfig, "CellOutcome"]:
-    """Run one ablation cell: base config plus dotted-key overrides.
+def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalReport, dict]:
+    """Run one ablation cell, base config plus dotted-key overrides:
+    its report and latency summary.
 
     Every cell of a sweep gets the same `loads`, so that a cell reuses the
     splits, embedder and store of the cell before when its config allows.
@@ -354,13 +308,7 @@ def run_cell(
     report = score(
         outcome.records, dedupe=cfg.eval.dedupe, match_mode=cfg.eval.match_mode
     )
-    return cfg, CellOutcome(report=report, latency=outcome.latency)
-
-
-@dataclass
-class CellOutcome:
-    report: EvalReport
-    latency: dict
+    return report, outcome.latency
 
 
 def make_ablation_runner(base: RunConfig):
@@ -369,9 +317,4 @@ def make_ablation_runner(base: RunConfig):
     The runner keeps its loads for the sweep it serves and no longer.
     """
     loads = AblationLoads()
-
-    def runner(axes: dict):
-        _, outcome = run_cell(base, dict(axes), loads)
-        return outcome.report, outcome.latency
-
-    return runner
+    return lambda axes: run_cell(base, dict(axes), loads)

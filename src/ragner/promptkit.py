@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import EntitySchema, LabeledSentence, NerOutput
-from .errors import NoDictionaryFound, SchemaMismatch
+from .errors import NoDictionaryFound, SchemaMismatch, TemplateError, UnknownTemplate
 
 DEFAULT_TEMPLATE_ID = "default-v1"
 
@@ -51,14 +51,17 @@ def resolve_template(template_id: str, template_file: str | Path | None = None) 
     {entity_definitions}, {examples} and {query}.
     """
     if template_file is not None:
-        text = Path(template_file).read_text(encoding="utf-8")
+        try:
+            text = Path(template_file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise TemplateError(f"cannot read template file {template_file}: {exc}") from exc
     elif template_id in BUILTIN_TEMPLATES:
         text = BUILTIN_TEMPLATES[template_id]
     else:
-        raise KeyError(f"unknown template id {template_id!r} and no template file given")
+        raise UnknownTemplate(f"unknown template id {template_id!r} and no template file given")
     missing = [p for p in _PLACEHOLDERS if p not in text]
     if missing:
-        raise ValueError(f"template {template_id!r} missing placeholders: {missing}")
+        raise TemplateError(f"template {template_id!r} missing placeholders: {missing}")
     return text
 
 

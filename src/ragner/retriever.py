@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .config import _STORE_WORDS, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl, write_sentences_jsonl
 from .embedder import Embedder, WordEmbedding
 from .errors import EmptyQueryAfterStopwords, EmptyStore, FormatError
@@ -37,53 +38,6 @@ from .vector_index import (
     save_index,
     search,
 )
-
-_MODES = ("word-level", "sentence-level")
-_STORE_WORDS = ("entity-only", "all")
-_INDEX_KINDS = ("flat", "ivf")
-_AGGREGATORS = ("max", "sum")
-# the RetrieverConfig fields ExampleStore.build reads; the rest are query-time
-STORE_BUILD_FIELDS = ("store_words", "index_kind", "nlist", "kmeans_iters", "seed")
-
-
-@dataclass(frozen=True)
-class RetrieverConfig:
-    """Knobs for example selection.
-
-    per_word_k defaults to k. The sum aggregator (sum of each query
-    word's best match per sentence) is an experimental alternative to the
-    default max.
-    """
-
-    k: int = 5
-    mode: str = "word-level"
-    per_word_k: int | None = None
-    store_words: str = "entity-only"
-    index_kind: str = "flat"
-    nlist: int | None = None
-    nprobe: int | None = None
-    kmeans_iters: int = 20
-    seed: int = 0
-    exclude_self: bool = True
-    aggregator: str = "max"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.per_word_k is not None and self.per_word_k < 1:
-            raise ValueError("per_word_k must be >= 1")
-        for value, allowed, name in (
-            (self.mode, _MODES, "mode"),
-            (self.store_words, _STORE_WORDS, "store_words"),
-            (self.index_kind, _INDEX_KINDS, "index_kind"),
-            (self.aggregator, _AGGREGATORS, "aggregator"),
-        ):
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-
-    @property
-    def effective_per_word_k(self) -> int:
-        return self.per_word_k if self.per_word_k is not None else self.k
 
 
 @dataclass(frozen=True)

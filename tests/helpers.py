@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -277,3 +278,22 @@ def synth_domain(
 
 def all_domain_sentences(splits: dict[str, list[LabeledSentence]]) -> list[LabeledSentence]:
     return [s for split in splits.values() for s in split]
+
+
+def bio_tags(sentence: LabeledSentence) -> list[str]:
+    """Per-token BIO tags reconstructed from the sentence's spans."""
+    tags = ["O"] * len(sentence.tokens)
+    for span in sentence.spans:
+        tags[span.start] = "B-" + span.entity_type
+        for i in range(span.start + 1, span.end):
+            tags[i] = "I-" + span.entity_type
+    return tags
+
+
+def render_bio(sentences: Iterable[LabeledSentence]) -> str:
+    """Render sentences back to BIO text (inverse of parse_bio)."""
+    blocks = []
+    for s in sentences:
+        lines = [f"{tok}\t{tag}" for tok, tag in zip(s.tokens, bio_tags(s))]
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + ("\n" if blocks else "")

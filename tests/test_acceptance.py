@@ -24,8 +24,9 @@ import yaml
 from click.testing import CliRunner
 from conftest import ACCEPTANCE_LEDGER
 
-from ragner.augment import AugmentConfig, build_finetune_dataset, write_finetune_jsonl
+from ragner.augment import build_finetune_dataset, write_finetune_jsonl
 from ragner.cli import main
+from ragner.config import AugmentConfig, RetrieverConfig
 from ragner.corpus import (
     EntitySchema,
     EntitySpan,
@@ -37,7 +38,7 @@ from ragner.corpus import (
 from ragner.errors import NoDictionaryFound
 from ragner.evaluation import PredictionRecord, score
 from ragner.promptkit import parse_output, render_output
-from ragner.retriever import ExampleStore, RetrieverConfig, retrieve
+from ragner.retriever import ExampleStore, retrieve
 from ragner.vector_index import default_nlist, flat_from_matrix, ivf_from_matrix
 
 from helpers import (

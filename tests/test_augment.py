@@ -9,13 +9,13 @@ from collections import Counter
 import pytest
 
 from ragner.augment import (
-    AugmentConfig,
     FinetuneRecord,
     build_finetune_dataset,
     drop_entity_types,
     shuffle_entity_types,
     write_finetune_jsonl,
 )
+from ragner.config import AugmentConfig, RetrieverConfig
 from ragner.corpus import (
     EntitySchema,
     EntitySpan,
@@ -25,7 +25,7 @@ from ragner.corpus import (
     gold_output,
 )
 from ragner.errors import SchemaTooSmall
-from ragner.retriever import ExampleStore, RetrieverConfig
+from ragner.retriever import ExampleStore
 
 from helpers import (
     domain_schema,

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,10 +23,12 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import ragner
 from ragner.cli import main
 from ragner.config import load_config
 from ragner.corpus import EntitySpan, LabeledSentence, write_sentences_jsonl
 from ragner.embedder import CACHE_ARRAYS, CACHE_TEXTS
+from ragner.errors import ConfigError
 
 from helpers import write_embedding_file
 
@@ -376,6 +383,29 @@ def test_missing_config_file_fails(proj):
     assert "config file not found" in err["message"]
 
 
+@pytest.mark.parametrize("override, error, message", [
+    ("retriever=3", "ConfigError", "config key retriever must be a mapping"),
+    ("prompt.template_id=nope", "UnknownTemplate", "unknown template id 'nope'"),
+    ("prompt.template_file=nope.txt", "TemplateError", "cannot read template file nope.txt"),
+])
+@pytest.mark.parametrize("command", ["predict", "augment"])
+def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error, message, command):
+    result = run(["-c", proj.cfg, "-S", override, command, "--output", tmp_path / "out.jsonl"],
+                 expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == error and message in doc["message"]
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_section_override_merges_into_the_section(proj):
+    cfg = load_config(proj.cfg, ["retriever={k: 2, aggregator: sum}"])
+    assert (cfg.retriever.k, cfg.retriever.aggregator) == (2, "sum")
+    assert cfg.retriever.mode == load_config(proj.cfg).retriever.mode
+    with pytest.raises(ConfigError, match="unknown config key: retriever.bogus"):
+        load_config(proj.cfg, ["retriever={bogus: 1}"])
+
+
 # --- ablation ----------------------------------------------------------------
 
 def test_ablate_axes_grid(proj, tmp_path):
@@ -416,6 +446,40 @@ def test_ablate_isolates_failing_cells(proj, tmp_path):
     assert ok["error"] is None and ok["report"]["micro"]["f1"] == 1.0
     assert bad["report"] is None and bad["error"].startswith("ConfigError")
     assert "sideways" in bad["error"]
+
+
+def test_ablate_exits_2_when_no_cell_succeeds(proj, tmp_path):
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"axes": {"retriever.index_kind": ["ivf-flat"]}}),
+                    encoding="utf-8")
+    result = run(["-c", proj.cfg, "ablate", "--grid", grid,
+                  "--output", tmp_path / "ablation.json"], expect=2)
+    assert "failed: ConfigError" in result.output  # the table still prints
+    err = error_payload(result)
+    assert err["error"] == "AblationFailed"
+    assert "no cell of 1 succeeded" in err["message"]
+    [cell] = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert cell["error"].startswith("ConfigError") and "ivf-flat" in cell["error"]
+
+
+def test_ablate_reruns_are_byte_identical(proj, tmp_path):
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"axes": {"retriever.k": [1, 3]}}), encoding="utf-8")
+    out = tmp_path / "ablation.json"
+    targets = [out, proj.out / "manifests" / "ablate.json"]
+    runs = []
+    for _ in range(2):
+        run(["-c", proj.cfg, "ablate", "--grid", grid, "--output", out])
+        runs.append([p.read_bytes() for p in targets])
+    assert runs[0] == runs[1]
+    assert [c["latency"] for c in json.loads(out.read_text(encoding="utf-8"))["cells"]] == \
+        [{"count": 3}, {"count": 3}]
+    # wall-clock figures live in the sidecar, outside the manifest
+    telemetry = json.loads((tmp_path / "ablation_telemetry.json").read_text(encoding="utf-8"))
+    assert [c["axes"] for c in telemetry["cells"]] == [{"retriever.k": 1}, {"retriever.k": 3}]
+    assert all(c["latency"]["median"] > 0 for c in telemetry["cells"])
+    manifest = json.loads(targets[1].read_text(encoding="utf-8"))
+    assert str(tmp_path / "ablation_telemetry.json") not in manifest["outputs"]
 
 
 def test_ablate_rejects_gridless_file(proj, tmp_path):
@@ -609,3 +673,73 @@ def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatc
     cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
     assert all(c["error"] is None and c["report"]["micro"]["f1"] == 1.0 for c in cells)
     assert calls == {"parse": 1, "build": builds}
+
+
+# --- what each command imports, and remote generation ---------------------------
+
+HEAVY_MODULES = ("numpy", "requests", "urllib.request")
+_PROBE = """
+import json, sys
+if sys.argv[1:]:
+    from ragner.cli import main
+    main.main(args=sys.argv[1:], prog_name="ragner", standalone_mode=False)
+else:
+    import ragner.cli
+print(json.dumps([m for m in %r if m in sys.modules]))
+""" % (HEAVY_MODULES,)
+
+
+def heavy_modules_loaded(*args) -> list[str]:
+    """Run one command in a fresh interpreter; the heavy modules it loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ragner.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_import_only_what_they_use(tmp_path):
+    ns = make_project(tmp_path)
+    assert heavy_modules_loaded() == []
+    assert heavy_modules_loaded("-c", ns.cfg, "ingest") == []
+    run(["-c", ns.cfg, "index"])
+    # mock generation over the embedding cache loads no HTTP machinery
+    assert heavy_modules_loaded("-c", ns.cfg, "predict") == ["numpy"]
+    assert heavy_modules_loaded("-c", ns.cfg, "evaluate") == []
+
+
+class _FlakyCompletionHandler(BaseHTTPRequestHandler):
+    """Answers every prompt but the one about a briefing, which gets HTML."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        payload = (b"<html>oops</html>" if "briefing" in body["prompt"]
+                   else json.dumps({"text": "{gadget: [], meeting time: []}"}).encode())
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_predict_fails_only_the_row_with_a_bad_reply(tmp_path):
+    ns = indexed_project(tmp_path)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FlakyCompletionHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_port}/v1/completions"
+        run(["-c", ns.cfg, "-S", "generator.backend=remote-completion",
+             "-S", f"generator.endpoint={endpoint}", "-S", "generator.max_retries=0",
+             "predict"])
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+    rows = read_jsonl(ns.out / "predictions.jsonl")
+    assert [r["text"] for r in rows] == [s.text for s in TEST]
+    failed = [r for r in rows if "error" in r]
+    assert [r["text"] for r in failed] == [TEST[1].text]
+    assert failed[0]["error"].startswith("HttpError") and "non-JSON" in failed[0]["error"]
+    assert all(r["parsed"] is not None for r in rows if "error" not in r)

@@ -16,12 +16,10 @@ from ragner.corpus import (
     EntityType,
     LabeledSentence,
     ParseWarnings,
-    bio_tags,
     gold_output,
     load_schema,
     parse_bio,
     read_sentences_jsonl,
-    render_bio,
     sentence_from_dict,
     sentence_to_dict,
     split_store_finetune,
@@ -36,7 +34,7 @@ from ragner.errors import (
     UnknownSpanType,
 )
 
-from helpers import domain_schema, synth_domain
+from helpers import bio_tags, domain_schema, render_bio, synth_domain
 
 
 def test_parse_bio_single_span():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -223,15 +224,20 @@ def test_provider_called_once_per_text():
 
 class _EmbeddingHandler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 503
+    sleep = 0.0
     mode = "ok"
     requests_seen: list[dict] = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests_seen.append(body)
+        if type(self).sleep:
+            time.sleep(type(self).sleep)
+            return  # the client has given up by now: no reply to write
         if type(self).fail_first > 0:
             type(self).fail_first -= 1
-            self.send_response(503)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         if type(self).mode == "reject":
@@ -258,6 +264,8 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def embedding_server():
     _EmbeddingHandler.fail_first = 0
+    _EmbeddingHandler.fail_status = 503
+    _EmbeddingHandler.sleep = 0.0
     _EmbeddingHandler.mode = "ok"
     _EmbeddingHandler.requests_seen = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
@@ -304,6 +312,22 @@ def test_remote_provider_non_json_response(embedding_server):
     provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0)
     with pytest.raises(FormatError):
         provider.encode("hello")
+
+
+def test_remote_provider_retries_429(embedding_server):
+    _EmbeddingHandler.fail_first = 1
+    _EmbeddingHandler.fail_status = 429
+    provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0, max_retries=1)
+    assert [t.text for t in provider.encode("hello world").tokens] == ["hello", "world"]
+    assert len(_EmbeddingHandler.requests_seen) == 2
+
+
+def test_remote_provider_slow_reply_times_out(embedding_server):
+    _EmbeddingHandler.sleep = 1.0
+    provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=0.2, max_retries=1)
+    with pytest.raises(ProviderUnavailable, match="no answer within 0.2s"):
+        provider.encode("hello")
+    assert len(_EmbeddingHandler.requests_seen) == 2
 
 
 def test_remote_provider_unreachable():

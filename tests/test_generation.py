@@ -9,12 +9,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from ragner.config import GeneratorSpec
 from ragner.corpus import EntitySchema, EntityType, NerOutput
 from ragner.errors import GenerationTimeout, HttpError, MissingGold
 from ragner.generation import (
     GenerationResult,
     GenerationTask,
-    GeneratorSpec,
     generate,
     generate_batch,
     latency_summary,
@@ -179,6 +179,7 @@ def test_latency_summary_empty():
 
 class _CompletionHandler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 502
     mode = "text"
     sleep = 0.0
     bodies: list[dict] = []
@@ -190,7 +191,7 @@ class _CompletionHandler(BaseHTTPRequestHandler):
             time.sleep(type(self).sleep)
         if type(self).fail_first > 0:
             type(self).fail_first -= 1
-            self.send_response(502)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         if type(self).mode == "reject":
@@ -205,9 +206,13 @@ class _CompletionHandler(BaseHTTPRequestHandler):
             doc = {"choices": [{"message": {"content": completion}}]}
         elif type(self).mode == "choices-text":
             doc = {"choices": [{"text": completion}]}
+        elif type(self).mode == "list":
+            doc = [completion]
+        elif type(self).mode == "not-json":
+            doc = None
         else:
             doc = {"unexpected": True}
-        payload = json.dumps(doc).encode()
+        payload = b"<html>busy</html>" if doc is None else json.dumps(doc).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -220,6 +225,7 @@ class _CompletionHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def completion_server():
     _CompletionHandler.fail_first = 0
+    _CompletionHandler.fail_status = 502
     _CompletionHandler.mode = "text"
     _CompletionHandler.sleep = 0.0
     _CompletionHandler.bodies = []
@@ -325,3 +331,25 @@ def test_remote_render_parse_agreement(completion_server):
     result = generate(task, remote_spec(completion_server))
     parsed = parse_output(result.completion_text, product_schema())
     assert render_output(parsed) == result.completion_text
+
+
+def test_remote_retries_429_then_succeeds(completion_server):
+    _CompletionHandler.fail_first = 1
+    _CompletionHandler.fail_status = 429
+    result = generate(GenerationTask(1, make_prompt(), None), remote_spec(completion_server))
+    assert result.completion_text == "{product:[lamp], time:[]}"
+    assert result.attempt_count == 2
+
+
+@pytest.mark.parametrize("mode, match", [
+    ("not-json", "non-JSON response"),
+    ("list", "no text field: list"),
+])
+def test_remote_malformed_body_is_a_generation_error(completion_server, mode, match):
+    _CompletionHandler.mode = mode
+    with pytest.raises(HttpError, match=match):
+        generate(GenerationTask(1, make_prompt(), None), remote_spec(completion_server))
+    assert len(_CompletionHandler.bodies) == 1  # a malformed answer is not retried
+    [result] = generate_batch([GenerationTask(2, make_prompt(), None)],
+                              remote_spec(completion_server))
+    assert result.error.startswith("HttpError")

@@ -7,12 +7,12 @@ import random
 import numpy as np
 import pytest
 
+from ragner.config import RetrieverConfig
 from ragner.corpus import EntitySpan, LabeledSentence
 from ragner.errors import EmptyQueryAfterStopwords, EmptyStore, FormatError
 from ragner.retriever import (
     ExampleStore,
     MatchedPair,
-    RetrieverConfig,
     build_word_records,
     retrieval_payload,
     retrieve,

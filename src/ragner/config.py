@@ -19,6 +19,7 @@ import yaml
 
 from .errors import ConfigError, SchemaTooSmall
 
+_PROVIDERS = ("remote-service", "precomputed-file")
 _MODES = ("word-level", "sentence-level")
 _STORE_WORDS = ("entity-only", "all")
 _INDEX_KINDS = ("flat", "ivf")
@@ -253,6 +254,12 @@ class EmbedderConfig:
     max_retries: int
     max_in_flight: int
 
+    def __post_init__(self):
+        if self.provider not in _PROVIDERS:
+            raise ValueError(f"provider must be one of {_PROVIDERS}, got {self.provider!r}")
+        if type(self.dimension) is not int or self.dimension < 1:
+            raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
+
 
 @dataclass(frozen=True)
 class StoreConfig:
@@ -260,6 +267,16 @@ class StoreConfig:
     size: int | None
     seed: int
     modes: tuple[str, ...]
+
+    def __post_init__(self):
+        for name in ("source_splits", "modes"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"{name} must be a list of strings, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        for mode in self.modes:
+            if mode not in _MODES:
+                raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -325,13 +342,6 @@ def resolve(doc: dict) -> RunConfig:
         if doc[section].get("seed") is None:
             doc[section]["seed"] = seed
 
-    store_raw = dict(doc["store"])
-    store_raw["source_splits"] = tuple(store_raw["source_splits"])
-    store_raw["modes"] = tuple(store_raw["modes"])
-    for mode in store_raw["modes"]:
-        if mode not in ("word-level", "sentence-level"):
-            raise ConfigError(f"bad [store] config: unknown mode {mode!r}")
-
     eval_raw = doc["eval"]
     if eval_raw["grounding"] not in ("off", "strict"):
         raise ConfigError("bad [eval] config: grounding must be 'off' or 'strict'")
@@ -343,7 +353,7 @@ def resolve(doc: dict) -> RunConfig:
         seed=seed,
         paths=_build_section(PathsConfig, doc["paths"], "paths"),
         embedder=_build_section(EmbedderConfig, doc["embedder"], "embedder"),
-        store=_build_section(StoreConfig, store_raw, "store"),
+        store=_build_section(StoreConfig, doc["store"], "store"),
         retriever=_build_section(RetrieverConfig, doc["retriever"], "retriever"),
         generator=_build_section(GeneratorSpec, doc["generator"], "generator"),
         augment=_build_section(AugmentConfig, doc["augment"], "augment"),

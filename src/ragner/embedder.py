@@ -19,6 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .config import _PROVIDERS
 from .corpus import LabeledSentence
 from .errors import (
     AlignmentGap,
@@ -64,7 +65,7 @@ class EmbedderSpec:
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
 
     def __post_init__(self):
-        if self.provider not in ("remote-service", "precomputed-file"):
+        if self.provider not in _PROVIDERS:
             raise ValueError(f"unknown provider {self.provider!r}")
         if self.dimension <= 0:
             raise ValueError("dimension must be positive")

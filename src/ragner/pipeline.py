@@ -90,6 +90,7 @@ def load_store(cfg: RunConfig) -> ExampleStore:
             f"the store in {store_dir} was built under another [embedder], [store] or "
             "retriever index config; re-run `ragner index` with this config"
         )
+    store.require_index(cfg.retriever.mode)
     return store
 
 
@@ -303,6 +304,7 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
 
     # the old store (and what only it holds) is released before a new one is built
     store = loads.store.get((paths_key, cfg.store_build_key), new_store)
+    store.require_index(cfg.retriever.mode)
     splits, _ = inputs()
     outcome = predict_sentences(splits["test"], store, cfg)
     report = score(

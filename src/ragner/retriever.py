@@ -9,24 +9,23 @@ Two modes:
 - sentence-level: plain top-k by sentence-embedding cosine (baseline).
 
 Both modes exclude the query's own sentence id from the results so that
-evaluating over the store itself cannot leak gold labels. All ties break
-by ascending sentence id, which makes retrieval fully deterministic.
-Per-word searches are pure and could run concurrently; they are executed
-sequentially and merged by the tie rule, so the result never depends on
-completion order.
+evaluating over the store itself cannot leak gold labels: the records of
+that sentence are masked out of the search itself. All ties break by
+ascending record or sentence id, which makes retrieval fully
+deterministic. A query sentence is searched with one batched call over
+all of its words.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import _STORE_WORDS, RetrieverConfig
+from .config import _MODES, _STORE_WORDS, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl, write_sentences_jsonl
 from .embedder import Embedder, WordEmbedding
-from .errors import EmptyQueryAfterStopwords, EmptyStore, FormatError
+from .errors import ConfigError, EmptyQueryAfterStopwords, EmptyStore, FormatError
 from .vector_index import (
     Index,
     SentenceRecord,
@@ -36,7 +35,6 @@ from .vector_index import (
     default_nlist,
     load_index,
     save_index,
-    search,
 )
 
 
@@ -132,7 +130,6 @@ class ExampleStore:
         self.model_name = model_name
         self.embedder = embedder
         self.build_key = build_key
-        self._word_counts: Counter | None = None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -173,15 +170,12 @@ class ExampleStore:
             embedder=embedder,
         )
 
-    def word_records_for(self, sentence_id: int) -> int:
-        """How many word records a sentence owns (exact overfetch bound
-        for self-exclusion)."""
-        if self._word_counts is None:
-            counts: Counter = Counter()
-            if self.word_index is not None:
-                counts.update(int(i) for i in self.word_index.sentence_ids)
-            self._word_counts = counts
-        return self._word_counts[sentence_id]
+    def require_index(self, mode: str) -> None:
+        """Refuse a retriever mode whose index this store was not built with."""
+        built = [m for m, i in zip(_MODES, (self.word_index, self.sentence_index)) if i is not None]
+        if mode not in built:
+            raise ConfigError(f"retriever.mode={mode} needs the {mode} index, but the store was "
+                              f"built with store.modes={built}; add it and re-run `ragner index`")
 
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
@@ -260,29 +254,25 @@ def retrieve_word_level(
     if store.word_index is None or len(store.word_index) == 0:
         raise EmptyStore("store has no word index")
     query_words = _query_words(store, query)
-    per_word_k = cfg.effective_per_word_k
-    overfetch = store.word_records_for(query.id) if cfg.exclude_self else 0
     index = store.word_index
+    exclude = index.sentence_ids == query.id if cfg.exclude_self else None
+    results = index.search_batch([w.vector for w in query_words], cfg.effective_per_word_k,
+                                 nprobe=cfg.nprobe, exclude=exclude)
 
     best: dict[int, float] = {}
     pairs: dict[int, list[MatchedPair]] = {}
     per_word_best: dict[int, dict[int, float]] = {}
-    for w in query_words:
-        hits = search(index, w.vector, per_word_k + overfetch, nprobe=cfg.nprobe)
-        if cfg.exclude_self:
-            hits = [h for h in hits if int(index.sentence_ids[h.record_id]) != query.id]
-        for hit in hits[:per_word_k]:
-            sid = int(index.sentence_ids[hit.record_id])
-            store_word = index.words[hit.record_id] if index.words else ""
-            if sid not in best or hit.score > best[sid]:
-                best[sid] = hit.score
-            pairs.setdefault(sid, []).append(
-                MatchedPair(w.word, store_word, hit.score)
-            )
+    for w, (record_ids, hit_scores) in zip(query_words, results):
+        sids = index.sentence_ids[record_ids].tolist()
+        for record_id, sid, score in zip(record_ids.tolist(), sids, hit_scores.tolist()):
+            store_word = index.words[record_id] if index.words else ""
+            if sid not in best or score > best[sid]:
+                best[sid] = score
+            pairs.setdefault(sid, []).append(MatchedPair(w.word, store_word, score))
             word_best = per_word_best.setdefault(sid, {})
             prev = word_best.get(w.word_index)
-            if prev is None or hit.score > prev:
-                word_best[w.word_index] = hit.score
+            if prev is None or score > prev:
+                word_best[w.word_index] = score
 
     if cfg.aggregator == "sum":
         scores = {sid: sum(per_word_best[sid].values()) for sid in best}
@@ -306,13 +296,11 @@ def retrieve_sentence_level(
         raise EmptyStore("store has no sentence index")
     index = store.sentence_index
     vector = _require_embedder(store).embed_sentence(query).vector
-    overfetch = 1 if cfg.exclude_self else 0
-    hits = search(index, vector, cfg.k + overfetch, nprobe=cfg.nprobe)
-    if cfg.exclude_self:
-        hits = [h for h in hits if int(index.sentence_ids[h.record_id]) != query.id]
+    exclude = index.sentence_ids == query.id if cfg.exclude_self else None
+    [(record_ids, scores)] = index.search_batch([vector], cfg.k, nprobe=cfg.nprobe, exclude=exclude)
     return [
-        RetrievedExample(int(index.sentence_ids[h.record_id]), float(h.score))
-        for h in hits[: cfg.k]
+        RetrievedExample(int(index.sentence_ids[r]), s)
+        for r, s in zip(record_ids.tolist(), scores.tolist())
     ]
 
 

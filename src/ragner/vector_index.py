@@ -5,8 +5,9 @@ similarity is a plain dot product. The IVF index clusters the records with
 seeded spherical k-means (k-means++ init, Lloyd iterations) and searches
 only the `nprobe` nearest clusters' posting lists.
 
-Hit ordering is fully deterministic: descending score, ties broken by
-ascending record id.
+`search_batch` searches a block of queries with one matrix product and
+one top-k pass; `search` is its one-row case. Hit ordering is fully
+deterministic: descending score, ties broken by ascending record id.
 
 Index files are binary, little-endian, laid out as:
 
@@ -107,10 +108,39 @@ def _check_unit_norm(matrix: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be unit-norm (worst deviation {worst:.2e})")
 
 
-def _top_k_flat(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort on -score: exact ties resolve to ascending row (= record id)
-    order = np.argsort(-scores, kind="stable")
-    return order[: min(k, scores.shape[0])]
+def _check_queries(queries: np.ndarray, k: int, dim: int) -> np.ndarray:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != dim:
+        raise DimensionMismatch(f"query shape {queries.shape[1:]}, index dim {dim}")
+    return queries
+
+
+def _scores(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """block @ queries.T, shape (rows, m). One query goes through a mat-vec,
+    so a single search keeps the bits it always had."""
+    if queries.shape[0] == 1:
+        return (block @ queries[0])[:, None]
+    return block @ queries.T
+
+
+def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per row of scores (m, n): the k best columns as (ids, scores), by
+    descending score then ascending id. -inf marks a column the row must
+    not return (excluded or not probed); a row may come back short."""
+    keep = scores > -np.inf
+    if k < scores.shape[1]:
+        kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1: k]
+        keep &= scores >= kth  # every tie with the k-th score survives
+    rows, cols = np.nonzero(keep)
+    kept_scores = scores[rows, cols]
+    kept_ids = ids[cols]
+    order = np.lexsort((kept_ids, -kept_scores, rows))
+    rows, kept_ids, kept_scores = rows[order], kept_ids[order], kept_scores[order]
+    bounds = np.searchsorted(rows, np.arange(scores.shape[0] + 1)).tolist()
+    return [(kept_ids[lo: min(hi, lo + k)], kept_scores[lo: min(hi, lo + k)])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 class FlatIndex:
@@ -132,14 +162,18 @@ class FlatIndex:
         return self.matrix.shape[0]
 
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> list[SearchHit]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dim,):
-            raise DimensionMismatch(f"query shape {query.shape}, index dim {self.dim}")
-        scores = self.matrix @ query
-        top = _top_k_flat(scores, k)
-        return [SearchHit(int(i), float(scores[i])) for i in top]
+        [(ids, scores)] = self.search_batch([query], k)
+        return list(map(SearchHit, ids.tolist(), scores.tolist()))
+
+    def search_batch(self, queries: np.ndarray, k: int, nprobe: int | None = None,
+                     exclude: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Top-k (record ids, scores) for each row of queries (m, dim), in one
+        BLAS call; records where the boolean `exclude` is set never return."""
+        queries = _check_queries(queries, k, self.dim)
+        scores = _scores(self.matrix, queries).T
+        if exclude is not None:
+            scores[:, exclude] = -np.inf
+        return _top_k(scores, np.arange(len(self)), k)
 
 
 class IvfIndex:
@@ -198,32 +232,33 @@ class IvfIndex:
         return out
 
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> list[SearchHit]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if nprobe is None:
-            nprobe = default_nprobe(self.nlist)
+        [(ids, scores)] = self.search_batch([query], k, nprobe)
+        return list(map(SearchHit, ids.tolist(), scores.tolist()))
+
+    def search_batch(self, queries: np.ndarray, k: int, nprobe: int | None = None,
+                     exclude: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """FlatIndex.search_batch over the `nprobe` clusters nearest to each
+        row. The union of probed clusters is scored one contiguous slice at a
+        time, never a gathered copy; a cluster the row did not probe scores
+        -inf for that row."""
+        queries = _check_queries(queries, k, self.dim)
+        nprobe = default_nprobe(self.nlist) if nprobe is None else nprobe
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in [1, {self.nlist}], got {nprobe}")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self.dim,):
-            raise DimensionMismatch(f"query shape {query.shape}, index dim {self.dim}")
-        centroid_scores = self.centroids @ query
-        probe = np.argsort(-centroid_scores, kind="stable")[:nprobe]
-        score_parts = []
-        id_parts = []
-        for c in probe:
-            lo, hi = int(self.offsets[c]), int(self.offsets[c + 1])
-            if lo == hi:
-                continue
-            score_parts.append(self.grouped[lo:hi] @ query)
-            id_parts.append(self.row_record_ids[lo:hi])
-        if not score_parts:
-            return []
-        scores = np.concatenate(score_parts)
-        ids = np.concatenate(id_parts)
-        # lexsort: primary -score, secondary ascending record id
-        order = np.lexsort((ids, -scores))[: min(k, scores.shape[0])]
-        return [SearchHit(int(ids[i]), float(scores[i])) for i in order]
+        m = queries.shape[0]
+        probe = np.argsort(-_scores(self.centroids, queries).T, axis=1, kind="stable")
+        probed = np.zeros((self.nlist, m), dtype=bool)
+        probed[probe[:, :nprobe], np.arange(m)[:, None]] = True
+        clusters = np.flatnonzero(probed.any(axis=1))
+        slices = [slice(self.offsets[c], self.offsets[c + 1]) for c in clusters.tolist()]
+        scores = np.concatenate([_scores(self.grouped[rows], queries) for rows in slices])
+        sizes = self.offsets[clusters + 1] - self.offsets[clusters]
+        scores[~np.repeat(probed[clusters], sizes, axis=0)] = -np.inf
+        scores = scores.T
+        ids = np.concatenate([self.row_record_ids[rows] for rows in slices])
+        if exclude is not None:
+            scores[:, exclude[ids]] = -np.inf
+        return _top_k(scores, ids, k)
 
 
 Index = FlatIndex | IvfIndex
@@ -281,23 +316,8 @@ def ivf_from_matrix(
     row_record_ids = order.astype(np.int64)
     counts = np.bincount(assignment, minlength=nlist)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return IvfIndex(
-        grouped=grouped,
-        row_record_ids=row_record_ids,
-        offsets=offsets,
-        centroids=centroids,
-        sentence_ids=sentence_ids,
-        words=words,
-        kmeans_iters=kmeans_iters,
-        seed=seed,
-    )
-
-
-def search(
-    index: Index, query: np.ndarray, k: int, nprobe: int | None = None
-) -> list[SearchHit]:
-    """Top-k hits by cosine, ordered by descending score then ascending id."""
-    return index.search(query, k, nprobe=nprobe)
+    return IvfIndex(grouped, row_record_ids, offsets, centroids, sentence_ids, words,
+                    kmeans_iters, seed)
 
 
 # --- spherical k-means ------------------------------------------------------
@@ -442,26 +462,15 @@ def load_index(path: str | Path) -> Index:
         lengths = np.frombuffer(_read_exact(fh, 4 * nlist, "posting lengths"), dtype="<u4")
         if int(lengths.sum()) != count:
             raise FormatError(f"{path}: posting lengths sum to {lengths.sum()}, expected {count}")
-        row_ids = []
-        for length in lengths:
-            row_ids.append(
-                np.frombuffer(
-                    _read_exact(fh, 4 * int(length), "postings"), dtype="<u4"
-                ).astype(np.int64)
-            )
+        row_record_ids = np.frombuffer(
+            _read_exact(fh, 4 * count, "postings"), dtype="<u4"
+        ).astype(np.int64)
         trailing = fh.read(1)
         if trailing:
             raise FormatError(f"{path}: trailing bytes after index payload")
-    row_record_ids = np.concatenate(row_ids) if row_ids else np.empty(0, dtype=np.int64)
+    if not np.array_equal(np.sort(row_record_ids), np.arange(count)):
+        raise FormatError(f"{path}: postings are not a permutation of the {count} record ids")
     offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     grouped = np.ascontiguousarray(matrix[row_record_ids])
-    return IvfIndex(
-        grouped=grouped,
-        row_record_ids=row_record_ids,
-        offsets=offsets,
-        centroids=centroids,
-        sentence_ids=sentence_ids,
-        words=words,
-        kmeans_iters=kmeans_iters,
-        seed=seed,
-    )
+    return IvfIndex(grouped, row_record_ids, offsets, centroids, sentence_ids, words,
+                    kmeans_iters, seed)

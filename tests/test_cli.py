@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -387,6 +388,10 @@ def test_missing_config_file_fails(proj):
     ("retriever=3", "ConfigError", "config key retriever must be a mapping"),
     ("prompt.template_id=nope", "UnknownTemplate", "unknown template id 'nope'"),
     ("prompt.template_file=nope.txt", "TemplateError", "cannot read template file nope.txt"),
+    ("store.source_splits=3", "ConfigError", "[store] config: source_splits must be a list of"),
+    ("store.modes=word-level", "ConfigError", "[store] config: modes must be a list of strings"),
+    ("embedder.provider=bogus", "ConfigError", "[embedder] config: provider must be one of"),
+    ("embedder.dimension=0", "ConfigError", "[embedder] config: dimension must be a positive"),
 ])
 @pytest.mark.parametrize("command", ["predict", "augment"])
 def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error, message, command):
@@ -396,6 +401,26 @@ def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error
     doc = json.loads(line)
     assert doc["error"] == error and message in doc["message"]
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("built, mode", [("word-level", "sentence-level"),
+                                         ("sentence-level", "word-level")])
+@pytest.mark.parametrize("command", ["predict", "augment", "retrieve"])
+def test_mode_without_its_index_fails_before_any_row(tmp_path, built, mode, command):
+    ns = make_project(tmp_path)
+    only = ["-c", ns.cfg, "-S", f"store.modes=[{built}]"]
+    run([*only, "ingest"])
+    run([*only, "index"])
+    extra = ["--text", TEST[0].text] if command == "retrieve" else []
+    out = tmp_path / "out.jsonl"
+    result = run([*only, "-S", f"retriever.mode={mode}", command, *extra, "--output", out],
+                 expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError"
+    assert f"retriever.mode={mode}" in doc["message"]
+    assert f"store.modes=['{built}']" in doc["message"]
+    assert not out.exists()
 
 
 def test_section_override_merges_into_the_section(proj):
@@ -448,6 +473,20 @@ def test_ablate_isolates_failing_cells(proj, tmp_path):
     assert "sideways" in bad["error"]
 
 
+def test_ablate_fails_a_cell_whose_mode_the_store_lacks(proj, tmp_path):
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(
+        yaml.safe_dump({"axes": {"retriever.mode": ["word-level", "sentence-level"]}}),
+        encoding="utf-8",
+    )
+    run(["-c", proj.cfg, "-S", "store.modes=[word-level]", "ablate", "--grid", grid,
+         "--output", tmp_path / "ablation.json"])
+    ok, bad = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert ok["error"] is None and ok["report"]["micro"]["f1"] == 1.0
+    assert bad["report"] is None and bad["error"].startswith("ConfigError")
+    assert "retriever.mode=sentence-level" in bad["error"]
+
+
 def test_ablate_exits_2_when_no_cell_succeeds(proj, tmp_path):
     grid = tmp_path / "grid.yaml"
     grid.write_text(yaml.safe_dump({"axes": {"retriever.index_kind": ["ivf-flat"]}}),
@@ -480,6 +519,32 @@ def test_ablate_reruns_are_byte_identical(proj, tmp_path):
     assert all(c["latency"]["median"] > 0 for c in telemetry["cells"])
     manifest = json.loads(targets[1].read_text(encoding="utf-8"))
     assert str(tmp_path / "ablation_telemetry.json") not in manifest["outputs"]
+
+
+def test_full_chain_reruns_are_byte_identical(tmp_path):
+    """ingest ... evaluate and a 2-cell ablate, twice into a fresh out dir:
+    every artifact and manifest comes out byte for byte the same."""
+    ns = make_project(tmp_path)
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"axes": {"retriever.mode": ["word-level", "sentence-level"]}}),
+                    encoding="utf-8")
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(ns.out, ignore_errors=True)
+        for command, extra in [("ingest", []), ("index", []),
+                               ("retrieve", ["--input", ns.out / "corpus" / "test.jsonl"]),
+                               ("augment", []), ("predict", []), ("evaluate", []),
+                               ("ablate", ["--grid", grid])]:
+            run(["-c", ns.cfg, command, *extra])
+        runs.append({p.relative_to(ns.out): p.read_bytes() for p in sorted(ns.out.rglob("*"))
+                     if p.is_file() and not p.name.endswith("_telemetry.json")})
+    assert runs[0].keys() == runs[1].keys()
+    hashed = set()
+    for manifest in (ns.out / "manifests").glob("*.json"):
+        hashed |= {Path(p).relative_to(ns.out) for p in json.loads(manifest.read_text())["outputs"]}
+    assert hashed <= runs[0].keys()
+    assert len(hashed) > 10
+    assert [p for p in runs[0] if runs[0][p] != runs[1][p]] == []
 
 
 def test_ablate_rejects_gridless_file(proj, tmp_path):

@@ -13,6 +13,7 @@ from ragner.errors import EmptyQueryAfterStopwords, EmptyStore, FormatError
 from ragner.retriever import (
     ExampleStore,
     MatchedPair,
+    RetrievedExample,
     build_word_records,
     retrieval_payload,
     retrieve,
@@ -150,13 +151,6 @@ def test_sentence_level_self_exclusion(tmp_path):
     assert [r.sentence_id for r in results] == [1]
 
 
-def test_word_records_for_counts(tmp_path):
-    store = build_fixture_store(tmp_path)
-    assert store.word_records_for(0) == 1  # table
-    assert store.word_records_for(1) == 2  # 15-inch, macbook
-    assert store.word_records_for(999) == 0
-
-
 # --- ties and aggregation -----------------------------------------------------------
 
 
@@ -275,6 +269,101 @@ def test_result_invariants_hold(tmp_path):
     scores = [r.score for r in results]
     assert scores == sorted(scores, reverse=True)
     assert all(r.sentence_id in store.by_id for r in results)
+
+
+# --- the batched search against the per-word overfetch it replaced -------------------
+
+# 16-d unit vectors with entries of +-1/4: every cosine is a multiple of
+# 1/16, exact in any summation order, so a batched search and per-word
+# searches see the same bits and repeated words tie exactly
+_EXACT_WORDS = {
+    f"w{i}": np.where(np.random.default_rng([79, i]).random(16) < 0.5, -0.25, 0.25).tolist()
+    for i in range(10)
+}
+
+
+def overfetch_reference(query, store, cfg):
+    """Word-level retrieval as it was before batching: one index.search per
+    query word, overfetched by the records the query's own sentence owns,
+    then filtered."""
+    index = store.word_index
+    per_word_k = cfg.effective_per_word_k
+    owned = int(np.sum(index.sentence_ids == query.id)) if cfg.exclude_self else 0
+    best, pairs, per_word_best = {}, {}, {}
+    for w in store.embedder.embed_words(query):
+        hits = index.search(w.vector, per_word_k + owned, nprobe=cfg.nprobe)
+        if cfg.exclude_self:
+            hits = [h for h in hits if int(index.sentence_ids[h.record_id]) != query.id]
+        for hit in hits[:per_word_k]:
+            sid = int(index.sentence_ids[hit.record_id])
+            best[sid] = max(best.get(sid, hit.score), hit.score)
+            pairs.setdefault(sid, []).append(
+                MatchedPair(w.word, index.words[hit.record_id], hit.score))
+            word_best = per_word_best.setdefault(sid, {})
+            word_best[w.word_index] = max(word_best.get(w.word_index, hit.score), hit.score)
+    if cfg.aggregator == "sum":
+        scores = {sid: sum(per_word_best[sid].values()) for sid in best}
+    else:
+        scores = best
+    ranked = sorted(scores, key=lambda sid: (-scores[sid], sid))[: cfg.k]
+    return [
+        RetrievedExample(sid, float(scores[sid]), tuple(sorted(
+            pairs[sid], key=lambda p: (-p.similarity, p.query_word, p.store_word))))
+        for sid in ranked
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_batched_word_level_equals_the_overfetch_reference(tmp_path, seed):
+    rng = random.Random(seed)
+    vocab = sorted(_EXACT_WORDS)
+    sents = [LabeledSentence(i, [rng.choice(vocab) for _ in range(rng.randint(2, 7))], [])
+             for i in range(rng.randint(6, 20))]
+    # a store sentence owning more records than any per_word_k below
+    sents.append(LabeledSentence(len(sents), [rng.choice(vocab) for _ in range(8)], []))
+    outside = LabeledSentence(500, rng.sample(vocab, 4), [])
+    embedder = make_embedder(sents + [outside], tmp_path, dim=16, word_vectors=_EXACT_WORDS,
+                             name=f"exact{seed}.jsonl")
+    build = [RetrieverConfig(store_words="all"),
+             RetrieverConfig(store_words="all", index_kind="ivf", nlist=3, seed=seed)]
+    for build_cfg in build:
+        store = ExampleStore.build(sents, product_schema(), embedder, build_cfg)
+        nprobe = 3 if build_cfg.index_kind == "ivf" else None
+        for query in (sents[-1], sents[0], outside):
+            for k, per_word_k, aggregator, exclude_self in (
+                (1, 1, "max", True), (3, 2, "max", True), (5, None, "sum", True),
+                (4, 3, "sum", False), (30, 2, "max", True),
+            ):
+                cfg = RetrieverConfig(k=k, per_word_k=per_word_k, aggregator=aggregator,
+                                      exclude_self=exclude_self, store_words="all",
+                                      index_kind=build_cfg.index_kind, nprobe=nprobe)
+                expected = overfetch_reference(query, store, cfg)
+                assert retrieve_word_level(query, store, cfg) == expected
+                if exclude_self:
+                    assert query.id not in [r.sentence_id for r in expected]
+
+
+@pytest.mark.parametrize("index_kind", ["flat", "ivf"])
+def test_word_level_searches_once_per_query_sentence(tmp_path, monkeypatch, index_kind):
+    rng = random.Random(5)
+    sents = random_store(rng, 12)
+    query = query_over(rng, n=5)
+    embedder = make_embedder(sents + [query], tmp_path, dim=16)
+    build_cfg = RetrieverConfig(store_words="all", index_kind=index_kind, nlist=3)
+    store = ExampleStore.build(sents, product_schema(), embedder, build_cfg)
+    cls = type(store.word_index)
+    calls = []
+    original = cls.search_batch
+
+    def spy(self, queries, *args, **kwargs):
+        calls.append(np.asarray(queries).shape)
+        return original(self, queries, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "search_batch", spy)
+    monkeypatch.setattr(cls, "search", lambda *a, **kw: pytest.fail("per-word search"))
+    for target in (query, sents[0]):
+        retrieve_word_level(target, store, build_cfg)
+    assert calls == [(5, 16), (len(sents[0].tokens), 16)]
 
 
 # --- degenerate inputs ----------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragner.errors import (
     DimensionMismatch,
@@ -25,7 +27,6 @@ from ragner.vector_index import (
     ivf_from_matrix,
     load_index,
     save_index,
-    search,
 )
 
 
@@ -78,7 +79,7 @@ def test_flat_matches_oracle(dim, seed):
     for _ in range(10):
         query = unit_rows(rng, 1, dim)[0]
         k = int(rng.integers(1, 21))
-        hits = search(index, query, k)
+        hits = index.search(query, k)
         expected = oracle_top_k(matrix, query, k)
         assert [h.record_id for h in hits] == [i for i, _ in expected]
         for hit, (_, score) in zip(hits, expected):
@@ -89,14 +90,14 @@ def test_flat_tie_break_is_ascending_record_id():
     v = np.array([1.0, 0.0])
     matrix = np.stack([v, v, v])
     index = flat_from_matrix(matrix, sentence_ids=[7, 8, 9])
-    hits = search(index, v, 3)
+    hits = index.search(v, 3)
     assert [h.record_id for h in hits] == [0, 1, 2]
 
 
 def test_flat_k_larger_than_n():
     rng = np.random.default_rng(3)
     matrix = unit_rows(rng, 4, 8)
-    hits = search(build_flat(word_records(matrix)), matrix[0], 50)
+    hits = build_flat(word_records(matrix)).search(matrix[0], 50)
     assert len(hits) == 4
 
 
@@ -106,7 +107,7 @@ def test_flat_scores_bounded_by_cosine():
     index = build_flat(word_records(matrix))
     for _ in range(20):
         q = unit_rows(rng, 1, 16)[0]
-        for h in search(index, q, 64):
+        for h in index.search(q, 64):
             assert -1.0 - 1e-9 <= h.score <= 1.0 + 1e-9
 
 
@@ -150,13 +151,13 @@ def test_non_unit_vectors_rejected():
 def test_bad_query_dimension_rejected():
     index = flat_from_matrix(np.array([[1.0, 0.0]]), [0])
     with pytest.raises(DimensionMismatch):
-        search(index, np.array([1.0, 0.0, 0.0]), 1)
+        index.search(np.array([1.0, 0.0, 0.0]), 1)
 
 
 def test_k_must_be_positive():
     index = flat_from_matrix(np.array([[1.0, 0.0]]), [0])
     with pytest.raises(ValueError):
-        search(index, np.array([1.0, 0.0]), 0)
+        index.search(np.array([1.0, 0.0]), 0)
 
 
 def test_nlist_out_of_range():
@@ -192,8 +193,8 @@ def test_ivf_full_probe_equals_flat(seed):
     ivf = build_ivf(word_records(matrix), nlist=nlist, seed=seed)
     for _ in range(10):
         query = unit_rows(rng, 1, dim)[0]
-        fh = search(flat, query, 10)
-        ih = search(ivf, query, 10, nprobe=nlist)
+        fh = flat.search(query, 10)
+        ih = ivf.search(query, 10, nprobe=nlist)
         assert [h.record_id for h in fh] == [h.record_id for h in ih]
         assert np.allclose([h.score for h in fh], [h.score for h in ih], atol=1e-12)
 
@@ -212,8 +213,8 @@ def test_ivf_recall_non_decreasing_in_nprobe():
     for nprobe in nprobes:
         got = 0
         for q in queries:
-            truth = {h.record_id for h in search(flat, q, k)}
-            found = {h.record_id for h in search(ivf, q, k, nprobe=nprobe)}
+            truth = {h.record_id for h in flat.search(q, k)}
+            found = {h.record_id for h in ivf.search(q, k, nprobe=nprobe)}
             got += len(truth & found)
         recalls.append(got / (len(queries) * k))
     assert all(b >= a for a, b in zip(recalls, recalls[1:]))
@@ -271,8 +272,8 @@ def test_ivf_nlist_one_degenerates_to_flat():
     ivf = build_ivf(word_records(matrix), nlist=1)
     for _ in range(5):
         q = unit_rows(rng, 1, 8)[0]
-        assert [h.record_id for h in search(flat, q, 7)] == [
-            h.record_id for h in search(ivf, q, 7, nprobe=1)
+        assert [h.record_id for h in flat.search(q, 7)] == [
+            h.record_id for h in ivf.search(q, 7, nprobe=1)
         ]
 
 
@@ -307,7 +308,7 @@ def test_save_load_flat_round_trip(tmp_path):
     assert np.array_equal(loaded.sentence_ids, index.sentence_ids)
     assert loaded.words == index.words
     q = unit_rows(rng, 1, 6)[0]
-    assert search(loaded, q, 5) == search(index, q, 5)
+    assert loaded.search(q, 5) == index.search(q, 5)
 
 
 def test_save_load_ivf_round_trip(tmp_path):
@@ -327,7 +328,7 @@ def test_save_load_ivf_round_trip(tmp_path):
     assert loaded.seed == index.seed
     q = unit_rows(rng, 1, 6)[0]
     for nprobe in (1, 3, 6):
-        assert search(loaded, q, 9, nprobe=nprobe) == search(index, q, 9, nprobe=nprobe)
+        assert loaded.search(q, 9, nprobe=nprobe) == index.search(q, 9, nprobe=nprobe)
 
 
 def test_save_load_sentence_records_have_no_words(tmp_path):
@@ -386,3 +387,92 @@ def test_load_rejects_trailing_bytes(tmp_path):
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
             load_index(path)
+
+
+def test_load_rejects_postings_that_are_not_a_permutation(tmp_path):
+    rng = np.random.default_rng(61)
+    index = build_ivf(word_records(unit_rows(rng, 12, 4)), nlist=3, seed=61)
+    path = tmp_path / "ivf.bin"
+    save_index(index, path)
+    blob = path.read_bytes()
+    ids = np.frombuffer(blob[-4 * 12:], dtype="<u4").copy()
+    for bad in (ids[0], 12):  # a duplicated record id, then one out of range
+        corrupt = ids.copy()
+        corrupt[1] = bad
+        path.write_bytes(blob[: -4 * 12] + corrupt.astype("<u4").tobytes())
+        with pytest.raises(FormatError, match="permutation"):
+            load_index(path)
+
+
+# --- batched search -----------------------------------------------------------------
+
+# Unit vectors with entries of +-1/4 in 16 dimensions, plus +-e0: every dot
+# product is a multiple of 1/16, exact in any summation order, so batched
+# and single-query scores agree to the bit and exact ties are common.
+_EXACT = np.vstack([
+    np.where(np.random.default_rng(67).random((6, 16)) < 0.5, -0.25, 0.25),
+    np.eye(16)[:1],
+    -np.eye(16)[:1],
+])
+
+
+def lexsort_oracle(matrix, query, k, exclude):
+    scores = matrix @ query
+    allowed = [i for i in range(len(matrix)) if not exclude[i]]
+    ranked = sorted(allowed, key=lambda i: (-scores[i], i))[:k]
+    return [(i, float(scores[i])) for i in ranked]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_search_batch_matches_lexsort_oracle(data):
+    rows = data.draw(st.lists(st.integers(0, len(_EXACT) - 1), min_size=1, max_size=30))
+    queries = data.draw(st.lists(st.integers(0, len(_EXACT) - 1), min_size=1, max_size=5))
+    k = data.draw(st.integers(1, 35))  # k >= n is covered
+    exclude = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))))
+    matrix, q = _EXACT[rows], _EXACT[queries]
+    nlist = data.draw(st.integers(1, len(rows)))
+    indexes = [
+        (flat_from_matrix(matrix, np.arange(len(rows))), None),
+        (ivf_from_matrix(matrix, np.arange(len(rows)), None, nlist=nlist, seed=3), nlist),
+    ]
+    for index, nprobe in indexes:
+        for mask in (None, exclude):
+            results = index.search_batch(q, k, nprobe=nprobe, exclude=mask)
+            assert len(results) == len(queries)
+            for row, (ids, scores) in zip(q, results):
+                expected = lexsort_oracle(matrix, row, k, mask if mask is not None
+                                          else np.zeros(len(rows), bool))
+                assert list(zip(ids.tolist(), scores.tolist())) == expected
+
+
+def test_search_batch_rows_match_single_searches():
+    rng = np.random.default_rng(71)
+    matrix = unit_rows(rng, 300, 32)
+    queries = unit_rows(rng, 7, 32)
+    flat = flat_from_matrix(matrix, np.arange(300))
+    ivf = ivf_from_matrix(matrix, np.arange(300), None, nlist=12, seed=71)
+    for index, nprobe in ((flat, None), (ivf, 12), (ivf, 3)):
+        batch = index.search_batch(queries, 9, nprobe=nprobe)
+        for query, (ids, scores) in zip(queries, batch):
+            single = index.search(query, 9, nprobe=nprobe)
+            assert ids.tolist() == [h.record_id for h in single]
+            np.testing.assert_allclose(scores, [h.score for h in single], rtol=0, atol=1e-12)
+
+
+def test_search_batch_validates_its_arguments():
+    rng = np.random.default_rng(73)
+    matrix = unit_rows(rng, 20, 4)
+    flat = flat_from_matrix(matrix, np.arange(20))
+    ivf = ivf_from_matrix(matrix, np.arange(20), None, nlist=4, seed=73)
+    for index in (flat, ivf):
+        with pytest.raises(DimensionMismatch):
+            index.search_batch(unit_rows(rng, 2, 3), 1)
+        with pytest.raises(DimensionMismatch):
+            index.search_batch(matrix[0], 1)  # one vector, not a batch
+        with pytest.raises(ValueError, match="k must be"):
+            index.search_batch(matrix[:2], 0)
+    for nprobe in (0, 5):
+        with pytest.raises(ValueError, match="nprobe"):
+            ivf.search_batch(matrix[:2], 1, nprobe=nprobe)
+

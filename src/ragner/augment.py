@@ -127,10 +127,11 @@ def build_finetune_dataset(
     dropout_ids = _exact_count_subset(ids, cfg.dropout_fraction, master)
     shuffle_ids = _exact_count_subset(ids, cfg.shuffle_fraction, master)
 
-    for sentence in sentences:
+    for sentence, examples in zip(sentences, retrieve(sentences, store, retriever_cfg)):
         rng = _sentence_rng(cfg.seed, sentence.id)
         try:
-            examples = retrieve(sentence, store, retriever_cfg)
+            if isinstance(examples, RagnerError):
+                raise examples
             example_gold = [
                 (store.by_id[ex.sentence_id], gold_output(store.by_id[ex.sentence_id], schema))
                 for ex in reversed(examples)  # most similar example last, next to the query

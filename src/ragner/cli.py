@@ -237,11 +237,14 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
     _verify_upstream(cfg, "index")
     store = pipeline.load_store(cfg)
     queries = _read_queries(cfg, input_path, texts)
+    entries = retrieve(queries, store, cfg.retriever)
+    for entry in entries:
+        if isinstance(entry, RagnerError):
+            raise entry  # before the output is opened, so no partial file is left
     out_path = Path(output_path) if output_path else cfg.paths.out_path("retrieval.jsonl")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
-        for query in queries:
-            examples = retrieve(query, store, cfg.retriever)
+        for query, examples in zip(queries, entries):
             fh.write(json.dumps(retrieval_payload(query.text, examples), ensure_ascii=False) + "\n")
     inputs = [Path(input_path)] if input_path else []
     _write_manifest(cfg, "retrieve", inputs, [out_path])

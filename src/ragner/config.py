@@ -56,6 +56,8 @@ class RetrieverConfig:
             raise ValueError("k must be >= 1")
         if self.per_word_k is not None and self.per_word_k < 1:
             raise ValueError("per_word_k must be >= 1")
+        if self.nprobe is not None and self.nprobe < 1:
+            raise ValueError("nprobe must be >= 1")
         for value, allowed, name in (
             (self.mode, _MODES, "mode"),
             (self.store_words, _STORE_WORDS, "store_words"),
@@ -277,6 +279,8 @@ class StoreConfig:
         for mode in self.modes:
             if mode not in _MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        if self.size is not None and (type(self.size) is not int or self.size < 0):
+            raise ValueError(f"size must be a non-negative integer or null, got {self.size!r}")
 
 
 @dataclass(frozen=True)

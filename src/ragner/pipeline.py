@@ -39,7 +39,7 @@ from .promptkit import (
     parse_output,
     resolve_template,
 )
-from .retriever import ExampleStore, retrieve
+from .retriever import ExampleStore, RetrievedExample, retrieve
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 
@@ -90,7 +90,7 @@ def load_store(cfg: RunConfig) -> ExampleStore:
             f"the store in {store_dir} was built under another [embedder], [store] or "
             "retriever index config; re-run `ragner index` with this config"
         )
-    store.require_index(cfg.retriever.mode)
+    store.require_index(cfg.retriever)
     return store
 
 
@@ -115,11 +115,9 @@ def _task_description(cfg: RunConfig) -> str:
     )
 
 
-def build_query_prompt(
-    sentence: LabeledSentence, store: ExampleStore, cfg: RunConfig, template_text: str
-) -> Prompt:
-    """Retrieve examples and render the prompt, most similar example last."""
-    examples = retrieve(sentence, store, cfg.retriever)
+def build_query_prompt(sentence: LabeledSentence, examples: list[RetrievedExample],
+                       store: ExampleStore, cfg: RunConfig, template_text: str) -> Prompt:
+    """Render the prompt over the retrieved examples, most similar example last."""
     example_gold = [
         (store.by_id[ex.sentence_id], gold_output(store.by_id[ex.sentence_id], store.schema))
         for ex in reversed(examples)
@@ -187,11 +185,13 @@ def predict_sentences(
     rows: dict[int, PredictionRow] = {}
     tasks: list[GenerationTask] = []
     failures: list[tuple[int, str]] = []
-    for sentence in sentences:
+    for sentence, examples in zip(sentences, retrieve(sentences, store, cfg.retriever)):
         row = PredictionRow(query_id=sentence.id, text=sentence.text)
         rows[sentence.id] = row
         try:
-            prompt = build_query_prompt(sentence, store, cfg, template_text)
+            if isinstance(examples, RagnerError):
+                raise examples
+            prompt = build_query_prompt(sentence, examples, store, cfg, template_text)
         except RagnerError as exc:
             row.parse_failed = True
             row.error = f"{type(exc).__name__}: {exc}"
@@ -304,7 +304,7 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
 
     # the old store (and what only it holds) is released before a new one is built
     store = loads.store.get((paths_key, cfg.store_build_key), new_store)
-    store.require_index(cfg.retriever.mode)
+    store.require_index(cfg.retriever)
     splits, _ = inputs()
     outcome = predict_sentences(splits["test"], store, cfg)
     report = score(

@@ -12,8 +12,8 @@ Both modes exclude the query's own sentence id from the results so that
 evaluating over the store itself cannot leak gold labels: the records of
 that sentence are masked out of the search itself. All ties break by
 ascending record or sentence id, which makes retrieval fully
-deterministic. A query sentence is searched with one batched call over
-all of its words.
+deterministic. Consecutive query sentences are searched in blocks, with
+one batched call over all the words of a block.
 """
 
 from __future__ import annotations
@@ -21,11 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .config import _MODES, _STORE_WORDS, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl, write_sentences_jsonl
 from .embedder import Embedder, WordEmbedding
-from .errors import ConfigError, EmptyQueryAfterStopwords, EmptyStore, FormatError
+from .errors import ConfigError, EmptyQueryAfterStopwords, EmptyStore, FormatError, RagnerError
 from .vector_index import (
     Index,
     SentenceRecord,
@@ -36,6 +39,10 @@ from .vector_index import (
     load_index,
     save_index,
 )
+
+# scores per search block, about 4 MB of float64: blocks of consecutive
+# queries share one matrix product, which streams the index matrix once
+_BLOCK_SCORES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -170,12 +177,18 @@ class ExampleStore:
             embedder=embedder,
         )
 
-    def require_index(self, mode: str) -> None:
-        """Refuse a retriever mode whose index this store was not built with."""
-        built = [m for m, i in zip(_MODES, (self.word_index, self.sentence_index)) if i is not None]
-        if mode not in built:
-            raise ConfigError(f"retriever.mode={mode} needs the {mode} index, but the store was "
-                              f"built with store.modes={built}; add it and re-run `ragner index`")
+    def require_index(self, cfg: RetrieverConfig) -> None:
+        """Refuse a mode whose index this store lacks, or an nprobe above the
+        nlist of the mode's IVF index."""
+        indexes = dict(zip(_MODES, (self.word_index, self.sentence_index)))
+        built = [m for m, i in indexes.items() if i is not None]
+        if cfg.mode not in built:
+            raise ConfigError(f"retriever.mode={cfg.mode} needs the {cfg.mode} index, but the store "
+                              f"was built with store.modes={built}; add it and re-run `ragner index`")
+        nlist = getattr(indexes[cfg.mode], "nlist", None)
+        if cfg.nprobe is not None and nlist is not None and cfg.nprobe > nlist:
+            raise ConfigError(f"retriever.nprobe={cfg.nprobe} must be in [1, {nlist}], the nlist "
+                              "of the store's IVF index")
 
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
@@ -226,39 +239,16 @@ class ExampleStore:
         )
 
 
-def _require_embedder(store: ExampleStore) -> Embedder:
-    if store.embedder is None:
-        raise EmptyStore("store has no embedder attached; pass one to ExampleStore.load")
-    return store.embedder
-
-
-def _query_words(store: ExampleStore, query: LabeledSentence) -> list[WordEmbedding]:
-    words = _require_embedder(store).embed_words(query)
-    if not words:
-        raise EmptyQueryAfterStopwords(
-            f"query {query.id} has no non-stop-word tokens: {query.text!r}"
-        )
-    return words
-
-
-def retrieve_word_level(
-    query: LabeledSentence, store: ExampleStore, cfg: RetrieverConfig
+def _pool_words(
+    index: Index, query_words: list[WordEmbedding], results, cfg: RetrieverConfig
 ) -> list[RetrievedExample]:
-    """The word-level retrieval algorithm.
+    """The word-level pooling of one query's per-word hits.
 
     Pools up to per_word_k hits per query word, collapses to unique store
     sentences keeping each one's maximum similarity, and returns the top
     k. matched_pairs holds every contributing (query word, store word)
     hit for the sentence, best first.
     """
-    if store.word_index is None or len(store.word_index) == 0:
-        raise EmptyStore("store has no word index")
-    query_words = _query_words(store, query)
-    index = store.word_index
-    exclude = index.sentence_ids == query.id if cfg.exclude_self else None
-    results = index.search_batch([w.vector for w in query_words], cfg.effective_per_word_k,
-                                 nprobe=cfg.nprobe, exclude=exclude)
-
     best: dict[int, float] = {}
     pairs: dict[int, list[MatchedPair]] = {}
     per_word_best: dict[int, dict[int, float]] = {}
@@ -288,28 +278,76 @@ def retrieve_word_level(
     return out
 
 
-def retrieve_sentence_level(
-    query: LabeledSentence, store: ExampleStore, cfg: RetrieverConfig
-) -> list[RetrievedExample]:
-    """Top-k store sentences by sentence-embedding cosine."""
-    if store.sentence_index is None or len(store.sentence_index) == 0:
-        raise EmptyStore("store has no sentence index")
-    index = store.sentence_index
-    vector = _require_embedder(store).embed_sentence(query).vector
-    exclude = index.sentence_ids == query.id if cfg.exclude_self else None
-    [(record_ids, scores)] = index.search_batch([vector], cfg.k, nprobe=cfg.nprobe, exclude=exclude)
-    return [
-        RetrievedExample(int(index.sentence_ids[r]), s)
-        for r, s in zip(record_ids.tolist(), scores.tolist())
-    ]
+def _search_block(block, index: Index, cfg: RetrieverConfig, entries: list) -> None:
+    """Search the rows of a block of (entry position, query, row embeddings)
+    with one search_batch call and fill each query's entry."""
+    word_level = cfg.mode == "word-level"
+    row_query_ids = np.repeat([q.id for _, q, _ in block], [len(rows) for _, _, rows in block])
+    exclude = index.sentence_ids[None, :] == row_query_ids[:, None] if cfg.exclude_self else None
+    results = iter(index.search_batch([r.vector for _, _, rows in block for r in rows],
+                                      cfg.effective_per_word_k if word_level else cfg.k,
+                                      nprobe=cfg.nprobe, exclude=exclude))
+    for position, _, rows in block:
+        hits = [next(results) for _ in rows]
+        if word_level:
+            entries[position] = _pool_words(index, rows, hits, cfg)
+        else:
+            [(record_ids, scores)] = hits
+            entries[position] = [RetrievedExample(int(index.sentence_ids[r]), s)
+                                 for r, s in zip(record_ids.tolist(), scores.tolist())]
 
 
-def retrieve(
-    query: LabeledSentence, store: ExampleStore, cfg: RetrieverConfig
-) -> list[RetrievedExample]:
-    if cfg.mode == "sentence-level":
-        return retrieve_sentence_level(query, store, cfg)
-    return retrieve_word_level(query, store, cfg)
+def _retrieve_blocks(
+    queries: Sequence[LabeledSentence], store: ExampleStore, cfg: RetrieverConfig
+) -> list[list[RetrievedExample] | RagnerError]:
+    """One entry per query: its examples, or the error its embedding raised.
+
+    Consecutive queries are embedded and searched one block at a time. A
+    block takes queries while its m rows (one per query word, or one per
+    query in sentence-level mode) keep m * len(index) <= _BLOCK_SCORES and
+    m <= len(index); it always holds at least one query.
+    """
+    word_level = cfg.mode == "word-level"
+    index = store.word_index if word_level else store.sentence_index
+    if index is None or len(index) == 0:
+        raise EmptyStore(f"store has no {'word' if word_level else 'sentence'} index")
+    if store.embedder is None:
+        raise EmptyStore("store has no embedder attached; pass one to ExampleStore.load")
+    max_rows = min(len(index), _BLOCK_SCORES // len(index))
+    entries: list = [None] * len(queries)
+    block: list = []
+    block_rows = 0
+    for position, query in enumerate(queries):
+        try:
+            if not word_level:
+                rows = [store.embedder.embed_sentence(query)]
+            elif not (rows := store.embedder.embed_words(query)):
+                raise EmptyQueryAfterStopwords(
+                    f"query {query.id} has no non-stop-word tokens: {query.text!r}")
+        except RagnerError as exc:
+            entries[position] = exc
+            continue
+        if block and block_rows + len(rows) > max_rows:
+            _search_block(block, index, cfg, entries)
+            block, block_rows = [], 0
+        block.append((position, query, rows))
+        block_rows += len(rows)
+    if block:
+        _search_block(block, index, cfg, entries)
+    return entries
+
+
+def retrieve(queries: LabeledSentence | Sequence[LabeledSentence], store: ExampleStore,
+             cfg: RetrieverConfig) -> list:
+    """Examples for one `LabeledSentence`, raising its error; for a sequence,
+    one entry per query: its examples or the `RagnerError` that failed it.
+    Store problems (no index for the mode, no embedder) raise for the call."""
+    if isinstance(queries, LabeledSentence):
+        [entry] = _retrieve_blocks([queries], store, cfg)
+        if isinstance(entry, RagnerError):
+            raise entry
+        return entry
+    return _retrieve_blocks(queries, store, cfg)
 
 
 def retrieval_payload(query_text: str, examples: list[RetrievedExample]) -> dict:

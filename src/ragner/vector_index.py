@@ -168,11 +168,12 @@ class FlatIndex:
     def search_batch(self, queries: np.ndarray, k: int, nprobe: int | None = None,
                      exclude: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """Top-k (record ids, scores) for each row of queries (m, dim), in one
-        BLAS call; records where the boolean `exclude` is set never return."""
+        BLAS call; records where the boolean `exclude` is set never return.
+        `exclude` is one (n,) mask for every row or an (m, n) mask per row."""
         queries = _check_queries(queries, k, self.dim)
         scores = _scores(self.matrix, queries).T
         if exclude is not None:
-            scores[:, exclude] = -np.inf
+            np.copyto(scores, -np.inf, where=exclude)
         return _top_k(scores, np.arange(len(self)), k)
 
 
@@ -257,7 +258,7 @@ class IvfIndex:
         scores = scores.T
         ids = np.concatenate([self.row_record_ids[rows] for rows in slices])
         if exclude is not None:
-            scores[:, exclude[ids]] = -np.inf
+            np.copyto(scores, -np.inf, where=exclude[..., ids])
         return _top_k(scores, ids, k)
 
 

@@ -392,6 +392,7 @@ def test_missing_config_file_fails(proj):
     ("store.modes=word-level", "ConfigError", "[store] config: modes must be a list of strings"),
     ("embedder.provider=bogus", "ConfigError", "[embedder] config: provider must be one of"),
     ("embedder.dimension=0", "ConfigError", "[embedder] config: dimension must be a positive"),
+    ("store.size=abc", "ConfigError", "[store] config: size must be a non-negative integer"),
 ])
 @pytest.mark.parametrize("command", ["predict", "augment"])
 def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error, message, command):
@@ -421,6 +422,61 @@ def test_mode_without_its_index_fails_before_any_row(tmp_path, built, mode, comm
     assert f"retriever.mode={mode}" in doc["message"]
     assert f"store.modes=['{built}']" in doc["message"]
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def ivf_proj(tmp_path_factory):
+    ns = make_project(tmp_path_factory.mktemp("ivf"))
+    ns.ivf = ["-c", ns.cfg, "-S", "retriever.index_kind=ivf", "-S", "retriever.nlist=2"]
+    run([*ns.ivf, "ingest"])
+    run([*ns.ivf, "index"])
+    return ns
+
+
+@pytest.mark.parametrize("nprobe, message", [
+    (5, "retriever.nprobe=5 must be in [1, 2]"),
+    (0, "[retriever] config: nprobe must be >= 1"),
+])
+@pytest.mark.parametrize("command", ["predict", "augment", "retrieve"])
+def test_nprobe_outside_the_store_nlist_exits_2(ivf_proj, tmp_path, nprobe, message, command):
+    extra = ["--text", TEST[0].text] if command == "retrieve" else []
+    out = tmp_path / "out.jsonl"
+    result = run([*ivf_proj.ivf, "-S", f"retriever.nprobe={nprobe}", command, *extra,
+                  "--output", out], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError" and message in doc["message"]
+    assert not out.exists()
+    run([*ivf_proj.ivf, "-S", "retriever.nprobe=2", command, *extra, "--output", out])
+
+
+def test_ablate_fails_a_cell_with_a_bad_nprobe(ivf_proj, tmp_path):
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(yaml.safe_dump({"axes": {"retriever.nprobe": [1, 5, 0]}}), encoding="utf-8")
+    run([*ivf_proj.ivf, "ablate", "--grid", grid, "--output", tmp_path / "ablation.json"])
+    ok, above, below = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert ok["error"] is None and ok["report"]["micro"]["f1"] == 1.0
+    assert above["report"] is None and above["error"].startswith("ConfigError")
+    assert "retriever.nprobe=5 must be in [1, 2]" in above["error"]
+    assert below["report"] is None and "nprobe must be >= 1" in below["error"]
+
+
+def test_retrieve_writes_nothing_when_a_query_fails(tmp_path):
+    ns = make_project(tmp_path)
+    stopwords_only = LabeledSentence(99, ["the", "at", "on"], [])
+    write_embedding_file(TRAIN + DEV + TEST + [stopwords_only], ns.data / "embeddings.jsonl", DIM)
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, "index"])
+    out = tmp_path / "retrieval.jsonl"
+    texts = ["--text", TEST[0].text, "--text", stopwords_only.text, "--text", TEST[1].text]
+    result = run(["-c", ns.cfg, "retrieve", *texts, "--output", out], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "EmptyQueryAfterStopwords" and "the at on" in doc["message"]
+    assert not out.exists()
+    assert not (ns.out / "manifests" / "retrieve.json").exists()
+    run(["-c", ns.cfg, "retrieve", *texts[:2], *texts[4:], "--output", out])
+    assert len(read_jsonl(out)) == 2
 
 
 def test_section_override_merges_into_the_section(proj):

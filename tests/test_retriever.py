@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ragner import retriever
 from ragner.config import RetrieverConfig
 from ragner.corpus import EntitySpan, LabeledSentence
-from ragner.errors import EmptyQueryAfterStopwords, EmptyStore, FormatError
+from ragner.errors import (
+    EmptyInput,
+    EmptyQueryAfterStopwords,
+    EmptyStore,
+    FormatError,
+    MissingEntry,
+)
 from ragner.retriever import (
     ExampleStore,
     MatchedPair,
@@ -17,8 +25,6 @@ from ragner.retriever import (
     build_word_records,
     retrieval_payload,
     retrieve,
-    retrieve_sentence_level,
-    retrieve_word_level,
 )
 
 from helpers import (
@@ -66,6 +72,7 @@ def test_per_word_k_defaults_to_k():
         {"store_words": "some"},
         {"index_kind": "hnsw"},
         {"aggregator": "median"},
+        {"nprobe": 0},
     ],
 )
 def test_config_validation(kwargs):
@@ -75,7 +82,7 @@ def test_config_validation(kwargs):
 
 def test_word_level_ranks_entity_match_first(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
-    results = retrieve_word_level(fixture_query(), store, RetrieverConfig(k=2))
+    results = retrieve(fixture_query(), store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in results] == [1, 0]
     assert results[0].score == pytest.approx(1.0)
     assert results[1].score == pytest.approx(0.436, abs=1e-9)
@@ -84,7 +91,7 @@ def test_word_level_ranks_entity_match_first(tmp_path):
 def test_sentence_level_ranks_surface_match_first(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     cfg = RetrieverConfig(k=2, mode="sentence-level")
-    results = retrieve_sentence_level(fixture_query(), store, cfg)
+    results = retrieve(fixture_query(), store, cfg)
     assert [r.sentence_id for r in results] == [0, 1]
     assert results[0].score == pytest.approx(0.95, abs=1e-9)
     assert results[1].score == pytest.approx(0.5, abs=1e-9)
@@ -100,7 +107,7 @@ def test_retrieve_dispatches_on_mode(tmp_path):
 
 def test_matched_pairs_justify_the_ranking(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
-    results = retrieve_word_level(fixture_query(), store, RetrieverConfig(k=2))
+    results = retrieve(fixture_query(), store, RetrieverConfig(k=2))
     top = results[0]
     assert MatchedPair("macbook", "macbook", 1.0) in top.matched_pairs
     # best pair first, and every pair names a word the store sentence contains
@@ -130,7 +137,7 @@ def test_store_words_all_keeps_every_content_word(tmp_path):
 def test_self_match_is_excluded(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     query = store.sentences[1]  # "Show me a 15-inch macbook", id 1
-    results = retrieve_word_level(query, store, RetrieverConfig(k=2))
+    results = retrieve(query, store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in results] == [0]
 
 
@@ -138,7 +145,7 @@ def test_self_match_kept_when_disabled(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     query = store.sentences[1]
     cfg = RetrieverConfig(k=2, exclude_self=False)
-    results = retrieve_word_level(query, store, cfg)
+    results = retrieve(query, store, cfg)
     assert results[0].sentence_id == 1
     assert results[0].score == pytest.approx(1.0)
 
@@ -147,7 +154,7 @@ def test_sentence_level_self_exclusion(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     query = store.sentences[0]
     cfg = RetrieverConfig(k=1, mode="sentence-level")
-    results = retrieve_sentence_level(query, store, cfg)
+    results = retrieve(query, store, cfg)
     assert [r.sentence_id for r in results] == [1]
 
 
@@ -164,7 +171,7 @@ def test_exact_ties_rank_by_ascending_sentence_id(tmp_path):
     query = LabeledSentence(50, ["alpha"], [])
     embedder = make_embedder(sents + [query], tmp_path, dim=4, word_vectors=shared)
     store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(k=2))
-    results = retrieve_word_level(query, store, RetrieverConfig(k=2))
+    results = retrieve(query, store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in results] == [3, 11]
     assert results[0].score == results[1].score == pytest.approx(1.0)
 
@@ -186,11 +193,11 @@ def test_sum_aggregator_rewards_multiple_matches(tmp_path):
     embedder = make_embedder(sents + [query], tmp_path, dim=4, word_vectors=vectors)
     store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig())
 
-    by_max = retrieve_word_level(query, store, RetrieverConfig(k=2))
+    by_max = retrieve(query, store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in by_max] == [1, 2]
     assert by_max[0].score == pytest.approx(0.9)
 
-    by_sum = retrieve_word_level(query, store, RetrieverConfig(k=2, aggregator="sum"))
+    by_sum = retrieve(query, store, RetrieverConfig(k=2, aggregator="sum"))
     assert [r.sentence_id for r in by_sum] == [2, 1]
     assert by_sum[0].score == pytest.approx(1.2)
 
@@ -248,7 +255,7 @@ def test_pooling_matches_exhaustive_oracle(tmp_path, seed):
 
     for k in (1, 3, 5):
         run_cfg = RetrieverConfig(k=k, store_words="all")
-        got = retrieve_word_level(query, store, run_cfg)
+        got = retrieve(query, store, run_cfg)
         expected = oracle_word_level(sents, query, embedder, per_word_k=k, k=k)
         assert [(r.sentence_id) for r in got] == [sid for sid, _ in expected]
         for r, (_, score) in zip(got, expected):
@@ -263,7 +270,7 @@ def test_result_invariants_hold(tmp_path):
     store = ExampleStore.build(
         sents, product_schema(), embedder, RetrieverConfig(store_words="all")
     )
-    results = retrieve_word_level(query, store, RetrieverConfig(k=10, store_words="all"))
+    results = retrieve(query, store, RetrieverConfig(k=10, store_words="all"))
     ids = [r.sentence_id for r in results]
     assert len(ids) == len(set(ids)) == 10
     scores = [r.score for r in results]
@@ -338,7 +345,7 @@ def test_batched_word_level_equals_the_overfetch_reference(tmp_path, seed):
                                       exclude_self=exclude_self, store_words="all",
                                       index_kind=build_cfg.index_kind, nprobe=nprobe)
                 expected = overfetch_reference(query, store, cfg)
-                assert retrieve_word_level(query, store, cfg) == expected
+                assert retrieve(query, store, cfg) == expected
                 if exclude_self:
                     assert query.id not in [r.sentence_id for r in expected]
 
@@ -362,8 +369,144 @@ def test_word_level_searches_once_per_query_sentence(tmp_path, monkeypatch, inde
     monkeypatch.setattr(cls, "search_batch", spy)
     monkeypatch.setattr(cls, "search", lambda *a, **kw: pytest.fail("per-word search"))
     for target in (query, sents[0]):
-        retrieve_word_level(target, store, build_cfg)
+        retrieve(target, store, build_cfg)
     assert calls == [(5, 16), (len(sents[0].tokens), 16)]
+
+
+# --- query blocks: many query sentences, one search call per block ------------------
+
+
+def exact_vector(*key) -> list[float]:
+    return np.where(np.random.default_rng(key).random(16) < 0.5, -0.25, 0.25).tolist()
+
+
+def exact_store(tmp_path, seed: int, name: str, extra: tuple[LabeledSentence, ...] = ()):
+    """Random store and outside queries over _EXACT_WORDS, with exact
+    sentence vectors too, so every score is the same in any block shape.
+    `extra` sentences are embedded as well."""
+    rng = random.Random(seed)
+    vocab = sorted(_EXACT_WORDS)
+    sents = [LabeledSentence(i, [rng.choice(vocab) for _ in range(rng.randint(2, 7))], [])
+             for i in range(rng.randint(8, 16))]
+    outside = [LabeledSentence(500 + j, rng.sample(vocab, rng.randint(1, 5)), [])
+               for j in range(4)]
+    embedded = sents + outside + list(extra)
+    sentence_vectors = {s.text: exact_vector(83, seed, i) for i, s in enumerate(embedded)}
+    embedder = make_embedder(embedded, tmp_path, dim=16, word_vectors=_EXACT_WORDS,
+                             sentence_vectors=sentence_vectors, name=name)
+    return sents, outside, embedder
+
+
+def search_batch_rows(monkeypatch, store) -> list[int]:
+    """Spy on both indexes' search_batch: the row count of each call."""
+    rows = []
+    for cls in {type(store.word_index), type(store.sentence_index)} - {type(None)}:
+        original = cls.search_batch
+
+        def spy(self, queries, *args, _original=original, **kwargs):
+            rows.append(len(queries))
+            return _original(self, queries, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "search_batch", spy)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_query_blocks_equal_one_query_at_a_time(tmp_path, monkeypatch, seed):
+    sents, outside, embedder = exact_store(tmp_path, seed, f"blocks{seed}.jsonl")
+    # store sentences (each row excludes its own) interleaved with outside ones
+    queries = [q for pair in zip(sents[::2], outside) for q in pair] + sents[1::2]
+    # a few rows per block, so blocks split in the middle of the list
+    monkeypatch.setattr(retriever, "_BLOCK_SCORES", 200)
+    builds = [(RetrieverConfig(store_words="all"), None),
+              (RetrieverConfig(store_words="all", index_kind="ivf", nlist=3, seed=seed), 3),
+              (RetrieverConfig(store_words="all", index_kind="ivf", nlist=3, seed=seed), 1)]
+    for build_cfg, nprobe in builds:
+        store = ExampleStore.build(sents, product_schema(), embedder, build_cfg,
+                                   modes=("word-level", "sentence-level"))
+        for mode, aggregator, per_word_k, exclude_self in (
+            ("word-level", "max", 2, True), ("word-level", "sum", None, True),
+            ("word-level", "max", 3, False), ("sentence-level", "max", None, True),
+            ("sentence-level", "max", None, False),
+        ):
+            cfg = replace(build_cfg, k=4, mode=mode, aggregator=aggregator,
+                          per_word_k=per_word_k, exclude_self=exclude_self, nprobe=nprobe)
+            rows = search_batch_rows(monkeypatch, store)
+            got = retrieve(queries, store, cfg)
+            assert len(rows) > 1
+            assert got == [retrieve(q, store, cfg) for q in queries]
+            if exclude_self:
+                for q, examples in zip(queries, got):
+                    assert q.id not in [ex.sentence_id for ex in examples]
+
+
+@pytest.mark.parametrize("mode", ["word-level", "sentence-level"])
+def test_a_failed_query_fails_only_its_own_entry(tmp_path, mode):
+    stopwords_only = LabeledSentence(600, ["the", "of", "and"], [])
+    not_embedded = LabeledSentence(601, ["w1", "w2"], [])  # its text is not in the file
+    no_tokens = LabeledSentence(602, [], [])
+    sents, outside, embedder = exact_store(tmp_path, 4, "isolation.jsonl", (stopwords_only,))
+    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(store_words="all"),
+                               modes=("word-level", "sentence-level"))
+    cfg = RetrieverConfig(k=3, mode=mode, store_words="all")
+    good = [sents[0], outside[0], sents[3], outside[1]]
+    queries = [good[0], stopwords_only, good[1], not_embedded, good[2], no_tokens, good[3]]
+    entries = retrieve(queries, store, cfg)
+
+    expected_errors = {
+        "word-level": (EmptyQueryAfterStopwords, MissingEntry, EmptyInput),
+        "sentence-level": (None, MissingEntry, EmptyInput),
+    }[mode]
+    assert [entries[i] for i in (0, 2, 4, 6)] == [retrieve(q, store, cfg) for q in good]
+    for entry, query, error in zip(entries[1::2], queries[1::2], expected_errors):
+        if error is None:  # stop words still have a sentence vector
+            assert entry == retrieve(query, store, cfg)
+            continue
+        assert type(entry) is error
+        with pytest.raises(error):
+            retrieve(query, store, cfg)
+
+
+def test_store_problems_raise_for_the_whole_call(tmp_path):
+    store = build_fixture_store(tmp_path)
+    store.save(tmp_path / "store")
+    loaded = ExampleStore.load(tmp_path / "store")
+    with pytest.raises(EmptyStore, match="embedder"):
+        retrieve([fixture_query(), fixture_query()], loaded, RetrieverConfig())
+    only_words = ExampleStore.build(fixture_store_sentences(), product_schema(),
+                                    fixture_embedder(tmp_path), RetrieverConfig())
+    with pytest.raises(EmptyStore, match="sentence index"):
+        retrieve([fixture_query()], only_words, RetrieverConfig(mode="sentence-level"))
+    assert retrieve([], only_words, RetrieverConfig()) == []
+
+
+def test_block_rule_splits_by_score_budget_and_row_cap(tmp_path, monkeypatch):
+    vocab = sorted(_EXACT_WORDS)
+    sents = [LabeledSentence(i, vocab[i: i + 4], []) for i in range(5)]  # 20 word records
+
+    def query(qid, n_words):
+        return LabeledSentence(qid, [vocab[(qid + j) % 10] for j in range(n_words)], [])
+
+    queries = [query(100 + i, n) for i, n in enumerate((3, 2, 1, 4, 7, 1))]
+    embedder = make_embedder(sents + queries, tmp_path, dim=16, word_vectors=_EXACT_WORDS)
+    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(store_words="all"),
+                               modes=("word-level", "sentence-level"))
+    assert len(store.word_index) == 20 and len(store.sentence_index) == 5
+    rows = search_batch_rows(monkeypatch, store)
+
+    # the score budget: 6 rows of 20 scores; a 7-word query still gets a block
+    monkeypatch.setattr(retriever, "_BLOCK_SCORES", 6 * 20 + 19)
+    retrieve(queries, store, RetrieverConfig(store_words="all"))
+    assert rows == [6, 4, 7, 1]
+
+    # the row cap on a small store: never more rows than records
+    monkeypatch.setattr(retriever, "_BLOCK_SCORES", 1 << 19)
+    rows.clear()
+    retrieve(queries * 2, store, RetrieverConfig(store_words="all"))
+    assert rows == [18, 18]
+    rows.clear()
+    retrieve(queries * 2, store, RetrieverConfig(mode="sentence-level"))
+    assert rows == [5, 5, 2]
 
 
 # --- degenerate inputs ----------------------------------------------------------------
@@ -375,7 +518,7 @@ def test_all_stopword_query_raises(tmp_path):
     embedder = make_embedder(sents + [query], tmp_path, dim=8)
     store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig())
     with pytest.raises(EmptyQueryAfterStopwords):
-        retrieve_word_level(query, store, RetrieverConfig())
+        retrieve(query, store, RetrieverConfig())
 
 
 def test_word_retrieval_without_word_index_raises(tmp_path):
@@ -388,7 +531,7 @@ def test_word_retrieval_without_word_index_raises(tmp_path):
         modes=("sentence-level",),
     )
     with pytest.raises(EmptyStore):
-        retrieve_word_level(fixture_query(), store, RetrieverConfig())
+        retrieve(fixture_query(), store, RetrieverConfig())
 
 
 def test_sentence_retrieval_without_sentence_index_raises(tmp_path):
@@ -400,7 +543,7 @@ def test_sentence_retrieval_without_sentence_index_raises(tmp_path):
         modes=("word-level",),
     )
     with pytest.raises(EmptyStore):
-        retrieve_sentence_level(fixture_query(), store, RetrieverConfig(mode="sentence-level"))
+        retrieve(fixture_query(), store, RetrieverConfig(mode="sentence-level"))
 
 
 def test_empty_store_rejected(tmp_path):
@@ -438,8 +581,8 @@ def test_ivf_store_full_probe_matches_flat(tmp_path):
     ivf_cfg = RetrieverConfig(store_words="all", index_kind="ivf", nlist=4, seed=7)
     ivf_store = ExampleStore.build(sents, product_schema(), embedder, ivf_cfg)
 
-    flat_results = retrieve_word_level(query, flat_store, RetrieverConfig(k=5, store_words="all"))
-    ivf_results = retrieve_word_level(
+    flat_results = retrieve(query, flat_store, RetrieverConfig(k=5, store_words="all"))
+    ivf_results = retrieve(
         query, ivf_store, RetrieverConfig(k=5, store_words="all", index_kind="ivf", nprobe=4)
     )
     assert [(r.sentence_id, pytest.approx(r.score)) for r in flat_results] == [
@@ -459,12 +602,12 @@ def test_store_save_load_round_trip(tmp_path):
     assert loaded.model_name == store.model_name
     assert loaded.store_words == "entity-only"
 
-    before = retrieve_word_level(fixture_query(), store, RetrieverConfig(k=2))
-    after = retrieve_word_level(fixture_query(), loaded, RetrieverConfig(k=2))
+    before = retrieve(fixture_query(), store, RetrieverConfig(k=2))
+    after = retrieve(fixture_query(), loaded, RetrieverConfig(k=2))
     assert before == after
-    assert retrieve_sentence_level(
+    assert retrieve(
         fixture_query(), loaded, RetrieverConfig(k=2, mode="sentence-level")
-    ) == retrieve_sentence_level(fixture_query(), store, RetrieverConfig(k=2, mode="sentence-level"))
+    ) == retrieve(fixture_query(), store, RetrieverConfig(k=2, mode="sentence-level"))
 
 
 def test_loaded_store_without_embedder_cannot_embed_queries(tmp_path):
@@ -472,7 +615,7 @@ def test_loaded_store_without_embedder_cannot_embed_queries(tmp_path):
     store.save(tmp_path / "store")
     loaded = ExampleStore.load(tmp_path / "store")
     with pytest.raises(EmptyStore, match="embedder"):
-        retrieve_word_level(fixture_query(), loaded, RetrieverConfig())
+        retrieve(fixture_query(), loaded, RetrieverConfig())
 
 
 def test_load_rejects_non_store_directory(tmp_path):
@@ -485,7 +628,7 @@ def test_load_rejects_non_store_directory(tmp_path):
 
 def test_retrieval_payload_shape(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
-    results = retrieve_word_level(fixture_query(), store, RetrieverConfig(k=2))
+    results = retrieve(fixture_query(), store, RetrieverConfig(k=2))
     payload = retrieval_payload(fixture_query().text, results)
     assert payload["query_text"] == "I want to buy a 13-inch macbook from store"
     assert [e["sentence_id"] for e in payload["examples"]] == [1, 0]

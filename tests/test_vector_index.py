@@ -430,6 +430,9 @@ def test_search_batch_matches_lexsort_oracle(data):
     queries = data.draw(st.lists(st.integers(0, len(_EXACT) - 1), min_size=1, max_size=5))
     k = data.draw(st.integers(1, 35))  # k >= n is covered
     exclude = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))))
+    per_row = np.array(data.draw(st.lists(  # one mask per query row
+        st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)),
+        min_size=len(queries), max_size=len(queries))))
     matrix, q = _EXACT[rows], _EXACT[queries]
     nlist = data.draw(st.integers(1, len(rows)))
     indexes = [
@@ -437,12 +440,12 @@ def test_search_batch_matches_lexsort_oracle(data):
         (ivf_from_matrix(matrix, np.arange(len(rows)), None, nlist=nlist, seed=3), nlist),
     ]
     for index, nprobe in indexes:
-        for mask in (None, exclude):
+        for mask in (None, exclude, per_row):
             results = index.search_batch(q, k, nprobe=nprobe, exclude=mask)
             assert len(results) == len(queries)
-            for row, (ids, scores) in zip(q, results):
-                expected = lexsort_oracle(matrix, row, k, mask if mask is not None
-                                          else np.zeros(len(rows), bool))
+            row_masks = np.broadcast_to(False if mask is None else mask, (len(queries), len(rows)))
+            for row, row_mask, (ids, scores) in zip(q, row_masks, results):
+                expected = lexsort_oracle(matrix, row, k, row_mask)
                 assert list(zip(ids.tolist(), scores.tolist())) == expected
 
 

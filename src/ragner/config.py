@@ -58,6 +58,11 @@ class RetrieverConfig:
             raise ValueError("per_word_k must be >= 1")
         if self.nprobe is not None and self.nprobe < 1:
             raise ValueError("nprobe must be >= 1")
+        if self.nlist is not None and type(self.nlist) is not int:
+            raise ValueError(f"nlist must be an integer or null, got {self.nlist!r}")
+        for name in ("kmeans_iters", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for value, allowed, name in (
             (self.mode, _MODES, "mode"),
             (self.store_words, _STORE_WORDS, "store_words"),

@@ -22,6 +22,7 @@ from .errors import (
     DuplicateTypeName,
     EmptyDefinition,
     FormatError,
+    InvalidSpan,
     MalformedLine,
     StoreSizeTooLarge,
     UnknownSpanType,
@@ -63,14 +64,14 @@ class LabeledSentence:
         prev_end = 0
         for span in self.spans:
             if not (0 <= span.start < span.end <= len(self.tokens)):
-                raise ValueError(
+                raise InvalidSpan(
                     f"sentence {self.id}: span {span} outside [0, {len(self.tokens)})"
                 )
             if span.start < prev_end:
-                raise ValueError(f"sentence {self.id}: overlapping/unsorted span {span}")
+                raise InvalidSpan(f"sentence {self.id}: overlapping/unsorted span {span}")
             expected = " ".join(self.tokens[span.start:span.end])
             if span.surface != expected:
-                raise ValueError(
+                raise InvalidSpan(
                     f"sentence {self.id}: span surface {span.surface!r} != {expected!r}"
                 )
             if schema is not None and span.entity_type not in schema:
@@ -122,12 +123,6 @@ class EntitySchema:
             if fold_type_name(t.name) == key:
                 return t.name
         return None
-
-    def definition_of(self, name: str) -> str:
-        for t in self.types:
-            if t.name == name:
-                return t.definition
-        raise KeyError(name)
 
     def without(self, removed: Iterable[str]) -> "EntitySchema":
         """Schema with the given type names deleted, order preserved."""
@@ -345,10 +340,14 @@ def write_sentences_jsonl(sentences: Iterable[LabeledSentence], path: str | Path
 def read_sentences_jsonl(path: str | Path) -> list[LabeledSentence]:
     sentences = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                sentences.append(sentence_from_dict(json.loads(line)))
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+                sentences.append(sentence_from_dict(doc))
     return sentences
 
 

@@ -13,9 +13,9 @@ import hashlib
 import json
 import threading
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -71,24 +71,17 @@ class EmbedderSpec:
             raise ValueError("dimension must be positive")
 
 
-@dataclass(frozen=True)
-class SubwordToken:
-    text: str
-    start_char: int
-    end_char: int
-    vector: np.ndarray
+class Encoding(NamedTuple):
+    """Raw provider output for one sentence text: token vectors (n_tokens, d),
+    their [start, end) character spans (n_tokens, 2) and the pooled vector."""
 
-
-@dataclass(frozen=True)
-class ProviderEncoding:
-    """Raw provider output for one sentence text."""
-
-    tokens: tuple[SubwordToken, ...]
+    token_vectors: np.ndarray
+    token_spans: np.ndarray
     sentence_vector: np.ndarray
 
 
 class EmbeddingProvider(Protocol):
-    def encode(self, text: str) -> ProviderEncoding: ...
+    def encode(self, text: str) -> Encoding: ...
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:
@@ -97,17 +90,6 @@ def l2_normalize(vector: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise EmbedderError("cannot normalize a zero vector")
     return v / norm
-
-
-def _encoding(
-    text: str, token_vectors: np.ndarray, token_spans: np.ndarray, sentence_vector: np.ndarray
-) -> ProviderEncoding:
-    """Token texts are the characters of `text` under each token span."""
-    tokens = tuple(
-        SubwordToken(text[start:end], start, end, vector)
-        for (start, end), vector in zip(token_spans.tolist(), token_vectors)
-    )
-    return ProviderEncoding(tokens, sentence_vector)
 
 
 # The embedding cache `index` writes into the store directory: one .npy
@@ -173,18 +155,12 @@ class PrecomputedEmbeddingProvider:
     def __len__(self) -> int:
         return len(self.texts)
 
-    @property
-    def dimension(self) -> int:
-        return self.sentence_vectors.shape[1]
-
-    def encode(self, text: str) -> ProviderEncoding:
+    def encode(self, text: str) -> Encoding:
         row = self._rows.get(text)
         if row is None:
             raise MissingEntry(f"no precomputed embedding for {text!r}")
         lo, hi = self.token_offsets[row], self.token_offsets[row + 1]
-        return _encoding(
-            text, self.token_vectors[lo:hi], self.token_spans[lo:hi], self.sentence_vectors[row]
-        )
+        return Encoding(self.token_vectors[lo:hi], self.token_spans[lo:hi], self.sentence_vectors[row])
 
     def save_cache(self, directory: str | Path) -> None:
         """Write the arrays and texts into `directory`."""
@@ -223,12 +199,12 @@ def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvide
     return PrecomputedEmbeddingProvider(texts, **arrays)
 
 
-def _record_arrays(doc: dict, source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(token vectors, token spans, sentence vector) of one record in the
-    file schema, which the remote service answers in."""
+def _record_arrays(doc: dict, source: str) -> Encoding:
+    """The arrays of one record in the file schema, which the remote service
+    answers in."""
     vectors, spans, sentence_vector = array("d"), array("q"), array("d")
     n_tokens = _append_record(doc, source, vectors, spans, sentence_vector)
-    return (
+    return Encoding(
         np.frombuffer(vectors, dtype=np.float64).reshape(n_tokens, len(sentence_vector)),
         np.frombuffer(spans, dtype=np.int64).reshape(n_tokens, 2),
         np.frombuffer(sentence_vector, dtype=np.float64),
@@ -345,14 +321,14 @@ class RemoteEmbeddingProvider:
         self.max_retries = max_retries
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
 
-    def encode(self, text: str) -> ProviderEncoding:
+    def encode(self, text: str) -> Encoding:
         with self._semaphore:
             doc, _ = post_json(
                 self.endpoint, {"model": self.model_name, "text": text},
                 self.timeout, self.max_retries,
                 error=ProviderUnavailable, format_error=FormatError,
             )
-        return _encoding(text, *_record_arrays(doc, self.endpoint))
+        return _record_arrays(doc, self.endpoint)
 
 
 def token_char_ranges(tokens: list[str]) -> list[tuple[int, int]]:
@@ -371,30 +347,18 @@ class Embedder:
     def __init__(self, provider: EmbeddingProvider, spec: EmbedderSpec):
         self.provider = provider
         self.spec = spec
-        self._cache: dict[str, ProviderEncoding] = {}
-        self._cache_lock = threading.Lock()
-        self._dimension_checked = False
+        self._cache: dict[str, Encoding] = {}
 
-    def _check_dimension(self, shape: tuple, what: str) -> None:
-        if shape != (self.spec.dimension,):
-            raise DimensionMismatch(f"{what} has shape {shape}, expected ({self.spec.dimension},)")
-
-    def _encode(self, text: str) -> ProviderEncoding:
-        with self._cache_lock:
-            cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        enc = self.provider.encode(text)
-        if isinstance(self.provider, PrecomputedEmbeddingProvider):
-            # one matrix holds every vector: its shape is checked once
-            if not self._dimension_checked:
-                self._check_dimension((self.provider.dimension,), "precomputed embeddings")
-                self._dimension_checked = True
-        else:
-            for tok in enc.tokens:
-                self._check_dimension(tok.vector.shape, f"provider token {tok.text!r}")
-            self._check_dimension(enc.sentence_vector.shape, "provider sentence vector")
-        with self._cache_lock:
+    def _encode(self, text: str) -> Encoding:
+        enc = self._cache.get(text)
+        if enc is None:
+            # the provider gives every token vector its sentence vector's width
+            enc = self.provider.encode(text)
+            shape = enc.sentence_vector.shape
+            if shape != (self.spec.dimension,):
+                raise DimensionMismatch(
+                    f"provider sentence vector has shape {shape}, expected ({self.spec.dimension},)"
+                )
             self._cache[text] = enc
         return enc
 
@@ -408,17 +372,18 @@ class Embedder:
         if not sentence.tokens:
             raise EmptyInput(f"sentence {sentence.id} has no tokens")
         enc = self._encode(sentence.text)
+        starts, ends = enc.token_spans.T
         out: list[WordEmbedding] = []
         for idx, (word, (ws, we)) in enumerate(zip(sentence.tokens, token_char_ranges(sentence.tokens))):
             if word.lower() in self.spec.stopwords:
                 continue
-            covering = [t.vector for t in enc.tokens if t.start_char < we and t.end_char > ws]
-            if not covering:
+            covering = (starts < we) & (ends > ws)
+            if not covering.any():
                 raise AlignmentGap(
                     f"sentence {sentence.id}: word {word!r} at chars [{ws},{we}) "
                     "covered by no subword token"
                 )
-            mean = np.mean(np.stack(covering), axis=0)
+            mean = enc.token_vectors[covering].mean(axis=0)
             out.append(WordEmbedding(sentence.id, idx, word, l2_normalize(mean)))
         return out
 

@@ -30,6 +30,11 @@ class EmptyDefinition(RagnerError):
     """A schema entry has a blank definition."""
 
 
+class InvalidSpan(RagnerError, ValueError):
+    """A sentence span lies outside its sentence, overlaps another span or
+    misstates its surface."""
+
+
 class UnknownSpanType(RagnerError):
     """A sentence span names an entity type absent from the schema."""
 

@@ -25,17 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import _MODES, _STORE_WORDS, RetrieverConfig
+from .config import _MODES, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl, write_sentences_jsonl
 from .embedder import Embedder, WordEmbedding
 from .errors import ConfigError, EmptyQueryAfterStopwords, EmptyStore, FormatError, RagnerError
 from .vector_index import (
     Index,
-    SentenceRecord,
-    WordRecord,
-    build_flat,
-    build_ivf,
     default_nlist,
+    flat_from_matrix,
+    ivf_from_matrix,
     load_index,
     save_index,
 )
@@ -68,43 +66,33 @@ def _entity_word_indexes(sentence: LabeledSentence) -> set[int]:
     return covered
 
 
-def build_word_records(
-    sentences: list[LabeledSentence], embedder: Embedder, store_words: str = "entity-only"
-) -> list[WordRecord]:
-    """One WordRecord per kept store word, record ids dense in iteration order.
-
-    entity-only keeps words inside gold entity spans (the non-stop-word
-    ones, since stop words never receive embeddings); all keeps every
-    non-stop-word token.
-    """
-    if store_words not in _STORE_WORDS:
-        raise ValueError(f"store_words must be one of {_STORE_WORDS}, got {store_words!r}")
-    records: list[WordRecord] = []
+def _word_rows(
+    sentences: list[LabeledSentence], embedder: Embedder, store_words: str
+) -> tuple[np.ndarray, list[int], list[str]]:
+    """The kept store words as index rows: their stacked vectors, sentence ids
+    and words. entity-only keeps the (non-stop) words inside gold entity
+    spans; all keeps every non-stop word. The per-word vectors are freed on
+    return, before an index build makes its own temporaries."""
+    vectors, sentence_ids, words = [], [], []
     for sentence in sentences:
-        embeddings = embedder.embed_words(sentence)
-        if store_words == "entity-only":
-            keep = _entity_word_indexes(sentence)
-            embeddings = [w for w in embeddings if w.word_index in keep]
-        for w in embeddings:
-            records.append(WordRecord(len(records), w.word, w.vector, w.sentence_id))
-    return records
+        keep = _entity_word_indexes(sentence) if store_words == "entity-only" else None
+        for w in embedder.embed_words(sentence):
+            if keep is None or w.word_index in keep:
+                vectors.append(w.vector)
+                sentence_ids.append(sentence.id)
+                words.append(w.word)
+    if not vectors:
+        raise EmptyStore(f"store_words={store_words!r} kept zero word records")
+    return np.stack(vectors), sentence_ids, words
 
 
-def build_sentence_records(
-    sentences: list[LabeledSentence], embedder: Embedder
-) -> list[SentenceRecord]:
-    return [
-        SentenceRecord(i, embedder.embed_sentence(s).vector, s.id)
-        for i, s in enumerate(sentences)
-    ]
-
-
-def _build_index(records, cfg: RetrieverConfig) -> Index:
+def _build_index(matrix: np.ndarray, sentence_ids: list[int], words: list[str] | None,
+                 cfg: RetrieverConfig) -> Index:
+    """Record i of the index is row i of matrix, from sentence sentence_ids[i]."""
     if cfg.index_kind == "flat":
-        return build_flat(records)
-    records = list(records)
-    nlist = cfg.nlist if cfg.nlist is not None else default_nlist(len(records))
-    return build_ivf(records, nlist=nlist, kmeans_iters=cfg.kmeans_iters, seed=cfg.seed)
+        return flat_from_matrix(matrix, sentence_ids, words)
+    nlist = cfg.nlist if cfg.nlist is not None else default_nlist(len(matrix))
+    return ivf_from_matrix(matrix, sentence_ids, words, nlist, cfg.kmeans_iters, cfg.seed)
 
 
 class ExampleStore:
@@ -159,14 +147,10 @@ class ExampleStore:
         word_index = None
         sentence_index = None
         if "word-level" in modes:
-            records = build_word_records(sentences, embedder, cfg.store_words)
-            if not records:
-                raise EmptyStore(
-                    f"store_words={cfg.store_words!r} kept zero word records"
-                )
-            word_index = _build_index(records, cfg)
+            word_index = _build_index(*_word_rows(sentences, embedder, cfg.store_words), cfg)
         if "sentence-level" in modes:
-            sentence_index = _build_index(build_sentence_records(sentences, embedder), cfg)
+            matrix = np.stack([embedder.embed_sentence(s).vector for s in sentences])
+            sentence_index = _build_index(matrix, [s.id for s in sentences], None, cfg)
         return cls(
             sentences,
             schema,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -49,25 +49,6 @@ _ASSIGN_CHUNK = 8192
 
 
 @dataclass(frozen=True)
-class WordRecord:
-    """One word occurrence in the store: the retrieval unit."""
-
-    record_id: int
-    word: str
-    vector: np.ndarray
-    sentence_id: int
-
-
-@dataclass(frozen=True)
-class SentenceRecord:
-    """One whole-sentence vector in the store (sentence-level baseline)."""
-
-    record_id: int
-    vector: np.ndarray
-    sentence_id: int
-
-
-@dataclass(frozen=True)
 class SearchHit:
     record_id: int
     score: float
@@ -79,26 +60,6 @@ def default_nlist(n_records: int) -> int:
 
 def default_nprobe(nlist: int) -> int:
     return max(1, int(np.ceil(nlist / 8)))
-
-
-def _pack_records(
-    records: Iterable[WordRecord | SentenceRecord],
-) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
-    recs = sorted(records, key=lambda r: r.record_id)
-    if not recs:
-        raise EmptyCollection("cannot build an index over zero records")
-    if [r.record_id for r in recs] != list(range(len(recs))):
-        raise ValueError("record ids must be unique and dense from 0")
-    dim = recs[0].vector.shape[0] if recs[0].vector.ndim == 1 else -1
-    for r in recs:
-        if r.vector.shape != (dim,):
-            raise DimensionMismatch(
-                f"record {r.record_id} has shape {r.vector.shape}, expected ({dim},)"
-            )
-    matrix = np.ascontiguousarray(np.stack([r.vector for r in recs]), dtype=np.float64)
-    sentence_ids = np.asarray([r.sentence_id for r in recs], dtype=np.int64)
-    words = [r.word for r in recs] if isinstance(recs[0], WordRecord) else None
-    return matrix, sentence_ids, words
 
 
 def _check_unit_norm(matrix: np.ndarray, what: str) -> None:
@@ -265,31 +226,14 @@ class IvfIndex:
 Index = FlatIndex | IvfIndex
 
 
-def build_flat(records: Iterable[WordRecord | SentenceRecord]) -> FlatIndex:
-    """Build an exhaustive-scan index; records must be dense-id unit vectors."""
-    matrix, sentence_ids, words = _pack_records(records)
-    return FlatIndex(matrix, sentence_ids, words)
-
-
-def build_ivf(
-    records: Iterable[WordRecord | SentenceRecord],
-    nlist: int,
-    kmeans_iters: int = 20,
-    seed: int = 0,
-) -> IvfIndex:
-    """Cluster the records with seeded k-means and build the IVF layout."""
-    matrix, sentence_ids, words = _pack_records(records)
-    return ivf_from_matrix(matrix, sentence_ids, words, nlist, kmeans_iters, seed)
-
-
 def flat_from_matrix(
     matrix: np.ndarray, sentence_ids: np.ndarray, words: list[str] | None = None
 ) -> FlatIndex:
-    return FlatIndex(
-        np.ascontiguousarray(matrix, dtype=np.float64),
-        np.asarray(sentence_ids, dtype=np.int64),
-        words,
-    )
+    """An exhaustive-scan index over unit-norm rows, row i being record i."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.shape[0] == 0:
+        raise EmptyCollection("cannot build an index over zero records")
+    return FlatIndex(matrix, np.asarray(sentence_ids, dtype=np.int64), words)
 
 
 def ivf_from_matrix(
@@ -300,6 +244,7 @@ def ivf_from_matrix(
     kmeans_iters: int = 20,
     seed: int = 0,
 ) -> IvfIndex:
+    """Cluster the rows with seeded k-means and build the IVF layout."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
     if n == 0:

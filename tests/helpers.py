@@ -21,8 +21,8 @@ from ragner.corpus import EntitySchema, EntitySpan, EntityType, LabeledSentence
 from ragner.embedder import (
     Embedder,
     EmbedderSpec,
+    Encoding,
     PrecomputedEmbeddingProvider,
-    ProviderEncoding,
     load_precomputed,
     token_char_ranges,
 )
@@ -61,17 +61,27 @@ def encoding_record(
     return {"text": text, "tokens": token_records, "sentence_vector": list(sentence_vector)}
 
 
-def precomputed_provider(encodings: dict[str, ProviderEncoding]) -> PrecomputedEmbeddingProvider:
+def encoding(spans: list[tuple[int, int]], vectors: list[list[float]],
+             sentence_vector: list[float]) -> Encoding:
+    """A hand-made provider answer: one token per (start, end) span."""
+    return Encoding(
+        np.array(vectors, dtype=np.float64).reshape(len(spans), len(sentence_vector)),
+        np.array(spans, dtype=np.int64).reshape(len(spans), 2),
+        np.array(sentence_vector, dtype=np.float64),
+    )
+
+
+def precomputed_provider(encodings: dict[str, Encoding]) -> PrecomputedEmbeddingProvider:
     """An array-backed provider serving hand-made encodings."""
-    texts = list(encodings)
-    tokens = [tok for text in texts for tok in encodings[text].tokens]
-    dim = len(encodings[texts[0]].sentence_vector) if texts else 0
+    encs = list(encodings.values())
+    dim = len(encs[0].sentence_vector) if encs else 0
+    counts = [len(e.token_spans) for e in encs]
     return PrecomputedEmbeddingProvider(
-        texts,
-        np.array([tok.vector for tok in tokens], dtype=np.float64).reshape(len(tokens), dim),
-        np.array([(tok.start_char, tok.end_char) for tok in tokens], dtype=np.int64).reshape(len(tokens), 2),
-        np.cumsum([0] + [len(encodings[text].tokens) for text in texts], dtype=np.int64),
-        np.array([encodings[text].sentence_vector for text in texts], dtype=np.float64).reshape(len(texts), dim),
+        list(encodings),
+        np.concatenate([e.token_vectors for e in encs] or [np.zeros((0, dim))]),
+        np.concatenate([e.token_spans for e in encs] or [np.zeros((0, 2), dtype=np.int64)]),
+        np.cumsum([0] + counts, dtype=np.int64),
+        np.array([e.sentence_vector for e in encs], dtype=np.float64).reshape(len(encs), dim),
     )
 
 

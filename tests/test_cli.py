@@ -393,6 +393,10 @@ def test_missing_config_file_fails(proj):
     ("embedder.provider=bogus", "ConfigError", "[embedder] config: provider must be one of"),
     ("embedder.dimension=0", "ConfigError", "[embedder] config: dimension must be a positive"),
     ("store.size=abc", "ConfigError", "[store] config: size must be a non-negative integer"),
+    ("retriever.nlist=abc", "ConfigError", "[retriever] config: nlist must be an integer or null"),
+    ("retriever.nlist=true", "ConfigError", "[retriever] config: nlist must be an integer or null"),
+    ("retriever.kmeans_iters=abc", "ConfigError", "[retriever] config: kmeans_iters must be an integer"),
+    ("retriever.seed=abc", "ConfigError", "[retriever] config: seed must be an integer"),
 ])
 @pytest.mark.parametrize("command", ["predict", "augment"])
 def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error, message, command):
@@ -402,6 +406,23 @@ def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error
     doc = json.loads(line)
     assert doc["error"] == error and message in doc["message"]
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("record, error, message", [
+    ({"id": 0, "tokens": ["a", "b", "c"],
+      "spans": [{"type": "gadget", "start": 2, "end": 4, "surface": "c"}]},
+     "InvalidSpan", "outside [0, 3)"),
+    ("not json", "FormatError", "dev.jsonl:3: invalid JSON"),
+])
+def test_bad_jsonl_corpus_record_exits_2_with_one_json_line(tmp_path, record, error, message):
+    ns = make_project(tmp_path)
+    dev = ns.data / "dev.jsonl"
+    line = record if isinstance(record, str) else json.dumps(record)
+    dev.write_text(dev.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    result = run(["-c", ns.cfg, "ingest"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == error and message in doc["message"]
 
 
 @pytest.mark.parametrize("built, mode", [("word-level", "sentence-level"),

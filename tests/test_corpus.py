@@ -145,7 +145,7 @@ def test_schema_load_ordered(tmp_path):
     ]))
     schema = load_schema(path)
     assert schema.names == ("person", "location")
-    assert schema.definition_of("location") == "places"
+    assert [t.definition for t in schema.types] == ["names of people", "places"]
 
 
 def test_schema_politics_nine_types(tmp_path):

@@ -10,14 +10,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragner.corpus import LabeledSentence
 from ragner.embedder import (
     Embedder,
     EmbedderSpec,
-    ProviderEncoding,
     RemoteEmbeddingProvider,
-    SubwordToken,
     l2_normalize,
     load_precomputed,
     open_precomputed_cache,
@@ -35,11 +35,15 @@ from ragner.errors import (
 )
 from ragner.stopwords import load_stopwords
 
-from helpers import encoding_record, make_embedder, precomputed_provider, write_precomputed
+from helpers import encoding, encoding_record, make_embedder, precomputed_provider, write_precomputed
 
 
 def sent(text: str, sid: int = 0) -> LabeledSentence:
     return LabeledSentence(sid, tuple(text.split()), ())
+
+
+def token_texts(text: str, enc) -> list[str]:
+    return [text[start:end] for start, end in enc.token_spans.tolist()]
 
 
 # --- small pure helpers --------------------------------------------------------
@@ -86,7 +90,8 @@ def test_precomputed_round_trip(tmp_path):
     provider = load_precomputed(path)
     assert len(provider) == 1
     enc = provider.encode("hello world")
-    assert [t.text for t in enc.tokens] == ["hello", "world"]
+    assert token_texts("hello world", enc) == ["hello", "world"]
+    assert enc.token_vectors.shape == (2, 4)
     assert enc.sentence_vector.shape == (4,)
 
 
@@ -139,12 +144,7 @@ def test_embed_words_vectors_are_unit_norm(tmp_path):
 def test_word_vector_is_normalized_mean_of_subwords():
     # "snowboarding" split into three subword pieces with distinct vectors
     v1, v2, v3 = [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]
-    tokens = [
-        SubwordToken("snow", 0, 4, np.array(v1)),
-        SubwordToken("board", 4, 9, np.array(v2)),
-        SubwordToken("ing", 9, 12, np.array(v3)),
-    ]
-    enc = ProviderEncoding(tokens, np.array([1.0, 0.0, 0.0]))
+    enc = encoding([(0, 4), (4, 9), (9, 12)], [v1, v2, v3], [1.0, 0.0, 0.0])
     provider = precomputed_provider({"snowboarding": enc})
     spec = EmbedderSpec(provider="precomputed-file", dimension=3)
     [word] = Embedder(provider, spec).embed_words(sent("snowboarding"))
@@ -153,10 +153,8 @@ def test_word_vector_is_normalized_mean_of_subwords():
 
 
 def test_subword_sharing_across_word_boundary():
-    # a subword token straddling two words contributes to both means
-    shared = SubwordToken("b c", 1, 4, np.array([0.0, 1.0]))
-    tokens = [SubwordToken("a", 0, 1, np.array([1.0, 0.0])), shared]
-    enc = ProviderEncoding(tokens, np.array([1.0, 0.0]))
+    # a subword token straddling two words ("b c") contributes to both means
+    enc = encoding([(0, 1), (1, 4)], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     provider = precomputed_provider({"ab cd": enc})
     spec = EmbedderSpec(provider="precomputed-file", dimension=2, stopwords=frozenset())
     words = Embedder(provider, spec).embed_words(sent("ab cd"))
@@ -164,9 +162,35 @@ def test_subword_sharing_across_word_boundary():
     assert np.allclose(words[1].vector, [0.0, 1.0])
 
 
+def loop_word_vectors(tokens, spans, vectors, stopwords) -> list[np.ndarray]:
+    """Reference: the per-token scan, mean of every token overlapping the word."""
+    out = []
+    for word, (ws, we) in zip(tokens, token_char_ranges(tokens)):
+        if word.lower() not in stopwords:
+            covering = [v for (start, end), v in zip(spans, vectors) if start < we and end > ws]
+            out.append(l2_normalize(np.mean(np.stack(covering), axis=0)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_word_vectors_match_the_token_loop(data):
+    # unsorted, overlapping and straddling tokens; the last covers the text
+    tokens = data.draw(st.lists(st.sampled_from(["ab", "c", "defg", "the", "Xy"]), min_size=1, max_size=6))
+    text = " ".join(tokens)
+    bounds = st.tuples(st.integers(0, len(text)), st.integers(0, len(text)))
+    spans = [(a, b) for a, b in data.draw(st.lists(bounds, max_size=8)) if a < b] + [(0, len(text))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(len(spans), 5))
+    provider = precomputed_provider({text: encoding(spans, vectors, rng.normal(size=5))})
+    spec = EmbedderSpec(provider="precomputed-file", dimension=5)
+    words = Embedder(provider, spec).embed_words(sent(text))
+    expected = loop_word_vectors(tokens, spans, vectors, spec.stopwords)
+    assert [w.vector.tobytes() for w in words] == [v.tobytes() for v in expected]
+
+
 def test_embed_words_alignment_gap():
-    tokens = [SubwordToken("hello", 0, 5, np.array([1.0, 0.0]))]
-    enc = ProviderEncoding(tokens, np.array([1.0, 0.0]))
+    enc = encoding([(0, 5)], [[1.0, 0.0]], [1.0, 0.0])
     provider = precomputed_provider({"hello world": enc})
     spec = EmbedderSpec(provider="precomputed-file", dimension=2)
     with pytest.raises(AlignmentGap, match="world"):
@@ -207,8 +231,7 @@ def test_provider_called_once_per_text():
     class CountingProvider:
         def encode(self, text):
             calls.append(text)
-            tokens = [SubwordToken("hi", 0, 2, np.array([1.0, 0.0]))]
-            return ProviderEncoding(tokens, np.array([0.0, 1.0]))
+            return encoding([(0, 2)], [[1.0, 0.0]], [0.0, 1.0])
 
     spec = EmbedderSpec(provider="precomputed-file", dimension=2, stopwords=frozenset())
     embedder = Embedder(CountingProvider(), spec)
@@ -279,7 +302,7 @@ def embedding_server():
 def test_remote_provider_round_trip(embedding_server):
     provider = RemoteEmbeddingProvider(embedding_server, "test-model", timeout=5.0)
     enc = provider.encode("hello world")
-    assert [t.text for t in enc.tokens] == ["hello", "world"]
+    assert token_texts("hello world", enc) == ["hello", "world"]
     assert _EmbeddingHandler.requests_seen[0] == {"model": "test-model", "text": "hello world"}
 
 
@@ -318,7 +341,7 @@ def test_remote_provider_retries_429(embedding_server):
     _EmbeddingHandler.fail_first = 1
     _EmbeddingHandler.fail_status = 429
     provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0, max_retries=1)
-    assert [t.text for t in provider.encode("hello world").tokens] == ["hello", "world"]
+    assert token_texts("hello world", provider.encode("hello world")) == ["hello", "world"]
     assert len(_EmbeddingHandler.requests_seen) == 2
 
 
@@ -327,6 +350,16 @@ def test_remote_provider_slow_reply_times_out(embedding_server):
     provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=0.2, max_retries=1)
     with pytest.raises(ProviderUnavailable, match="no answer within 0.2s"):
         provider.encode("hello")
+    assert len(_EmbeddingHandler.requests_seen) == 2
+
+
+def test_remote_sentence_vector_of_wrong_width_is_not_cached(embedding_server):
+    # the server answers 4-d vectors; a rejected encoding is asked for again
+    provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0)
+    embedder = Embedder(provider, EmbedderSpec(provider="remote-service", dimension=8))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch):
+            embedder.embed_words(sent("hello world"))
     assert len(_EmbeddingHandler.requests_seen) == 2
 
 

@@ -22,7 +22,6 @@ from ragner.retriever import (
     ExampleStore,
     MatchedPair,
     RetrievedExample,
-    build_word_records,
     retrieval_payload,
     retrieve,
 )
@@ -125,10 +124,10 @@ def test_entity_only_store_keeps_span_words(tmp_path):
 
 
 def test_store_words_all_keeps_every_content_word(tmp_path):
-    embedder = fixture_embedder(tmp_path)
-    records = build_word_records(fixture_store_sentences(), embedder, "all")
-    words = sorted(r.word for r in records)
-    assert words == ["15-inch", "Show", "buy", "macbook", "store", "table", "want"]
+    store = build_fixture_store(tmp_path, store_words="all")
+    # records run in sentence order, then word order
+    assert store.word_index.words == ["want", "buy", "table", "store", "Show", "15-inch", "macbook"]
+    assert store.word_index.sentence_ids.tolist() == [0, 0, 0, 0, 1, 1, 1]
 
 
 # --- self-exclusion -----------------------------------------------------------------

@@ -17,10 +17,6 @@ from ragner.errors import (
 from ragner.vector_index import (
     FlatIndex,
     IvfIndex,
-    SentenceRecord,
-    WordRecord,
-    build_flat,
-    build_ivf,
     default_nlist,
     default_nprobe,
     flat_from_matrix,
@@ -42,10 +38,17 @@ def oracle_top_k(matrix: np.ndarray, query: np.ndarray, k: int) -> list[tuple[in
     return [(i, scores[i]) for i in order[:k]]
 
 
-def word_records(matrix: np.ndarray) -> list[WordRecord]:
-    return [
-        WordRecord(i, f"w{i}", matrix[i], sentence_id=1000 + i) for i in range(matrix.shape[0])
-    ]
+def word_flat(matrix: np.ndarray) -> FlatIndex:
+    """A word index over the rows: record i is word w{i} of sentence 1000 + i."""
+    n = matrix.shape[0]
+    return flat_from_matrix(matrix, 1000 + np.arange(n), [f"w{i}" for i in range(n)])
+
+
+def word_ivf(matrix: np.ndarray, nlist: int, seed: int = 0) -> IvfIndex:
+    """The IVF twin of `word_flat`."""
+    n = matrix.shape[0]
+    return ivf_from_matrix(matrix, 1000 + np.arange(n), [f"w{i}" for i in range(n)], nlist,
+                           seed=seed)
 
 
 # --- defaults ------------------------------------------------------------------
@@ -75,7 +78,7 @@ def test_flat_matches_oracle(dim, seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 300))
     matrix = unit_rows(rng, n, dim)
-    index = build_flat(word_records(matrix))
+    index = word_flat(matrix)
     for _ in range(10):
         query = unit_rows(rng, 1, dim)[0]
         k = int(rng.integers(1, 21))
@@ -97,14 +100,14 @@ def test_flat_tie_break_is_ascending_record_id():
 def test_flat_k_larger_than_n():
     rng = np.random.default_rng(3)
     matrix = unit_rows(rng, 4, 8)
-    hits = build_flat(word_records(matrix)).search(matrix[0], 50)
+    hits = word_flat(matrix).search(matrix[0], 50)
     assert len(hits) == 4
 
 
 def test_flat_scores_bounded_by_cosine():
     rng = np.random.default_rng(4)
     matrix = unit_rows(rng, 64, 16)
-    index = build_flat(word_records(matrix))
+    index = word_flat(matrix)
     for _ in range(20):
         q = unit_rows(rng, 1, 16)[0]
         for h in index.search(q, 64):
@@ -114,7 +117,7 @@ def test_flat_scores_bounded_by_cosine():
 def test_flat_carries_words_and_sentence_ids():
     rng = np.random.default_rng(5)
     matrix = unit_rows(rng, 3, 4)
-    index = build_flat(word_records(matrix))
+    index = word_flat(matrix)
     assert index.words == ["w0", "w1", "w2"]
     assert list(index.sentence_ids) == [1000, 1001, 1002]
 
@@ -124,28 +127,14 @@ def test_flat_carries_words_and_sentence_ids():
 
 def test_empty_records_rejected():
     with pytest.raises(EmptyCollection):
-        build_flat([])
-
-
-def test_non_dense_record_ids_rejected():
-    v = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="dense"):
-        build_flat([WordRecord(0, "a", v, 0), WordRecord(2, "b", v, 1)])
-
-
-def test_mixed_dimensions_rejected():
-    with pytest.raises(DimensionMismatch):
-        build_flat(
-            [
-                WordRecord(0, "a", np.array([1.0, 0.0]), 0),
-                WordRecord(1, "b", np.array([1.0, 0.0, 0.0]), 1),
-            ]
-        )
+        flat_from_matrix(np.zeros((0, 4)), [])
+    with pytest.raises(EmptyCollection):
+        ivf_from_matrix(np.zeros((0, 4)), [], None, nlist=1)
 
 
 def test_non_unit_vectors_rejected():
     with pytest.raises(ValueError, match="unit-norm"):
-        build_flat([WordRecord(0, "a", np.array([2.0, 0.0]), 0)])
+        word_flat(np.array([[2.0, 0.0]]))
 
 
 def test_bad_query_dimension_rejected():
@@ -164,15 +153,15 @@ def test_nlist_out_of_range():
     rng = np.random.default_rng(6)
     matrix = unit_rows(rng, 5, 4)
     with pytest.raises(NlistTooLarge):
-        build_ivf(word_records(matrix), nlist=6)
+        word_ivf(matrix, nlist=6)
     with pytest.raises(NlistTooLarge):
-        build_ivf(word_records(matrix), nlist=0)
+        word_ivf(matrix, nlist=0)
 
 
 def test_nprobe_out_of_range():
     rng = np.random.default_rng(7)
     matrix = unit_rows(rng, 16, 4)
-    index = build_ivf(word_records(matrix), nlist=4)
+    index = word_ivf(matrix, nlist=4)
     with pytest.raises(ValueError):
         index.search(matrix[0], 1, nprobe=0)
     with pytest.raises(ValueError):
@@ -188,9 +177,9 @@ def test_ivf_full_probe_equals_flat(seed):
     n = int(rng.integers(30, 200))
     dim = int(rng.choice([4, 32]))
     matrix = unit_rows(rng, n, dim)
-    flat = build_flat(word_records(matrix))
+    flat = word_flat(matrix)
     nlist = default_nlist(n)
-    ivf = build_ivf(word_records(matrix), nlist=nlist, seed=seed)
+    ivf = word_ivf(matrix, nlist=nlist, seed=seed)
     for _ in range(10):
         query = unit_rows(rng, 1, dim)[0]
         fh = flat.search(query, 10)
@@ -203,9 +192,9 @@ def test_ivf_recall_non_decreasing_in_nprobe():
     rng = np.random.default_rng(13)
     n, dim, k = 400, 16, 10
     matrix = unit_rows(rng, n, dim)
-    flat = build_flat(word_records(matrix))
+    flat = word_flat(matrix)
     nlist = 16
-    ivf = build_ivf(word_records(matrix), nlist=nlist, seed=13)
+    ivf = word_ivf(matrix, nlist=nlist, seed=13)
     queries = unit_rows(rng, 20, dim)
 
     nprobes = [1, 2, 4, 8, 16]
@@ -233,8 +222,8 @@ def test_ivf_tie_break_matches_flat():
 def test_ivf_build_is_deterministic():
     rng = np.random.default_rng(17)
     matrix = unit_rows(rng, 120, 8)
-    a = build_ivf(word_records(matrix), nlist=8, seed=42)
-    b = build_ivf(word_records(matrix), nlist=8, seed=42)
+    a = word_ivf(matrix, nlist=8, seed=42)
+    b = word_ivf(matrix, nlist=8, seed=42)
     assert np.array_equal(a.centroids, b.centroids)
     assert np.array_equal(a.row_record_ids, b.row_record_ids)
     assert np.array_equal(a.offsets, b.offsets)
@@ -268,8 +257,8 @@ def test_ivf_separates_well_separated_blobs():
 def test_ivf_nlist_one_degenerates_to_flat():
     rng = np.random.default_rng(23)
     matrix = unit_rows(rng, 50, 8)
-    flat = build_flat(word_records(matrix))
-    ivf = build_ivf(word_records(matrix), nlist=1)
+    flat = word_flat(matrix)
+    ivf = word_ivf(matrix, nlist=1)
     for _ in range(5):
         q = unit_rows(rng, 1, 8)[0]
         assert [h.record_id for h in flat.search(q, 7)] == [
@@ -280,7 +269,7 @@ def test_ivf_nlist_one_degenerates_to_flat():
 def test_ivf_default_nprobe_used_when_unset():
     rng = np.random.default_rng(27)
     matrix = unit_rows(rng, 300, 8)
-    ivf = build_ivf(word_records(matrix), nlist=16, seed=27)
+    ivf = word_ivf(matrix, nlist=16, seed=27)
     q = unit_rows(rng, 1, 8)[0]
     assert ivf.search(q, 5) == ivf.search(q, 5, nprobe=default_nprobe(16))
 
@@ -288,7 +277,7 @@ def test_ivf_default_nprobe_used_when_unset():
 def test_ivf_grouped_rows_map_back_to_records():
     rng = np.random.default_rng(31)
     matrix = unit_rows(rng, 60, 8)
-    ivf = build_ivf(word_records(matrix), nlist=5, seed=31)
+    ivf = word_ivf(matrix, nlist=5, seed=31)
     assert np.array_equal(ivf.record_order_matrix(), matrix)
     assert sorted(map(int, ivf.row_record_ids)) == list(range(60))
 
@@ -299,7 +288,7 @@ def test_ivf_grouped_rows_map_back_to_records():
 def test_save_load_flat_round_trip(tmp_path):
     rng = np.random.default_rng(37)
     matrix = unit_rows(rng, 25, 6)
-    index = build_flat(word_records(matrix))
+    index = word_flat(matrix)
     path = tmp_path / "flat.bin"
     save_index(index, path)
     loaded = load_index(path)
@@ -314,7 +303,7 @@ def test_save_load_flat_round_trip(tmp_path):
 def test_save_load_ivf_round_trip(tmp_path):
     rng = np.random.default_rng(41)
     matrix = unit_rows(rng, 80, 6)
-    index = build_ivf(word_records(matrix), nlist=6, seed=41)
+    index = word_ivf(matrix, nlist=6, seed=41)
     path = tmp_path / "ivf.bin"
     save_index(index, path)
     loaded = load_index(path)
@@ -334,8 +323,7 @@ def test_save_load_ivf_round_trip(tmp_path):
 def test_save_load_sentence_records_have_no_words(tmp_path):
     rng = np.random.default_rng(43)
     matrix = unit_rows(rng, 10, 4)
-    records = [SentenceRecord(i, matrix[i], sentence_id=i) for i in range(10)]
-    index = build_flat(records)
+    index = flat_from_matrix(matrix, np.arange(10))
     assert index.words is None
     path = tmp_path / "sent.bin"
     save_index(index, path)
@@ -351,7 +339,7 @@ def test_load_rejects_bad_magic(tmp_path):
 
 def test_load_rejects_future_version(tmp_path):
     rng = np.random.default_rng(47)
-    index = build_flat(word_records(unit_rows(rng, 3, 4)))
+    index = word_flat(unit_rows(rng, 3, 4))
     path = tmp_path / "v2.bin"
     save_index(index, path)
     data = bytearray(path.read_bytes())
@@ -363,7 +351,7 @@ def test_load_rejects_future_version(tmp_path):
 
 def test_load_rejects_truncation_everywhere(tmp_path):
     rng = np.random.default_rng(53)
-    index = build_ivf(word_records(unit_rows(rng, 12, 4)), nlist=3, seed=53)
+    index = word_ivf(unit_rows(rng, 12, 4), nlist=3, seed=53)
     path = tmp_path / "full.bin"
     save_index(index, path)
     blob = path.read_bytes()
@@ -377,11 +365,8 @@ def test_load_rejects_truncation_everywhere(tmp_path):
 
 def test_load_rejects_trailing_bytes(tmp_path):
     rng = np.random.default_rng(59)
-    for build in (
-        lambda recs: build_flat(recs),
-        lambda recs: build_ivf(recs, nlist=2, seed=59),
-    ):
-        index = build(word_records(unit_rows(rng, 8, 4)))
+    for build in (word_flat, lambda matrix: word_ivf(matrix, nlist=2, seed=59)):
+        index = build(unit_rows(rng, 8, 4))
         path = tmp_path / "trail.bin"
         save_index(index, path)
         path.write_bytes(path.read_bytes() + b"x")
@@ -391,7 +376,7 @@ def test_load_rejects_trailing_bytes(tmp_path):
 
 def test_load_rejects_postings_that_are_not_a_permutation(tmp_path):
     rng = np.random.default_rng(61)
-    index = build_ivf(word_records(unit_rows(rng, 12, 4)), nlist=3, seed=61)
+    index = word_ivf(unit_rows(rng, 12, 4), nlist=3, seed=61)
     path = tmp_path / "ivf.bin"
     save_index(index, path)
     blob = path.read_bytes()

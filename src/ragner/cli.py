@@ -16,7 +16,6 @@ stderr.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -47,64 +46,16 @@ from .evaluation import (
     score,
     write_report_json,
 )
+from .manifest import verify_upstream, write_manifest
 
 # Each command imports the modules it runs in its body: ingest and evaluate
 # never load numpy, and no command loads what it does not use.
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _manifest_path(cfg: RunConfig, command: str) -> Path:
-    return cfg.paths.out_path("manifests", f"{command}.json")
-
-
-def _write_manifest(
-    cfg: RunConfig,
-    command: str,
-    inputs: list[Path],
-    outputs: list[Path],
-    input_digests: dict[str, str] | None = None,
-) -> None:
-    """`input_digests` records inputs already hashed while they were read."""
-    doc = {
-        "command": command,
-        "config_fingerprint": cfg.fingerprint,
-        "seed": cfg.seed,
-        "inputs": {**{str(p): _sha256_file(p) for p in sorted(inputs)}, **(input_digests or {})},
-        "outputs": {str(p): _sha256_file(p) for p in sorted(outputs)},
-    }
-    path = _manifest_path(cfg, command)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_telemetry(out_path: Path, doc: dict) -> None:
     """Wall-clock figures go next to `out_path`, outside every manifest."""
     telemetry_path = out_path.with_name(out_path.stem + "_telemetry.json")
     telemetry_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _verify_upstream(cfg: RunConfig, command: str) -> None:
-    """Check that `command`'s recorded outputs still exist and hash the same."""
-    path = _manifest_path(cfg, command)
-    if not path.exists():
-        raise MissingArtifact(f"no {command} manifest at {path}; run `ragner {command}` first")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    for artifact, expected in doc.get("outputs", {}).items():
-        artifact_path = Path(artifact)
-        if not artifact_path.exists():
-            raise MissingArtifact(f"{command} artifact missing: {artifact}")
-        actual = _sha256_file(artifact_path)
-        if actual != expected:
-            raise MissingArtifact(
-                f"{command} artifact changed since its manifest: {artifact}"
-            )
 
 
 def _handle_errors(fn):
@@ -165,7 +116,7 @@ def ingest(cfg: RunConfig):
 
     inputs = [Path(p) for p in (cfg.paths.corpus_train, cfg.paths.corpus_dev,
                                 cfg.paths.corpus_test, cfg.paths.schema) if p]
-    _write_manifest(cfg, "ingest", inputs, outputs)
+    write_manifest(cfg, "ingest", inputs, outputs)
     counts = ", ".join(f"{name}={len(s)}" for name, s in splits.items())
     click.echo(
         f"ingested {counts}; store={len(split.store)} finetune={len(split.finetune)}; "
@@ -181,7 +132,7 @@ def index(cfg: RunConfig):
     from . import pipeline
     from .embedder import PrecomputedEmbeddingProvider
 
-    _verify_upstream(cfg, "ingest")
+    verify_upstream(cfg, "ingest")
     sentences = read_sentences_jsonl(cfg.paths.out_path("corpus", "store.jsonl"))
     schema = load_schema(cfg.paths.out_path("schema.json"))
     embedder = pipeline.make_embedder(cfg)
@@ -195,7 +146,7 @@ def index(cfg: RunConfig):
         digests[str(Path(embedder.provider.path))] = embedder.provider.sha256
     outputs = sorted(p for p in store_dir.iterdir() if p.is_file())
     inputs = [cfg.paths.out_path("corpus", "store.jsonl"), cfg.paths.out_path("schema.json")]
-    _write_manifest(cfg, "index", inputs, outputs, input_digests=digests)
+    write_manifest(cfg, "index", inputs, outputs, input_digests=digests)
     built = [m for m, attr in (("word", store.word_index), ("sentence", store.sentence_index))
              if attr is not None]
     click.echo(f"indexed {len(sentences)} store sentences ({' + '.join(built)})")
@@ -234,7 +185,7 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
     from . import pipeline
     from .retriever import retrieval_payload, retrieve
 
-    _verify_upstream(cfg, "index")
+    verify_upstream(cfg, "index")
     store = pipeline.load_store(cfg)
     queries = _read_queries(cfg, input_path, texts)
     entries = retrieve(queries, store, cfg.retriever)
@@ -247,7 +198,7 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
         for query, examples in zip(queries, entries):
             fh.write(json.dumps(retrieval_payload(query.text, examples), ensure_ascii=False) + "\n")
     inputs = [Path(input_path)] if input_path else []
-    _write_manifest(cfg, "retrieve", inputs, [out_path])
+    write_manifest(cfg, "retrieve", inputs, [out_path])
     click.echo(f"retrieved examples for {len(queries)} queries -> {out_path}")
 
 
@@ -261,8 +212,8 @@ def augment(cfg: RunConfig, output_path):
     from .augment import build_finetune_dataset, write_finetune_jsonl
     from .promptkit import resolve_template
 
-    _verify_upstream(cfg, "ingest")
-    _verify_upstream(cfg, "index")
+    verify_upstream(cfg, "ingest")
+    verify_upstream(cfg, "index")
     finetune_sentences = read_sentences_jsonl(
         cfg.paths.out_path("corpus", "finetune_split.jsonl")
     )
@@ -285,7 +236,7 @@ def augment(cfg: RunConfig, output_path):
         skipped=skipped,
     )
     count = write_finetune_jsonl(records, out_path)
-    _write_manifest(cfg, "augment",
+    write_manifest(cfg, "augment",
                     [cfg.paths.out_path("corpus", "finetune_split.jsonl")], [out_path])
     click.echo(f"wrote {count} finetune records -> {out_path} ({len(skipped)} skipped)")
 
@@ -300,7 +251,7 @@ def predict(cfg: RunConfig, input_path, output_path):
     """Retrieve, prompt, generate and parse for every input sentence."""
     from . import pipeline
 
-    _verify_upstream(cfg, "index")
+    verify_upstream(cfg, "index")
     store = pipeline.load_store(cfg)
     in_path = Path(input_path) if input_path else cfg.paths.out_path("corpus", "test.jsonl")
     if not in_path.exists():
@@ -315,7 +266,7 @@ def predict(cfg: RunConfig, input_path, output_path):
         for row in outcome.rows:
             fh.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
     _write_telemetry(out_path, {"latency": outcome.latency, "failures": len(outcome.failures)})
-    _write_manifest(cfg, "predict", [in_path], [out_path])
+    write_manifest(cfg, "predict", [in_path], [out_path])
     median = outcome.latency.get("median")
     timing = f", median latency {median:.4f}s" if median is not None else ""
     click.echo(
@@ -332,7 +283,7 @@ def predict(cfg: RunConfig, input_path, output_path):
 @_handle_errors
 def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     """Score predictions against gold; writes report.json, prints a table."""
-    _verify_upstream(cfg, "predict")
+    verify_upstream(cfg, "predict")
     pred_path = Path(predictions_path) if predictions_path else cfg.paths.out_path("predictions.jsonl")
     gold_file = Path(gold_path) if gold_path else cfg.paths.out_path("corpus", "test.jsonl")
     schema = load_schema(cfg.paths.out_path("schema.json"))
@@ -372,7 +323,7 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
         model_name=cfg.generator.model_name or cfg.generator.backend,
         grounding=cfg.eval.grounding,
     )
-    _write_manifest(cfg, "evaluate", [pred_path, gold_file], [out_path])
+    write_manifest(cfg, "evaluate", [pred_path, gold_file], [out_path])
 
 
 @main.command()
@@ -406,7 +357,7 @@ def ablate(cfg: RunConfig, grid_path, output_path):
         encoding="utf-8",
     )
     _write_telemetry(out_path, {"cells": [{"axes": c.axes, "latency": c.latency} for c in results]})
-    _write_manifest(cfg, "ablate", [Path(grid_path)], [out_path])
+    write_manifest(cfg, "ablate", [Path(grid_path)], [out_path])
     if not any(cell.ok for cell in results):
         raise AblationFailed(f"no cell of {len(results)} succeeded; see {out_path}")
 

@@ -63,6 +63,8 @@ class RetrieverConfig:
         for name in ("kmeans_iters", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         for value, allowed, name in (
             (self.mode, _MODES, "mode"),
             (self.store_words, _STORE_WORDS, "store_words"),

@@ -24,6 +24,7 @@ from .errors import (
     FormatError,
     InvalidSpan,
     MalformedLine,
+    MissingArtifact,
     StoreSizeTooLarge,
     UnknownSpanType,
 )
@@ -262,7 +263,9 @@ def load_schema(path: str | Path) -> EntitySchema:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise MissingArtifact(f"cannot read schema file {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"schema file {path}: invalid JSON: {exc}") from exc
     if isinstance(doc, dict):
         doc = doc.get("types")
@@ -320,15 +323,38 @@ def sentence_to_dict(sentence: LabeledSentence) -> dict:
     }
 
 
+def _bad_record(doc, reason: str) -> FormatError:
+    return FormatError(f"bad sentence record: {reason}: {doc!r}")
+
+
 def sentence_from_dict(doc: dict) -> LabeledSentence:
+    """Read one record in the `sentence_to_dict` shape; FormatError when a
+    field is missing or has the wrong JSON type (a bool is no integer)."""
+    if not isinstance(doc, dict) or not {"id", "tokens", "spans"} <= doc.keys():
+        raise _bad_record(doc, "expected an object with id, tokens and spans")
+    tokens = doc["tokens"]
+    if type(doc["id"]) is not int:
+        raise _bad_record(doc, "id must be an integer")
+    if type(tokens) is not list:
+        raise _bad_record(doc, "tokens must be a list of strings")
     try:
-        spans = [
-            EntitySpan(sp["type"], sp["start"], sp["end"], sp["surface"])
-            for sp in doc["spans"]
-        ]
-        return LabeledSentence(doc["id"], list(doc["tokens"]), spans)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad sentence record: {doc!r}") from exc
+        " ".join(tokens).encode("utf-8")
+    except TypeError:  # a token that is no string
+        raise _bad_record(doc, "tokens must be a list of strings") from None
+    except UnicodeEncodeError:  # a lone surrogate, which JSON escapes allow and no output can hold
+        raise _bad_record(doc, "tokens must be valid Unicode") from None
+    if type(doc["spans"]) is not list:
+        raise _bad_record(doc, "spans must be a list")
+    spans = []
+    for sp in doc["spans"]:
+        if not (isinstance(sp, dict) and type(sp.get("type")) is str
+                and type(sp.get("surface")) is str
+                and type(sp.get("start")) is int and type(sp.get("end")) is int):
+            raise _bad_record(
+                doc, "each span needs a string type and surface and integer start and end"
+            )
+        spans.append(EntitySpan(sp["type"], sp["start"], sp["end"], sp["surface"]))
+    return LabeledSentence(doc["id"], list(tokens), spans)
 
 
 def write_sentences_jsonl(sentences: Iterable[LabeledSentence], path: str | Path) -> None:
@@ -338,16 +364,25 @@ def write_sentences_jsonl(sentences: Iterable[LabeledSentence], path: str | Path
 
 
 def read_sentences_jsonl(path: str | Path) -> list[LabeledSentence]:
+    """Read the records `write_sentences_jsonl` writes, one per line; a line
+    that is not UTF-8 JSON of that shape raises FormatError naming path:line."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+                raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            try:
                 sentences.append(sentence_from_dict(doc))
+            except FormatError as exc:
+                raise FormatError(f"{path}:{line_no}: {exc}") from exc
     return sentences
 
 
@@ -355,10 +390,15 @@ def load_split_file(path: str | Path, id_base: int = 0) -> tuple[list[LabeledSen
     """Read one corpus file (BIO text or sentence JSONL), re-basing ids."""
     path = Path(path)
     warnings = ParseWarnings()
-    if path.suffix == ".jsonl":
-        sentences = read_sentences_jsonl(path)
-    else:
-        sentences = parse_bio(path.read_text(encoding="utf-8"), warnings)
+    try:
+        if path.suffix == ".jsonl":
+            sentences = read_sentences_jsonl(path)
+        else:
+            sentences = parse_bio(path.read_text(encoding="utf-8"), warnings)
+    except OSError as exc:
+        raise MissingArtifact(f"cannot read corpus file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: {exc}") from exc
     for i, s in enumerate(sentences):
         s.id = id_base + i
     return sentences, warnings

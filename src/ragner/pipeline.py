@@ -17,13 +17,15 @@ from .corpus import (
     select_store_split,
 )
 from .embedder import (
+    CACHE_ARRAYS,
+    CACHE_TEXTS,
     Embedder,
     EmbedderSpec,
     RemoteEmbeddingProvider,
     load_precomputed,
     open_precomputed_cache,
 )
-from .errors import ConfigError, NoDictionaryFound, RagnerError
+from .errors import ConfigError, MissingArtifact, NoDictionaryFound, RagnerError
 from .evaluation import EvalReport, PredictionRecord, score
 from .generation import (
     GenerationResult,
@@ -32,6 +34,7 @@ from .generation import (
     latency_summary,
     prompt_hash,
 )
+from .manifest import check_digests, read_manifest, sha256_file
 from .promptkit import (
     DEFAULT_TASK_DESCRIPTION,
     Prompt,
@@ -279,12 +282,41 @@ def _load_cell_inputs(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]],
     return splits, load_schema(cfg.paths.schema)
 
 
+def _indexed_cache_dir(cfg: RunConfig) -> Path | None:
+    """The store directory, when `index` cached there the embedding file this
+    config names and that file still hashes to the digest `index` recorded;
+    otherwise None.
+
+    `load_precomputed` reads nothing but the file, so its digest is the whole
+    key of the cache. The cache files are checked against their recorded
+    digests: a changed or missing one raises MissingArtifact.
+    """
+    e = cfg.embedder
+    if e.provider != "precomputed-file" or not e.precomputed_path:
+        return None
+    try:
+        doc = read_manifest(cfg, "index")
+    except MissingArtifact:
+        return None
+    source = Path(e.precomputed_path)
+    recorded = doc.get("inputs", {}).get(str(source))
+    if recorded is None or not source.is_file() or sha256_file(source) != recorded:
+        return None
+    store_dir = cfg.paths.out_path("store")
+    outputs = doc.get("outputs", {})
+    cache = [str(store_dir / name) for name in (*CACHE_ARRAYS.values(), CACHE_TEXTS)]
+    check_digests({path: outputs.get(path) for path in cache}, "index")
+    return store_dir
+
+
 def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalReport, dict]:
     """Run one ablation cell, base config plus dotted-key overrides:
     its report and latency summary.
 
     Every cell of a sweep gets the same `loads`, so that a cell reuses the
     splits, embedder and store of the cell before when its config allows.
+    The embedder opens the store's embedding cache when `index` wrote one
+    from the same, unchanged embedding file, and parses the file otherwise.
     """
     doc = copy.deepcopy(base.raw)
     for dotted, value in axes.items():
@@ -298,7 +330,8 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
     def new_store():
         splits, schema = inputs()
         embedder = loads.embedder.get(
-            (paths_key, fingerprint(doc["embedder"])), lambda: make_embedder(cfg)
+            (paths_key, fingerprint(doc["embedder"])),
+            lambda: make_embedder(cfg, _indexed_cache_dir(cfg)),
         )
         return build_store(select_store_split(splits, cfg).store, schema, embedder, cfg)
 

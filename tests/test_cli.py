@@ -23,6 +23,8 @@ from types import SimpleNamespace
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ragner
 from ragner.cli import main
@@ -397,6 +399,10 @@ def test_missing_config_file_fails(proj):
     ("retriever.nlist=true", "ConfigError", "[retriever] config: nlist must be an integer or null"),
     ("retriever.kmeans_iters=abc", "ConfigError", "[retriever] config: kmeans_iters must be an integer"),
     ("retriever.seed=abc", "ConfigError", "[retriever] config: seed must be an integer"),
+    ("retriever.seed=18446744073709551616", "ConfigError",
+     "[retriever] config: seed must fit in a signed 64-bit integer"),
+    ("retriever.seed=-9223372036854775809", "ConfigError",
+     "[retriever] config: seed must fit in a signed 64-bit integer"),
 ])
 @pytest.mark.parametrize("command", ["predict", "augment"])
 def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error, message, command):
@@ -408,21 +414,85 @@ def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_ivf_index_with_a_seed_beyond_64_bits_exits_2(tmp_path):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    result = run(["-c", ns.cfg, "-S", "retriever.index_kind=ivf",
+                  "-S", "retriever.seed=18446744073709551616", "index"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError" and "seed must fit in a signed 64-bit" in doc["message"]
+
+
 @pytest.mark.parametrize("record, error, message", [
     ({"id": 0, "tokens": ["a", "b", "c"],
       "spans": [{"type": "gadget", "start": 2, "end": 4, "surface": "c"}]},
      "InvalidSpan", "outside [0, 3)"),
-    ("not json", "FormatError", "dev.jsonl:3: invalid JSON"),
+    (b"not json", "FormatError", "dev.jsonl:3: invalid JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, "FormatError", "dev.jsonl:3: invalid JSON"),
+    (b'{"id": 0, "tokens": ["caf\xe9"], "spans": []}', "FormatError", "dev.jsonl:3: not UTF-8"),
+    ({"id": 0, "tokens": ["a", "b"],
+      "spans": [{"type": "gadget", "start": "0", "end": 1, "surface": "a"}]},
+     "FormatError", "dev.jsonl:3: bad sentence record: each span needs"),
+    ({"id": 0, "tokens": "ab", "spans": []},
+     "FormatError", "dev.jsonl:3: bad sentence record: tokens must be a list of strings"),
+    ({"id": True, "tokens": ["a"], "spans": []},
+     "FormatError", "dev.jsonl:3: bad sentence record: id must be an integer"),
+    (b'{"id": 0, "tokens": ["\\ud800"], "spans": []}',
+     "FormatError", "dev.jsonl:3: bad sentence record: tokens must be valid Unicode"),
 ])
 def test_bad_jsonl_corpus_record_exits_2_with_one_json_line(tmp_path, record, error, message):
     ns = make_project(tmp_path)
     dev = ns.data / "dev.jsonl"
-    line = record if isinstance(record, str) else json.dumps(record)
-    dev.write_text(dev.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    line = record if isinstance(record, bytes) else json.dumps(record).encode()
+    dev.write_bytes(dev.read_bytes() + line + b"\n")
     result = run(["-c", ns.cfg, "ingest"], expect=2)
     [line] = result.stderr.strip().splitlines()
     doc = json.loads(line)
     assert doc["error"] == error and message in doc["message"]
+
+
+# Arbitrary JSON values, strings with lone surrogates included (json.dumps
+# escapes them, so the corpus file itself stays UTF-8).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+RECORD_FIELDS = [(), ("id",), ("tokens",), ("tokens", 0), ("spans",), ("spans", 0),
+                 ("spans", 0, "type"), ("spans", 0, "start"), ("spans", 0, "end"),
+                 ("spans", 0, "surface")]
+
+
+@pytest.fixture(scope="module")
+def fuzz_proj(tmp_path_factory):
+    ns = make_project(tmp_path_factory.mktemp("fuzz"))
+    ns.dev = (ns.data / "dev.jsonl").read_bytes()
+    return ns
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from(RECORD_FIELDS), value=JSON_VALUES)
+def test_ingest_of_any_jsonl_record_exits_0_or_2_with_one_json_line(fuzz_proj, field, value):
+    record = {"id": 5, "tokens": ["the", "omega", "pager"],
+              "spans": [{"type": "gadget", "start": 1, "end": 3, "surface": "omega pager"}]}
+    if field:
+        *parents, last = field
+        holder = record
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+    else:
+        record = value
+    (fuzz_proj.data / "dev.jsonl").write_bytes(fuzz_proj.dev + json.dumps(record).encode() + b"\n")
+    result = RUNNER.invoke(main, ["-c", fuzz_proj.cfg, "ingest"])
+    # an exception that escapes the command, which would print a traceback, exits 1
+    assert result.exit_code in (0, 2), (record, result.exception)
+    if result.exit_code == 2:
+        doc = json.loads(result.stderr.strip().splitlines()[-1])
+        assert set(doc) == {"error", "message"}
 
 
 @pytest.mark.parametrize("built, mode", [("word-level", "sentence-level"),
@@ -665,12 +735,44 @@ def test_upstream_verification_lifecycle(tmp_path):
     victim.write_bytes(original)
     run(["-c", ns.cfg, *probe])
 
+    # so is a manifest that is no longer JSON
+    manifest = ns.out / "manifests" / "index.json"
+    manifest.write_text("{", encoding="utf-8")
+    err = error_payload(run(["-c", ns.cfg, *probe], expect=2))
+    assert err["error"] == "FormatError"
+    assert "unreadable manifest" in err["message"] and "re-run `ragner index`" in err["message"]
+
 
 def test_ingest_requires_schema(tmp_path):
     ns = make_project(tmp_path, with_schema=False)
     err = error_payload(run(["-c", ns.cfg, "ingest"], expect=2))
     assert err["error"] == "ConfigError"
     assert "paths.schema is not configured" in err["message"]
+
+
+@pytest.mark.parametrize("key, name", [
+    ("paths.schema", "schema.json"),
+    ("paths.corpus_dev", "dev.jsonl"),
+    ("paths.corpus_train", "train.txt"),  # BIO
+])
+def test_ingest_with_a_missing_input_file_exits_2(tmp_path, key, name):
+    ns = make_project(tmp_path)
+    missing = tmp_path / "nowhere" / name
+    result = run(["-c", ns.cfg, "-S", f"{key}={missing}", "ingest"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "MissingArtifact" and str(missing) in doc["message"]
+
+
+def test_ablate_records_a_missing_corpus_file_as_missing_artifact(tmp_path):
+    ns = make_project(tmp_path)
+    missing = tmp_path / "missing.jsonl"
+    grid = write_grid(tmp_path / "grid.yaml", {"cells": [{"paths.corpus_dev": str(missing)}]})
+    out = tmp_path / "ablation.json"
+    err = error_payload(run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out], expect=2))
+    assert err["error"] == "AblationFailed"
+    [cell] = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert cell["error"].startswith("MissingArtifact") and str(missing) in cell["error"]
 
 
 @pytest.fixture(scope="module")
@@ -814,7 +916,88 @@ def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatc
 
     cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
     assert all(c["error"] is None and c["report"]["micro"]["f1"] == 1.0 for c in cells)
-    assert calls == {"parse": 1, "build": builds}
+    # the project is indexed: every cell's embedder opens the store's embedding cache
+    assert calls == {"parse": 0, "build": builds}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths `pipeline.load_precomputed` parses while the test runs."""
+    from ragner import pipeline
+
+    calls = []
+    parse = pipeline.load_precomputed
+
+    def counting_parse(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(pipeline, "load_precomputed", counting_parse)
+    return calls
+
+
+def write_grid(path: Path, doc: dict) -> Path:
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+def test_ablate_table_is_the_same_from_the_cache_and_from_a_parse(tmp_path, parses):
+    ns = make_project(tmp_path)
+    grid = write_grid(tmp_path / "grid.yaml",
+                      {"axes": {"retriever.mode": ["word-level", "sentence-level"]}})
+    # never ingested or indexed: the cells parse the embedding file
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", tmp_path / "parsed.json"])
+    assert len(parses) == 1
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, "index"])
+    parses.clear()
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", tmp_path / "cached.json"])
+    assert parses == []
+    parsed = (tmp_path / "parsed.json").read_bytes()
+    assert b'"error": null' in parsed
+    assert (tmp_path / "cached.json").read_bytes() == parsed
+
+
+@pytest.mark.parametrize("change", ["edited after index", "byte-identical copy"])
+def test_ablate_parses_a_file_the_index_did_not_cache(tmp_path, parses, change):
+    ns = indexed_project(tmp_path)
+    parses.clear()
+    jsonl = ns.data / "embeddings.jsonl"
+    cells = [{"retriever.k": 1}, {"retriever.k": 3}]
+    if change == "edited after index":
+        jsonl.write_bytes(jsonl.read_bytes() + b"\n")
+    else:
+        copy = shutil.copy(jsonl, ns.data / "copy.jsonl")
+        cells = [{**cell, "embedder.precomputed_path": str(copy)} for cell in cells]
+    grid = write_grid(tmp_path / "grid.yaml", {"cells": cells})
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", tmp_path / "ablation.json"])
+    assert len(parses) == 1
+    cells = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert all(c["error"] is None and c["report"]["micro"]["f1"] == 1.0 for c in cells)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("flip a byte", "index artifact changed since its manifest"),
+    ("delete", "index artifact missing"),
+])
+def test_ablate_fails_every_cell_on_a_damaged_cache(tmp_path, parses, damage, message):
+    ns = indexed_project(tmp_path)
+    parses.clear()
+    victim = ns.out / "store" / CACHE_ARRAYS["token_vectors"]
+    if damage == "delete":
+        victim.unlink()
+    else:
+        data = victim.read_bytes()
+        victim.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 3]}})
+    out = tmp_path / "ablation.json"
+    result = run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out], expect=2)
+    err = error_payload(result)
+    assert err["error"] == "AblationFailed" and "no cell of 2 succeeded" in err["message"]
+    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert [c["error"].split(":")[0] for c in cells] == ["MissingArtifact"] * 2
+    assert all(message in c["error"] and str(victim) in c["error"] for c in cells)
+    assert parses == []
 
 
 # --- what each command imports, and remote generation ---------------------------

@@ -18,6 +18,7 @@ from ragner.corpus import (
     ParseWarnings,
     gold_output,
     load_schema,
+    load_split_file,
     parse_bio,
     read_sentences_jsonl,
     sentence_from_dict,
@@ -180,6 +181,14 @@ def test_schema_bad_file_shape(tmp_path):
         load_schema(path)
 
 
+@pytest.mark.parametrize("content", [b"[" * 100_000 + b"]" * 100_000, b"[\xff]"])
+def test_schema_that_cannot_be_decoded_is_a_format_error(tmp_path, content):
+    path = tmp_path / "schema.json"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match="invalid JSON"):
+        load_schema(path)
+
+
 def test_schema_canonical_folds_case_space_underscore():
     schema = EntitySchema((EntityType("political party", "parties"),))
     assert schema.canonical("Political_Party") == "political party"
@@ -263,6 +272,53 @@ def test_sentence_jsonl_round_trip(tmp_path):
 def test_sentence_dict_round_trip():
     s = LabeledSentence(7, ["New", "York"], [EntitySpan("location", 0, 2, "New York")])
     assert sentence_from_dict(sentence_to_dict(s)) == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**70, 2**70), st.lists(st.text(), max_size=6),
+                          st.lists(st.tuples(st.text(), st.integers(), st.integers(), st.text()),
+                                   max_size=3)),
+                max_size=5))
+def test_every_written_sentence_reads_back(tmp_path_factory, rows):
+    sentences = [LabeledSentence(sid, tokens, [EntitySpan(*span) for span in spans])
+                 for sid, tokens, spans in rows]
+    path = tmp_path_factory.mktemp("jsonl") / "sentences.jsonl"
+    write_sentences_jsonl(sentences, path)
+    assert read_sentences_jsonl(path) == sentences
+
+
+_RECORD = {"id": 3, "tokens": ["New", "York"],
+           "spans": [{"type": "location", "start": 0, "end": 2, "surface": "New York"}]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 1.0), ("id", False), ("id", "3"), ("id", None),
+    ("tokens", "New York"), ("tokens", ["New", 7]), ("tokens", None),
+    ("spans", {}), ("spans", [["location", 0, 2, "New York"]]), ("spans", None),
+    ("type", None), ("start", "0"), ("start", 0.0), ("end", True), ("surface", ["New York"]),
+])
+def test_sentence_from_dict_rejects_a_field_of_the_wrong_type(field, value):
+    doc = json.loads(json.dumps(_RECORD))
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["spans"][0][field] = value
+    with pytest.raises(FormatError, match="bad sentence record"):
+        sentence_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[], 3, "record", {"id": 3, "tokens": ["a"]},
+                                 {**_RECORD, "spans": [None]}])
+def test_sentence_from_dict_rejects_a_record_of_the_wrong_shape(doc):
+    with pytest.raises(FormatError, match="bad sentence record"):
+        sentence_from_dict(doc)
+
+
+def test_bio_corpus_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "train.txt"
+    path.write_bytes(b"caf\xe9\tO\n")
+    with pytest.raises(FormatError, match="train.txt: not UTF-8"):
+        load_split_file(path)
 
 
 def test_validate_rejects_bad_surface():

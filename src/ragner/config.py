@@ -216,7 +216,7 @@ def parse_override(assignment: str) -> tuple[str, object]:
     dotted, _, raw_value = assignment.partition("=")
     try:
         value = yaml.safe_load(raw_value)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"cannot parse override value {raw_value!r}: {exc}") from exc
     return dotted.strip(), value
 
@@ -383,7 +383,7 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         text = path.read_text(encoding="utf-8")
         try:
             user = yaml.safe_load(text) or {}
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")

@@ -27,14 +27,12 @@ from .errors import (
     EmbedderError,
     EmptyInput,
     FormatError,
-    MissingArtifact,
     MissingEntry,
     ProviderUnavailable,
 )
 from .remote import post_json
 from .stopwords import DEFAULT_STOPWORDS
-
-NORM_TOLERANCE = 1e-6
+from .vector_index import open_array, open_json, save_array, save_json
 
 
 @dataclass(frozen=True)
@@ -124,25 +122,8 @@ class PrecomputedEmbeddingProvider:
         path: str | None = None,
         sha256: str | None = None,
     ):
-        n = len(texts)
-        n_tokens = token_vectors.shape[0] if token_vectors.ndim == 2 else -1
-        dim = sentence_vectors.shape[1] if sentence_vectors.ndim == 2 else -1
-        expected = {
-            "token_vectors": (token_vectors, np.float64, (n_tokens, dim)),
-            "token_spans": (token_spans, np.int64, (n_tokens, 2)),
-            "token_offsets": (token_offsets, np.int64, (n + 1,)),
-            "sentence_vectors": (sentence_vectors, np.float64, (n, dim)),
-        }
-        for name, (values, dtype, shape) in expected.items():
-            if values.dtype != dtype or values.shape != shape:
-                raise FormatError(
-                    f"embeddings: {name} is {values.dtype} {values.shape}, "
-                    f"expected {np.dtype(dtype)} {shape}"
-                )
-        if token_offsets[0] != 0 or token_offsets[-1] != n_tokens or np.any(np.diff(token_offsets) < 0):
-            raise FormatError("embeddings: token_offsets do not partition the token rows")
         self._rows = {text: i for i, text in enumerate(texts)}
-        if len(self._rows) != n:
+        if len(self._rows) != len(texts):
             raise FormatError("embeddings: duplicate texts")
         self.texts = texts
         self.token_vectors = token_vectors
@@ -166,37 +147,31 @@ class PrecomputedEmbeddingProvider:
         """Write the arrays and texts into `directory`."""
         directory = Path(directory)
         for attr, name in CACHE_ARRAYS.items():
-            np.save(directory / name, getattr(self, attr), allow_pickle=False)
-        (directory / CACHE_TEXTS).write_text(
-            json.dumps(self.texts, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+            save_array(directory / name, getattr(self, attr))
+        save_json(directory / CACHE_TEXTS, self.texts)
 
 
 def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvider:
     """Memory-map the embedding cache `save_cache` wrote into `directory`.
 
     Raises MissingArtifact when a cache file is absent and FormatError when
-    one cannot be read.
+    one cannot be read or the arrays disagree.
     """
     directory = Path(directory)
-    for name in (*CACHE_ARRAYS.values(), CACHE_TEXTS):
-        if not (directory / name).is_file():
-            raise MissingArtifact(
-                f"no embedding cache in {directory} ({name} is missing); re-run `ragner index`"
-            )
-    arrays = {}
-    for attr, name in CACHE_ARRAYS.items():
-        try:
-            arrays[attr] = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
-        except (OSError, ValueError, EOFError) as exc:
-            raise FormatError(f"{directory / name}: unreadable embedding cache: {exc}") from exc
-    try:
-        texts = json.loads((directory / CACHE_TEXTS).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{directory / CACHE_TEXTS}: unreadable embedding cache: {exc}") from exc
+    what = "embedding cache"
+    texts = open_json(directory / CACHE_TEXTS, what)
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise FormatError(f"{directory / CACHE_TEXTS}: expected a JSON list of texts")
-    return PrecomputedEmbeddingProvider(texts, **arrays)
+    path = {attr: directory / name for attr, name in CACHE_ARRAYS.items()}
+    token_vectors = open_array(path["token_vectors"], np.float64, (None, None), what)
+    n_tokens, dim = token_vectors.shape
+    token_offsets = open_array(path["token_offsets"], np.int64, (len(texts) + 1,), what)
+    if token_offsets[0] != 0 or token_offsets[-1] != n_tokens or np.any(np.diff(token_offsets) < 0):
+        raise FormatError("embeddings: token_offsets do not partition the token rows")
+    return PrecomputedEmbeddingProvider(
+        texts, token_vectors, open_array(path["token_spans"], np.int64, (n_tokens, 2), what),
+        token_offsets, open_array(path["sentence_vectors"], np.float64, (len(texts), dim), what),
+    )
 
 
 def _record_arrays(doc: dict, source: str) -> Encoding:
@@ -264,7 +239,7 @@ def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
                 raise FormatError(f"{path}:{line_no}: record missing 'text'")

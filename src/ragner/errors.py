@@ -83,10 +83,6 @@ class NlistTooLarge(RagnerError):
     """IVF cluster count exceeds the record count."""
 
 
-class VersionMismatch(RagnerError):
-    """An index file carries an unsupported format version."""
-
-
 # --- retriever ------------------------------------------------------------
 
 class EmptyQueryAfterStopwords(RagnerError):

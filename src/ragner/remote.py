@@ -60,6 +60,6 @@ def post_json(
         else:
             try:
                 return json.loads(raw), attempt + 1
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise (format_error or error)(f"{url}: non-JSON response: {exc}") from exc
     raise last

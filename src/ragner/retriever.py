@@ -35,6 +35,7 @@ from .vector_index import (
     flat_from_matrix,
     ivf_from_matrix,
     load_index,
+    open_json,
     save_index,
 )
 
@@ -187,12 +188,10 @@ class ExampleStore:
             "build_key": self.build_key,
             "indexes": {},
         }
-        if self.word_index is not None:
-            save_index(self.word_index, directory / "word_index.bin")
-            meta["indexes"]["word"] = "word_index.bin"
-        if self.sentence_index is not None:
-            save_index(self.sentence_index, directory / "sentence_index.bin")
-            meta["indexes"]["sentence"] = "sentence_index.bin"
+        for name, index in (("word", self.word_index), ("sentence", self.sentence_index)):
+            if index is not None:
+                save_index(index, directory / f"{name}_index.bin")
+                meta["indexes"][name] = f"{name}_index.bin"
         (directory / "meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"
         )
@@ -203,19 +202,16 @@ class ExampleStore:
         meta_path = directory / "meta.json"
         if not meta_path.exists():
             raise FormatError(f"{directory}: not a store directory (missing meta.json)")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = open_json(meta_path, "store")
         sentences = read_sentences_jsonl(directory / "sentences.jsonl")
         schema = load_schema(directory / "schema.json")
-        indexes = meta.get("indexes", {})
-        word_index = load_index(directory / indexes["word"]) if "word" in indexes else None
-        sentence_index = (
-            load_index(directory / indexes["sentence"]) if "sentence" in indexes else None
-        )
+        indexes = {name: load_index(directory / file)
+                   for name, file in meta.get("indexes", {}).items()}
         return cls(
             sentences,
             schema,
-            word_index=word_index,
-            sentence_index=sentence_index,
+            word_index=indexes.get("word"),
+            sentence_index=indexes.get("sentence"),
             store_words=meta.get("store_words", "entity-only"),
             model_name=meta.get("model_name"),
             embedder=embedder,

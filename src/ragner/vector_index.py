@@ -9,29 +9,18 @@ only the `nprobe` nearest clusters' posting lists.
 one top-k pass; `search` is its one-row case. Hit ordering is fully
 deterministic: descending score, ties broken by ascending record id.
 
-Index files are binary, little-endian, laid out as:
-
-    magic   6s   b"RAGIDX"
-    version u32  (currently 1)
-    kind    u8   0 = flat, 1 = ivf
-    words   u8   1 when a per-record word table is present
-    dim     u32
-    count   u64
-    sentence_ids  count * i64
-    word table    count * u32 lengths, then the concatenated UTF-8 bytes
-    vectors       count * dim * f64, in record-id order
-    -- ivf only --
-    nlist u32, kmeans_iters u32, seed i64
-    centroids     nlist * dim * f64
-    postings      nlist * u32 lengths, then all record ids as u32
+An index on disk is its matrix as a .npy file (rows in record order for
+flat, grouped by cluster for IVF), one .npy file beside it per other
+array, and a JSON file recording its kind and words; `load_index` opens
+every array memory-mapped. The embedding cache is stored the same way,
+through the same `save_array`/`open_array` and `save_json`/`open_json`.
 """
 
 from __future__ import annotations
 
-import struct
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -39,12 +28,10 @@ from .errors import (
     DimensionMismatch,
     EmptyCollection,
     FormatError,
+    MissingArtifact,
     NlistTooLarge,
-    VersionMismatch,
 )
 
-_MAGIC = b"RAGIDX"
-_VERSION = 1
 _ASSIGN_CHUNK = 8192
 
 
@@ -142,9 +129,7 @@ class IvfIndex:
     """Inverted-file index: coarse k-means clusters plus probed flat scan.
 
     Vectors are stored grouped by cluster so probing scans contiguous
-    blocks. `row_record_ids[row]` maps a grouped row back to its record id;
-    postings are derivable from the grouping but kept explicit for the
-    on-disk format.
+    blocks. `row_record_ids[row]` maps a grouped row back to its record id.
     """
 
     kind = "ivf"
@@ -157,8 +142,6 @@ class IvfIndex:
         centroids: np.ndarray,
         sentence_ids: np.ndarray,
         words: list[str] | None,
-        kmeans_iters: int,
-        seed: int,
     ):
         self.grouped = grouped
         self.row_record_ids = row_record_ids
@@ -166,8 +149,6 @@ class IvfIndex:
         self.centroids = centroids
         self.sentence_ids = sentence_ids  # in record-id order
         self.words = words  # in record-id order
-        self.kmeans_iters = kmeans_iters
-        self.seed = seed
 
     @property
     def nlist(self) -> int:
@@ -179,19 +160,6 @@ class IvfIndex:
 
     def __len__(self) -> int:
         return self.grouped.shape[0]
-
-    @property
-    def postings(self) -> list[np.ndarray]:
-        return [
-            self.row_record_ids[self.offsets[c]: self.offsets[c + 1]]
-            for c in range(self.nlist)
-        ]
-
-    def record_order_matrix(self) -> np.ndarray:
-        """Vectors back in record-id order (inverse of the grouping)."""
-        out = np.empty_like(self.grouped)
-        out[self.row_record_ids] = self.grouped
-        return out
 
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> list[SearchHit]:
         [(ids, scores)] = self.search_batch([query], k, nprobe)
@@ -251,8 +219,6 @@ def ivf_from_matrix(
         raise EmptyCollection("cannot build an index over zero records")
     if nlist < 1 or nlist > n:
         raise NlistTooLarge(f"nlist {nlist} out of range for {n} records")
-    if not -(2**63) <= seed < 2**63:
-        raise ValueError("seed must fit in a signed 64-bit integer")
     _check_unit_norm(matrix, "index vectors")
     sentence_ids = np.asarray(sentence_ids, dtype=np.int64)
 
@@ -262,8 +228,7 @@ def ivf_from_matrix(
     row_record_ids = order.astype(np.int64)
     counts = np.bincount(assignment, minlength=nlist)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return IvfIndex(grouped, row_record_ids, offsets, centroids, sentence_ids, words,
-                    kmeans_iters, seed)
+    return IvfIndex(grouped, row_record_ids, offsets, centroids, sentence_ids, words)
 
 
 # --- spherical k-means ------------------------------------------------------
@@ -329,94 +294,101 @@ def _spherical_kmeans(
     return centroids, final_assignment
 
 
-# --- persistence ------------------------------------------------------------
+# --- persistence: index files and the embedding cache ------------------------
 
-def _read_exact(fh: BinaryIO, nbytes: int, what: str) -> bytes:
-    data = fh.read(nbytes)
-    if len(data) != nbytes:
-        raise FormatError(f"index file truncated while reading {what}")
-    return data
-
-
-def _write_word_table(fh: BinaryIO, words: Sequence[str]) -> None:
-    blobs = [w.encode("utf-8") for w in words]
-    fh.write(np.asarray([len(b) for b in blobs], dtype="<u4").tobytes())
-    fh.write(b"".join(blobs))
+def save_array(path: Path, array: np.ndarray) -> None:
+    """Write `array` as .npy at exactly `path` (np.save would append .npy),
+    replacing the file: a reader that mapped the old one keeps it intact."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.save(fh, array, allow_pickle=False)
+    tmp.replace(path)
 
 
-def _read_word_table(fh: BinaryIO, count: int) -> list[str]:
-    lengths = np.frombuffer(_read_exact(fh, 4 * count, "word lengths"), dtype="<u4")
-    blob = _read_exact(fh, int(lengths.sum()), "word table")
-    words = []
-    pos = 0
-    for length in lengths:
-        words.append(blob[pos: pos + int(length)].decode("utf-8"))
-        pos += int(length)
-    return words
+def save_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def _unreadable(path: Path, what: str, reason) -> FormatError:
+    return FormatError(f"{path}: unreadable {what}: {reason}; re-run `ragner index`")
+
+
+def _read(path: Path, what: str, read):
+    """read(path), raising MissingArtifact for a missing file, else FormatError."""
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise MissingArtifact(
+            f"no {what} in {path.parent} ({path.name} is missing); re-run `ragner index`"
+        ) from None
+    except (OSError, ValueError, EOFError, RecursionError) as exc:
+        raise _unreadable(path, what, exc) from exc
+
+
+def open_array(path: Path, dtype, shape: tuple[int | None, ...], what: str = "index") -> np.ndarray:
+    """Memory-map the .npy file at `path` and check its dtype and shape (None
+    matches any length). Raises MissingArtifact when the file is absent and
+    FormatError when it is unreadable, holds bytes past its array or does
+    not have the dtype and shape expected."""
+    # np.load(path, mmap_mode="r") minus its fallback to pickle for a non-.npy
+    mapped = _read(path, what, lambda p: np.lib.format.open_memmap(p, mode="r"))
+    if mapped.offset + mapped.nbytes != path.stat().st_size:  # the mapping ignores them
+        raise _unreadable(path, what, "trailing bytes after the array")
+    if mapped.dtype != dtype or len(mapped.shape) != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, mapped.shape)):
+        raise _unreadable(path, what, f"{mapped.dtype} {mapped.shape}, expected "
+                                      f"{np.dtype(dtype)} {shape}")
+    return np.asarray(mapped)
+
+
+def open_json(path: Path, what: str = "index"):
+    """The JSON document at `path`; raises as `open_array` does."""
+    return _read(path, what, lambda p: json.loads(p.read_text(encoding="utf-8")))
+
+
+_IVF_ARRAYS = ("centroids", "offsets", "row_record_ids")
+
+
+def _part(path: Path, name: str) -> Path:
+    """The file holding part `name` of the index whose matrix is at `path`."""
+    return path.with_name(f"{path.stem}.{name}")
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    """Persist an index; load(save(x)) is bit-identical in records,
-    centroids and postings."""
+    """Write the index's matrix at `path` and its other parts beside it. The
+    JSON part records the kind; a flat index removes the IVF arrays an
+    earlier build left."""
+    path = Path(path)
     is_ivf = isinstance(index, IvfIndex)
-    count = len(index)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IBB I Q", _VERSION, int(is_ivf), int(index.words is not None),
-                             index.dim, count))
-        fh.write(np.asarray(index.sentence_ids, dtype="<i8").tobytes())
-        if index.words is not None:
-            _write_word_table(fh, index.words)
-        record_matrix = index.record_order_matrix() if is_ivf else index.matrix
-        fh.write(np.ascontiguousarray(record_matrix, dtype="<f8").tobytes())
+    save_array(path, index.grouped if is_ivf else index.matrix)
+    save_array(_part(path, "sentence_ids.npy"), index.sentence_ids)
+    for name in _IVF_ARRAYS:
         if is_ivf:
-            fh.write(struct.pack("<IIq", index.nlist, index.kmeans_iters, index.seed))
-            fh.write(np.ascontiguousarray(index.centroids, dtype="<f8").tobytes())
-            postings = index.postings
-            fh.write(np.asarray([len(p) for p in postings], dtype="<u4").tobytes())
-            for p in postings:
-                fh.write(np.asarray(p, dtype="<u4").tobytes())
+            save_array(_part(path, f"{name}.npy"), getattr(index, name))
+        else:
+            _part(path, f"{name}.npy").unlink(missing_ok=True)
+    save_json(_part(path, "json"), {"kind": index.kind, "words": index.words})
 
 
 def load_index(path: str | Path) -> Index:
-    """Load an index file; raises FormatError / VersionMismatch."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(_MAGIC), "magic")
-        if magic != _MAGIC:
-            raise FormatError(f"{path}: not an index file (bad magic {magic!r})")
-        header = _read_exact(fh, struct.calcsize("<IBB I Q"), "header")
-        version, is_ivf, has_words, dim, count = struct.unpack("<IBB I Q", header)
-        if version != _VERSION:
-            raise VersionMismatch(f"{path}: format version {version}, supported {_VERSION}")
-        sentence_ids = np.frombuffer(
-            _read_exact(fh, 8 * count, "sentence ids"), dtype="<i8"
-        ).astype(np.int64)
-        words = _read_word_table(fh, count) if has_words else None
-        matrix = np.frombuffer(
-            _read_exact(fh, 8 * count * dim, "vectors"), dtype="<f8"
-        ).reshape(count, dim).astype(np.float64)
-        if not is_ivf:
-            if fh.read(1):
-                raise FormatError(f"{path}: trailing bytes after index payload")
-            return FlatIndex(matrix, sentence_ids, words)
-        nlist, kmeans_iters, seed = struct.unpack(
-            "<IIq", _read_exact(fh, struct.calcsize("<IIq"), "ivf header")
-        )
-        centroids = np.frombuffer(
-            _read_exact(fh, 8 * nlist * dim, "centroids"), dtype="<f8"
-        ).reshape(nlist, dim).astype(np.float64)
-        lengths = np.frombuffer(_read_exact(fh, 4 * nlist, "posting lengths"), dtype="<u4")
-        if int(lengths.sum()) != count:
-            raise FormatError(f"{path}: posting lengths sum to {lengths.sum()}, expected {count}")
-        row_record_ids = np.frombuffer(
-            _read_exact(fh, 4 * count, "postings"), dtype="<u4"
-        ).astype(np.int64)
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"{path}: trailing bytes after index payload")
-    if not np.array_equal(np.sort(row_record_ids), np.arange(count)):
-        raise FormatError(f"{path}: postings are not a permutation of the {count} record ids")
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    grouped = np.ascontiguousarray(matrix[row_record_ids])
-    return IvfIndex(grouped, row_record_ids, offsets, centroids, sentence_ids, words,
-                    kmeans_iters, seed)
+    """Open the index `save_index` wrote at `path`, every array memory-mapped;
+    raises as `open_array` does, and FormatError when the parts disagree."""
+    path = Path(path)
+    matrix = open_array(path, np.float64, (None, None))
+    n, dim = matrix.shape
+    sentence_ids = open_array(_part(path, "sentence_ids.npy"), np.int64, (n,))
+    doc = open_json(_part(path, "json"))
+    kind, words = (doc.get("kind"), doc.get("words")) if isinstance(doc, dict) else (None, None)
+    if kind not in ("flat", "ivf") or words is not None and not (
+            isinstance(words, list) and len(words) == n and all(isinstance(w, str) for w in words)):
+        raise _unreadable(_part(path, "json"), "index", f"expected its kind and null or {n} words")
+    if kind == "flat":
+        return FlatIndex(matrix, sentence_ids, words)
+    offsets = open_array(_part(path, "offsets.npy"), np.int64, (None,))
+    if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
+        raise _unreadable(path, "index", f"offsets do not partition the {n} rows")
+    centroids = open_array(_part(path, "centroids.npy"), np.float64, (len(offsets) - 1, dim))
+    row_record_ids = open_array(_part(path, "row_record_ids.npy"), np.int64, (n,))
+    if not np.array_equal(np.sort(row_record_ids), np.arange(n)):
+        raise _unreadable(path, "index", f"row_record_ids are not a permutation of 0..{n - 1}")
+    return IvfIndex(matrix, row_record_ids, offsets, centroids, sentence_ids, words)

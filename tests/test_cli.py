@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -20,6 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -32,6 +34,7 @@ from ragner.config import load_config
 from ragner.corpus import EntitySpan, LabeledSentence, write_sentences_jsonl
 from ragner.embedder import CACHE_ARRAYS, CACHE_TEXTS
 from ragner.errors import ConfigError
+from ragner.vector_index import load_index
 
 from helpers import write_embedding_file
 
@@ -403,6 +406,8 @@ def test_missing_config_file_fails(proj):
      "[retriever] config: seed must fit in a signed 64-bit integer"),
     ("retriever.seed=-9223372036854775809", "ConfigError",
      "[retriever] config: seed must fit in a signed 64-bit integer"),
+    pytest.param("retriever.k=" + "[" * 20_000 + "]" * 20_000, "ConfigError",
+                 "cannot parse override value", id="retriever.k=too-deeply-nested"),
 ])
 @pytest.mark.parametrize("command", ["predict", "augment"])
 def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error, message, command):
@@ -447,6 +452,24 @@ def test_bad_jsonl_corpus_record_exits_2_with_one_json_line(tmp_path, record, er
     line = record if isinstance(record, bytes) else json.dumps(record).encode()
     dev.write_bytes(dev.read_bytes() + line + b"\n")
     result = run(["-c", ns.cfg, "ingest"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == error and message in doc["message"]
+
+
+@pytest.mark.parametrize("damaged, command, error, message", [
+    ("config.yaml", "ingest", "ConfigError", "cannot parse"),
+    ("data/embeddings.jsonl", "index", "FormatError", "invalid JSON"),
+])
+def test_too_deeply_nested_input_file_exits_2_with_one_json_line(tmp_path, damaged, command,
+                                                                  error, message):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    path = tmp_path / damaged
+    nested = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(path.read_bytes() + (b"extra: " if damaged.endswith(".yaml") else b"")
+                     + nested + b"\n")
+    result = run(["-c", ns.cfg, command], expect=2)
     [line] = result.stderr.strip().splitlines()
     doc = json.loads(line)
     assert doc["error"] == error and message in doc["message"]
@@ -668,10 +691,12 @@ def test_ablate_reruns_are_byte_identical(proj, tmp_path):
     assert str(tmp_path / "ablation_telemetry.json") not in manifest["outputs"]
 
 
-def test_full_chain_reruns_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("index_kind", ["flat", "ivf"])
+def test_full_chain_reruns_are_byte_identical(tmp_path, index_kind):
     """ingest ... evaluate and a 2-cell ablate, twice into a fresh out dir:
     every artifact and manifest comes out byte for byte the same."""
     ns = make_project(tmp_path)
+    kind = ["-S", f"retriever.index_kind={index_kind}"]
     grid = tmp_path / "grid.yaml"
     grid.write_text(yaml.safe_dump({"axes": {"retriever.mode": ["word-level", "sentence-level"]}}),
                     encoding="utf-8")
@@ -682,7 +707,7 @@ def test_full_chain_reruns_are_byte_identical(tmp_path):
                                ("retrieve", ["--input", ns.out / "corpus" / "test.jsonl"]),
                                ("augment", []), ("predict", []), ("evaluate", []),
                                ("ablate", ["--grid", grid])]:
-            run(["-c", ns.cfg, command, *extra])
+            run(["-c", ns.cfg, *kind, command, *extra])
         runs.append({p.relative_to(ns.out): p.read_bytes() for p in sorted(ns.out.rglob("*"))
                      if p.is_file() and not p.name.endswith("_telemetry.json")})
     assert runs[0].keys() == runs[1].keys()
@@ -692,6 +717,9 @@ def test_full_chain_reruns_are_byte_identical(tmp_path):
     assert hashed <= runs[0].keys()
     assert len(hashed) > 10
     assert [p for p in runs[0] if runs[0][p] != runs[1][p]] == []
+    ivf_parts = {Path("store", f"word_index.{name}.npy")
+                 for name in ("centroids", "offsets", "row_record_ids")}
+    assert (ivf_parts <= runs[0].keys()) == (index_kind == "ivf")
 
 
 def test_ablate_rejects_gridless_file(proj, tmp_path):
@@ -885,6 +913,59 @@ def test_store_without_cache_asks_for_reindex(tmp_path):
         assert err["error"] == "MissingArtifact"
         assert "no embedding cache" in err["message"]
         assert "re-run `ragner index`" in err["message"]
+
+
+def ragidx_flat_index(index) -> bytes:
+    """A flat word index in the RAGIDX binary that stores held before their
+    indexes became .npy files: magic, version 1, kind, has-words, dim and
+    count, then the sentence ids, the word table and the vectors."""
+    blobs = [w.encode("utf-8") for w in index.words]
+    return b"".join([
+        b"RAGIDX", struct.pack("<IBBIQ", 1, 0, 1, index.dim, len(index)),
+        np.asarray(index.sentence_ids, dtype="<i8").tobytes(),
+        np.asarray([len(b) for b in blobs], dtype="<u4").tobytes(), *blobs,
+        np.asarray(index.matrix, dtype="<f8").tobytes(),
+    ])
+
+
+@pytest.mark.parametrize("new_parts", ["kept", "removed"])
+def test_store_in_the_old_index_format_asks_for_reindex(tmp_path, new_parts):
+    ns = indexed_project(tmp_path)
+    store = ns.out / "store"
+    manifest_path = ns.out / "manifests" / "index.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    path = store / "word_index.bin"
+    path.write_bytes(ragidx_flat_index(load_index(path)))
+    doc["outputs"][str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    if new_parts == "removed":  # as the store was written then
+        for part in ("word_index.json", "word_index.sentence_ids.npy"):
+            (store / part).unlink()
+            del doc["outputs"][str(store / part)]
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["predict"], ["augment"], ["retrieve", "--text", TEST[0].text]):
+        result = run(["-c", ns.cfg, *command], expect=2)
+        [line] = result.stderr.strip().splitlines()
+        err = json.loads(line)
+        assert err["error"] == "FormatError"
+        assert "word_index.bin: unreadable index" in err["message"]
+        assert "re-run `ragner index`" in err["message"]
+
+
+@pytest.mark.parametrize("first, then", [("ivf", "flat"), ("flat", "ivf")])
+def test_reindex_under_another_index_kind_reads_no_stale_file(tmp_path, first, then):
+    for name in ("reused", "fresh"):
+        (tmp_path / name).mkdir()
+    reused, fresh = make_project(tmp_path / "reused"), make_project(tmp_path / "fresh")
+    run(["-c", reused.cfg, "ingest"])
+    run(["-c", reused.cfg, "-S", f"retriever.index_kind={first}", "index"])
+    run(["-c", fresh.cfg, "ingest"])
+    for ns in (reused, fresh):
+        run(["-c", ns.cfg, "-S", f"retriever.index_kind={then}", "index"])
+        run(["-c", ns.cfg, "-S", f"retriever.index_kind={then}", "predict"])
+    predictions = [(ns.out / "predictions.jsonl").read_bytes() for ns in (reused, fresh)]
+    assert predictions[0] and predictions[0] == predictions[1]
+    assert sorted(p.name for p in (reused.out / "store").iterdir()) == \
+        sorted(p.name for p in (fresh.out / "store").iterdir())
 
 
 @pytest.mark.parametrize("axes, builds", [

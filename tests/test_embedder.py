@@ -250,6 +250,7 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
     fail_status = 503
     sleep = 0.0
     mode = "ok"
+    garbage = b"<html>oops</html>"
     requests_seen: list[dict] = []
 
     def do_POST(self):
@@ -272,7 +273,7 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.end_headers()
-            self.wfile.write(b"<html>oops</html>")
+            self.wfile.write(type(self).garbage)
             return
         record = encoding_record(body["text"].split(), dim=4)
         self.send_response(200)
@@ -290,6 +291,7 @@ def embedding_server():
     _EmbeddingHandler.fail_status = 503
     _EmbeddingHandler.sleep = 0.0
     _EmbeddingHandler.mode = "ok"
+    _EmbeddingHandler.garbage = b"<html>oops</html>"
     _EmbeddingHandler.requests_seen = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -333,8 +335,10 @@ def test_remote_provider_client_error_fails_fast(embedding_server):
 def test_remote_provider_non_json_response(embedding_server):
     _EmbeddingHandler.mode = "garbage"
     provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0)
-    with pytest.raises(FormatError):
-        provider.encode("hello")
+    for garbage in (b"<html>oops</html>", b"[" * 100_000 + b"]" * 100_000):
+        _EmbeddingHandler.garbage = garbage
+        with pytest.raises(FormatError, match="non-JSON response"):
+            provider.encode("hello")
 
 
 def test_remote_provider_retries_429(embedding_server):

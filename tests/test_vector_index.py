@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from ragner.errors import (
     DimensionMismatch,
     EmptyCollection,
     FormatError,
+    MissingArtifact,
     NlistTooLarge,
-    VersionMismatch,
 )
 from ragner.vector_index import (
     FlatIndex,
@@ -243,8 +245,8 @@ def test_ivf_separates_well_separated_blobs():
     matrix = np.stack(rows)
     ivf = ivf_from_matrix(matrix, sentence_ids=list(range(40)), words=None, nlist=2, seed=19)
 
-    postings = ivf.postings
-    groups = [set(map(int, p)) for p in postings]
+    offsets = ivf.offsets.tolist()
+    groups = [set(ivf.row_record_ids[lo:hi].tolist()) for lo, hi in zip(offsets, offsets[1:])]
     blob0 = {i for i, m in enumerate(membership) if m == 0}
     blob1 = {i for i, m in enumerate(membership) if m == 1}
     assert {frozenset(g) for g in groups} == {frozenset(blob0), frozenset(blob1)}
@@ -278,11 +280,33 @@ def test_ivf_grouped_rows_map_back_to_records():
     rng = np.random.default_rng(31)
     matrix = unit_rows(rng, 60, 8)
     ivf = word_ivf(matrix, nlist=5, seed=31)
-    assert np.array_equal(ivf.record_order_matrix(), matrix)
+    record_order = np.empty_like(ivf.grouped)
+    record_order[ivf.row_record_ids] = ivf.grouped
+    assert np.array_equal(record_order, matrix)
     assert sorted(map(int, ivf.row_record_ids)) == list(range(60))
 
 
 # --- persistence ----------------------------------------------------------------
+
+
+def saved_ivf(tmp_path, n: int = 12, nlist: int = 3, seed: int = 53):
+    """A saved IVF word index over n random rows: (path of its matrix, index)."""
+    index = word_ivf(unit_rows(np.random.default_rng(seed), n, 4), nlist=nlist, seed=seed)
+    path = tmp_path / "word_index.bin"
+    save_index(index, path)
+    return path, index
+
+
+def part(path, name):
+    """The file of an index part, beside the matrix file at `path`."""
+    return path.with_name(f"{path.stem}.{name}")
+
+
+IVF_PARTS = ["", "sentence_ids.npy", "centroids.npy", "offsets.npy", "row_record_ids.npy", "json"]
+
+
+def part_path(path, name):
+    return path if name == "" else part(path, name)
 
 
 def test_save_load_flat_round_trip(tmp_path):
@@ -296,6 +320,7 @@ def test_save_load_flat_round_trip(tmp_path):
     assert np.array_equal(loaded.matrix, index.matrix)
     assert np.array_equal(loaded.sentence_ids, index.sentence_ids)
     assert loaded.words == index.words
+    assert all(isinstance(a.base, np.memmap) for a in (loaded.matrix, loaded.sentence_ids))
     q = unit_rows(rng, 1, 6)[0]
     assert loaded.search(q, 5) == index.search(q, 5)
 
@@ -308,13 +333,11 @@ def test_save_load_ivf_round_trip(tmp_path):
     save_index(index, path)
     loaded = load_index(path)
     assert isinstance(loaded, IvfIndex)
-    assert np.array_equal(loaded.centroids, index.centroids)
-    assert np.array_equal(loaded.row_record_ids, index.row_record_ids)
-    assert np.array_equal(loaded.grouped, index.grouped)
-    assert np.array_equal(loaded.offsets, index.offsets)
+    arrays = ("grouped", "sentence_ids", "centroids", "offsets", "row_record_ids")
+    for name in arrays:
+        assert np.array_equal(getattr(loaded, name), getattr(index, name)), name
+        assert isinstance(getattr(loaded, name).base, np.memmap), name
     assert loaded.words == index.words
-    assert loaded.kmeans_iters == index.kmeans_iters
-    assert loaded.seed == index.seed
     q = unit_rows(rng, 1, 6)[0]
     for nprobe in (1, 3, 6):
         assert loaded.search(q, 9, nprobe=nprobe) == index.search(q, 9, nprobe=nprobe)
@@ -330,63 +353,139 @@ def test_save_load_sentence_records_have_no_words(tmp_path):
     assert load_index(path).words is None
 
 
+def test_load_reads_the_recorded_kind_not_the_files_present(tmp_path):
+    path, ivf = saved_ivf(tmp_path)
+    stale = {name: part(path, name).read_bytes() for name in IVF_PARTS[2:5]}
+    flat = word_flat(unit_rows(np.random.default_rng(1), 12, 4))
+    save_index(flat, path)
+    assert not any(part(path, name).exists() for name in stale)
+    for name, data in stale.items():  # IVF files put back beside the flat index
+        part(path, name).write_bytes(data)
+    loaded = load_index(path)
+    assert isinstance(loaded, FlatIndex) and np.array_equal(loaded.matrix, flat.matrix)
+    save_index(ivf, path)
+    assert isinstance(load_index(path), IvfIndex)
+
+
+def test_saving_over_a_loaded_index_leaves_it_its_own_arrays(tmp_path):
+    path, index = saved_ivf(tmp_path)
+    loaded = load_index(path)
+    save_index(word_flat(unit_rows(np.random.default_rng(2), 5, 4)), path)
+    for name in ("grouped", "sentence_ids", "centroids", "offsets", "row_record_ids"):
+        assert np.array_equal(getattr(loaded, name), getattr(index, name)), name
+    assert len(load_index(path)) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "word_index.bin", "word_index.json", "word_index.sentence_ids.npy"]
+
+
+def test_load_rejects_a_missing_part(tmp_path):
+    path, _ = saved_ivf(tmp_path)
+    for name in IVF_PARTS:
+        data = part_path(path, name).read_bytes()
+        part_path(path, name).unlink()
+        with pytest.raises(MissingArtifact, match="re-run `ragner index`"):
+            load_index(path)
+        part_path(path, name).write_bytes(data)
+
+
 def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTIDX" + b"\x00" * 32)
-    with pytest.raises(FormatError, match="magic"):
-        load_index(path)
+    path, _ = saved_ivf(tmp_path)
+    for name in IVF_PARTS:
+        blob = part_path(path, name).read_bytes()
+        for garbage in (b"NOTIDX" + b"\x00" * 32, b"RAGIDX\x01\x00\x00\x00\x00\x01",
+                        b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe"):
+            part_path(path, name).write_bytes(garbage)
+            with pytest.raises(FormatError, match="re-run `ragner index`"):
+                load_index(path)
+        part_path(path, name).write_bytes(blob)
 
 
 def test_load_rejects_future_version(tmp_path):
-    rng = np.random.default_rng(47)
-    index = word_flat(unit_rows(rng, 3, 4))
-    path = tmp_path / "v2.bin"
-    save_index(index, path)
+    path, _ = saved_ivf(tmp_path)
     data = bytearray(path.read_bytes())
-    data[6] = 2  # version field follows the 6-byte magic
+    data[6] = 9  # the .npy format version follows its 6-byte magic
     path.write_bytes(bytes(data))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(FormatError, match="version"):
         load_index(path)
 
 
 def test_load_rejects_truncation_everywhere(tmp_path):
-    rng = np.random.default_rng(53)
-    index = word_ivf(unit_rows(rng, 12, 4), nlist=3, seed=53)
-    path = tmp_path / "full.bin"
-    save_index(index, path)
-    blob = path.read_bytes()
-    short = tmp_path / "short.bin"
-    # cut at several depths: header, ids, words, vectors, ivf tail
-    for cut in (4, 10, 30, 120, len(blob) - 3):
-        short.write_bytes(blob[:cut])
-        with pytest.raises(FormatError):
-            load_index(short)
+    path, _ = saved_ivf(tmp_path)
+    for name in IVF_PARTS:
+        blob = part_path(path, name).read_bytes()
+        # cut in the magic, the header and the data, or only the last byte
+        # (the JSON part's last byte is its newline: cut the one before)
+        for cut in (0, 4, 30, len(blob) - 9, len(blob.rstrip(b"\n")) - 1):
+            part_path(path, name).write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                load_index(path)
+        part_path(path, name).write_bytes(blob)
+    load_index(path)
 
 
 def test_load_rejects_trailing_bytes(tmp_path):
-    rng = np.random.default_rng(59)
-    for build in (word_flat, lambda matrix: word_ivf(matrix, nlist=2, seed=59)):
-        index = build(unit_rows(rng, 8, 4))
-        path = tmp_path / "trail.bin"
-        save_index(index, path)
-        path.write_bytes(path.read_bytes() + b"x")
+    path, _ = saved_ivf(tmp_path)
+    for name in IVF_PARTS[:-1]:
+        blob = part_path(path, name).read_bytes()
+        part_path(path, name).write_bytes(blob + b"x" * 8)
         with pytest.raises(FormatError, match="trailing"):
+            load_index(path)
+        part_path(path, name).write_bytes(blob)
+
+
+@pytest.mark.parametrize("name, array", [
+    ("", np.zeros((12, 4), dtype=np.float32)),
+    ("", np.zeros((12, 4), dtype=">f8")),
+    ("", np.zeros(48)),
+    ("sentence_ids.npy", np.zeros(12, dtype=np.int32)),
+    ("sentence_ids.npy", np.zeros((12, 1), dtype=np.int64)),
+    ("centroids.npy", np.zeros((3, 5))),
+    ("centroids.npy", np.zeros((4, 4))),
+    ("offsets.npy", np.array([0, 4, 8, 12], dtype=np.uint64)),
+    ("row_record_ids.npy", np.arange(12, dtype=np.uint32)),
+])
+def test_load_rejects_a_wrong_dtype_or_shape(tmp_path, name, array):
+    path, _ = saved_ivf(tmp_path)
+    with open(part_path(path, name), "wb") as fh:
+        np.save(fh, array)
+    with pytest.raises(FormatError, match="expected"):
+        load_index(path)
+
+
+def test_load_rejects_parts_of_different_lengths(tmp_path):
+    path, index = saved_ivf(tmp_path)
+    with open(part(path, "sentence_ids.npy"), "wb") as fh:
+        np.save(fh, index.sentence_ids[:-1])
+    with pytest.raises(FormatError, match="expected int64 \\(12,\\)"):
+        load_index(path)
+    path, index = saved_ivf(tmp_path)
+    for doc in ({"kind": "ivf", "words": index.words[:-1]}, {"kind": "ivf", "words": [1] * 12},
+                {"kind": "hnsw", "words": None}, ["flat"]):
+        part(path, "json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FormatError):
             load_index(path)
 
 
 def test_load_rejects_postings_that_are_not_a_permutation(tmp_path):
-    rng = np.random.default_rng(61)
-    index = word_ivf(unit_rows(rng, 12, 4), nlist=3, seed=61)
-    path = tmp_path / "ivf.bin"
-    save_index(index, path)
-    blob = path.read_bytes()
-    ids = np.frombuffer(blob[-4 * 12:], dtype="<u4").copy()
-    for bad in (ids[0], 12):  # a duplicated record id, then one out of range
+    path, index = saved_ivf(tmp_path)
+    ids = index.row_record_ids
+    for bad in (ids[0], 12, -1):  # a duplicated record id, then two out of range
         corrupt = ids.copy()
         corrupt[1] = bad
-        path.write_bytes(blob[: -4 * 12] + corrupt.astype("<u4").tobytes())
+        with open(part(path, "row_record_ids.npy"), "wb") as fh:
+            np.save(fh, corrupt)
         with pytest.raises(FormatError, match="permutation"):
             load_index(path)
+
+
+@pytest.mark.parametrize("offsets", [[0, 4, 8, 11], [1, 4, 8, 12], [0, 8, 4, 12], [0, 12, 12, 13],
+                                     [0]])
+def test_load_rejects_offsets_that_do_not_partition_the_rows(tmp_path, offsets):
+    path, _ = saved_ivf(tmp_path)
+    with open(part(path, "offsets.npy"), "wb") as fh:
+        np.save(fh, np.array(offsets, dtype=np.int64))
+    with pytest.raises(FormatError, match="partition"):
+        load_index(path)
 
 
 # --- batched search -----------------------------------------------------------------

@@ -326,6 +326,30 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     write_manifest(cfg, "evaluate", [pred_path, gold_file], [out_path])
 
 
+def _grid_cells(grid_path: str) -> list[dict]:
+    """The cells of a grid file, `{axes: {dotted.key: [values]}}` or
+    `{cells: [{dotted.key: value}]}`."""
+    try:
+        doc = yaml.safe_load(Path(grid_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse grid file {grid_path}: {exc}") from exc
+    if not isinstance(doc, dict) or not ("axes" in doc or "cells" in doc):
+        raise ConfigError(f"{grid_path}: grid file needs an 'axes' or 'cells' key")
+    if "axes" in doc:
+        axes = doc["axes"]
+        if not isinstance(axes, dict) or not all(
+            isinstance(key, str) and isinstance(values, list) for key, values in axes.items()
+        ):
+            raise ConfigError(f"{grid_path}: axes must map each dotted key to a list of values")
+        return expand_grid(axes)
+    cells = doc["cells"]
+    if not isinstance(cells, list) or not all(
+        isinstance(cell, dict) and all(isinstance(key, str) for key in cell) for cell in cells
+    ):
+        raise ConfigError(f"{grid_path}: cells must be a list of mappings from dotted keys")
+    return cells
+
+
 @main.command()
 @click.option("--grid", "grid_path", type=click.Path(exists=True), required=True,
               help="YAML/JSON grid: {axes: {dotted.key: [values]}} or {cells: [...]}.")
@@ -338,14 +362,7 @@ def ablate(cfg: RunConfig, grid_path, output_path):
     Exits 2 after writing the table when no cell succeeds."""
     from . import pipeline
 
-    doc = yaml.safe_load(Path(grid_path).read_text(encoding="utf-8")) or {}
-    if "axes" in doc:
-        cells = expand_grid(doc["axes"])
-    elif "cells" in doc:
-        cells = [dict(c) for c in doc["cells"]]
-    else:
-        raise ConfigError(f"{grid_path}: grid file needs an 'axes' or 'cells' key")
-    results = run_ablation(cells, pipeline.make_ablation_runner(cfg))
+    results = run_ablation(_grid_cells(grid_path), pipeline.make_ablation_runner(cfg))
     click.echo(format_ablation(results))
     out_path = Path(output_path) if output_path else cfg.paths.out_path("ablation.json")
     out_path.parent.mkdir(parents=True, exist_ok=True)

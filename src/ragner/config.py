@@ -2,9 +2,11 @@
 stable fingerprint that ties every artifact back to the exact settings
 that produced it.
 
-Section defaults for retriever/generator/augment come straight from
-their dataclasses, which live here so that reading a config imports
-nothing beyond errors and yaml. A seed left as null in the
+Each section's dataclass is the one declaration of its keys, defaults
+and types; the dataclasses live here so that reading a config imports
+nothing beyond errors and yaml. Every value is checked against its
+field's annotation before the dataclass is built, and `__post_init__`
+checks only ranges and allowed values. A seed left as null in the
 retriever/store/augment sections inherits the global seed.
 """
 
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -58,13 +62,11 @@ class RetrieverConfig:
             raise ValueError("per_word_k must be >= 1")
         if self.nprobe is not None and self.nprobe < 1:
             raise ValueError("nprobe must be >= 1")
-        if self.nlist is not None and type(self.nlist) is not int:
-            raise ValueError(f"nlist must be an integer or null, got {self.nlist!r}")
-        for name in ("kmeans_iters", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not -(2**63) <= self.seed < 2**63:
             raise ValueError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
+        if self.index_kind == "ivf" and self.seed < 0:
+            # k-means draws its initial centroids from np.random.default_rng(seed)
+            raise ValueError(f"an ivf index needs a non-negative seed, got {self.seed}")
         for value, allowed, name in (
             (self.mode, _MODES, "mode"),
             (self.store_words, _STORE_WORDS, "store_words"),
@@ -147,53 +149,6 @@ class AugmentConfig:
         return self.min_removed, upper
 
 
-def _defaults() -> dict:
-    retriever = asdict(RetrieverConfig())
-    retriever["seed"] = None
-    augment = asdict(AugmentConfig())
-    augment["seed"] = None
-    return {
-        "seed": 0,
-        "paths": {
-            "corpus_train": None,
-            "corpus_dev": None,
-            "corpus_test": None,
-            "schema": None,
-            "out_dir": "out",
-        },
-        "embedder": {
-            "provider": "precomputed-file",
-            "model_name": "bge-base-en",
-            "dimension": 768,
-            "stopwords_file": None,
-            "precomputed_path": None,
-            "endpoint": None,
-            "timeout": 10.0,
-            "max_retries": 2,
-            "max_in_flight": 4,
-        },
-        "store": {
-            "source_splits": ["train", "dev"],
-            "size": None,
-            "seed": None,
-            "modes": ["word-level", "sentence-level"],
-        },
-        "retriever": retriever,
-        "generator": asdict(GeneratorSpec()),
-        "augment": augment,
-        "prompt": {
-            "template_id": "default-v1",
-            "template_file": None,
-            "task_description": None,
-        },
-        "eval": {
-            "grounding": "strict",
-            "dedupe": False,
-            "match_mode": "multiset",
-        },
-    }
-
-
 def _merge(base: dict, user: dict, trail: str = "") -> dict:
     out = dict(base)
     for key, value in user.items():
@@ -241,11 +196,11 @@ def set_key(doc: dict, dotted: str, value) -> None:
 
 @dataclass(frozen=True)
 class PathsConfig:
-    corpus_train: str | None
-    corpus_dev: str | None
-    corpus_test: str | None
-    schema: str | None
-    out_dir: str
+    corpus_train: str | None = None
+    corpus_dev: str | None = None
+    corpus_test: str | None = None
+    schema: str | None = None
+    out_dir: str = "out"
 
     def out_path(self, *parts: str) -> Path:
         return Path(self.out_dir).joinpath(*parts)
@@ -253,55 +208,56 @@ class PathsConfig:
 
 @dataclass(frozen=True)
 class EmbedderConfig:
-    provider: str
-    model_name: str
-    dimension: int
-    stopwords_file: str | None
-    precomputed_path: str | None
-    endpoint: str | None
-    timeout: float
-    max_retries: int
-    max_in_flight: int
+    provider: str = "precomputed-file"
+    model_name: str = "bge-base-en"
+    dimension: int = 768
+    stopwords_file: str | None = None
+    precomputed_path: str | None = None
+    endpoint: str | None = None
+    timeout: float = 10.0
+    max_retries: int = 2
+    max_in_flight: int = 4
 
     def __post_init__(self):
         if self.provider not in _PROVIDERS:
             raise ValueError(f"provider must be one of {_PROVIDERS}, got {self.provider!r}")
-        if type(self.dimension) is not int or self.dimension < 1:
+        if self.dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
 
 
 @dataclass(frozen=True)
 class StoreConfig:
-    source_splits: tuple[str, ...]
-    size: int | None
-    seed: int
-    modes: tuple[str, ...]
+    source_splits: tuple[str, ...] = ("train", "dev")
+    size: int | None = None
+    seed: int = 0
+    modes: tuple[str, ...] = _MODES
 
     def __post_init__(self):
-        for name in ("source_splits", "modes"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-                raise ValueError(f"{name} must be a list of strings, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
         for mode in self.modes:
             if mode not in _MODES:
                 raise ValueError(f"unknown mode {mode!r}")
-        if self.size is not None and (type(self.size) is not int or self.size < 0):
+        if self.size is not None and self.size < 0:
             raise ValueError(f"size must be a non-negative integer or null, got {self.size!r}")
 
 
 @dataclass(frozen=True)
 class PromptConfig:
-    template_id: str
-    template_file: str | None
-    task_description: str | None
+    template_id: str = "default-v1"
+    template_file: str | None = None
+    task_description: str | None = None
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    grounding: str
-    dedupe: bool
-    match_mode: str
+    grounding: str = "strict"
+    dedupe: bool = False
+    match_mode: str = "multiset"
+
+    def __post_init__(self):
+        if self.grounding not in ("off", "strict"):
+            raise ValueError("grounding must be 'off' or 'strict'")
+        if self.match_mode not in ("multiset", "positional"):
+            raise ValueError("match_mode must be 'multiset' or 'positional'")
 
 
 @dataclass(frozen=True)
@@ -337,40 +293,65 @@ def fingerprint(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+_SECTIONS = {"paths": PathsConfig, "embedder": EmbedderConfig, "store": StoreConfig,
+             "retriever": RetrieverConfig, "generator": GeneratorSpec, "augment": AugmentConfig,
+             "prompt": PromptConfig, "eval": EvalConfig}
+_SEEDED = ("retriever", "store", "augment")
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+          tuple: "a list of strings"}
+
+
+def _defaults() -> dict:
+    doc = {"seed": 0}
+    for name, cls in _SECTIONS.items():
+        # YAML has no tuples: a tuple[str, ...] default is a list in the raw document
+        doc[name] = {key: list(value) if isinstance(value, tuple) else value
+                     for key, value in asdict(cls()).items()}
+    for name in _SEEDED:
+        doc[name]["seed"] = None
+    return doc
+
+
+def _fits(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is tuple:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _checked(cls, values: dict, where: str) -> dict:
+    """`values` checked against `cls`'s field annotations (`int`, `float`,
+    `str`, `bool`, `X | None`, `tuple[str, ...]`), lists made tuples."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for key, value in values.items():
+        hint = hints[key]
+        nullable = isinstance(hint, types.UnionType)
+        kind = typing.get_args(hint)[0] if nullable else (typing.get_origin(hint) or hint)
+        if not ((value is None and nullable) or _fits(value, kind)):
+            null = " or null" if nullable else ""
+            raise ConfigError(f"{where}: {key} must be {_KINDS[kind]}{null}, got {value!r}")
+        out[key] = tuple(value) if kind is tuple else value
+    return out
+
+
 def _build_section(cls, section: dict, name: str):
+    fields = _checked(cls, section, f"bad [{name}] config")
     try:
-        return cls(**section)
-    except (TypeError, ValueError) as exc:
+        return cls(**fields)
+    except ValueError as exc:
         raise ConfigError(f"bad [{name}] config: {exc}") from exc
 
 
 def resolve(doc: dict) -> RunConfig:
     """Turn a merged plain-dict config into validated dataclasses."""
-    seed = doc["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    for section in ("retriever", "store", "augment"):
-        if doc[section].get("seed") is None:
-            doc[section]["seed"] = seed
-
-    eval_raw = doc["eval"]
-    if eval_raw["grounding"] not in ("off", "strict"):
-        raise ConfigError("bad [eval] config: grounding must be 'off' or 'strict'")
-    if eval_raw["match_mode"] not in ("multiset", "positional"):
-        raise ConfigError("bad [eval] config: match_mode must be 'multiset' or 'positional'")
-
-    return RunConfig(
-        raw=doc,
-        seed=seed,
-        paths=_build_section(PathsConfig, doc["paths"], "paths"),
-        embedder=_build_section(EmbedderConfig, doc["embedder"], "embedder"),
-        store=_build_section(StoreConfig, doc["store"], "store"),
-        retriever=_build_section(RetrieverConfig, doc["retriever"], "retriever"),
-        generator=_build_section(GeneratorSpec, doc["generator"], "generator"),
-        augment=_build_section(AugmentConfig, doc["augment"], "augment"),
-        prompt=_build_section(PromptConfig, doc["prompt"], "prompt"),
-        eval=_build_section(EvalConfig, doc["eval"], "eval"),
-    )
+    seed = _checked(RunConfig, {"seed": doc["seed"]}, "bad config")["seed"]
+    for name in _SEEDED:
+        if doc[name]["seed"] is None:
+            doc[name]["seed"] = seed
+    sections = {name: _build_section(cls, doc[name], name) for name, cls in _SECTIONS.items()}
+    return RunConfig(raw=doc, seed=seed, **sections)
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:

@@ -397,7 +397,7 @@ def test_missing_config_file_fails(proj):
     ("store.modes=word-level", "ConfigError", "[store] config: modes must be a list of strings"),
     ("embedder.provider=bogus", "ConfigError", "[embedder] config: provider must be one of"),
     ("embedder.dimension=0", "ConfigError", "[embedder] config: dimension must be a positive"),
-    ("store.size=abc", "ConfigError", "[store] config: size must be a non-negative integer"),
+    ("store.size=abc", "ConfigError", "[store] config: size must be an integer or null"),
     ("retriever.nlist=abc", "ConfigError", "[retriever] config: nlist must be an integer or null"),
     ("retriever.nlist=true", "ConfigError", "[retriever] config: nlist must be an integer or null"),
     ("retriever.kmeans_iters=abc", "ConfigError", "[retriever] config: kmeans_iters must be an integer"),
@@ -406,6 +406,19 @@ def test_missing_config_file_fails(proj):
      "[retriever] config: seed must fit in a signed 64-bit integer"),
     ("retriever.seed=-9223372036854775809", "ConfigError",
      "[retriever] config: seed must fit in a signed 64-bit integer"),
+    ("retriever.exclude_self=abc", "ConfigError",
+     "[retriever] config: exclude_self must be true or false, got 'abc'"),
+    ("retriever.k=true", "ConfigError", "[retriever] config: k must be an integer, got True"),
+    ("generator.max_tokens=abc", "ConfigError", "[generator] config: max_tokens must be an integer"),
+    ("generator.timeout=abc", "ConfigError", "[generator] config: timeout must be a number"),
+    ("generator.mock_delay=abc", "ConfigError", "[generator] config: mock_delay must be a number"),
+    ("augment.seed=abc", "ConfigError", "[augment] config: seed must be an integer"),
+    ("augment.dropout_fraction=true", "ConfigError",
+     "[augment] config: dropout_fraction must be a number, got True"),
+    ("store.seed=abc", "ConfigError", "[store] config: seed must be an integer"),
+    ("eval.dedupe=abc", "ConfigError", "[eval] config: dedupe must be true or false"),
+    ("paths.out_dir=null", "ConfigError", "[paths] config: out_dir must be a string, got None"),
+    ("seed=true", "ConfigError", "bad config: seed must be an integer, got True"),
     pytest.param("retriever.k=" + "[" * 20_000 + "]" * 20_000, "ConfigError",
                  "cannot parse override value", id="retriever.k=too-deeply-nested"),
 ])
@@ -427,6 +440,19 @@ def test_ivf_index_with_a_seed_beyond_64_bits_exits_2(tmp_path):
     [line] = result.stderr.strip().splitlines()
     doc = json.loads(line)
     assert doc["error"] == "ConfigError" and "seed must fit in a signed 64-bit" in doc["message"]
+
+
+def test_ivf_index_with_a_negative_seed_exits_2(tmp_path):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    result = run(["-c", ns.cfg, "-S", "retriever.index_kind=ivf", "-S", "retriever.seed=-1",
+                  "index"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError"
+    assert "[retriever] config: an ivf index needs a non-negative seed, got -1" in doc["message"]
+    # a flat index takes any seed in the 64-bit range
+    run(["-c", ns.cfg, "-S", "retriever.seed=-1", "index"])
 
 
 @pytest.mark.parametrize("record, error, message", [
@@ -729,6 +755,29 @@ def test_ablate_rejects_gridless_file(proj, tmp_path):
     err = error_payload(result)
     assert err["error"] == "ConfigError"
     assert "grid file needs an 'axes' or 'cells' key" in err["message"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("axes: [unclosed", "cannot parse grid file"),
+    ("axes: 3", "axes must map each dotted key to a list of values"),
+    ("axes: {retriever.k: 3}", "axes must map each dotted key to a list of values"),
+    ("axes: {1: [2], retriever.k: [3]}", "axes must map each dotted key to a list of values"),
+    ("cells: 3", "cells must be a list of mappings from dotted keys"),
+    ("cells: [3]", "cells must be a list of mappings from dotted keys"),
+    ("cells: [{1: 2, retriever.k: 3}]", "cells must be a list of mappings from dotted keys"),
+    ("3", "grid file needs an 'axes' or 'cells' key"),
+    ("xaxesx", "grid file needs an 'axes' or 'cells' key"),
+])
+def test_ablate_rejects_malformed_grid_file(proj, tmp_path, text, message):
+    grid = tmp_path / "grid.yaml"
+    grid.write_text(text, encoding="utf-8")
+    result = run(["-c", proj.cfg, "ablate", "--grid", grid, "--output", tmp_path / "a.json"],
+                 expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError"
+    assert str(grid) in doc["message"] and message in doc["message"]
+    assert not (tmp_path / "a.json").exists()
 
 
 # --- upstream verification ---------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 from .config import AugmentConfig, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
 from .errors import RagnerError
-from .promptkit import DEFAULT_TASK_DESCRIPTION, DEFAULT_TEMPLATE_ID, build_prompt, render_output
+from .promptkit import PromptTemplate, build_prompt, order_examples, render_output
 from .retriever import ExampleStore, retrieve
 
 logger = logging.getLogger(__name__)
@@ -105,19 +105,18 @@ def build_finetune_dataset(
     store: ExampleStore,
     cfg: AugmentConfig,
     retriever_cfg: RetrieverConfig,
-    schema: EntitySchema | None = None,
-    template_id: str = DEFAULT_TEMPLATE_ID,
-    template_text: str | None = None,
-    task_description: str = DEFAULT_TASK_DESCRIPTION,
+    template: PromptTemplate = PromptTemplate(),
     skipped: list[tuple[int, str]] | None = None,
 ) -> Iterator[FinetuneRecord]:
     """Yield FinetuneRecords for the finetune split, in sentence order.
 
-    Output size is len(sentences) * (1 + dropout_fraction) within
-    rounding. Sentences whose retrieval or rendering fails are logged,
-    appended to `skipped` when given, and omitted.
+    Each prompt is the one `predict` renders for the sentence, under the
+    record's own schema. Output size is len(sentences) * (1 +
+    dropout_fraction) within rounding. Sentences whose retrieval or
+    rendering fails are logged, appended to `skipped` when given, and
+    omitted.
     """
-    schema = schema if schema is not None else store.schema
+    schema = store.schema
     if cfg.dropout_fraction > 0:
         cfg.removal_bounds(len(schema))  # fail fast on 1-type schemas
     ids = [s.id for s in sentences]
@@ -132,10 +131,7 @@ def build_finetune_dataset(
         try:
             if isinstance(examples, RagnerError):
                 raise examples
-            example_gold = [
-                (store.by_id[ex.sentence_id], gold_output(store.by_id[ex.sentence_id], schema))
-                for ex in reversed(examples)  # most similar example last, next to the query
-            ]
+            example_gold = order_examples(examples, store)
             gold = gold_output(sentence, schema)
         except RagnerError as exc:
             logger.warning("skipping sentence %d: %s", sentence.id, exc)
@@ -152,8 +148,7 @@ def build_finetune_dataset(
             permutation = base_schema.names
 
         yield _render_record(
-            sentence, base_schema, example_gold, gold, transforms, (), permutation,
-            template_id, template_text, task_description,
+            sentence, base_schema, example_gold, gold, transforms, (), permutation, template
         )
 
         if sentence.id in dropout_ids:
@@ -163,8 +158,7 @@ def build_finetune_dataset(
             yield _render_record(
                 sentence, reduced_schema, example_gold, reduced_gold,
                 transforms + ("dropout",), removed,
-                reduced_schema.names if permutation is not None else None,
-                template_id, template_text, task_description,
+                reduced_schema.names if permutation is not None else None, template,
             )
 
 
@@ -176,19 +170,10 @@ def _render_record(
     transforms: tuple[str, ...],
     removed: tuple[str, ...],
     permutation: tuple[str, ...] | None,
-    template_id: str,
-    template_text: str | None,
-    task_description: str,
+    template: PromptTemplate,
 ) -> FinetuneRecord:
     examples = [(s, out.restricted_to(schema)) for s, out in example_gold]
-    prompt = build_prompt(
-        schema,
-        examples,
-        sentence.text,
-        template_id=template_id,
-        template_text=template_text,
-        task_description=task_description,
-    )
+    prompt = build_prompt(schema, examples, sentence.text, template)
     return FinetuneRecord(
         prompt=prompt.rendered,
         completion=render_output(gold.restricted_to(schema)),

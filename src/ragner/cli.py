@@ -26,24 +26,22 @@ import yaml
 from .config import RunConfig, load_config
 from .corpus import (
     LabeledSentence,
-    NerOutput,
-    gold_output,
+    load_corpus,
     load_schema,
     load_split_file,
-    load_splits,
+    read_jsonl,
     read_sentences_jsonl,
     select_store_split,
     write_sentences_jsonl,
 )
 from .errors import AblationFailed, ConfigError, MissingArtifact, RagnerError
 from .evaluation import (
-    PredictionRecord,
     ablation_to_dict,
     expand_grid,
     format_ablation,
     format_report,
     run_ablation,
-    score,
+    score_rows,
     write_report_json,
 )
 from .manifest import verify_upstream, write_manifest
@@ -90,13 +88,7 @@ def main(ctx, config_path, overrides):
 @_handle_errors
 def ingest(cfg: RunConfig):
     """Parse corpus + schema files and persist the store/finetune split."""
-    if not cfg.paths.schema:
-        raise ConfigError("paths.schema is not configured")
-    schema = load_schema(cfg.paths.schema)
-    splits, warnings = load_splits(cfg)
-    for sentences in splits.values():
-        for s in sentences:
-            s.validate(schema)
+    splits, schema, warnings = load_corpus(cfg)
     split = select_store_split(splits, cfg)
 
     corpus_dir = cfg.paths.out_path("corpus")
@@ -152,19 +144,19 @@ def index(cfg: RunConfig):
     click.echo(f"indexed {len(sentences)} store sentences ({' + '.join(built)})")
 
 
-def _read_queries(cfg: RunConfig, input_path: str | None, texts: tuple[str, ...]):
-    queries = []
-    if input_path:
-        path = Path(input_path)
-        if path.suffix == ".jsonl":
-            queries.extend(read_sentences_jsonl(path))
-        else:
-            # ad-hoc BIO input gets negative ids so it can never collide
-            # with store sentence ids
-            sentences, _ = load_split_file(path)
-            for i, s in enumerate(sentences):
-                s.id = -(i + 1)
-            queries.extend(sentences)
+def _read_input(path: Path) -> list[LabeledSentence]:
+    """The sentences of an --input file: JSONL keeps its ids, and BIO input
+    gets negative ids, so that it can never collide with store sentence ids."""
+    if path.suffix == ".jsonl":
+        return read_sentences_jsonl(path)
+    sentences, _ = load_split_file(path)
+    for i, s in enumerate(sentences):
+        s.id = -(i + 1)
+    return sentences
+
+
+def _read_queries(input_path: str | None, texts: tuple[str, ...]) -> list[LabeledSentence]:
+    queries = _read_input(Path(input_path)) if input_path else []
     base = len(queries)
     for i, text in enumerate(texts):
         queries.append(LabeledSentence(id=-(base + i + 1), tokens=text.split()))
@@ -187,7 +179,7 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
 
     verify_upstream(cfg, "index")
     store = pipeline.load_store(cfg)
-    queries = _read_queries(cfg, input_path, texts)
+    queries = _read_queries(input_path, texts)
     entries = retrieve(queries, store, cfg.retriever)
     for entry in entries:
         if isinstance(entry, RagnerError):
@@ -210,7 +202,7 @@ def augment(cfg: RunConfig, output_path):
     """Generate the regularized finetune dataset from the finetune split."""
     from . import pipeline
     from .augment import build_finetune_dataset, write_finetune_jsonl
-    from .promptkit import resolve_template
+    from .promptkit import resolve_prompt
 
     verify_upstream(cfg, "ingest")
     verify_upstream(cfg, "index")
@@ -226,13 +218,7 @@ def augment(cfg: RunConfig, output_path):
     out_path.parent.mkdir(parents=True, exist_ok=True)
     skipped: list[tuple[int, str]] = []
     records = build_finetune_dataset(
-        finetune_sentences,
-        store,
-        cfg.augment,
-        cfg.retriever,
-        template_id=cfg.prompt.template_id,
-        template_text=resolve_template(cfg.prompt.template_id, cfg.prompt.template_file),
-        task_description=pipeline._task_description(cfg),
+        finetune_sentences, store, cfg.augment, cfg.retriever, resolve_prompt(cfg.prompt),
         skipped=skipped,
     )
     count = write_finetune_jsonl(records, out_path)
@@ -256,9 +242,7 @@ def predict(cfg: RunConfig, input_path, output_path):
     in_path = Path(input_path) if input_path else cfg.paths.out_path("corpus", "test.jsonl")
     if not in_path.exists():
         raise MissingArtifact(f"no input sentences at {in_path}")
-    sentences = read_sentences_jsonl(in_path) if in_path.suffix == ".jsonl" else \
-        load_split_file(in_path)[0]
-    outcome = pipeline.predict_sentences(sentences, store, cfg)
+    outcome = pipeline.predict_sentences(_read_input(in_path), store, cfg)
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("predictions.jsonl")
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -287,31 +271,8 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     pred_path = Path(predictions_path) if predictions_path else cfg.paths.out_path("predictions.jsonl")
     gold_file = Path(gold_path) if gold_path else cfg.paths.out_path("corpus", "test.jsonl")
     schema = load_schema(cfg.paths.out_path("schema.json"))
-    gold_by_id = {s.id: s for s in read_sentences_jsonl(gold_file)}
-
-    records = []
-    with open(pred_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            sentence = gold_by_id.get(doc["query_id"])
-            if sentence is None:
-                raise ConfigError(
-                    f"prediction {doc['query_id']} has no gold sentence in {gold_file}"
-                )
-            parsed = doc.get("parsed")
-            predicted = NerOutput(dict(parsed)) if parsed else NerOutput({})
-            records.append(
-                PredictionRecord(
-                    sentence_id=sentence.id,
-                    gold=gold_output(sentence, schema),
-                    predicted=predicted.restricted_to(schema),
-                    parse_failed=bool(doc.get("parse_failed")),
-                    sentence=sentence,
-                )
-            )
-    report = score(records, dedupe=cfg.eval.dedupe, match_mode=cfg.eval.match_mode)
+    gold = {s.id: s for s in read_sentences_jsonl(gold_file)}
+    report = score_rows(read_jsonl(pred_path), gold, schema, cfg.eval)
     click.echo(format_report(report, title=str(pred_path)))
     out_path = Path(output_path) if output_path else cfg.paths.out_path("report.json")
     write_report_json(

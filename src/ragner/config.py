@@ -361,9 +361,12 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        text = path.read_text(encoding="utf-8")
         try:
-            user = yaml.safe_load(text) or {}
+            user = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot parse {path}: not UTF-8: {exc}") from exc
         except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         if not isinstance(user, dict):

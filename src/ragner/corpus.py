@@ -363,26 +363,41 @@ def write_sentences_jsonl(sentences: Iterable[LabeledSentence], path: str | Path
             fh.write(json.dumps(sentence_to_dict(s), ensure_ascii=False) + "\n")
 
 
-def read_sentences_jsonl(path: str | Path) -> list[LabeledSentence]:
-    """Read the records `write_sentences_jsonl` writes, one per line; a line
-    that is not UTF-8 JSON of that shape raises FormatError naming path:line."""
-    sentences = []
-    with open(path, "rb") as fh:
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
+    """Each JSON value of a JSON-lines file with the `path:line` it came
+    from, blank lines skipped. A file that cannot be read raises
+    MissingArtifact, a line that is not UTF-8 JSON FormatError naming
+    path:line."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise MissingArtifact(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         for line_no, raw in enumerate(fh, start=1):
+            where = f"{path}:{line_no}"
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
+                raise FormatError(f"{where}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:
                 doc = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-                raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            try:
-                sentences.append(sentence_from_dict(doc))
-            except FormatError as exc:
-                raise FormatError(f"{path}:{line_no}: {exc}") from exc
+                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+            yield where, doc
+
+
+def read_sentences_jsonl(path: str | Path) -> list[LabeledSentence]:
+    """Read the records `write_sentences_jsonl` writes, one per line, as
+    `read_jsonl` does; a record of another shape raises FormatError naming
+    path:line."""
+    sentences = []
+    for where, doc in read_jsonl(path):
+        try:
+            sentences.append(sentence_from_dict(doc))
+        except FormatError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return sentences
 
 
@@ -404,13 +419,20 @@ def load_split_file(path: str | Path, id_base: int = 0) -> tuple[list[LabeledSen
     return sentences, warnings
 
 
-def load_splits(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]], ParseWarnings]:
-    """Load the configured corpus files with globally unique sentence ids.
+def load_corpus(
+    cfg: RunConfig,
+) -> tuple[dict[str, list[LabeledSentence]], EntitySchema, ParseWarnings]:
+    """The configured schema and corpus files, with globally unique sentence
+    ids and every span checked against the schema: what `ingest` persists
+    and what each ablation cell runs on.
 
     Ids run on across splits (train, then dev, then test), so store records
     and incoming queries can never collide on id and self-exclusion in the
     retriever stays sound.
     """
+    if not cfg.paths.schema:
+        raise ConfigError("paths.schema is not configured")
+    schema = load_schema(cfg.paths.schema)
     sources = (("train", cfg.paths.corpus_train), ("dev", cfg.paths.corpus_dev),
                ("test", cfg.paths.corpus_test))
     splits: dict[str, list[LabeledSentence]] = {}
@@ -426,7 +448,10 @@ def load_splits(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]], Parse
         splits[name] = sentences
     if not splits:
         raise ConfigError("no corpus files configured under [paths]")
-    return splits, warnings
+    for sentences in splits.values():
+        for s in sentences:
+            s.validate(schema)
+    return splits, schema, warnings
 
 
 def select_store_split(splits: dict[str, list[LabeledSentence]], cfg: RunConfig) -> CorpusSplit:

@@ -17,8 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import LabeledSentence, NerOutput
-from .errors import SchemaMismatch, SchemaMismatchAcrossRecords
+from .config import EvalConfig
+from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
+from .errors import ConfigError, FormatError, SchemaMismatch, SchemaMismatchAcrossRecords
 
 
 def normalize_surface(value: str) -> str:
@@ -192,6 +193,58 @@ def score(
         _type_diff(gold_ms, pred_ms, per_type)
     per_type = dict(sorted(per_type.items()))
     return EvalReport.from_counts(per_type, len(records), n_parse_failures)
+
+
+def _is_entries(parsed) -> bool:
+    return isinstance(parsed, dict) and all(
+        type(values) is list and all(type(v) is str for v in values)
+        for values in parsed.values()
+    )
+
+
+def _prediction_record(
+    where: str, doc, gold: Mapping[int, LabeledSentence], schema: EntitySchema
+) -> PredictionRecord:
+    def bad(reason: str) -> FormatError:
+        return FormatError(f"{where}: bad prediction row: {reason}")
+
+    if not isinstance(doc, dict):
+        raise bad("expected an object")
+    query_id, parsed = doc.get("query_id"), doc.get("parsed")
+    parse_failed = doc.get("parse_failed", False)
+    if type(query_id) is not int:
+        raise bad("query_id must be an integer")
+    if parsed is not None and not _is_entries(parsed):
+        raise bad("parsed must be null or map each type to a list of strings")
+    if type(parse_failed) is not bool:
+        raise bad("parse_failed must be true or false")
+    sentence = gold.get(query_id)
+    if sentence is None:
+        raise ConfigError(f"{where}: prediction {query_id} has no gold sentence")
+    return PredictionRecord(
+        sentence_id=sentence.id,
+        gold=gold_output(sentence, schema),
+        predicted=NerOutput(parsed or {}).restricted_to(schema),
+        parse_failed=parse_failed,
+        sentence=sentence,
+    )
+
+
+def score_rows(
+    rows: Iterable[tuple[str, object]],
+    gold: Mapping[int, LabeledSentence],
+    schema: EntitySchema,
+    cfg: EvalConfig,
+) -> EvalReport:
+    """Score rows shaped like `predictions.jsonl` lines, each with the place
+    it came from, against the gold sentences by id: what `evaluate` does to
+    the file and each ablation cell to its rows.
+
+    A row of another shape raises FormatError and a query_id with no gold
+    sentence ConfigError, both naming the row's place.
+    """
+    records = [_prediction_record(where, doc, gold, schema) for where, doc in rows]
+    return score(records, dedupe=cfg.dedupe, match_mode=cfg.match_mode)
 
 
 def _pct(x: float) -> str:

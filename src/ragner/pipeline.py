@@ -12,8 +12,7 @@ from .corpus import (
     LabeledSentence,
     NerOutput,
     gold_output,
-    load_schema,
-    load_splits,
+    load_corpus,
     select_store_split,
 )
 from .embedder import (
@@ -26,7 +25,7 @@ from .embedder import (
     open_precomputed_cache,
 )
 from .errors import ConfigError, MissingArtifact, NoDictionaryFound, RagnerError
-from .evaluation import EvalReport, PredictionRecord, score
+from .evaluation import EvalReport, score_rows
 from .generation import (
     GenerationResult,
     GenerationTask,
@@ -35,14 +34,8 @@ from .generation import (
     prompt_hash,
 )
 from .manifest import check_digests, read_manifest, sha256_file
-from .promptkit import (
-    DEFAULT_TASK_DESCRIPTION,
-    Prompt,
-    build_prompt,
-    parse_output,
-    resolve_template,
-)
-from .retriever import ExampleStore, RetrievedExample, retrieve
+from .promptkit import build_prompt, order_examples, parse_output, resolve_prompt
+from .retriever import ExampleStore, retrieve
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 
@@ -110,31 +103,6 @@ def build_store(
     return store
 
 
-def _task_description(cfg: RunConfig) -> str:
-    return (
-        cfg.prompt.task_description
-        if cfg.prompt.task_description is not None
-        else DEFAULT_TASK_DESCRIPTION
-    )
-
-
-def build_query_prompt(sentence: LabeledSentence, examples: list[RetrievedExample],
-                       store: ExampleStore, cfg: RunConfig, template_text: str) -> Prompt:
-    """Render the prompt over the retrieved examples, most similar example last."""
-    example_gold = [
-        (store.by_id[ex.sentence_id], gold_output(store.by_id[ex.sentence_id], store.schema))
-        for ex in reversed(examples)
-    ]
-    return build_prompt(
-        store.schema,
-        example_gold,
-        sentence.text,
-        template_id=cfg.prompt.template_id,
-        template_text=template_text,
-        task_description=_task_description(cfg),
-    )
-
-
 @dataclass
 class PredictionRow:
     """Everything the predict stage knows about one query sentence."""
@@ -166,7 +134,6 @@ class PredictionRow:
 @dataclass
 class PredictOutcome:
     rows: list[PredictionRow]
-    records: list[PredictionRecord]
     latency: dict
     failures: list[tuple[int, str]] = field(default_factory=list)
 
@@ -175,7 +142,6 @@ def predict_sentences(
     sentences: list[LabeledSentence],
     store: ExampleStore,
     cfg: RunConfig,
-    with_gold: bool = True,
 ) -> PredictOutcome:
     """retrieve -> prompt -> generate -> parse for every sentence.
 
@@ -183,8 +149,7 @@ def predict_sentences(
     failed and score as all-false-negative; they never abort the batch.
     """
     schema = store.schema
-    # a template that cannot be used fails the whole command, not every row
-    template_text = resolve_template(cfg.prompt.template_id, cfg.prompt.template_file)
+    template = resolve_prompt(cfg.prompt)
     rows: dict[int, PredictionRow] = {}
     tasks: list[GenerationTask] = []
     failures: list[tuple[int, str]] = []
@@ -194,15 +159,14 @@ def predict_sentences(
         try:
             if isinstance(examples, RagnerError):
                 raise examples
-            prompt = build_query_prompt(sentence, examples, store, cfg, template_text)
+            prompt = build_prompt(schema, order_examples(examples, store), sentence.text, template)
         except RagnerError as exc:
             row.parse_failed = True
             row.error = f"{type(exc).__name__}: {exc}"
             failures.append((sentence.id, row.error))
             continue
         row.prompt_hash = prompt_hash(prompt)
-        gold = gold_output(sentence, schema) if with_gold else None
-        tasks.append(GenerationTask(query_id=sentence.id, prompt=prompt, gold=gold))
+        tasks.append(GenerationTask(sentence.id, prompt, gold_output(sentence, schema)))
 
     results: list[GenerationResult] = generate_batch(tasks, cfg.generator)
     prompts_by_id = {t.query_id: t.prompt for t in tasks}
@@ -226,22 +190,8 @@ def predict_sentences(
             row.error = f"{type(exc).__name__}: {exc}"
             failures.append((result.query_id, row.error))
 
-    empty = NerOutput({}).restricted_to(schema)
-    records: list[PredictionRecord] = []
-    for sentence in sentences:
-        row = rows[sentence.id]
-        records.append(
-            PredictionRecord(
-                sentence_id=sentence.id,
-                gold=gold_output(sentence, schema) if with_gold else empty,
-                predicted=row.parsed if row.parsed is not None else empty,
-                parse_failed=row.parse_failed,
-                sentence=sentence,
-            )
-        )
     return PredictOutcome(
         rows=[rows[s.id] for s in sentences],
-        records=records,
         latency=latency_summary(results),
         failures=failures,
     )
@@ -271,15 +221,6 @@ class AblationLoads:
     inputs: _Memo = field(default_factory=_Memo)
     embedder: _Memo = field(default_factory=_Memo)
     store: _Memo = field(default_factory=_Memo)
-
-
-def _load_cell_inputs(cfg: RunConfig) -> tuple[dict[str, list[LabeledSentence]], EntitySchema]:
-    splits, _ = load_splits(cfg)
-    if "test" not in splits:
-        raise ConfigError("ablation needs a corpus_test file")
-    if not cfg.paths.schema:
-        raise ConfigError("paths.schema is not configured")
-    return splits, load_schema(cfg.paths.schema)
 
 
 def _indexed_cache_dir(cfg: RunConfig) -> Path | None:
@@ -325,7 +266,10 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
     paths_key = fingerprint(doc["paths"])
 
     def inputs():
-        return loads.inputs.get(paths_key, lambda: _load_cell_inputs(cfg))
+        splits, schema, _ = loads.inputs.get(paths_key, lambda: load_corpus(cfg))
+        if "test" not in splits:
+            raise ConfigError("ablation needs a corpus_test file")
+        return splits, schema
 
     def new_store():
         splits, schema = inputs()
@@ -338,11 +282,10 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
     # the old store (and what only it holds) is released before a new one is built
     store = loads.store.get((paths_key, cfg.store_build_key), new_store)
     store.require_index(cfg.retriever)
-    splits, _ = inputs()
-    outcome = predict_sentences(splits["test"], store, cfg)
-    report = score(
-        outcome.records, dedupe=cfg.eval.dedupe, match_mode=cfg.eval.match_mode
-    )
+    test = inputs()[0]["test"]
+    outcome = predict_sentences(test, store, cfg)
+    rows = ((f"test sentence {row.query_id}", row.to_dict()) for row in outcome.rows)
+    report = score_rows(rows, {s.id: s for s in test}, store.schema, cfg.eval)
     return report, outcome.latency
 
 

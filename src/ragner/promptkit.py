@@ -11,11 +11,16 @@ well-formed NerOutput or raises NoDictionaryFound, never anything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .corpus import EntitySchema, LabeledSentence, NerOutput
+from .config import PromptConfig
+from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
 from .errors import NoDictionaryFound, SchemaMismatch, TemplateError, UnknownTemplate
+
+if TYPE_CHECKING:  # the retriever loads numpy; this module needs only its names
+    from .retriever import ExampleStore, RetrievedExample
 
 DEFAULT_TEMPLATE_ID = "default-v1"
 
@@ -65,6 +70,23 @@ def resolve_template(template_id: str, template_file: str | Path | None = None) 
     return text
 
 
+class PromptTemplate(NamedTuple):
+    """The [prompt] section resolved: the template text and the task
+    description it is rendered with."""
+
+    text: str = _DEFAULT_TEMPLATE
+    task_description: str = DEFAULT_TASK_DESCRIPTION
+
+
+def resolve_prompt(cfg: PromptConfig) -> PromptTemplate:
+    """Resolve [prompt] once per command, so that a template that cannot be
+    used fails the command before any row."""
+    task_description = (
+        cfg.task_description if cfg.task_description is not None else DEFAULT_TASK_DESCRIPTION
+    )
+    return PromptTemplate(resolve_template(cfg.template_id, cfg.template_file), task_description)
+
+
 @dataclass(frozen=True)
 class PromptExample:
     """One in-prompt example: an input sentence and its gold output."""
@@ -77,22 +99,15 @@ class PromptExample:
 class Prompt:
     """A fully rendered prompt plus the structured pieces it was built from."""
 
-    task_description: str
-    entity_definitions: str
     examples: list[PromptExample]
     user_query: str
     rendered: str
     schema: EntitySchema
-    template_id: str
-    nearest_index: int | None = None
 
     @property
     def nearest_example(self) -> PromptExample | None:
-        """The in-prompt example most similar to the query, if any."""
-        if not self.examples:
-            return None
-        idx = self.nearest_index if self.nearest_index is not None else len(self.examples) - 1
-        return self.examples[idx]
+        """The in-prompt example most similar to the query: the last one."""
+        return self.examples[-1] if self.examples else None
 
 
 # --- rendering --------------------------------------------------------------
@@ -129,49 +144,46 @@ def render_entity_definitions(schema: EntitySchema) -> str:
     return "\n".join(f"- {t.name}: {t.definition}" for t in schema)
 
 
+def order_examples(
+    examples: Sequence[RetrievedExample], store: ExampleStore
+) -> list[tuple[LabeledSentence, NerOutput]]:
+    """Retrieved examples (most similar first) as the prompt's (sentence,
+    gold output) pairs, most similar last, next to the query."""
+    pairs = []
+    for ex in reversed(examples):
+        sentence = store.by_id[ex.sentence_id]
+        pairs.append((sentence, gold_output(sentence, store.schema)))
+    return pairs
+
+
 def build_prompt(
     schema: EntitySchema,
     examples: list[tuple[LabeledSentence | str, NerOutput]],
     query_text: str,
-    template_id: str = DEFAULT_TEMPLATE_ID,
-    template_text: str | None = None,
-    task_description: str = DEFAULT_TASK_DESCRIPTION,
-    nearest_index: int | None = None,
+    template: PromptTemplate = PromptTemplate(),
 ) -> Prompt:
     """Deterministically render the four-section prompt.
 
-    Examples are rendered in the order given; the caller chooses that order
-    (the pipeline default puts the most similar example last, adjacent to
-    the query). `nearest_index` records which example is the most similar;
-    it defaults to the last one.
+    Examples are rendered in the order given, the most similar last (see
+    `order_examples`).
     """
     for _, output in examples:
         if tuple(output.entries.keys()) != schema.names:
             raise SchemaMismatch(
                 f"example output keys {tuple(output.entries.keys())} != schema {schema.names}"
             )
-    template = template_text if template_text is not None else resolve_template(template_id)
     prompt_examples = [
         PromptExample(s if isinstance(s, str) else s.text, out) for s, out in examples
     ]
     examples_block = "\n\n".join(render_example(ex.input_text, ex.output) for ex in prompt_examples)
-    rendered = template.format(
-        task_description=task_description,
+    rendered = template.text.format(
+        task_description=template.task_description,
         entity_definitions=render_entity_definitions(schema),
         examples=examples_block,
         query=query_text,
     )
-    if nearest_index is None and prompt_examples:
-        nearest_index = len(prompt_examples) - 1
     return Prompt(
-        task_description=task_description,
-        entity_definitions=render_entity_definitions(schema),
-        examples=prompt_examples,
-        user_query=query_text,
-        rendered=rendered,
-        schema=schema,
-        template_id=template_id,
-        nearest_index=nearest_index,
+        examples=prompt_examples, user_query=query_text, rendered=rendered, schema=schema
     )
 
 

@@ -328,15 +328,72 @@ def test_evaluate_report(proj):
     assert report["grounding"] == "strict"
 
 
-def test_evaluate_rejects_unknown_query_id(proj, tmp_path):
-    rows = read_jsonl(proj.out / "predictions.jsonl")
-    rows[0]["query_id"] = 999
-    bad = tmp_path / "bad_predictions.jsonl"
-    bad.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    result = run(["-c", proj.cfg, "evaluate", "--predictions", bad], expect=2)
-    err = error_payload(result)
-    assert err["error"] == "ConfigError"
-    assert "prediction 999 has no gold sentence" in err["message"]
+_ROW = {"query_id": 9, "parsed": {"gadget": [], "meeting time": ["nine"]},
+        "parse_failed": False}
+
+
+@pytest.mark.parametrize("line, error, message", [
+    pytest.param(None, "MissingArtifact", "p.jsonl: No such file", id="missing file"),
+    pytest.param(b'{"query_id": 9, "parsed": {"gadget": ["caf\xe9"]}}', "FormatError",
+                 "p.jsonl:2: not UTF-8", id="not UTF-8"),
+    pytest.param(b"not json", "FormatError", "p.jsonl:2: invalid JSON", id="not JSON"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "FormatError", "p.jsonl:2: invalid JSON",
+                 id="too deeply nested"),
+    pytest.param([_ROW], "FormatError", "p.jsonl:2: bad prediction row: expected an object",
+                 id="not an object"),
+    pytest.param({"parsed": None, "parse_failed": True}, "FormatError",
+                 "p.jsonl:2: bad prediction row: query_id must be an integer",
+                 id="no query_id"),
+    pytest.param({**_ROW, "query_id": True}, "FormatError", "query_id must be an integer",
+                 id="bool query_id"),
+    pytest.param({**_ROW, "query_id": "9"}, "FormatError", "query_id must be an integer",
+                 id="string query_id"),
+    pytest.param({**_ROW, "parsed": ["nine"]}, "FormatError",
+                 "p.jsonl:2: bad prediction row: parsed must be null or map each type to a "
+                 "list of strings", id="parsed a list"),
+    pytest.param({**_ROW, "parsed": {"meeting time": "nine"}}, "FormatError",
+                 "parsed must be null or map each type to a list of strings",
+                 id="parsed value a string"),
+    pytest.param({**_ROW, "parsed": {"meeting time": [9]}}, "FormatError",
+                 "parsed must be null or map each type to a list of strings",
+                 id="parsed item a number"),
+    pytest.param({**_ROW, "parse_failed": "no"}, "FormatError",
+                 "p.jsonl:2: bad prediction row: parse_failed must be true or false",
+                 id="string parse_failed"),
+    pytest.param({**_ROW, "query_id": 999}, "ConfigError",
+                 "p.jsonl:2: prediction 999 has no gold sentence", id="no gold sentence"),
+])
+def test_evaluate_of_an_unreadable_prediction_exits_2_with_one_json_line(proj, tmp_path, line,
+                                                                          error, message):
+    bad = tmp_path / "p.jsonl"
+    if line is not None:
+        first = json.dumps({**_ROW, "query_id": 8}).encode()
+        second = line if isinstance(line, bytes) else json.dumps(line).encode()
+        bad.write_bytes(first + b"\n" + second + b"\n")
+    result = run(["-c", proj.cfg, "evaluate", "--predictions", bad,
+                  "--output", tmp_path / "report.json"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == error and message in doc["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_each_ablation_cell_scores_like_predict_then_evaluate(tmp_path):
+    ns = indexed_project(tmp_path)
+    echo = ["-S", "generator.backend=mock-echo-nearest"]
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 2]}})
+    run(["-c", ns.cfg, *echo, "ablate", "--grid", grid, "--output", tmp_path / "ablation.json"])
+    cells = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert [c["axes"] for c in cells] == [{"retriever.k": 1}, {"retriever.k": 2}]
+    for cell in cells:
+        flags = ["-c", ns.cfg, *echo, "-S", f"retriever.k={cell['axes']['retriever.k']}"]
+        predictions, report = tmp_path / "predictions.jsonl", tmp_path / "report.json"
+        run([*flags, "predict", "--output", predictions])
+        run([*flags, "evaluate", "--predictions", predictions, "--output", report])
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert cell["report"]["micro"] == doc["micro"]
+        assert cell["report"]["per_type"] == doc["per_type"]
+        assert cell["report"]["n_parse_failures"] == doc["n_parse_failures"]
 
 
 def test_reruns_are_byte_identical(proj):
@@ -380,6 +437,24 @@ def test_unknown_override_key_fails(proj):
     err = error_payload(result)
     assert err["error"] == "ConfigError"
     assert "unknown config key: retriever.bogus" in err["message"]
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"seed: caf\xe9\n", "not UTF-8", id="not UTF-8"),
+    pytest.param(None, "cannot read", id="a directory"),
+    pytest.param(b"- seed\n", "top level must be a mapping", id="a list"),
+])
+def test_unreadable_config_file_exits_2_with_one_json_line(tmp_path, content, message):
+    path = tmp_path / "bad.yaml"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    result = run(["-c", path, "ingest"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError"
+    assert str(path) in doc["message"] and message in doc["message"]
 
 
 def test_missing_config_file_fails(proj):
@@ -852,6 +927,22 @@ def test_ablate_records_a_missing_corpus_file_as_missing_artifact(tmp_path):
     assert cell["error"].startswith("MissingArtifact") and str(missing) in cell["error"]
 
 
+def test_ablate_refuses_a_test_split_that_ingest_refuses(tmp_path):
+    ns = make_project(tmp_path)
+    bad = _sent(0, "show me the zeta gizmo", ("gadget", 3, 5))
+    bad.spans[0] = EntitySpan("gadget", 3, 5, "zeta")  # not the surface of tokens 3-5
+    test = ns.data / "test.jsonl"
+    write_sentences_jsonl([bad], test)
+    override = ["-c", ns.cfg, "-S", f"paths.corpus_test={test}"]
+    err = error_payload(run([*override, "ingest"], expect=2))
+    assert err["error"] == "InvalidSpan"
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 3]}})
+    out = tmp_path / "ablation.json"
+    run([*override, "ablate", "--grid", grid, "--output", out], expect=2)
+    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert [c["error"] for c in cells] == [f"InvalidSpan: {err['message']}"] * 2
+
+
 @pytest.fixture(scope="module")
 def mini(tmp_path_factory):
     # no test split, no store.size: everything goes to the store
@@ -865,6 +956,33 @@ def test_augment_needs_a_finetune_split(mini):
     err = error_payload(run(["-c", mini.cfg, "augment"], expect=2))
     assert err["error"] == "ConfigError"
     assert "finetune split is empty" in err["message"]
+
+
+def test_predict_on_the_bio_test_file_renders_the_ingested_split_prompts(tmp_path):
+    ns = indexed_project(tmp_path)
+    run(["-c", ns.cfg, "predict", "--output", tmp_path / "split.jsonl"])
+    run(["-c", ns.cfg, "predict", "--input", ns.data / "test.txt",
+         "--output", tmp_path / "bio.jsonl"])
+    split, bio = read_jsonl(tmp_path / "split.jsonl"), read_jsonl(tmp_path / "bio.jsonl")
+    # BIO input gets negative ids, as with `retrieve`, so no store sentence is excluded
+    assert [r["query_id"] for r in bio] == [-1, -2, -3]
+    assert [(r["prompt_hash"], r["completion"]) for r in bio] == \
+        [(r["prompt_hash"], r["completion"]) for r in split]
+
+
+def test_an_untransformed_finetune_prompt_is_the_prompt_predict_renders(tmp_path):
+    ns = indexed_project(tmp_path)
+    run(["-c", ns.cfg, "augment"])
+    records = read_jsonl(ns.out / "finetune_dataset.jsonl")
+    plain = {r["provenance"]["sentence_id"]: r["prompt"] for r in records
+             if not r["provenance"]["transforms"]}
+    assert plain
+    out = tmp_path / "finetune_predictions.jsonl"
+    run(["-c", ns.cfg, "predict", "--input", ns.out / "corpus" / "finetune_split.jsonl",
+         "--output", out])
+    rendered = {r["query_id"]: r["prompt_hash"] for r in read_jsonl(out)}
+    for sentence_id, prompt in plain.items():
+        assert hashlib.sha256(prompt.encode("utf-8")).hexdigest() == rendered[sentence_id]
 
 
 def test_predict_needs_input_sentences(mini):

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ragner.config import PromptConfig
 from ragner.corpus import EntitySchema, EntityType, NerOutput, gold_output
 from ragner.errors import NoDictionaryFound, SchemaMismatch
 from ragner.promptkit import (
     DEFAULT_TASK_DESCRIPTION,
     DEFAULT_TEMPLATE_ID,
+    PromptTemplate,
     build_prompt,
     parse_output,
     render_entity_definitions,
     render_example,
     render_output,
+    resolve_prompt,
     resolve_template,
 )
 
@@ -114,7 +117,6 @@ def test_build_prompt_sections_in_order():
         "Input: Need a lamp today\nOutput: "
     )
     assert prompt.rendered == expected
-    assert prompt.template_id == DEFAULT_TEMPLATE_ID
     assert prompt.user_query == "Need a lamp today"
 
 
@@ -147,14 +149,6 @@ def test_nearest_example_defaults_to_last():
     assert prompt.nearest_example.input_text == "second"
 
 
-def test_nearest_example_explicit_index():
-    schema = product_schema()
-    ex1 = _example(schema, "first", product=["a"])
-    ex2 = _example(schema, "second", time=["b"])
-    prompt = build_prompt(schema, [ex1, ex2], "q", nearest_index=0)
-    assert prompt.nearest_example.input_text == "first"
-
-
 def test_nearest_example_none_without_examples():
     prompt = build_prompt(product_schema(), [], "q")
     assert prompt.nearest_example is None
@@ -163,9 +157,17 @@ def test_nearest_example_none_without_examples():
 def test_custom_template_text_is_used():
     schema = product_schema()
     template = "T={task_description}\nD={entity_definitions}\nE={examples}\nQ={query}>>"
-    prompt = build_prompt(schema, [], "hello", template_text=template, task_description="task")
+    prompt = build_prompt(schema, [], "hello", PromptTemplate(template, "task"))
     assert prompt.rendered.startswith("T=task\n")
     assert prompt.rendered.endswith("Q=hello>>")
+
+
+def test_resolve_prompt_reads_the_prompt_section(tmp_path):
+    assert resolve_prompt(PromptConfig()) == PromptTemplate()
+    path = tmp_path / "t.txt"
+    path.write_text("{task_description}|{entity_definitions}|{examples}|{query}", encoding="utf-8")
+    template = resolve_prompt(PromptConfig(template_file=str(path), task_description="Find."))
+    assert template == PromptTemplate(path.read_text(encoding="utf-8"), "Find.")
 
 
 # --- parsing -----------------------------------------------------------------

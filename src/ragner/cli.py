@@ -145,10 +145,11 @@ def index(cfg: RunConfig):
 
 
 def _read_input(path: Path) -> list[LabeledSentence]:
-    """The sentences of an --input file: JSONL keeps its ids, and BIO input
-    gets negative ids, so that it can never collide with store sentence ids."""
+    """The sentences of an --input file: JSONL keeps its ids, which must not
+    repeat, and BIO input gets negative ids, so that it can never collide
+    with store sentence ids."""
     if path.suffix == ".jsonl":
-        return read_sentences_jsonl(path)
+        return read_sentences_jsonl(path, unique_ids=True)
     sentences, _ = load_split_file(path)
     for i, s in enumerate(sentences):
         s.id = -(i + 1)
@@ -271,7 +272,7 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     pred_path = Path(predictions_path) if predictions_path else cfg.paths.out_path("predictions.jsonl")
     gold_file = Path(gold_path) if gold_path else cfg.paths.out_path("corpus", "test.jsonl")
     schema = load_schema(cfg.paths.out_path("schema.json"))
-    gold = {s.id: s for s in read_sentences_jsonl(gold_file)}
+    gold = {s.id: s for s in read_sentences_jsonl(gold_file, unique_ids=True)}
     report = score_rows(read_jsonl(pred_path), gold, schema, cfg.eval)
     click.echo(format_report(report, title=str(pred_path)))
     out_path = Path(output_path) if output_path else cfg.paths.out_path("report.json")

@@ -322,7 +322,8 @@ def _fits(value, kind: type) -> bool:
 
 def _checked(cls, values: dict, where: str) -> dict:
     """`values` checked against `cls`'s field annotations (`int`, `float`,
-    `str`, `bool`, `X | None`, `tuple[str, ...]`), lists made tuples."""
+    `str`, `bool`, `X | None`, `tuple[str, ...]`), lists made tuples. A
+    string must not hold a NUL character."""
     hints = typing.get_type_hints(cls)
     out = {}
     for key, value in values.items():
@@ -332,6 +333,8 @@ def _checked(cls, values: dict, where: str) -> dict:
         if not ((value is None and nullable) or _fits(value, kind)):
             null = " or null" if nullable else ""
             raise ConfigError(f"{where}: {key} must be {_KINDS[kind]}{null}, got {value!r}")
+        if isinstance(value, str) and "\0" in value:  # no file path can hold one
+            raise ConfigError(f"{where}: {key} must not contain a NUL character")
         out[key] = tuple(value) if kind is tuple else value
     return out
 

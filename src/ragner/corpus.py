@@ -388,16 +388,22 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
             yield where, doc
 
 
-def read_sentences_jsonl(path: str | Path) -> list[LabeledSentence]:
+def read_sentences_jsonl(path: str | Path, unique_ids: bool = False) -> list[LabeledSentence]:
     """Read the records `write_sentences_jsonl` writes, one per line, as
-    `read_jsonl` does; a record of another shape raises FormatError naming
-    path:line."""
-    sentences = []
+    `read_jsonl` does; a record of another shape, or with `unique_ids` one
+    whose id an earlier record has, raises FormatError naming path:line."""
+    sentences, places = [], {}
     for where, doc in read_jsonl(path):
         try:
-            sentences.append(sentence_from_dict(doc))
+            sentence = sentence_from_dict(doc)
         except FormatError as exc:
             raise FormatError(f"{where}: {exc}") from exc
+        if unique_ids:
+            if sentence.id in places:
+                raise FormatError(f"{where}: sentence id {sentence.id} repeats the one at "
+                                  f"{places[sentence.id]}")
+            places[sentence.id] = where
+        sentences.append(sentence)
     return sentences
 
 

@@ -240,10 +240,18 @@ def score_rows(
     it came from, against the gold sentences by id: what `evaluate` does to
     the file and each ablation cell to its rows.
 
-    A row of another shape raises FormatError and a query_id with no gold
-    sentence ConfigError, both naming the row's place.
+    A row of another shape or with the query_id of an earlier row raises
+    FormatError and a query_id with no gold sentence ConfigError, both
+    naming the row's place.
     """
-    records = [_prediction_record(where, doc, gold, schema) for where, doc in rows]
+    records, places = [], {}
+    for where, doc in rows:
+        record = _prediction_record(where, doc, gold, schema)
+        if record.sentence_id in places:
+            raise FormatError(f"{where}: bad prediction row: query_id {record.sentence_id} "
+                              f"repeats the row at {places[record.sentence_id]}")
+        places[record.sentence_id] = where
+        records.append(record)
     return score(records, dedupe=cfg.dedupe, match_mode=cfg.match_mode)
 
 

@@ -5,9 +5,11 @@ similarity is a plain dot product. The IVF index clusters the records with
 seeded spherical k-means (k-means++ init, Lloyd iterations) and searches
 only the `nprobe` nearest clusters' posting lists.
 
-`search_batch` searches a block of queries with one matrix product and
-one top-k pass; `search` is its one-row case. Hit ordering is fully
-deterministic: descending score, ties broken by ascending record id.
+`search_batch` searches a block of queries with one top-k pass after one
+matrix product (flat) or one product with the centroids and one per probed
+cluster with only the rows that probe it (IVF); `search` is its one-row
+case. Hit ordering is fully deterministic: descending score, ties broken
+by ascending record id.
 
 An index on disk is its matrix as a .npy file (rows in record order for
 flat, grouped by cluster for IVF), one .npy file beside it per other
@@ -168,9 +170,8 @@ class IvfIndex:
     def search_batch(self, queries: np.ndarray, k: int, nprobe: int | None = None,
                      exclude: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """FlatIndex.search_batch over the `nprobe` clusters nearest to each
-        row. The union of probed clusters is scored one contiguous slice at a
-        time, never a gathered copy; a cluster the row did not probe scores
-        -inf for that row."""
+        row. Each probed cluster's contiguous slice is multiplied with only
+        the rows that probe it; a record the row did not probe scores -inf."""
         queries = _check_queries(queries, k, self.dim)
         nprobe = default_nprobe(self.nlist) if nprobe is None else nprobe
         if not 1 <= nprobe <= self.nlist:
@@ -179,16 +180,14 @@ class IvfIndex:
         probe = np.argsort(-_scores(self.centroids, queries).T, axis=1, kind="stable")
         probed = np.zeros((self.nlist, m), dtype=bool)
         probed[probe[:, :nprobe], np.arange(m)[:, None]] = True
-        clusters = np.flatnonzero(probed.any(axis=1))
-        slices = [slice(self.offsets[c], self.offsets[c + 1]) for c in clusters.tolist()]
-        scores = np.concatenate([_scores(self.grouped[rows], queries) for rows in slices])
-        sizes = self.offsets[clusters + 1] - self.offsets[clusters]
-        scores[~np.repeat(probed[clusters], sizes, axis=0)] = -np.inf
-        scores = scores.T
-        ids = np.concatenate([self.row_record_ids[rows] for rows in slices])
+        scores = np.full((m, len(self)), -np.inf)
+        for c in np.flatnonzero(probed.any(axis=1)).tolist():
+            cols = np.flatnonzero(probed[c])
+            rows = slice(self.offsets[c], self.offsets[c + 1])
+            scores[cols, rows] = _scores(self.grouped[rows], queries[cols]).T
         if exclude is not None:
-            np.copyto(scores, -np.inf, where=exclude[..., ids])
-        return _top_k(scores, ids, k)
+            np.copyto(scores, -np.inf, where=exclude[..., self.row_record_ids])
+        return _top_k(scores, self.row_record_ids, k)
 
 
 Index = FlatIndex | IvfIndex
@@ -274,24 +273,24 @@ def _spherical_kmeans(
     for _ in range(max(0, iters)):
         new_assignment = _assign_to_centroids(matrix, centroids)
         if np.array_equal(new_assignment, assignment):
-            break
+            return centroids, assignment
         assignment = new_assignment
         order = np.argsort(assignment, kind="stable")
-        counts = np.bincount(assignment, minlength=nlist)
-        nonempty = np.flatnonzero(counts)
-        seg_starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nonempty]
-        sums = np.add.reduceat(matrix[order], seg_starts, axis=0)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=nlist))])
+        grouped = matrix[order]  # each cluster a contiguous slice
         centroids = np.empty_like(centroids)
-        centroids[nonempty] = sums / counts[nonempty, None]
-        for c in np.flatnonzero(counts == 0):
-            centroids[c] = matrix[int(rng.integers(n))]
+        for c, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            if stop > start:
+                centroids[c] = grouped[start:stop].sum(axis=0) / (stop - start)
+            else:  # an empty cluster restarts at a random row
+                centroids[c] = matrix[int(rng.integers(n))]
+        del grouped  # before the next iteration gathers again
         norms = np.linalg.norm(centroids, axis=1)
         for c in np.flatnonzero(norms == 0.0):
             centroids[c] = matrix[int(rng.integers(n))]
             norms[c] = 1.0
         centroids /= norms[:, None]
-    final_assignment = _assign_to_centroids(matrix, centroids)
-    return centroids, final_assignment
+    return centroids, _assign_to_centroids(matrix, centroids)
 
 
 # --- persistence: index files and the embedding cache ------------------------

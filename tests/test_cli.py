@@ -9,8 +9,10 @@ get their own throwaway project.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -25,12 +27,12 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ragner
 from ragner.cli import main
-from ragner.config import load_config
+from ragner.config import _defaults, load_config
 from ragner.corpus import EntitySpan, LabeledSentence, write_sentences_jsonl
 from ragner.embedder import CACHE_ARRAYS, CACHE_TEXTS
 from ragner.errors import ConfigError
@@ -255,6 +257,22 @@ def test_retrieve_jsonl_keeps_ids_but_text_gets_fresh_ones(proj, tmp_path):
     assert top["score"] > 0.999
 
 
+@pytest.mark.parametrize("command, option", [("predict", "--input"), ("retrieve", "--input"),
+                                             ("evaluate", "--gold")])
+def test_an_input_id_given_twice_exits_2_with_one_json_line(proj, tmp_path, command, option):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(
+        json.dumps({"id": 100, "tokens": s.tokens, "spans": []}) + "\n\n" for s in TEST[:2]),
+        encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    result = run(["-c", proj.cfg, command, option, queries, "--output", out], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "FormatError"
+    assert f"{queries}:3: sentence id 100 repeats the one at {queries}:1" in doc["message"]
+    assert not out.exists()
+
+
 def test_retrieve_without_queries_fails(proj):
     result = run(["-c", proj.cfg, "retrieve"], expect=2)
     err = error_payload(result)
@@ -360,6 +378,8 @@ _ROW = {"query_id": 9, "parsed": {"gadget": [], "meeting time": ["nine"]},
     pytest.param({**_ROW, "parse_failed": "no"}, "FormatError",
                  "p.jsonl:2: bad prediction row: parse_failed must be true or false",
                  id="string parse_failed"),
+    pytest.param({**_ROW, "query_id": 8}, "FormatError",
+                 "p.jsonl:2: bad prediction row: query_id 8 repeats the row at", id="repeated query_id"),
     pytest.param({**_ROW, "query_id": 999}, "ConfigError",
                  "p.jsonl:2: prediction 999 has no gold sentence", id="no gold sentence"),
 ])
@@ -493,6 +513,13 @@ def test_missing_config_file_fails(proj):
     ("store.seed=abc", "ConfigError", "[store] config: seed must be an integer"),
     ("eval.dedupe=abc", "ConfigError", "[eval] config: dedupe must be true or false"),
     ("paths.out_dir=null", "ConfigError", "[paths] config: out_dir must be a string, got None"),
+    ('paths.out_dir="out\\0"', "ConfigError",
+     "[paths] config: out_dir must not contain a NUL character"),
+    ('embedder.stopwords_file="\\0"', "ConfigError",
+     "[embedder] config: stopwords_file must not contain a NUL character"),
+    ("embedder.stopwords_file=missing.txt", "MissingArtifact",
+     "cannot read missing.txt: No such file or directory"),
+    ("embedder.stopwords_file=.", "MissingArtifact", "cannot read .: Is a directory"),
     ("seed=true", "ConfigError", "bad config: seed must be an integer, got True"),
     pytest.param("retriever.k=" + "[" * 20_000 + "]" * 20_000, "ConfigError",
                  "cannot parse override value", id="retriever.k=too-deeply-nested"),
@@ -614,6 +641,73 @@ def test_ingest_of_any_jsonl_record_exits_0_or_2_with_one_json_line(fuzz_proj, f
     result = RUNNER.invoke(main, ["-c", fuzz_proj.cfg, "ingest"])
     # an exception that escapes the command, which would print a traceback, exits 1
     assert result.exit_code in (0, 2), (record, result.exception)
+    if result.exit_code == 2:
+        doc = json.loads(result.stderr.strip().splitlines()[-1])
+        assert set(doc) == {"error", "message"}
+
+
+# Wrong-typed and out-of-range values for any config key. Strings are
+# relative names, so a path key names a file in the run's own directory.
+OVERRIDE_NAMES = st.text(st.sampled_from("az09-_ ./\x00"), max_size=6).filter(
+    lambda s: ".." not in s and not s.startswith("/"))
+OVERRIDE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([-2**63 - 1, -1, 0, 2**63, 2**64]) | st.integers(-3, 100_000),
+    st.floats(),
+    OVERRIDE_NAMES,
+    st.lists(OVERRIDE_NAMES | st.integers(-1, 3), max_size=3),
+    st.dictionaries(OVERRIDE_NAMES, st.integers(-1, 3), max_size=2),
+)
+OVERRIDE_KEYS = ["seed", *(f"{section}.{key}" for section, keys in _defaults().items()
+                           if isinstance(keys, dict) for key in keys)]
+OVERRIDE_COMMANDS = {"ingest": [], "index": [], "retrieve": ["--text", TEST[2].text],
+                     "augment": [], "predict": [], "evaluate": [],
+                     "ablate": ["--grid", "grid.yaml"]}
+
+
+def yaml_scalar(value) -> str:
+    """`value` as the YAML text of an -S override."""
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            return ".nan" if math.isnan(value) else ("-.inf" if value < 0 else ".inf")
+        text = repr(value)  # YAML 1.1 reads a float only with a dot in it
+        return text if "." in text else text.replace("e", ".0e")
+    return json.dumps(value)
+
+
+@pytest.fixture(scope="module")
+def override_proj(tmp_path_factory):
+    root = tmp_path_factory.mktemp("overrides") / "project"
+    root.mkdir()
+    ns = make_project(root)
+    for command in ("ingest", "index", "predict"):
+        run(["-c", ns.cfg, command])
+    write_grid(ns.root / "grid.yaml", {"axes": {"retriever.k": [1, 2]}})
+    ns.runs = ns.root.parent / "runs"
+    return ns
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(OVERRIDE_KEYS), value=OVERRIDE_VALUES,
+       command=st.sampled_from(sorted(OVERRIDE_COMMANDS)))
+def test_any_override_of_any_command_exits_0_or_2_with_one_json_line(override_proj, key, value,
+                                                                     command):
+    # a valid mock delay is a real sleep
+    assume(not (key.startswith("generator.mock_") and type(value) in (int, float)
+                and 0.01 < value < math.inf))
+    root = override_proj.runs / "project"
+    shutil.rmtree(root, ignore_errors=True)
+    shutil.copytree(override_proj.root, root)
+    cfg = root / "config.yaml"
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace(str(override_proj.root), str(root)),
+                   encoding="utf-8")
+    override = f"{key}={yaml_scalar(value)}"
+    with contextlib.chdir(root):
+        result = RUNNER.invoke(main, ["-c", str(cfg), "-S", override, command,
+                                      *OVERRIDE_COMMANDS[command]])
+    # an exception that escapes the command, which would print a traceback, exits 1
+    assert result.exit_code in (0, 2), (override, command, result.exception)
     if result.exit_code == 2:
         doc = json.loads(result.stderr.strip().splitlines()[-1])
         assert set(doc) == {"error", "message"}

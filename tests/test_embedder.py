@@ -80,6 +80,14 @@ def test_load_stopwords_override(tmp_path):
     assert load_stopwords(path) == frozenset({"the", "of"})
 
 
+def test_load_stopwords_of_an_unreadable_file(tmp_path):
+    with pytest.raises(MissingArtifact, match="cannot read .*missing.txt: No such file"):
+        load_stopwords(tmp_path / "missing.txt")
+    (tmp_path / "latin1.txt").write_bytes(b"caf\xe9\n")
+    with pytest.raises(FormatError, match="latin1.txt: not UTF-8"):
+        load_stopwords(tmp_path / "latin1.txt")
+
+
 # --- precomputed provider -------------------------------------------------------
 
 

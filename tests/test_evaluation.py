@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragner.corpus import LabeledSentence, EntitySpan, NerOutput
-from ragner.errors import SchemaMismatch, SchemaMismatchAcrossRecords
+from ragner.corpus import EntitySchema, EntitySpan, EntityType, LabeledSentence, NerOutput
+from ragner.config import EvalConfig
+from ragner.errors import FormatError, SchemaMismatch, SchemaMismatchAcrossRecords
 from ragner.evaluation import (
     AblationCell,
     EvalReport,
@@ -24,6 +25,7 @@ from ragner.evaluation import (
     report_to_dict,
     run_ablation,
     score,
+    score_rows,
     to_multiset,
     write_report_json,
 )
@@ -292,6 +294,17 @@ def test_positional_parse_failure_drops_predictions():
 
 
 # --- reports --------------------------------------------------------------------
+
+
+def test_score_rows_refuses_a_repeated_query_id():
+    gold = {3: LabeledSentence(3, ["the", "gizmo"], [EntitySpan("gadget", 1, 2, "gizmo")])}
+    schema = EntitySchema((EntityType("gadget", "a device"),))
+    row = {"query_id": 3, "parsed": {"gadget": ["gizmo"]}, "parse_failed": False}
+    report = score_rows([("p:1", row)], gold, schema, EvalConfig())
+    assert (report.tp, report.n_sentences) == (1, 1)
+    with pytest.raises(FormatError, match="^p:7: bad prediction row: query_id 3 repeats the row "
+                                          "at p:1$"):
+        score_rows([("p:1", row), ("p:7", row)], gold, schema, EvalConfig())
 
 
 def test_format_report_text():

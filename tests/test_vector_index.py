@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ragner.errors import (
@@ -16,6 +17,7 @@ from ragner.errors import (
     MissingArtifact,
     NlistTooLarge,
 )
+from ragner import vector_index
 from ragner.vector_index import (
     FlatIndex,
     IvfIndex,
@@ -563,3 +565,179 @@ def test_search_batch_validates_its_arguments():
         with pytest.raises(ValueError, match="nprobe"):
             ivf.search_batch(matrix[:2], 1, nprobe=nprobe)
 
+
+
+# --- IVF: work in proportion to what is probed -------------------------------------
+
+
+def probed_sets(index: IvfIndex, queries: np.ndarray, nprobe: int) -> list[frozenset[int]]:
+    """Each query row's `nprobe` nearest clusters, ties to the lower cluster.
+    The centroid product is the one `search_batch` makes for two or more rows."""
+    nearest = np.argsort(-(index.centroids @ queries.T).T, axis=1, kind="stable")[:, :nprobe]
+    return [frozenset(row.tolist()) for row in nearest]
+
+
+def probe_oracle(index: IvfIndex, queries: np.ndarray, nprobe: int, k: int,
+                 exclude: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Per query row: brute-force top-k over the records of that row's own
+    probed clusters, by descending score then ascending record id."""
+    cluster_of = np.repeat(np.arange(index.nlist), np.diff(index.offsets))[
+        np.argsort(index.row_record_ids)]
+    record_matrix = index.grouped[np.argsort(index.row_record_ids)]
+    out = []
+    for query, clusters, mask in zip(queries, probed_sets(index, queries, nprobe), exclude):
+        allowed = [i for i in range(len(index)) if cluster_of[i] in clusters and not mask[i]]
+        scores = {i: float(record_matrix[i] @ query) for i in allowed}
+        out.append([(i, scores[i]) for i in sorted(allowed, key=lambda i: (-scores[i], i))[:k]])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ivf_search_batch_matches_an_oracle_over_each_rows_own_probes(data):
+    rows = data.draw(st.lists(st.integers(0, len(_EXACT) - 1), min_size=3, max_size=30))
+    queries = data.draw(st.lists(st.integers(0, len(_EXACT) - 1), min_size=2, max_size=6))
+    nlist = data.draw(st.integers(2, len(rows)))
+    nprobe = data.draw(st.integers(1, nlist - 1))
+    k = data.draw(st.integers(1, 35))
+    exclude = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)),
+        min_size=len(queries), max_size=len(queries))))
+    matrix, q = _EXACT[rows], _EXACT[queries]
+    index = ivf_from_matrix(matrix, np.arange(len(rows)), None, nlist=nlist, seed=5)
+    assume(len(set(probed_sets(index, q, nprobe))) > 1)  # the rows probe different clusters
+    results = index.search_batch(q, k, nprobe=nprobe, exclude=exclude)
+    expected = probe_oracle(index, q, nprobe, k, exclude)
+    assert [list(zip(ids.tolist(), scores.tolist())) for ids, scores in results] == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_ivf_search_batch_matches_the_probe_oracle_on_random_rows(seed):
+    rng = np.random.default_rng(seed)
+    matrix = unit_rows(rng, 240, 24)
+    queries = unit_rows(rng, 9, 24)
+    index = ivf_from_matrix(matrix, np.arange(240), None, nlist=15, seed=seed)
+    exclude = rng.random((9, 240)) < 0.2
+    for nprobe in (1, 3, 15):
+        results = index.search_batch(queries, 8, nprobe=nprobe, exclude=exclude)
+        expected = probe_oracle(index, queries, nprobe, 8, exclude)
+        for (ids, scores), want in zip(results, expected):
+            assert ids.tolist() == [i for i, _ in want]
+            np.testing.assert_allclose(scores, [s for _, s in want], rtol=0, atol=1e-12)
+
+
+def test_ivf_search_batch_multiplies_each_cluster_only_with_the_rows_probing_it(monkeypatch):
+    rng = np.random.default_rng(83)
+    matrix = unit_rows(rng, 400, 16)
+    queries = unit_rows(rng, 12, 16)
+    index = ivf_from_matrix(matrix, np.arange(400), None, nlist=20, seed=83)
+    nprobe = 3
+    calls = []
+    real_scores = vector_index._scores
+
+    def recording(block, rows):
+        calls.append((block is index.centroids, block.shape[0], rows.shape[0]))
+        return real_scores(block, rows)
+
+    monkeypatch.setattr(vector_index, "_scores", recording)
+    index.search_batch(queries, 5, nprobe=nprobe)
+    assert calls[0] == (True, 20, 12)  # one product with the centroids
+    sizes = np.diff(index.offsets)
+    probers = np.zeros(20, dtype=np.int64)
+    for clusters in probed_sets(index, queries, nprobe):
+        probers[list(clusters)] += 1
+    assert not any(is_centroids for is_centroids, _, _ in calls[1:])
+    assert sum(n * m for _, n, m in calls[1:]) == int(sizes @ probers)
+    union = int(sizes[probers > 0].sum()) * len(queries)
+    assert int(sizes @ probers) < union  # the fixture tells the two apart
+
+
+def test_ivf_search_of_one_query_keeps_its_bits():
+    """One-query search scores each probed cluster with a mat-vec."""
+    rng = np.random.default_rng(89)
+    index = ivf_from_matrix(unit_rows(rng, 300, 32), np.arange(300), None, nlist=12, seed=89)
+    for query in unit_rows(rng, 5, 32):
+        matvec = {}
+        for lo, hi in zip(index.offsets.tolist(), index.offsets[1:].tolist()):
+            matvec.update(zip(index.row_record_ids[lo:hi].tolist(),
+                              (index.grouped[lo:hi] @ query).tolist()))
+        hits = index.search(query, 10, nprobe=4)
+        assert len(hits) == 10
+        assert all(hit.score == matvec[hit.record_id] for hit in hits)
+
+
+# --- spherical k-means ---------------------------------------------------------------
+
+
+def reduceat_kmeans(matrix, nlist, iters, seed):
+    """The Lloyd loop with each update's cluster sums by np.add.reduceat over
+    the rows gathered in cluster order, and one assignment after the loop."""
+    rng = np.random.default_rng(seed)
+    n = matrix.shape[0]
+    centroids = vector_index._kmeans_pp_init(matrix, nlist, rng)
+    assignment = np.full(n, -1, dtype=np.int64)
+    for _ in range(iters):
+        new_assignment = vector_index._assign_to_centroids(matrix, centroids)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        order = np.argsort(assignment, kind="stable")
+        counts = np.bincount(assignment, minlength=nlist)
+        nonempty = np.flatnonzero(counts)
+        seg_starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nonempty]
+        sums = np.add.reduceat(matrix[order], seg_starts, axis=0)
+        centroids = np.empty_like(centroids)
+        centroids[nonempty] = sums / counts[nonempty, None]
+        for c in np.flatnonzero(counts == 0):
+            centroids[c] = matrix[int(rng.integers(n))]
+        norms = np.linalg.norm(centroids, axis=1)
+        for c in np.flatnonzero(norms == 0.0):
+            centroids[c] = matrix[int(rng.integers(n))]
+            norms[c] = 1.0
+        centroids /= norms[:, None]
+    return centroids, vector_index._assign_to_centroids(matrix, centroids)
+
+
+@pytest.mark.parametrize("n, dim, nlist, iters, seed", [
+    (500, 32, 22, 20, 0), (500, 32, 22, 3, 1), (1200, 64, 34, 8, 2), (90, 8, 9, 20, 3),
+    (60, 4, 60, 5, 4),
+])
+def test_kmeans_cluster_sums_match_reduceat(n, dim, nlist, iters, seed):
+    matrix = unit_rows(np.random.default_rng(seed), n, dim)
+    centroids, assignment = vector_index._spherical_kmeans(matrix, nlist, iters, seed)
+    want_centroids, want_assignment = reduceat_kmeans(matrix, nlist, iters, seed)
+    assert np.array_equal(assignment, want_assignment)
+    np.testing.assert_allclose(centroids, want_centroids, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 100])
+def test_kmeans_assigns_once_per_iteration(monkeypatch, iters):
+    matrix = unit_rows(np.random.default_rng(97), 300, 8)
+    assignments = []
+    real_assign = vector_index._assign_to_centroids
+
+    def recording(rows, centroids):
+        assignments.append(real_assign(rows, centroids))
+        return assignments[-1]
+
+    monkeypatch.setattr(vector_index, "_assign_to_centroids", recording)
+    centroids, assignment = vector_index._spherical_kmeans(matrix, 12, iters, 97)
+    assert np.array_equal(assignment, real_assign(matrix, centroids))
+    assert np.array_equal(assignment, assignments[-1])
+    repeats = [np.array_equal(a, b) for a, b in zip(assignments, assignments[1:])]
+    if iters == 100:  # converged: the last iteration's assignment is the answer
+        assert repeats[-1] and not any(repeats[:-1])
+        assert len(assignments) < iters
+    else:  # out of iterations: one more assignment, against the last centroids
+        assert len(assignments) == iters + 1
+
+
+def test_ivf_build_traces_at_most_one_and_a_half_matrices():
+    matrix = unit_rows(np.random.default_rng(101), 4000, 256)
+    tracemalloc.start()
+    try:
+        ivf_from_matrix(matrix, np.arange(4000), None, default_nlist(4000), 8, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * matrix.nbytes, peak / matrix.nbytes

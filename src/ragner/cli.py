@@ -250,13 +250,14 @@ def predict(cfg: RunConfig, input_path, output_path):
     with open(out_path, "w", encoding="utf-8") as fh:
         for row in outcome.rows:
             fh.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
-    _write_telemetry(out_path, {"latency": outcome.latency, "failures": len(outcome.failures)})
+    failures = sum(row.error is not None for row in outcome.rows)
+    _write_telemetry(out_path, {"latency": outcome.latency, "failures": failures})
     write_manifest(cfg, "predict", [in_path], [out_path])
     median = outcome.latency.get("median")
     timing = f", median latency {median:.4f}s" if median is not None else ""
     click.echo(
         f"predicted {len(outcome.rows)} sentences "
-        f"({len(outcome.failures)} failures{timing}) -> {out_path}"
+        f"({failures} failures{timing}) -> {out_path}"
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass
@@ -81,6 +82,14 @@ class RetrieverConfig:
         return self.per_word_k if self.per_word_k is not None else self.k
 
 
+def _check_remote(timeout: float, max_retries: int) -> None:
+    """The HTTP settings both remote clients take."""
+    if timeout <= 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     backend: str = "mock-gold"
@@ -104,6 +113,10 @@ class GeneratorSpec:
             raise ValueError("temperature must be >= 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        _check_remote(self.timeout, self.max_retries)
+        for name, value in (("mock_delay", self.mock_delay), ("mock_jitter", self.mock_jitter)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.backend == "remote-completion" and not self.endpoint:
             raise ValueError("remote-completion backend requires an endpoint")
 
@@ -223,6 +236,7 @@ class EmbedderConfig:
             raise ValueError(f"provider must be one of {_PROVIDERS}, got {self.provider!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
+        _check_remote(self.timeout, self.max_retries)
 
 
 @dataclass(frozen=True)
@@ -323,7 +337,7 @@ def _fits(value, kind: type) -> bool:
 def _checked(cls, values: dict, where: str) -> dict:
     """`values` checked against `cls`'s field annotations (`int`, `float`,
     `str`, `bool`, `X | None`, `tuple[str, ...]`), lists made tuples. A
-    string must not hold a NUL character."""
+    float must be finite and a string must not hold a NUL character."""
     hints = typing.get_type_hints(cls)
     out = {}
     for key, value in values.items():
@@ -333,6 +347,8 @@ def _checked(cls, values: dict, where: str) -> dict:
         if not ((value is None and nullable) or _fits(value, kind)):
             null = " or null" if nullable else ""
             raise ConfigError(f"{where}: {key} must be {_KINDS[kind]}{null}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
         if isinstance(value, str) and "\0" in value:  # no file path can hold one
             raise ConfigError(f"{where}: {key} must not contain a NUL character")
         out[key] = tuple(value) if kind is tuple else value

@@ -166,7 +166,6 @@ class CorpusSplit:
 
     store: list[LabeledSentence]
     finetune: list[LabeledSentence]
-    seed: int
 
 
 @dataclass
@@ -174,7 +173,6 @@ class ParseWarnings:
     """Tally of recoverable problems found while parsing a BIO document."""
 
     dangling_inside: int = 0
-    messages: list[str] = field(default_factory=list)
 
 
 _TAG_RE = re.compile(r"^(O|[BI]-.+)$")
@@ -221,9 +219,6 @@ def parse_bio(text: str, warnings: ParseWarnings | None = None) -> list[LabeledS
             open_type = tags[-1][2:] if tags and tags[-1] != "O" else None
             if open_type != tag[2:]:
                 warnings.dangling_inside += 1
-                warnings.messages.append(
-                    f"line {line_no}: I-{tag[2:]} without open {tag[2:]} span; treated as B-"
-                )
                 tag = "B-" + tag[2:]
         tokens.append(token)
         tags.append(tag)
@@ -307,7 +302,7 @@ def split_store_finetune(
     chosen = set(rng.sample(range(n), store_size))
     store = [sentences[i] for i in range(n) if i in chosen]
     finetune = [sentences[i] for i in range(n) if i not in chosen]
-    return CorpusSplit(store=store, finetune=finetune, seed=seed)
+    return CorpusSplit(store=store, finetune=finetune)
 
 
 # --- JSON-lines persistence -------------------------------------------------
@@ -449,7 +444,6 @@ def load_corpus(
             continue
         sentences, w = load_split_file(path, id_base=next_id)
         warnings.dangling_inside += w.dangling_inside
-        warnings.messages.extend(w.messages)
         next_id += len(sentences)
         splits[name] = sentences
     if not splits:
@@ -470,5 +464,5 @@ def select_store_split(splits: dict[str, list[LabeledSentence]], cfg: RunConfig)
             raise ConfigError(f"store.source_splits names {name!r} but no such corpus file")
         source.extend(splits[name])
     if cfg.store.size is None:
-        return CorpusSplit(store=source, finetune=[], seed=cfg.store.seed)
+        return CorpusSplit(store=source, finetune=[])
     return split_store_finetune(source, cfg.store.size, cfg.store.seed)

@@ -13,13 +13,11 @@ import hashlib
 import json
 import threading
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .config import _PROVIDERS
 from .corpus import LabeledSentence
 from .errors import (
     AlignmentGap,
@@ -33,40 +31,6 @@ from .errors import (
 from .remote import post_json
 from .stopwords import DEFAULT_STOPWORDS
 from .vector_index import open_array, open_json, save_array, save_json
-
-
-@dataclass(frozen=True)
-class WordEmbedding:
-    """Unit-norm contextual embedding of one word of one sentence."""
-
-    sentence_id: int
-    word_index: int
-    word: str
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class SentenceEmbedding:
-    """Unit-norm pooled embedding of a whole sentence."""
-
-    sentence_id: int
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class EmbedderSpec:
-    """Which provider to use and what its outputs must look like."""
-
-    provider: str  # "remote-service" | "precomputed-file"
-    model_name: str = "bge-base-en"
-    dimension: int = 768
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-
-    def __post_init__(self):
-        if self.provider not in _PROVIDERS:
-            raise ValueError(f"unknown provider {self.provider!r}")
-        if self.dimension <= 0:
-            raise ValueError("dimension must be positive")
 
 
 class Encoding(NamedTuple):
@@ -317,11 +281,14 @@ def token_char_ranges(tokens: list[str]) -> list[tuple[int, int]]:
 
 
 class Embedder:
-    """Binds a provider to an EmbedderSpec and exposes the embedding ops."""
+    """Binds a provider to the vector width and stop words the embedding
+    ops check and skip."""
 
-    def __init__(self, provider: EmbeddingProvider, spec: EmbedderSpec):
+    def __init__(self, provider: EmbeddingProvider, dimension: int,
+                 stopwords: frozenset[str] = DEFAULT_STOPWORDS):
         self.provider = provider
-        self.spec = spec
+        self.dimension = dimension
+        self.stopwords = stopwords
         self._cache: dict[str, Encoding] = {}
 
     def _encode(self, text: str) -> Encoding:
@@ -330,15 +297,16 @@ class Embedder:
             # the provider gives every token vector its sentence vector's width
             enc = self.provider.encode(text)
             shape = enc.sentence_vector.shape
-            if shape != (self.spec.dimension,):
+            if shape != (self.dimension,):
                 raise DimensionMismatch(
-                    f"provider sentence vector has shape {shape}, expected ({self.spec.dimension},)"
+                    f"provider sentence vector has shape {shape}, expected ({self.dimension},)"
                 )
             self._cache[text] = enc
         return enc
 
-    def embed_words(self, sentence: LabeledSentence) -> list[WordEmbedding]:
-        """One unit-norm WordEmbedding per non-stop-word token.
+    def embed_words(self, sentence: LabeledSentence) -> tuple[np.ndarray, np.ndarray]:
+        """The non-stop words of `sentence`: their token indexes (int64,
+        ascending) and unit-norm vectors (float64, one row per word).
 
         Each word vector is the mean of the provider subword vectors whose
         character offsets overlap the word, L2-normalized. Raises
@@ -348,23 +316,23 @@ class Embedder:
             raise EmptyInput(f"sentence {sentence.id} has no tokens")
         enc = self._encode(sentence.text)
         starts, ends = enc.token_spans.T
-        out: list[WordEmbedding] = []
-        for idx, (word, (ws, we)) in enumerate(zip(sentence.tokens, token_char_ranges(sentence.tokens))):
-            if word.lower() in self.spec.stopwords:
-                continue
+        ranges = token_char_ranges(sentence.tokens)
+        word_indexes = [i for i, word in enumerate(sentence.tokens)
+                        if word.lower() not in self.stopwords]
+        vectors = np.empty((len(word_indexes), self.dimension))
+        for row, i in enumerate(word_indexes):
+            ws, we = ranges[i]
             covering = (starts < we) & (ends > ws)
             if not covering.any():
                 raise AlignmentGap(
-                    f"sentence {sentence.id}: word {word!r} at chars [{ws},{we}) "
+                    f"sentence {sentence.id}: word {sentence.tokens[i]!r} at chars [{ws},{we}) "
                     "covered by no subword token"
                 )
-            mean = enc.token_vectors[covering].mean(axis=0)
-            out.append(WordEmbedding(sentence.id, idx, word, l2_normalize(mean)))
-        return out
+            vectors[row] = l2_normalize(enc.token_vectors[covering].mean(axis=0))
+        return np.array(word_indexes, dtype=np.int64), vectors
 
-    def embed_sentence(self, sentence: LabeledSentence) -> SentenceEmbedding:
+    def embed_sentence(self, sentence: LabeledSentence) -> np.ndarray:
         """The provider's pooled sentence vector, L2-normalized."""
         if not sentence.tokens:
             raise EmptyInput(f"sentence {sentence.id} has no tokens")
-        enc = self._encode(sentence.text)
-        return SentenceEmbedding(sentence.id, l2_normalize(enc.sentence_vector))
+        return l2_normalize(self._encode(sentence.text).sentence_vector)

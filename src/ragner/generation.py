@@ -68,7 +68,7 @@ def _mock_sleep(spec: GeneratorSpec, query_id: int) -> None:
     # jitter derived from the task key: varies across tasks, stable across runs
     digest = hashlib.sha256(str(query_id).encode()).digest()
     unit = int.from_bytes(digest[:8], "big") / 2**64
-    time.sleep(max(0.0, spec.mock_delay + spec.mock_jitter * unit))
+    time.sleep(spec.mock_delay + spec.mock_jitter * unit)
 
 
 def _mock_gold_completion(task: GenerationTask) -> str:

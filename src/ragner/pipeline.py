@@ -19,7 +19,6 @@ from .embedder import (
     CACHE_ARRAYS,
     CACHE_TEXTS,
     Embedder,
-    EmbedderSpec,
     RemoteEmbeddingProvider,
     load_precomputed,
     open_precomputed_cache,
@@ -50,12 +49,6 @@ def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedd
     stopwords = (
         load_stopwords(e.stopwords_file) if e.stopwords_file else DEFAULT_STOPWORDS
     )
-    spec = EmbedderSpec(
-        provider=e.provider,
-        model_name=e.model_name,
-        dimension=e.dimension,
-        stopwords=stopwords,
-    )
     if e.provider == "precomputed-file":
         if not e.precomputed_path:
             raise ConfigError("embedder.provider=precomputed-file needs precomputed_path")
@@ -73,7 +66,7 @@ def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedd
             max_retries=e.max_retries,
             max_in_flight=e.max_in_flight,
         )
-    return Embedder(provider, spec)
+    return Embedder(provider, e.dimension, stopwords)
 
 
 def load_store(cfg: RunConfig) -> ExampleStore:
@@ -99,6 +92,7 @@ def build_store(
     store = ExampleStore.build(
         sentences, schema, embedder, cfg.retriever, modes=cfg.store.modes
     )
+    store.model_name = cfg.embedder.model_name
     store.build_key = cfg.store_build_key
     return store
 
@@ -135,7 +129,6 @@ class PredictionRow:
 class PredictOutcome:
     rows: list[PredictionRow]
     latency: dict
-    failures: list[tuple[int, str]] = field(default_factory=list)
 
 
 def predict_sentences(
@@ -152,7 +145,6 @@ def predict_sentences(
     template = resolve_prompt(cfg.prompt)
     rows: dict[int, PredictionRow] = {}
     tasks: list[GenerationTask] = []
-    failures: list[tuple[int, str]] = []
     for sentence, examples in zip(sentences, retrieve(sentences, store, cfg.retriever)):
         row = PredictionRow(query_id=sentence.id, text=sentence.text)
         rows[sentence.id] = row
@@ -163,7 +155,6 @@ def predict_sentences(
         except RagnerError as exc:
             row.parse_failed = True
             row.error = f"{type(exc).__name__}: {exc}"
-            failures.append((sentence.id, row.error))
             continue
         row.prompt_hash = prompt_hash(prompt)
         tasks.append(GenerationTask(sentence.id, prompt, gold_output(sentence, schema)))
@@ -176,7 +167,6 @@ def predict_sentences(
         if result.error is not None:
             row.parse_failed = True
             row.error = result.error
-            failures.append((result.query_id, result.error))
             continue
         try:
             row.parsed = parse_output(
@@ -188,12 +178,10 @@ def predict_sentences(
         except NoDictionaryFound as exc:
             row.parse_failed = True
             row.error = f"{type(exc).__name__}: {exc}"
-            failures.append((result.query_id, row.error))
 
     return PredictOutcome(
         rows=[rows[s.id] for s in sentences],
         latency=latency_summary(results),
-        failures=failures,
     )
 
 

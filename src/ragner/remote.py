@@ -41,7 +41,7 @@ def post_json(
     except ValueError as exc:  # no URL scheme
         raise error(f"{url}: {exc}") from exc
     last: RagnerError | None = None
-    for attempt in range(max(max_retries, 0) + 1):
+    for attempt in range(max_retries + 1):
         if attempt:
             time.sleep(min(0.1 * 2 ** (attempt - 1), 2.0))
         try:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import _MODES, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl, write_sentences_jsonl
-from .embedder import Embedder, WordEmbedding
+from .embedder import Embedder
 from .errors import ConfigError, EmptyQueryAfterStopwords, EmptyStore, FormatError, RagnerError
 from .vector_index import (
     Index,
@@ -70,21 +70,24 @@ def _entity_word_indexes(sentence: LabeledSentence) -> set[int]:
 def _word_rows(
     sentences: list[LabeledSentence], embedder: Embedder, store_words: str
 ) -> tuple[np.ndarray, list[int], list[str]]:
-    """The kept store words as index rows: their stacked vectors, sentence ids
-    and words. entity-only keeps the (non-stop) words inside gold entity
-    spans; all keeps every non-stop word. The per-word vectors are freed on
-    return, before an index build makes its own temporaries."""
-    vectors, sentence_ids, words = [], [], []
+    """The kept store words as index rows: their concatenated vectors,
+    sentence ids and words. entity-only keeps the (non-stop) words inside
+    gold entity spans; all keeps every non-stop word. The per-sentence
+    matrices are freed on return, before an index build makes its own
+    temporaries."""
+    matrices, sentence_ids, words = [], [], []
     for sentence in sentences:
-        keep = _entity_word_indexes(sentence) if store_words == "entity-only" else None
-        for w in embedder.embed_words(sentence):
-            if keep is None or w.word_index in keep:
-                vectors.append(w.vector)
-                sentence_ids.append(sentence.id)
-                words.append(w.word)
-    if not vectors:
+        word_indexes, vectors = embedder.embed_words(sentence)
+        if store_words == "entity-only":
+            keep = _entity_word_indexes(sentence)
+            mask = np.array([i in keep for i in word_indexes.tolist()], dtype=bool)
+            word_indexes, vectors = word_indexes[mask], vectors[mask]
+        matrices.append(vectors)
+        sentence_ids.extend([sentence.id] * len(word_indexes))
+        words.extend(sentence.tokens[i] for i in word_indexes.tolist())
+    if not words:
         raise EmptyStore(f"store_words={store_words!r} kept zero word records")
-    return np.stack(vectors), sentence_ids, words
+    return np.concatenate(matrices), sentence_ids, words
 
 
 def _build_index(matrix: np.ndarray, sentence_ids: list[int], words: list[str] | None,
@@ -150,7 +153,7 @@ class ExampleStore:
         if "word-level" in modes:
             word_index = _build_index(*_word_rows(sentences, embedder, cfg.store_words), cfg)
         if "sentence-level" in modes:
-            matrix = np.stack([embedder.embed_sentence(s).vector for s in sentences])
+            matrix = np.stack([embedder.embed_sentence(s) for s in sentences])
             sentence_index = _build_index(matrix, [s.id for s in sentences], None, cfg)
         return cls(
             sentences,
@@ -158,7 +161,6 @@ class ExampleStore:
             word_index=word_index,
             sentence_index=sentence_index,
             store_words=cfg.store_words,
-            model_name=embedder.spec.model_name,
             embedder=embedder,
         )
 
@@ -220,9 +222,11 @@ class ExampleStore:
 
 
 def _pool_words(
-    index: Index, query_words: list[WordEmbedding], results, cfg: RetrieverConfig
+    index: Index, query: LabeledSentence, word_indexes: np.ndarray, results,
+    cfg: RetrieverConfig,
 ) -> list[RetrievedExample]:
-    """The word-level pooling of one query's per-word hits.
+    """The word-level pooling of one query's per-word hits, one per entry of
+    `word_indexes` (the query's token indexes).
 
     Pools up to per_word_k hits per query word, collapses to unique store
     sentences keeping each one's maximum similarity, and returns the top
@@ -232,17 +236,18 @@ def _pool_words(
     best: dict[int, float] = {}
     pairs: dict[int, list[MatchedPair]] = {}
     per_word_best: dict[int, dict[int, float]] = {}
-    for w, (record_ids, hit_scores) in zip(query_words, results):
+    for word_index, (record_ids, hit_scores) in zip(word_indexes.tolist(), results):
+        query_word = query.tokens[word_index]
         sids = index.sentence_ids[record_ids].tolist()
         for record_id, sid, score in zip(record_ids.tolist(), sids, hit_scores.tolist()):
             store_word = index.words[record_id] if index.words else ""
             if sid not in best or score > best[sid]:
                 best[sid] = score
-            pairs.setdefault(sid, []).append(MatchedPair(w.word, store_word, score))
+            pairs.setdefault(sid, []).append(MatchedPair(query_word, store_word, score))
             word_best = per_word_best.setdefault(sid, {})
-            prev = word_best.get(w.word_index)
+            prev = word_best.get(word_index)
             if prev is None or score > prev:
-                word_best[w.word_index] = score
+                word_best[word_index] = score
 
     if cfg.aggregator == "sum":
         scores = {sid: sum(per_word_best[sid].values()) for sid in best}
@@ -259,18 +264,18 @@ def _pool_words(
 
 
 def _search_block(block, index: Index, cfg: RetrieverConfig, entries: list) -> None:
-    """Search the rows of a block of (entry position, query, row embeddings)
-    with one search_batch call and fill each query's entry."""
+    """Search the rows of a block of (entry position, query, word indexes,
+    row matrix) with one search_batch call and fill each query's entry."""
     word_level = cfg.mode == "word-level"
-    row_query_ids = np.repeat([q.id for _, q, _ in block], [len(rows) for _, _, rows in block])
+    row_query_ids = np.repeat([q.id for _, q, _, _ in block], [len(rows) for *_, rows in block])
     exclude = index.sentence_ids[None, :] == row_query_ids[:, None] if cfg.exclude_self else None
-    results = iter(index.search_batch([r.vector for _, _, rows in block for r in rows],
+    results = iter(index.search_batch(np.concatenate([rows for *_, rows in block]),
                                       cfg.effective_per_word_k if word_level else cfg.k,
                                       nprobe=cfg.nprobe, exclude=exclude))
-    for position, _, rows in block:
-        hits = [next(results) for _ in rows]
+    for position, query, word_indexes, rows in block:
+        hits = [next(results) for _ in range(len(rows))]
         if word_level:
-            entries[position] = _pool_words(index, rows, hits, cfg)
+            entries[position] = _pool_words(index, query, word_indexes, hits, cfg)
         else:
             [(record_ids, scores)] = hits
             entries[position] = [RetrievedExample(int(index.sentence_ids[r]), s)
@@ -299,18 +304,20 @@ def _retrieve_blocks(
     block_rows = 0
     for position, query in enumerate(queries):
         try:
-            if not word_level:
-                rows = [store.embedder.embed_sentence(query)]
-            elif not (rows := store.embedder.embed_words(query)):
-                raise EmptyQueryAfterStopwords(
-                    f"query {query.id} has no non-stop-word tokens: {query.text!r}")
+            if word_level:
+                word_indexes, rows = store.embedder.embed_words(query)
+                if not len(word_indexes):
+                    raise EmptyQueryAfterStopwords(
+                        f"query {query.id} has no non-stop-word tokens: {query.text!r}")
+            else:
+                word_indexes, rows = None, store.embedder.embed_sentence(query)[None, :]
         except RagnerError as exc:
             entries[position] = exc
             continue
         if block and block_rows + len(rows) > max_rows:
             _search_block(block, index, cfg, entries)
             block, block_rows = [], 0
-        block.append((position, query, rows))
+        block.append((position, query, word_indexes, rows))
         block_rows += len(rows)
     if block:
         _search_block(block, index, cfg, entries)

@@ -20,7 +20,6 @@ import numpy as np
 from ragner.corpus import EntitySchema, EntitySpan, EntityType, LabeledSentence
 from ragner.embedder import (
     Embedder,
-    EmbedderSpec,
     Encoding,
     PrecomputedEmbeddingProvider,
     load_precomputed,
@@ -128,8 +127,7 @@ def make_embedder(
         sentences, tmp_path / name, dim,
         word_vectors=word_vectors, sentence_vectors=sentence_vectors,
     )
-    spec = EmbedderSpec(provider="precomputed-file", model_name="test-hash", dimension=dim)
-    return Embedder(load_precomputed(path), spec)
+    return Embedder(load_precomputed(path), dim)
 
 
 # --- the engineered retrieval-contrast fixture ------------------------------

@@ -191,13 +191,13 @@ def _pooling_oracle(store, query, cfg) -> list[tuple[int, float]]:
     embedder = store.embedder
     records = []
     for sentence in store.sentences:
-        for w in embedder.embed_words(sentence):
-            records.append((sentence.id, w.vector))
+        for vector in embedder.embed_words(sentence)[1]:
+            records.append((sentence.id, vector))
     per_word_k = cfg.per_word_k if cfg.per_word_k is not None else cfg.k
     best: dict[int, float] = {}
-    for qw in embedder.embed_words(query):
+    for qw in embedder.embed_words(query)[1]:
         sims = sorted(
-            ((float(np.dot(qw.vector, vec)), sid) for sid, vec in records),
+            ((float(np.dot(qw, vec)), sid) for sid, vec in records),
             key=lambda t: (-t[0], t[1]),
         )
         for sim, sid in sims[:per_word_k]:

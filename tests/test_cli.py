@@ -507,6 +507,16 @@ def test_missing_config_file_fails(proj):
     ("generator.max_tokens=abc", "ConfigError", "[generator] config: max_tokens must be an integer"),
     ("generator.timeout=abc", "ConfigError", "[generator] config: timeout must be a number"),
     ("generator.mock_delay=abc", "ConfigError", "[generator] config: mock_delay must be a number"),
+    ("generator.mock_delay=.inf", "ConfigError",
+     "[generator] config: mock_delay must be finite, got inf"),
+    ("generator.mock_delay=-0.5", "ConfigError", "[generator] config: mock_delay must be >= 0"),
+    ("generator.mock_jitter=-0.5", "ConfigError", "[generator] config: mock_jitter must be >= 0"),
+    ("generator={backend: remote-completion, endpoint: 'http://127.0.0.1:9/v1', timeout: -1}",
+     "ConfigError", "[generator] config: timeout must be > 0, got -1"),
+    ("generator.max_retries=-1", "ConfigError", "[generator] config: max_retries must be >= 0"),
+    ("embedder={provider: remote-service, endpoint: 'http://127.0.0.1:9/v1', timeout: -1}",
+     "ConfigError", "[embedder] config: timeout must be > 0, got -1"),
+    ("embedder.max_retries=-1", "ConfigError", "[embedder] config: max_retries must be >= 0"),
     ("augment.seed=abc", "ConfigError", "[augment] config: seed must be an integer"),
     ("augment.dropout_fraction=true", "ConfigError",
      "[augment] config: dropout_fraction must be a number, got True"),
@@ -1103,6 +1113,12 @@ def test_index_manifest_records_cache_and_embedding_file(proj):
         assert str(proj.out / "store" / name) in doc["outputs"]
     jsonl = proj.data / "embeddings.jsonl"
     assert doc["inputs"][str(jsonl)] == hashlib.sha256(jsonl.read_bytes()).hexdigest()
+
+
+def test_store_meta_records_the_embedder_model_and_the_build_key(proj):
+    meta = json.loads((proj.out / "store" / "meta.json").read_text(encoding="utf-8"))
+    assert meta["model_name"] == "test-hash"
+    assert meta["build_key"] == load_config(proj.cfg).store_build_key
 
 
 def test_store_built_under_another_config_is_refused(proj, tmp_path):

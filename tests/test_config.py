@@ -4,6 +4,7 @@ annotated type, and the defaults' fingerprints stay put."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 import yaml
@@ -24,7 +25,7 @@ def _dotted_keys(doc: dict) -> list[str]:
 # read from the annotation strings, apart from the loader's own type check
 _HOLDS = {
     "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
+    "float": lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
     "str": lambda v: type(v) is str,
     "bool": lambda v: type(v) is bool,
     "tuple[str, ...]": lambda v: type(v) is tuple and all(type(s) is str for s in v),
@@ -50,6 +51,17 @@ def test_any_value_is_refused_or_held_as_its_annotated_type(key, value):
     holder = getattr(cfg, section) if section else cfg
     [field] = [f for f in dataclasses.fields(holder) if f.name == name]
     assert _holds(getattr(holder, name), field.type), (key, value, getattr(holder, name))
+
+
+_FLOAT_KEYS = [f"{name}.{key}" for name, section in _defaults().items() if isinstance(section, dict)
+               for key, value in section.items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_every_float_key_refuses_a_non_finite_value(key, value):
+    with pytest.raises(ConfigError, match=f"{key.rpartition('.')[2]} must be finite"):
+        load_config(None, [f"{key}={value}"])
 
 
 def test_defaults_and_their_fingerprints_are_pinned():

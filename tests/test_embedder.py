@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ragner.corpus import LabeledSentence
 from ragner.embedder import (
     Embedder,
-    EmbedderSpec,
     RemoteEmbeddingProvider,
     l2_normalize,
     load_precomputed,
@@ -62,16 +61,6 @@ def test_l2_normalize_unit_norm():
 def test_l2_normalize_zero_vector_raises():
     with pytest.raises(EmbedderError):
         l2_normalize(np.zeros(4))
-
-
-def test_spec_rejects_unknown_provider():
-    with pytest.raises(ValueError):
-        EmbedderSpec(provider="local-gpu")
-
-
-def test_spec_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        EmbedderSpec(provider="precomputed-file", dimension=0)
 
 
 def test_load_stopwords_override(tmp_path):
@@ -131,22 +120,34 @@ def test_precomputed_rejects_record_without_text(tmp_path):
 def test_embed_words_skips_stop_words(tmp_path):
     s = sent("I want to buy a table from store")
     embedder = make_embedder([s], tmp_path, dim=8)
-    words = [w.word for w in embedder.embed_words(s)]
-    assert words == ["want", "buy", "table", "store"]
+    word_indexes, _ = embedder.embed_words(s)
+    assert [s.tokens[i] for i in word_indexes] == ["want", "buy", "table", "store"]
 
 
 def test_embed_words_records_word_indices(tmp_path):
     s = sent("I want to buy a table from store")
     embedder = make_embedder([s], tmp_path, dim=8)
-    indices = {w.word: w.word_index for w in embedder.embed_words(s)}
-    assert indices == {"want": 1, "buy": 3, "table": 5, "store": 7}
+    word_indexes, vectors = embedder.embed_words(s)
+    assert word_indexes.dtype == np.int64 and word_indexes.tolist() == [1, 3, 5, 7]
+    assert vectors.dtype == np.float64 and vectors.shape == (4, 8)
+    sentence_vector = embedder.embed_sentence(s)
+    assert sentence_vector.dtype == np.float64 and sentence_vector.shape == (8,)
+
+
+def test_embed_words_of_only_stop_words_is_empty(tmp_path):
+    s = sent("the of a")
+    embedder = make_embedder([s], tmp_path, dim=8)
+    word_indexes, vectors = embedder.embed_words(s)
+    assert word_indexes.dtype == np.int64 and word_indexes.shape == (0,)
+    assert vectors.dtype == np.float64 and vectors.shape == (0, 8)
 
 
 def test_embed_words_vectors_are_unit_norm(tmp_path):
     s = sent("quantum computing accelerates discovery")
     embedder = make_embedder([s], tmp_path, dim=8)
-    for w in embedder.embed_words(s):
-        assert abs(np.linalg.norm(w.vector) - 1.0) < 1e-9
+    _, vectors = embedder.embed_words(s)
+    for vector in vectors:
+        assert abs(np.linalg.norm(vector) - 1.0) < 1e-9
 
 
 def test_word_vector_is_normalized_mean_of_subwords():
@@ -154,20 +155,18 @@ def test_word_vector_is_normalized_mean_of_subwords():
     v1, v2, v3 = [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]
     enc = encoding([(0, 4), (4, 9), (9, 12)], [v1, v2, v3], [1.0, 0.0, 0.0])
     provider = precomputed_provider({"snowboarding": enc})
-    spec = EmbedderSpec(provider="precomputed-file", dimension=3)
-    [word] = Embedder(provider, spec).embed_words(sent("snowboarding"))
+    _, [vector] = Embedder(provider, 3).embed_words(sent("snowboarding"))
     expected = np.array([1.0, 2.0, 3.0]) / 3.0
-    assert np.allclose(word.vector, expected / np.linalg.norm(expected))
+    assert np.allclose(vector, expected / np.linalg.norm(expected))
 
 
 def test_subword_sharing_across_word_boundary():
     # a subword token straddling two words ("b c") contributes to both means
     enc = encoding([(0, 1), (1, 4)], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     provider = precomputed_provider({"ab cd": enc})
-    spec = EmbedderSpec(provider="precomputed-file", dimension=2, stopwords=frozenset())
-    words = Embedder(provider, spec).embed_words(sent("ab cd"))
-    assert np.allclose(words[0].vector, l2_normalize(np.array([1.0, 1.0])))
-    assert np.allclose(words[1].vector, [0.0, 1.0])
+    _, vectors = Embedder(provider, 2, stopwords=frozenset()).embed_words(sent("ab cd"))
+    assert np.allclose(vectors[0], l2_normalize(np.array([1.0, 1.0])))
+    assert np.allclose(vectors[1], [0.0, 1.0])
 
 
 def loop_word_vectors(tokens, spans, vectors, stopwords) -> list[np.ndarray]:
@@ -191,36 +190,33 @@ def test_word_vectors_match_the_token_loop(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vectors = rng.normal(size=(len(spans), 5))
     provider = precomputed_provider({text: encoding(spans, vectors, rng.normal(size=5))})
-    spec = EmbedderSpec(provider="precomputed-file", dimension=5)
-    words = Embedder(provider, spec).embed_words(sent(text))
-    expected = loop_word_vectors(tokens, spans, vectors, spec.stopwords)
-    assert [w.vector.tobytes() for w in words] == [v.tobytes() for v in expected]
+    embedder = Embedder(provider, 5)
+    _, words = embedder.embed_words(sent(text))
+    expected = loop_word_vectors(tokens, spans, vectors, embedder.stopwords)
+    assert [w.tobytes() for w in words] == [v.tobytes() for v in expected]
 
 
 def test_embed_words_alignment_gap():
     enc = encoding([(0, 5)], [[1.0, 0.0]], [1.0, 0.0])
     provider = precomputed_provider({"hello world": enc})
-    spec = EmbedderSpec(provider="precomputed-file", dimension=2)
     with pytest.raises(AlignmentGap, match="world"):
-        Embedder(provider, spec).embed_words(sent("hello world"))
+        Embedder(provider, 2).embed_words(sent("hello world"))
 
 
 def test_embed_empty_sentence_raises():
     provider = precomputed_provider({})
-    spec = EmbedderSpec(provider="precomputed-file", dimension=2)
     empty = LabeledSentence(0, (), ())
     with pytest.raises(EmptyInput):
-        Embedder(provider, spec).embed_words(empty)
+        Embedder(provider, 2).embed_words(empty)
     with pytest.raises(EmptyInput):
-        Embedder(provider, spec).embed_sentence(empty)
+        Embedder(provider, 2).embed_sentence(empty)
 
 
 def test_dimension_mismatch_detected(tmp_path):
     s = sent("quantum computing")
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(s.tokens, dim=8)], path)
-    spec = EmbedderSpec(provider="precomputed-file", dimension=16)
-    embedder = Embedder(load_precomputed(path), spec)
+    embedder = Embedder(load_precomputed(path), 16)
     with pytest.raises(DimensionMismatch):
         embedder.embed_words(s)
 
@@ -228,7 +224,7 @@ def test_dimension_mismatch_detected(tmp_path):
 def test_embed_sentence_normalizes(tmp_path):
     s = sent("quantum computing")
     embedder = make_embedder([s], tmp_path, dim=8, sentence_vectors={s.text: [3.0] * 8})
-    vec = embedder.embed_sentence(s).vector
+    vec = embedder.embed_sentence(s)
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-9
     assert np.allclose(vec, np.full(8, 1.0 / np.sqrt(8)))
 
@@ -241,8 +237,7 @@ def test_provider_called_once_per_text():
             calls.append(text)
             return encoding([(0, 2)], [[1.0, 0.0]], [0.0, 1.0])
 
-    spec = EmbedderSpec(provider="precomputed-file", dimension=2, stopwords=frozenset())
-    embedder = Embedder(CountingProvider(), spec)
+    embedder = Embedder(CountingProvider(), 2, stopwords=frozenset())
     s = sent("hi")
     embedder.embed_words(s)
     embedder.embed_sentence(s)
@@ -368,7 +363,7 @@ def test_remote_provider_slow_reply_times_out(embedding_server):
 def test_remote_sentence_vector_of_wrong_width_is_not_cached(embedding_server):
     # the server answers 4-d vectors; a rejected encoding is asked for again
     provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0)
-    embedder = Embedder(provider, EmbedderSpec(provider="remote-service", dimension=8))
+    embedder = Embedder(provider, 8)
     for _ in range(2):
         with pytest.raises(DimensionMismatch):
             embedder.embed_words(sent("hello world"))
@@ -424,14 +419,11 @@ def test_cache_round_trip_is_bit_exact(tmp_path):
     assert cached.texts == parsed.texts
     for attr in ("token_vectors", "token_spans", "token_offsets", "sentence_vectors"):
         assert getattr(cached, attr).tobytes() == getattr(parsed, attr).tobytes()
-    spec = EmbedderSpec(provider="precomputed-file", dimension=8)
     for s in sentences:
-        a, b = Embedder(parsed, spec).embed_words(s), Embedder(cached, spec).embed_words(s)
-        assert [w.vector.tobytes() for w in a] == [w.vector.tobytes() for w in b]
+        (ia, a), (ib, b) = Embedder(parsed, 8).embed_words(s), Embedder(cached, 8).embed_words(s)
+        assert ia.tobytes() == ib.tobytes() and a.tobytes() == b.tobytes()
     with pytest.raises(DimensionMismatch):
-        Embedder(cached, EmbedderSpec(provider="precomputed-file", dimension=16)).embed_words(
-            sentences[0]
-        )
+        Embedder(cached, 16).embed_words(sentences[0])
 
 
 def test_cache_open_rejects_missing_and_malformed_files(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -208,12 +209,12 @@ def oracle_word_level(store_sents, query, embedder, per_word_k, k):
     """Reference pooling: exhaustive cosine per query word, then collapse."""
     store_words = []
     for s in store_sents:
-        store_words.extend(embedder.embed_words(s))
+        store_words.extend((s.id, vector) for vector in embedder.embed_words(s)[1])
     best: dict[int, float] = {}
-    for qw in embedder.embed_words(query):
+    for query_vector in embedder.embed_words(query)[1]:
         sims = [
-            (float(np.dot(qw.vector, sw.vector)), idx, sw.sentence_id)
-            for idx, sw in enumerate(store_words)
+            (float(np.dot(query_vector, vector)), idx, sid)
+            for idx, (sid, vector) in enumerate(store_words)
         ]
         sims.sort(key=lambda t: (-t[0], t[1]))
         for score, _, sid in sims[:per_word_k]:
@@ -296,17 +297,17 @@ def overfetch_reference(query, store, cfg):
     per_word_k = cfg.effective_per_word_k
     owned = int(np.sum(index.sentence_ids == query.id)) if cfg.exclude_self else 0
     best, pairs, per_word_best = {}, {}, {}
-    for w in store.embedder.embed_words(query):
-        hits = index.search(w.vector, per_word_k + owned, nprobe=cfg.nprobe)
+    for word_index, vector in zip(*store.embedder.embed_words(query)):
+        hits = index.search(vector, per_word_k + owned, nprobe=cfg.nprobe)
         if cfg.exclude_self:
             hits = [h for h in hits if int(index.sentence_ids[h.record_id]) != query.id]
         for hit in hits[:per_word_k]:
             sid = int(index.sentence_ids[hit.record_id])
             best[sid] = max(best.get(sid, hit.score), hit.score)
             pairs.setdefault(sid, []).append(
-                MatchedPair(w.word, index.words[hit.record_id], hit.score))
+                MatchedPair(query.tokens[word_index], index.words[hit.record_id], hit.score))
             word_best = per_word_best.setdefault(sid, {})
-            word_best[w.word_index] = max(word_best.get(w.word_index, hit.score), hit.score)
+            word_best[word_index] = max(word_best.get(word_index, hit.score), hit.score)
     if cfg.aggregator == "sum":
         scores = {sid: sum(per_word_best[sid].values()) for sid in best}
     else:
@@ -506,6 +507,23 @@ def test_block_rule_splits_by_score_budget_and_row_cap(tmp_path, monkeypatch):
     rows.clear()
     retrieve(queries * 2, store, RetrieverConfig(mode="sentence-level"))
     assert rows == [5, 5, 2]
+
+
+@pytest.mark.parametrize("index_kind", ["flat", "ivf"])
+def test_store_build_traces_at_most_two_and_a_half_word_matrices(tmp_path, index_kind):
+    # the per-sentence word matrices must be freed before the index is built
+    sentences = [LabeledSentence(i, [f"s{i}w{j}" for j in range(10)], []) for i in range(400)]
+    embedder = make_embedder(sentences, tmp_path, dim=256)
+    matrix_bytes = 400 * 10 * 256 * 8
+    cfg = RetrieverConfig(store_words="all", index_kind=index_kind)
+    tracemalloc.start()
+    try:
+        store = ExampleStore.build(sentences, product_schema(), embedder, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store.word_index) == 4000
+    assert peak <= 2.5 * matrix_bytes, peak / matrix_bytes
 
 
 # --- degenerate inputs ----------------------------------------------------------------

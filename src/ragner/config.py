@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 import types
 import typing
 from dataclasses import asdict, dataclass
@@ -33,6 +34,10 @@ _AGGREGATORS = ("max", "sum")
 STORE_BUILD_FIELDS = ("store_words", "index_kind", "nlist", "kmeans_iters", "seed")
 _BACKENDS = ("remote-completion", "mock-gold", "mock-echo-nearest")
 _WIRE_FORMATS = ("prompt", "chat")
+# The longest wait a timing key may ask for. time.sleep refuses a wait that
+# ends past threading.TIMEOUT_MAX on the monotonic clock, which counts from
+# boot; half of it holds for 146 years of uptime.
+MAX_WAIT_S = threading.TIMEOUT_MAX / 2
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,8 @@ def _check_remote(timeout: float, max_retries: int) -> None:
     """The HTTP settings both remote clients take."""
     if timeout <= 0:
         raise ValueError(f"timeout must be > 0, got {timeout}")
+    if timeout > MAX_WAIT_S:
+        raise ValueError(f"timeout must be <= {MAX_WAIT_S}, got {timeout}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
 
@@ -117,6 +124,9 @@ class GeneratorSpec:
         for name, value in (("mock_delay", self.mock_delay), ("mock_jitter", self.mock_jitter)):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.mock_delay + self.mock_jitter > MAX_WAIT_S:
+            raise ValueError(f"mock_delay + mock_jitter must be <= {MAX_WAIT_S}, "
+                             f"got {self.mock_delay + self.mock_jitter}")
         if self.backend == "remote-completion" and not self.endpoint:
             raise ValueError("remote-completion backend requires an endpoint")
 

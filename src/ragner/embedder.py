@@ -154,6 +154,8 @@ def _flat_vector(values, dim: int | None) -> np.ndarray:
     vector = np.asarray(values, dtype=np.float64)
     if vector.ndim != 1 or (dim is not None and len(vector) != dim):
         raise ValueError(f"vector of shape {vector.shape}, expected ({dim},)")
+    if not np.isfinite(vector).all():  # null becomes NaN in the cast above
+        raise ValueError("vector entries must be finite numbers")
     return vector
 
 
@@ -178,6 +180,13 @@ def _append_record(
     return len(tokens)
 
 
+# orjson recurses on the C stack with no depth limit and overflows it on a
+# line nested about 100,000 levels deep; a line with more JSON openers than
+# this goes to `json`, which raises RecursionError instead. A record is 4
+# levels deep and has about two openers per token.
+_MAX_OPENERS = 4096
+
+
 def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
     """Parse a precomputed embedding file; raises FormatError on bad records.
 
@@ -186,6 +195,8 @@ def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
     several lines, the last one wins. The provider's sha256 is the digest of
     the bytes parsed, so the file is read once.
     """
+    import orjson  # here, so that commands which open the cache never load it
+
     digest = hashlib.sha256()
     texts: list[str] = []
     offsets = [0]
@@ -201,12 +212,17 @@ def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
                 raise FormatError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
             if not line:
                 continue
+            deep = line.count("[") + line.count("{") > _MAX_OPENERS
             try:
-                doc = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+                doc = json.loads(line) if deep else orjson.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # orjson's error subclasses it
                 raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
                 raise FormatError(f"{path}:{line_no}: record missing 'text'")
+            try:
+                doc["text"].encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate escape, which json lets through
+                raise FormatError(f"{path}:{line_no}: text is not valid Unicode: {exc}") from exc
             n_tokens = _append_record(
                 doc, f"{path}:{line_no}", vectors, spans, sentence_vectors, dim
             )

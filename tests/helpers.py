@@ -84,6 +84,25 @@ def precomputed_provider(encodings: dict[str, Encoding]) -> PrecomputedEmbedding
     )
 
 
+def set_at(doc, path: tuple, value):
+    """`doc` with `value` put at the key path `path`, in place; `value`
+    itself when the path is empty."""
+    if not path:
+        return value
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    return doc
+
+
+def json_with_literal(doc, path: tuple, literal: str) -> str:
+    """`doc` as JSON text with the raw text `literal` at `path`, for values
+    json.dumps does not write, such as `1e400` or a lone surrogate escape."""
+    return json.dumps(set_at(doc, path, "@@")).replace('"@@"', literal)
+
+
 def write_precomputed(records: list[dict], path: Path) -> None:
     """Write precomputed embedding records (dicts in the file schema)."""
     with open(path, "w", encoding="utf-8") as fh:

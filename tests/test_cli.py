@@ -32,13 +32,13 @@ from hypothesis import strategies as st
 
 import ragner
 from ragner.cli import main
-from ragner.config import _defaults, load_config
+from ragner.config import MAX_WAIT_S, _defaults, load_config
 from ragner.corpus import EntitySpan, LabeledSentence, write_sentences_jsonl
 from ragner.embedder import CACHE_ARRAYS, CACHE_TEXTS
 from ragner.errors import ConfigError
 from ragner.vector_index import load_index
 
-from helpers import write_embedding_file
+from helpers import encoding_record, json_with_literal, set_at, write_embedding_file
 
 DIM = 8
 
@@ -517,6 +517,15 @@ def test_missing_config_file_fails(proj):
     ("embedder={provider: remote-service, endpoint: 'http://127.0.0.1:9/v1', timeout: -1}",
      "ConfigError", "[embedder] config: timeout must be > 0, got -1"),
     ("embedder.max_retries=-1", "ConfigError", "[embedder] config: max_retries must be >= 0"),
+    # time.sleep and socket timeouts refuse waits this long with a traceback
+    ("generator.mock_delay=1.0e+300", "ConfigError",
+     "[generator] config: mock_delay + mock_jitter must be <= 4611686018.0, got 1e+300"),
+    ("generator={backend: remote-completion, endpoint: 'http://127.0.0.1:9/v1', timeout: 1.0e+300}",
+     "ConfigError", "[generator] config: timeout must be <= 4611686018.0, got 1e+300"),
+    ("embedder={provider: remote-service, endpoint: 'http://127.0.0.1:9/v1', timeout: 1.0e+300}",
+     "ConfigError", "[embedder] config: timeout must be <= 4611686018.0, got 1e+300"),
+    ("embedder.timeout=9223372036.0", "ConfigError",
+     "[embedder] config: timeout must be <= 4611686018.0, got 9223372036.0"),
     ("augment.seed=abc", "ConfigError", "[augment] config: seed must be an integer"),
     ("augment.dropout_fraction=true", "ConfigError",
      "[augment] config: dropout_fraction must be a number, got True"),
@@ -613,6 +622,38 @@ def test_too_deeply_nested_input_file_exits_2_with_one_json_line(tmp_path, damag
     assert doc["error"] == error and message in doc["message"]
 
 
+def embedding_line(where: tuple, literal: str) -> bytes:
+    """A record of the embedding file with the JSON text `literal` at the
+    path `where`."""
+    return json_with_literal(encoding_record(["odd", "record"], DIM), where, literal).encode()
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param(embedding_line(("tokens", 0, "vector", 0), "NaN"), "invalid JSON", id="NaN"),
+    pytest.param(embedding_line(("tokens", 0, "vector", 0), "-Infinity"), "invalid JSON",
+                 id="-Infinity"),
+    pytest.param(embedding_line(("tokens", 0, "vector", 0), "1e400"), "invalid JSON",
+                 id="1e400"),
+    pytest.param(embedding_line(("tokens", 0, "vector", 0), "null"),
+                 "bad embedding record: vector entries must be finite numbers", id="null"),
+    pytest.param(embedding_line(("text",), '"\\ud800"'), "invalid JSON", id="lone surrogate"),
+    pytest.param(b"[" * 1_000_000 + b"]" * 1_000_000, "invalid JSON", id="a million arrays"),
+    pytest.param(b'{"a":' * 50_000 + b"[" * 50_000 + b"]" * 50_000 + b"}" * 50_000,
+                 "invalid JSON", id="objects around arrays"),
+])
+def test_bad_embedding_line_exits_2_with_one_json_line(tmp_path, line, message):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    path = ns.data / "embeddings.jsonl"
+    n_lines = len(path.read_bytes().splitlines())
+    path.write_bytes(path.read_bytes() + line + b"\n")
+    result = run(["-c", ns.cfg, "index"], expect=2)
+    [err] = result.stderr.strip().splitlines()
+    doc = json.loads(err)
+    assert doc["error"] == "FormatError"
+    assert f"embeddings.jsonl:{n_lines + 1}: " in doc["message"] and message in doc["message"]
+
+
 # Arbitrary JSON values, strings with lone surrogates included (json.dumps
 # escapes them, so the corpus file itself stays UTF-8).
 JSON_VALUES = st.recursive(
@@ -639,16 +680,38 @@ def fuzz_proj(tmp_path_factory):
 def test_ingest_of_any_jsonl_record_exits_0_or_2_with_one_json_line(fuzz_proj, field, value):
     record = {"id": 5, "tokens": ["the", "omega", "pager"],
               "spans": [{"type": "gadget", "start": 1, "end": 3, "surface": "omega pager"}]}
-    if field:
-        *parents, last = field
-        holder = record
-        for key in parents:
-            holder = holder[key]
-        holder[last] = value
-    else:
-        record = value
+    record = set_at(record, field, value)
     (fuzz_proj.data / "dev.jsonl").write_bytes(fuzz_proj.dev + json.dumps(record).encode() + b"\n")
     result = RUNNER.invoke(main, ["-c", fuzz_proj.cfg, "ingest"])
+    # an exception that escapes the command, which would print a traceback, exits 1
+    assert result.exit_code in (0, 2), (record, result.exception)
+    if result.exit_code == 2:
+        doc = json.loads(result.stderr.strip().splitlines()[-1])
+        assert set(doc) == {"error", "message"}
+
+
+EMBEDDING_FIELDS = [(), ("text",), ("tokens",), ("tokens", 0), ("tokens", 0, "text"),
+                    ("tokens", 0, "start_char"), ("tokens", 0, "end_char"),
+                    ("tokens", 0, "vector"), ("tokens", 0, "vector", 0),
+                    ("sentence_vector",), ("sentence_vector", 0)]
+
+
+@pytest.fixture(scope="module")
+def index_fuzz_proj(tmp_path_factory):
+    ns = make_project(tmp_path_factory.mktemp("index-fuzz"))
+    run(["-c", ns.cfg, "ingest"])
+    ns.embeddings = (ns.data / "embeddings.jsonl").read_bytes()
+    return ns
+
+
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from(EMBEDDING_FIELDS), value=JSON_VALUES)
+def test_index_of_any_embedding_record_exits_0_or_2_with_one_json_line(index_fuzz_proj, field,
+                                                                      value):
+    record = set_at(encoding_record(["the", "omega", "pager"], DIM), field, value)
+    (index_fuzz_proj.data / "embeddings.jsonl").write_bytes(
+        index_fuzz_proj.embeddings + json.dumps(record).encode() + b"\n")
+    result = RUNNER.invoke(main, ["-c", index_fuzz_proj.cfg, "index"])
     # an exception that escapes the command, which would print a traceback, exits 1
     assert result.exit_code in (0, 2), (record, result.exception)
     if result.exit_code == 2:
@@ -703,9 +766,9 @@ def override_proj(tmp_path_factory):
        command=st.sampled_from(sorted(OVERRIDE_COMMANDS)))
 def test_any_override_of_any_command_exits_0_or_2_with_one_json_line(override_proj, key, value,
                                                                      command):
-    # a valid mock delay is a real sleep
+    # a valid mock delay is a real sleep; a longer one is refused before any
     assume(not (key.startswith("generator.mock_") and type(value) in (int, float)
-                and 0.01 < value < math.inf))
+                and 0.01 < value <= MAX_WAIT_S))
     root = override_proj.runs / "project"
     shutil.rmtree(root, ignore_errors=True)
     shutil.copytree(override_proj.root, root)
@@ -1360,7 +1423,7 @@ def test_ablate_fails_every_cell_on_a_damaged_cache(tmp_path, parses, damage, me
 
 # --- what each command imports, and remote generation ---------------------------
 
-HEAVY_MODULES = ("numpy", "requests", "urllib.request")
+HEAVY_MODULES = ("numpy", "orjson", "requests", "urllib.request")
 _PROBE = """
 import json, sys
 if sys.argv[1:]:
@@ -1385,7 +1448,8 @@ def test_commands_import_only_what_they_use(tmp_path):
     ns = make_project(tmp_path)
     assert heavy_modules_loaded() == []
     assert heavy_modules_loaded("-c", ns.cfg, "ingest") == []
-    run(["-c", ns.cfg, "index"])
+    # only the command that parses the embedding file loads its parser
+    assert heavy_modules_loaded("-c", ns.cfg, "index") == ["numpy", "orjson"]
     # mock generation over the embedding cache loads no HTTP machinery
     assert heavy_modules_loaded("-c", ns.cfg, "predict") == ["numpy"]
     assert heavy_modules_loaded("-c", ns.cfg, "evaluate") == []

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragner.config import _defaults, fingerprint, load_config
+from ragner.config import MAX_WAIT_S, _defaults, fingerprint, load_config
 from ragner.errors import ConfigError
 
 
@@ -62,6 +62,18 @@ _FLOAT_KEYS = [f"{name}.{key}" for name, section in _defaults().items() if isins
 def test_every_float_key_refuses_a_non_finite_value(key, value):
     with pytest.raises(ConfigError, match=f"{key.rpartition('.')[2]} must be finite"):
         load_config(None, [f"{key}={value}"])
+
+
+def test_mock_delay_and_jitter_together_wait_at_most_the_bound():
+    # a sleep can last mock_delay + mock_jitter; time.sleep refuses waits
+    # ending past threading.TIMEOUT_MAX on the monotonic clock
+    assert MAX_WAIT_S == 4611686018.0
+    half = f"{MAX_WAIT_S / 2:.1f}"
+    cfg = load_config(None, [f"generator.mock_delay={half}", f"generator.mock_jitter={half}"])
+    assert cfg.generator.mock_delay + cfg.generator.mock_jitter == MAX_WAIT_S
+    with pytest.raises(ConfigError, match=r"mock_delay \+ mock_jitter must be <= 4611686018.0, "
+                                          r"got 6000000000.0"):
+        load_config(None, ["generator.mock_delay=3.0e+9", "generator.mock_jitter=3.0e+9"])
 
 
 def test_defaults_and_their_fingerprints_are_pinned():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
+from decimal import Decimal, localcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ragner.embedder
 from ragner.corpus import LabeledSentence
 from ragner.embedder import (
     Embedder,
@@ -34,7 +37,14 @@ from ragner.errors import (
 )
 from ragner.stopwords import load_stopwords
 
-from helpers import encoding, encoding_record, make_embedder, precomputed_provider, write_precomputed
+from helpers import (
+    encoding,
+    encoding_record,
+    json_with_literal,
+    make_embedder,
+    precomputed_provider,
+    write_precomputed,
+)
 
 
 def sent(text: str, sid: int = 0) -> LabeledSentence:
@@ -111,6 +121,111 @@ def test_precomputed_rejects_record_without_text(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text('{"tokens": [], "sentence_vector": [1]}\n')
     with pytest.raises(FormatError):
+        load_precomputed(path)
+
+
+def json_number_texts(x: float | int) -> list[str]:
+    """Ways to write `x` as a JSON number: an int as digits; a float as its
+    repr, with 17, 20 and 26 significant digits, and as the exact decimal
+    midpoint between it and the next double up, which rounds to even."""
+    if isinstance(x, int):
+        return [str(x)]
+    texts = [repr(x), "%.17g" % x, "%.20g" % x, "%.25e" % x]
+    up = math.nextafter(x, math.inf)
+    if math.isfinite(up):
+        with localcontext() as ctx:
+            ctx.prec = 1200  # a double's exact decimal has at most 767 digits
+            texts.append(str((Decimal(x) + Decimal(up)) / 2))
+    return texts
+
+
+JSON_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   2.225073858507201e-308, 1.7976931348623157e308,
+                                   -1.7976931348623155e308])
+                | st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(numbers=st.lists(JSON_NUMBERS, min_size=1, max_size=8))
+def test_precomputed_parse_is_bit_identical_to_the_stdlib(tmp_path_factory, numbers):
+    texts = [t for x in numbers for t in json_number_texts(x)]
+    vector, reverse = "[" + ",".join(texts) + "]", "[" + ",".join(reversed(texts)) + "]"
+    line = ('{"text": "a b", "tokens": ['
+            '{"text": "a", "start_char": 0, "end_char": 1, "vector": %s}, '
+            '{"text": "b", "start_char": 2, "end_char": 3, "vector": %s}], '
+            '"sentence_vector": %s}' % (vector, reverse, vector))
+    path = tmp_path_factory.mktemp("parity") / "emb.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    provider = load_precomputed(path)
+    oracle = json.loads(line)
+    token_vectors = np.asarray([t["vector"] for t in oracle["tokens"]], dtype=np.float64)
+    sentence_vector = np.asarray(oracle["sentence_vector"], dtype=np.float64)
+    assert provider.token_vectors.tobytes() == token_vectors.tobytes()
+    assert provider.sentence_vectors.tobytes() == sentence_vector.tobytes()
+
+
+def deep_record(tokens: int = ragner.embedder._MAX_OPENERS // 2) -> dict:
+    """A valid record with more JSON openers than the loader hands orjson."""
+    return encoding_record([f"w{i}" for i in range(tokens)], dim=4)
+
+
+def test_a_line_with_more_openers_than_the_limit_parses_as_through_orjson(tmp_path, monkeypatch):
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["hello"], dim=4), deep_record()], path)
+    stdlib_parses = []
+    stdlib_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: stdlib_parses.append(s) or stdlib_loads(s))
+    via_json = load_precomputed(path)
+    assert [stdlib_loads(s)["text"] for s in stdlib_parses] == [deep_record()["text"]]
+    monkeypatch.setattr(ragner.embedder, "_MAX_OPENERS", math.inf)
+    via_orjson = load_precomputed(path)
+    assert len(stdlib_parses) == 1
+    assert via_json.texts == via_orjson.texts
+    for attr in ("token_vectors", "token_spans", "token_offsets", "sentence_vectors"):
+        assert getattr(via_json, attr).tobytes() == getattr(via_orjson, attr).tobytes()
+
+
+NOT_FINITE = "bad embedding record: vector entries must be finite numbers"
+
+
+# orjson refuses what is not strict JSON; json takes it, and the record
+# checks refuse it
+@pytest.mark.parametrize("deep", [False, True], ids=["orjson", "json"])
+@pytest.mark.parametrize("where, literal, on_orjson, on_json", [
+    pytest.param(("tokens", 0, "vector", 0), "NaN", "invalid JSON", NOT_FINITE, id="NaN"),
+    pytest.param(("tokens", 0, "vector", 0), "-Infinity", "invalid JSON", NOT_FINITE,
+                 id="-Infinity"),
+    pytest.param(("tokens", 0, "vector", 0), "1e400", "invalid JSON", NOT_FINITE, id="1e400"),
+    pytest.param(("tokens", 0, "vector", 0), "null", NOT_FINITE, NOT_FINITE, id="null"),
+    pytest.param(("sentence_vector", 0), "null", NOT_FINITE, NOT_FINITE,
+                 id="null sentence entry"),
+    pytest.param(("text",), '"caf\\ud800"', "invalid JSON", "text is not valid Unicode",
+                 id="lone surrogate"),
+])
+def test_precomputed_rejects_non_finite_values_and_lone_surrogates(tmp_path, deep, where, literal,
+                                                                   on_orjson, on_json):
+    record = deep_record() if deep else encoding_record(["hello", "world"], dim=4)
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["ok"], dim=4)], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json_with_literal(record, where, literal) + "\n")
+    with pytest.raises(FormatError, match=f"emb.jsonl:2: .*{on_json if deep else on_orjson}"):
+        load_precomputed(path)
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("[" * 1_000_000 + "]" * 1_000_000, id="a million arrays"),
+    pytest.param('{"a":' * 50_000 + "[" * 50_000 + "]" * 50_000 + "}" * 50_000,
+                 id="objects around arrays"),
+])
+def test_precomputed_rejects_a_deeply_nested_line(tmp_path, line):
+    # orjson would overflow the C stack on these lines and kill the process
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["ok"], dim=4)], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(FormatError, match="emb.jsonl:2: invalid JSON"):
         load_precomputed(path)
 
 
@@ -342,6 +457,16 @@ def test_remote_provider_non_json_response(embedding_server):
         _EmbeddingHandler.garbage = garbage
         with pytest.raises(FormatError, match="non-JSON response"):
             provider.encode("hello")
+
+
+def test_remote_provider_non_finite_reply(embedding_server):
+    _EmbeddingHandler.mode = "garbage"
+    record = encoding_record(["hello"], dim=4)
+    record["sentence_vector"][0] = math.nan
+    _EmbeddingHandler.garbage = json.dumps(record).encode()  # the stdlib writes NaN
+    provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0)
+    with pytest.raises(FormatError, match="vector entries must be finite numbers"):
+        provider.encode("hello")
 
 
 def test_remote_provider_retries_429(embedding_server):

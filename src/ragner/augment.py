@@ -19,13 +19,13 @@ and safe to generate in parallel.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import files
 from .config import AugmentConfig, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
 from .errors import RagnerError
@@ -183,9 +183,4 @@ def _render_record(
 
 def write_finetune_jsonl(records: Iterable[FinetuneRecord], path: str | Path) -> int:
     """Write records as JSON lines; returns the record count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return files.write_jsonl(path, (record.to_dict() for record in records))

@@ -21,16 +21,16 @@ import sys
 from pathlib import Path
 
 import click
-import yaml
 
-from .config import RunConfig, load_config
+from . import files
+from .config import RunConfig, load_config, read_yaml
 from .corpus import (
     LabeledSentence,
     load_corpus,
     load_schema,
     load_split_file,
-    read_jsonl,
     read_sentences_jsonl,
+    save_schema,
     select_store_split,
     write_sentences_jsonl,
 )
@@ -52,8 +52,8 @@ from .manifest import verify_upstream, write_manifest
 
 def _write_telemetry(out_path: Path, doc: dict) -> None:
     """Wall-clock figures go next to `out_path`, outside every manifest."""
-    telemetry_path = out_path.with_name(out_path.stem + "_telemetry.json")
-    telemetry_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    files.write_json(out_path.with_name(out_path.stem + "_telemetry.json"), doc,
+                     indent=2, sort_keys=True)
 
 
 def _handle_errors(fn):
@@ -91,20 +91,12 @@ def ingest(cfg: RunConfig):
     splits, schema, warnings = load_corpus(cfg)
     split = select_store_split(splits, cfg)
 
-    corpus_dir = cfg.paths.out_path("corpus")
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, sentences in splits.items():
-        path = corpus_dir / f"{name}.jsonl"
+    parts = {**splits, "store": split.store, "finetune_split": split.finetune}
+    outputs = [cfg.paths.out_path("corpus", f"{name}.jsonl") for name in parts]
+    for path, sentences in zip(outputs, parts.values()):
         write_sentences_jsonl(sentences, path)
-        outputs.append(path)
-    store_path = corpus_dir / "store.jsonl"
-    write_sentences_jsonl(split.store, store_path)
-    finetune_path = corpus_dir / "finetune_split.jsonl"
-    write_sentences_jsonl(split.finetune, finetune_path)
-    schema_path = cfg.paths.out_path("schema.json")
-    schema_path.write_text(json.dumps(schema.to_json(), indent=2) + "\n", encoding="utf-8")
-    outputs += [store_path, finetune_path, schema_path]
+    outputs.append(cfg.paths.out_path("schema.json"))
+    save_schema(schema, outputs[-1])
 
     inputs = [Path(p) for p in (cfg.paths.corpus_train, cfg.paths.corpus_dev,
                                 cfg.paths.corpus_test, cfg.paths.schema) if p]
@@ -167,7 +159,7 @@ def _read_queries(input_path: str | None, texts: tuple[str, ...]) -> list[Labele
 
 
 @main.command("retrieve")
-@click.option("--input", "input_path", type=click.Path(exists=True), default=None,
+@click.option("--input", "input_path", type=click.Path(), default=None,
               help="Query sentences (.jsonl or BIO).")
 @click.option("--text", "texts", multiple=True, help="Ad-hoc query sentence.")
 @click.option("--output", "output_path", type=click.Path(), default=None)
@@ -186,10 +178,8 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
         if isinstance(entry, RagnerError):
             raise entry  # before the output is opened, so no partial file is left
     out_path = Path(output_path) if output_path else cfg.paths.out_path("retrieval.jsonl")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for query, examples in zip(queries, entries):
-            fh.write(json.dumps(retrieval_payload(query.text, examples), ensure_ascii=False) + "\n")
+    files.write_jsonl(out_path, (retrieval_payload(query.text, examples)
+                                 for query, examples in zip(queries, entries)))
     inputs = [Path(input_path)] if input_path else []
     write_manifest(cfg, "retrieve", inputs, [out_path])
     click.echo(f"retrieved examples for {len(queries)} queries -> {out_path}")
@@ -207,29 +197,26 @@ def augment(cfg: RunConfig, output_path):
 
     verify_upstream(cfg, "ingest")
     verify_upstream(cfg, "index")
-    finetune_sentences = read_sentences_jsonl(
-        cfg.paths.out_path("corpus", "finetune_split.jsonl")
-    )
+    finetune_path = cfg.paths.out_path("corpus", "finetune_split.jsonl")
+    finetune_sentences = read_sentences_jsonl(finetune_path)
     if not finetune_sentences:
         raise ConfigError(
             "finetune split is empty; set store.size so ingest leaves sentences to finetune on"
         )
     store = pipeline.load_store(cfg)
     out_path = Path(output_path) if output_path else cfg.paths.out_path("finetune_dataset.jsonl")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     skipped: list[tuple[int, str]] = []
     records = build_finetune_dataset(
         finetune_sentences, store, cfg.augment, cfg.retriever, resolve_prompt(cfg.prompt),
         skipped=skipped,
     )
     count = write_finetune_jsonl(records, out_path)
-    write_manifest(cfg, "augment",
-                    [cfg.paths.out_path("corpus", "finetune_split.jsonl")], [out_path])
+    write_manifest(cfg, "augment", [finetune_path], [out_path])
     click.echo(f"wrote {count} finetune records -> {out_path} ({len(skipped)} skipped)")
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(exists=True), default=None,
+@click.option("--input", "input_path", type=click.Path(), default=None,
               help="Sentences to predict on; defaults to the ingested test split.")
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.pass_obj
@@ -246,19 +233,14 @@ def predict(cfg: RunConfig, input_path, output_path):
     outcome = pipeline.predict_sentences(_read_input(in_path), store, cfg)
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("predictions.jsonl")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for row in outcome.rows:
-            fh.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
+    files.write_jsonl(out_path, (row.to_dict() for row in outcome.rows))
     failures = sum(row.error is not None for row in outcome.rows)
     _write_telemetry(out_path, {"latency": outcome.latency, "failures": failures})
     write_manifest(cfg, "predict", [in_path], [out_path])
     median = outcome.latency.get("median")
     timing = f", median latency {median:.4f}s" if median is not None else ""
-    click.echo(
-        f"predicted {len(outcome.rows)} sentences "
-        f"({failures} failures{timing}) -> {out_path}"
-    )
+    click.echo(f"predicted {len(outcome.rows)} sentences ({failures} failures{timing}) -> "
+               f"{out_path}")
 
 
 @main.command()
@@ -274,28 +256,20 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     gold_file = Path(gold_path) if gold_path else cfg.paths.out_path("corpus", "test.jsonl")
     schema = load_schema(cfg.paths.out_path("schema.json"))
     gold = {s.id: s for s in read_sentences_jsonl(gold_file, unique_ids=True)}
-    report = score_rows(read_jsonl(pred_path), gold, schema, cfg.eval)
+    report = score_rows(files.read_jsonl(pred_path), gold, schema, cfg.eval)
     click.echo(format_report(report, title=str(pred_path)))
     out_path = Path(output_path) if output_path else cfg.paths.out_path("report.json")
-    write_report_json(
-        report,
-        out_path,
-        config_fingerprint=cfg.fingerprint,
-        seed=cfg.seed,
-        template_id=cfg.prompt.template_id,
-        model_name=cfg.generator.model_name or cfg.generator.backend,
-        grounding=cfg.eval.grounding,
-    )
+    write_report_json(report, out_path, config_fingerprint=cfg.fingerprint, seed=cfg.seed,
+                      template_id=cfg.prompt.template_id,
+                      model_name=cfg.generator.model_name or cfg.generator.backend,
+                      grounding=cfg.eval.grounding)
     write_manifest(cfg, "evaluate", [pred_path, gold_file], [out_path])
 
 
 def _grid_cells(grid_path: str) -> list[dict]:
     """The cells of a grid file, `{axes: {dotted.key: [values]}}` or
     `{cells: [{dotted.key: value}]}`."""
-    try:
-        doc = yaml.safe_load(Path(grid_path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, yaml.YAMLError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse grid file {grid_path}: {exc}") from exc
+    doc = read_yaml(grid_path, "grid file")
     if not isinstance(doc, dict) or not ("axes" in doc or "cells" in doc):
         raise ConfigError(f"{grid_path}: grid file needs an 'axes' or 'cells' key")
     if "axes" in doc:
@@ -314,7 +288,7 @@ def _grid_cells(grid_path: str) -> list[dict]:
 
 
 @main.command()
-@click.option("--grid", "grid_path", type=click.Path(exists=True), required=True,
+@click.option("--grid", "grid_path", type=click.Path(), required=True,
               help="YAML/JSON grid: {axes: {dotted.key: [values]}} or {cells: [...]}.")
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.pass_obj
@@ -328,14 +302,9 @@ def ablate(cfg: RunConfig, grid_path, output_path):
     results = run_ablation(_grid_cells(grid_path), pipeline.make_ablation_runner(cfg))
     click.echo(format_ablation(results))
     out_path = Path(output_path) if output_path else cfg.paths.out_path("ablation.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(
-        json.dumps(
-            ablation_to_dict(results, config_fingerprint=cfg.fingerprint, seed=cfg.seed),
-            indent=2, sort_keys=True,
-        ) + "\n",
-        encoding="utf-8",
-    )
+    files.write_json(out_path,
+                     ablation_to_dict(results, config_fingerprint=cfg.fingerprint, seed=cfg.seed),
+                     indent=2, sort_keys=True)
     _write_telemetry(out_path, {"cells": [{"axes": c.axes, "latency": c.latency} for c in results]})
     write_manifest(cfg, "ablate", [Path(grid_path)], [out_path])
     if not any(cell.ok for cell in results):

@@ -4,7 +4,7 @@ that produced it.
 
 Each section's dataclass is the one declaration of its keys, defaults
 and types; the dataclasses live here so that reading a config imports
-nothing beyond errors and yaml. Every value is checked against its
+nothing beyond errors, files and yaml. Every value is checked against its
 field's annotation before the dataclass is built, and `__post_init__`
 checks only ranges and allowed values. A seed left as null in the
 retriever/store/augment sections inherits the global seed.
@@ -23,6 +23,7 @@ from pathlib import Path
 
 import yaml
 
+from . import files
 from .errors import ConfigError, SchemaTooSmall
 
 _PROVIDERS = ("remote-service", "precomputed-file")
@@ -383,21 +384,21 @@ def resolve(doc: dict) -> RunConfig:
     return RunConfig(raw=doc, seed=seed, **sections)
 
 
+def read_yaml(path: str | Path, what: str, not_found: str | None = None):
+    """The YAML (or JSON) document in a config or grid file; every failure
+    is a ConfigError naming the file."""
+    text = files.read_text(path, files.Role(what, ConfigError, ConfigError, not_found=not_found))
+    try:
+        return yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
+
+
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Defaults <- config file <- dotted overrides, then validate."""
     doc = _defaults()
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            user = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"cannot parse {path}: not UTF-8: {exc}") from exc
-        except (yaml.YAMLError, RecursionError) as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        user = read_yaml(path, "config file", not_found=f"config file not found: {path}") or {}
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         doc = _merge(doc, user)

@@ -9,13 +9,13 @@ entity surface strings of that type.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from . import files
 from .config import RunConfig
 from .errors import (
     ConfigError,
@@ -24,7 +24,6 @@ from .errors import (
     FormatError,
     InvalidSpan,
     MalformedLine,
-    MissingArtifact,
     StoreSizeTooLarge,
     UnknownSpanType,
 )
@@ -256,12 +255,7 @@ def load_schema(path: str | Path) -> EntitySchema:
     Accepts either a bare array of {name, definition} objects or an object
     with a `types` array; file order is the schema (and prompt) order.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MissingArtifact(f"cannot read schema file {path}: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"schema file {path}: invalid JSON: {exc}") from exc
+    doc = files.read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("types")
     if not isinstance(doc, list):
@@ -275,6 +269,11 @@ def load_schema(path: str | Path) -> EntitySchema:
             raise FormatError(f"schema file {path}: empty type name")
         types.append(EntityType(name, str(item["definition"]).strip()))
     return EntitySchema(tuple(types))
+
+
+def save_schema(schema: EntitySchema, path: str | Path) -> None:
+    """Write the schema as `load_schema` reads it back."""
+    files.write_json(path, schema.to_json(), indent=2)
 
 
 def gold_output(sentence: LabeledSentence, schema: EntitySchema) -> NerOutput:
@@ -353,42 +352,15 @@ def sentence_from_dict(doc: dict) -> LabeledSentence:
 
 
 def write_sentences_jsonl(sentences: Iterable[LabeledSentence], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            fh.write(json.dumps(sentence_to_dict(s), ensure_ascii=False) + "\n")
-
-
-def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
-    """Each JSON value of a JSON-lines file with the `path:line` it came
-    from, blank lines skipped. A file that cannot be read raises
-    MissingArtifact, a line that is not UTF-8 JSON FormatError naming
-    path:line."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise MissingArtifact(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            where = f"{path}:{line_no}"
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{where}: not UTF-8: {exc}") from exc
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
-            yield where, doc
+    files.write_jsonl(path, (sentence_to_dict(s) for s in sentences))
 
 
 def read_sentences_jsonl(path: str | Path, unique_ids: bool = False) -> list[LabeledSentence]:
     """Read the records `write_sentences_jsonl` writes, one per line, as
-    `read_jsonl` does; a record of another shape, or with `unique_ids` one
+    `files.read_jsonl` does; a record of another shape, or with `unique_ids` one
     whose id an earlier record has, raises FormatError naming path:line."""
     sentences, places = [], {}
-    for where, doc in read_jsonl(path):
+    for where, doc in files.read_jsonl(path):
         try:
             sentence = sentence_from_dict(doc)
         except FormatError as exc:
@@ -406,15 +378,10 @@ def load_split_file(path: str | Path, id_base: int = 0) -> tuple[list[LabeledSen
     """Read one corpus file (BIO text or sentence JSONL), re-basing ids."""
     path = Path(path)
     warnings = ParseWarnings()
-    try:
-        if path.suffix == ".jsonl":
-            sentences = read_sentences_jsonl(path)
-        else:
-            sentences = parse_bio(path.read_text(encoding="utf-8"), warnings)
-    except OSError as exc:
-        raise MissingArtifact(f"cannot read corpus file {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8: {exc}") from exc
+    if path.suffix == ".jsonl":
+        sentences = read_sentences_jsonl(path)
+    else:
+        sentences = parse_bio(files.read_text(path), warnings)
     for i, s in enumerate(sentences):
         s.id = id_base + i
     return sentences, warnings

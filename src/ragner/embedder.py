@@ -18,6 +18,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
+from . import files
 from .corpus import LabeledSentence
 from .errors import (
     AlignmentGap,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .remote import post_json
 from .stopwords import DEFAULT_STOPWORDS
-from .vector_index import open_array, open_json, save_array, save_json
+from .vector_index import open_array, save_array
 
 
 class Encoding(NamedTuple):
@@ -112,7 +113,7 @@ class PrecomputedEmbeddingProvider:
         directory = Path(directory)
         for attr, name in CACHE_ARRAYS.items():
             save_array(directory / name, getattr(self, attr))
-        save_json(directory / CACHE_TEXTS, self.texts)
+        files.write_json(directory / CACHE_TEXTS, self.texts, ensure_ascii=False)
 
 
 def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvider:
@@ -123,9 +124,10 @@ def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvide
     """
     directory = Path(directory)
     what = "embedding cache"
-    texts = open_json(directory / CACHE_TEXTS, what)
+    role = files.store_role(directory / CACHE_TEXTS, what)
+    texts = files.read_json(directory / CACHE_TEXTS, role)
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-        raise FormatError(f"{directory / CACHE_TEXTS}: expected a JSON list of texts")
+        raise role.malformed(directory / CACHE_TEXTS, "expected a JSON list of texts")
     path = {attr: directory / name for attr, name in CACHE_ARRAYS.items()}
     token_vectors = open_array(path["token_vectors"], np.float64, (None, None), what)
     n_tokens, dim = token_vectors.shape
@@ -138,11 +140,11 @@ def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvide
     )
 
 
-def _record_arrays(doc: dict, source: str) -> Encoding:
+def _record_arrays(doc: dict, text: str, source: str) -> Encoding:
     """The arrays of one record in the file schema, which the remote service
-    answers in."""
+    answers in, for `text`."""
     vectors, spans, sentence_vector = array("d"), array("q"), array("d")
-    n_tokens = _append_record(doc, source, vectors, spans, sentence_vector)
+    n_tokens = _append_record(doc, text, source, vectors, spans, sentence_vector)
     return Encoding(
         np.frombuffer(vectors, dtype=np.float64).reshape(n_tokens, len(sentence_vector)),
         np.frombuffer(spans, dtype=np.int64).reshape(n_tokens, 2),
@@ -160,12 +162,14 @@ def _flat_vector(values, dim: int | None) -> np.ndarray:
 
 
 def _append_record(
-    doc: dict, source: str, vectors: array, spans: array, sentence_vectors: array,
+    doc: dict, text: str, source: str, vectors: array, spans: array, sentence_vectors: array,
     dim: int | None = None,
 ) -> int:
     """Append one record's vectors and spans to growing buffers; returns its
     token count. The sentence vector must have `dim` entries when `dim` is
-    given, and every token vector as many as the sentence vector."""
+    given, and every token vector as many as the sentence vector. A token's
+    span must be two JSON integers with 0 <= start_char <= end_char <=
+    len(text); (0, 0), which tokenizers give special tokens, covers no word."""
     try:
         tokens = doc["tokens"]
         sentence_vector = _flat_vector(doc["sentence_vector"], dim)
@@ -173,7 +177,12 @@ def _append_record(
             if "text" not in t:
                 raise KeyError("text")
             vectors.frombytes(_flat_vector(t["vector"], len(sentence_vector)).tobytes())
-            spans.extend((int(t["start_char"]), int(t["end_char"])))
+            start, end = t["start_char"], t["end_char"]
+            if type(start) is not int or type(end) is not int:
+                raise ValueError(f"start_char and end_char must be integers: {start!r}, {end!r}")
+            if not 0 <= start <= end <= len(text):
+                raise ValueError(f"token span [{start}, {end}) outside [0, {len(text)}]")
+            spans.extend((start, end))
         sentence_vectors.frombytes(sentence_vector.tobytes())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{source}: bad embedding record: {exc}") from exc
@@ -197,39 +206,29 @@ def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
     """
     import orjson  # here, so that commands which open the cache never load it
 
+    def loads(line: str):  # orjson's error subclasses json.JSONDecodeError
+        deep = line.count("[") + line.count("{") > _MAX_OPENERS
+        return json.loads(line) if deep else orjson.loads(line)
+
     digest = hashlib.sha256()
     texts: list[str] = []
     offsets = [0]
     # growing C buffers: their reallocation does not hold two full copies
     vectors, spans, sentence_vectors = array("d"), array("q"), array("d")
     dim = None
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            digest.update(raw)
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
-            if not line:
-                continue
-            deep = line.count("[") + line.count("{") > _MAX_OPENERS
-            try:
-                doc = json.loads(line) if deep else orjson.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # orjson's error subclasses it
-                raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
-                raise FormatError(f"{path}:{line_no}: record missing 'text'")
-            try:
-                doc["text"].encode("utf-8")
-            except UnicodeEncodeError as exc:  # a lone surrogate escape, which json lets through
-                raise FormatError(f"{path}:{line_no}: text is not valid Unicode: {exc}") from exc
-            n_tokens = _append_record(
-                doc, f"{path}:{line_no}", vectors, spans, sentence_vectors, dim
-            )
-            if dim is None:  # the first record fixes it for the file
-                dim = len(sentence_vectors)
-            texts.append(doc["text"])
-            offsets.append(offsets[-1] + n_tokens)
+    for where, doc in files.read_jsonl(path, loads, digest):
+        if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
+            raise FormatError(f"{where}: record missing 'text'")
+        text = doc["text"]
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate escape, which json lets through
+            raise FormatError(f"{where}: text is not valid Unicode: {exc}") from exc
+        n_tokens = _append_record(doc, text, where, vectors, spans, sentence_vectors, dim)
+        if dim is None:  # the first record fixes it for the file
+            dim = len(sentence_vectors)
+        texts.append(text)
+        offsets.append(offsets[-1] + n_tokens)
 
     dim = dim or 0
     token_vectors = np.frombuffer(vectors, dtype=np.float64).reshape(offsets[-1], dim)
@@ -283,7 +282,7 @@ class RemoteEmbeddingProvider:
                 self.timeout, self.max_retries,
                 error=ProviderUnavailable, format_error=FormatError,
             )
-        return _record_arrays(doc, self.endpoint)
+        return _record_arrays(doc, text, self.endpoint)
 
 
 def token_char_ranges(tokens: list[str]) -> list[tuple[int, int]]:

@@ -12,11 +12,11 @@ instruction-following breaks down.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import files
 from .config import EvalConfig
 from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
 from .errors import ConfigError, FormatError, SchemaMismatch, SchemaMismatchAcrossRecords
@@ -77,20 +77,9 @@ class EvalReport:
     def from_counts(
         cls, per_type: dict[str, TypeCounts], n_sentences: int, n_parse_failures: int
     ) -> "EvalReport":
-        micro = TypeCounts()
-        for counts in per_type.values():
-            micro = micro + counts
-        return cls(
-            tp=micro.tp,
-            fp=micro.fp,
-            fn=micro.fn,
-            precision=micro.precision,
-            recall=micro.recall,
-            f1=micro.f1,
-            per_type=per_type,
-            n_sentences=n_sentences,
-            n_parse_failures=n_parse_failures,
-        )
+        micro = sum(per_type.values(), TypeCounts())
+        return cls(micro.tp, micro.fp, micro.fn, micro.precision, micro.recall, micro.f1,
+                   per_type, n_sentences, n_parse_failures)
 
 
 @dataclass(frozen=True)
@@ -278,39 +267,24 @@ def format_report(report: EvalReport, title: str = "evaluation") -> str:
     return "\n".join(lines)
 
 
+def _counts_dict(c: TypeCounts | EvalReport) -> dict:
+    return {"tp": c.tp, "fp": c.fp, "fn": c.fn,
+            "precision": c.precision, "recall": c.recall, "f1": c.f1}
+
+
 def report_to_dict(report: EvalReport, **context) -> dict:
     """JSON form; extra keyword context (fingerprint, seeds, ...) is embedded."""
-    doc = {
-        "micro": {
-            "tp": report.tp,
-            "fp": report.fp,
-            "fn": report.fn,
-            "precision": report.precision,
-            "recall": report.recall,
-            "f1": report.f1,
-        },
-        "per_type": {
-            name: {
-                "tp": c.tp,
-                "fp": c.fp,
-                "fn": c.fn,
-                "precision": c.precision,
-                "recall": c.recall,
-                "f1": c.f1,
-            }
-            for name, c in report.per_type.items()
-        },
+    return {
+        "micro": _counts_dict(report),
+        "per_type": {name: _counts_dict(c) for name, c in report.per_type.items()},
         "n_sentences": report.n_sentences,
         "n_parse_failures": report.n_parse_failures,
+        **context,
     }
-    doc.update(context)
-    return doc
 
 
 def write_report_json(report: EvalReport, path, **context) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report, **context), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path, report_to_dict(report, **context), indent=2, sort_keys=True)
 
 
 # --- ablation runner --------------------------------------------------------

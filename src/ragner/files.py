@@ -1,0 +1,155 @@
+"""The one module that opens files, so that one rule holds for every file
+a command reads or writes; it loads no numpy, so every command can use it.
+
+A reader takes its file's `Role`, which names the error classes as
+`remote.post_json` takes its own: `error` for a file that is missing or
+cannot be opened, `format_error`, naming `path` or `path:line`, for one
+that cannot be decoded. A writer creates the parent directory and raises
+ConfigError for a path it cannot write, which `--output` or
+`paths.out_dir` chose.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
+
+from .errors import ConfigError, FormatError, MissingArtifact, RagnerError
+
+
+class Role(NamedTuple):
+    """What a file is to its reader: `what` names it in messages, `hint`
+    ends them, and `not_found` replaces the message for a missing file."""
+
+    what: str = ""
+    error: type[RagnerError] = MissingArtifact
+    format_error: type[RagnerError] = FormatError
+    hint: str = ""
+    not_found: str | None = None
+
+    def cannot_read(self, path, exc: OSError) -> RagnerError:
+        if self.not_found is not None and isinstance(exc, FileNotFoundError):
+            return self.error(self.not_found)
+        what = f"{self.what} " if self.what else ""
+        return self.error(f"cannot read {what}{path}: {exc.strerror or exc}{self.hint}")
+
+    def malformed(self, path, reason) -> RagnerError:
+        """The error for a file whose content its role cannot use."""
+        what = f"unreadable {self.what}: " if self.what else ""
+        return self.format_error(f"{path}: {what}{reason}{self.hint}")
+
+
+def store_role(path: Path, what: str) -> Role:
+    """The role of a file that `index` writes into the store directory."""
+    rerun = "; re-run `ragner index`"
+    missing = f"no {what} in {path.parent} ({path.name} is missing){rerun}"
+    return Role(what, hint=rerun, not_found=missing)
+
+
+def read(path, decode: Callable, role: Role = Role()):
+    """decode(path), which opens the file; an OSError raises the role's
+    error, a ValueError, EOFError or RecursionError its format error."""
+    try:
+        return decode(path)
+    except OSError as exc:
+        raise role.cannot_read(path, exc) from exc
+    except (ValueError, EOFError, RecursionError) as exc:
+        raise role.malformed(path, exc) from exc
+
+
+def _text(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"not UTF-8: {exc}") from exc
+
+
+def _json(path):
+    with open(path, "rb") as fh:
+        try:
+            return json.loads(fh.read().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON: {exc}") from exc
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def read_text(path, role: Role = Role()) -> str:
+    return read(path, _text, role)
+
+
+def read_json(path, role: Role = Role()):
+    return read(path, _json, role)
+
+
+def sha256_file(path, role: Role = Role()) -> str:
+    return read(path, _sha256, role)
+
+
+def read_jsonl(path, loads: Callable = json.loads, digest=None) -> Iterator[tuple[str, object]]:
+    """Each value of a JSON-lines file, decoded by `loads`, with the
+    `path:line` it came from; blank lines are skipped. The file is streamed,
+    and `digest` is updated with every byte of it. A line that is not UTF-8
+    JSON raises FormatError naming path:line."""
+    with read(path, lambda p: open(p, "rb")) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
+            where = f"{path}:{line_no}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8: {exc}") from exc
+            if not line:
+                continue
+            try:
+                doc = loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+            yield where, doc
+
+
+def _write(path, mode: str, write: Callable, rename_to: Path | None = None):
+    """write(fh) into `path`, which then replaces `rename_to` if given;
+    returns what write returned."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            result = write(fh)
+        if rename_to is not None:
+            path.replace(rename_to)
+        return result
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_json(path, doc, **dumps) -> None:
+    """`json.dumps(doc, **dumps)` and a newline."""
+    _write(path, "w", lambda fh: fh.write(json.dumps(doc, **dumps) + "\n"))
+
+
+def write_jsonl(path, docs) -> int:
+    """One `json.dumps(doc, ensure_ascii=False)` line per doc; returns the count."""
+    def write(fh) -> int:
+        count = 0
+        for count, doc in enumerate(docs, start=1):
+            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+        return count
+
+    return _write(path, "w", write)
+
+
+def replace(path: Path, write: Callable) -> None:
+    """write(fh) into a new binary file that then replaces `path`, so that a
+    reader that mapped the old file keeps it intact."""
+    _write(path.with_name(path.name + ".tmp"), "wb", write, rename_to=path)

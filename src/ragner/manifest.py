@@ -7,20 +7,11 @@ read them. This module loads no numpy, so every command can use it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 
+from . import files
 from .config import RunConfig
-from .errors import FormatError, MissingArtifact
-
-
-def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+from .errors import MissingArtifact
 
 
 def manifest_path(cfg: RunConfig, command: str) -> Path:
@@ -39,39 +30,42 @@ def write_manifest(
         "command": command,
         "config_fingerprint": cfg.fingerprint,
         "seed": cfg.seed,
-        "inputs": {**{str(p): sha256_file(p) for p in sorted(inputs)}, **(input_digests or {})},
-        "outputs": {str(p): sha256_file(p) for p in sorted(outputs)},
+        "inputs": {**{str(p): files.sha256_file(p) for p in sorted(inputs)},
+                   **(input_digests or {})},
+        "outputs": {str(p): files.sha256_file(p) for p in sorted(outputs)},
     }
-    path = manifest_path(cfg, command)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    files.write_json(manifest_path(cfg, command), doc, indent=2, sort_keys=True)
+
+
+def _digest_map(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(path, str) and isinstance(digest, str) for path, digest in value.items())
 
 
 def read_manifest(cfg: RunConfig, command: str) -> dict:
     """`command`'s manifest; MissingArtifact when it has none, FormatError
-    when it is not JSON."""
+    when it is not a JSON object whose inputs and outputs map paths to
+    digests."""
     path = manifest_path(cfg, command)
-    if not path.exists():
-        raise MissingArtifact(f"no {command} manifest at {path}; run `ragner {command}` first")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable manifest ({exc}); re-run `ragner {command}`") from exc
+    role = files.Role("manifest", hint=f"; re-run `ragner {command}`",
+                      not_found=f"no {command} manifest at {path}; run `ragner {command}` first")
+    doc = files.read_json(path, role)
+    if not (isinstance(doc, dict) and _digest_map(doc.get("inputs"))
+            and _digest_map(doc.get("outputs"))):
+        raise role.malformed(path, "expected an object whose inputs and outputs map paths "
+                                   "to sha256 digests")
+    return doc
 
 
 def check_digests(recorded: dict[str, str | None], command: str) -> None:
     """Raise MissingArtifact unless every file named in `recorded` exists and
     hashes to its digest; a digest of None means `command` recorded none."""
     for artifact, expected in recorded.items():
-        artifact_path = Path(artifact)
-        if not artifact_path.exists():
-            raise MissingArtifact(f"{command} artifact missing: {artifact}")
-        if sha256_file(artifact_path) != expected:
-            raise MissingArtifact(
-                f"{command} artifact changed since its manifest: {artifact}"
-            )
+        missing = files.Role(not_found=f"{command} artifact missing: {artifact}")
+        if files.sha256_file(artifact, missing) != expected:
+            raise MissingArtifact(f"{command} artifact changed since its manifest: {artifact}")
 
 
 def verify_upstream(cfg: RunConfig, command: str) -> None:
     """Check that `command`'s recorded outputs still exist and hash the same."""
-    check_digests(read_manifest(cfg, command).get("outputs", {}), command)
+    check_digests(read_manifest(cfg, command)["outputs"], command)

@@ -32,7 +32,8 @@ from .generation import (
     latency_summary,
     prompt_hash,
 )
-from .manifest import check_digests, read_manifest, sha256_file
+from . import files
+from .manifest import check_digests, read_manifest
 from .promptkit import build_prompt, order_examples, parse_output, resolve_prompt
 from .retriever import ExampleStore, retrieve
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
@@ -59,13 +60,8 @@ def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedd
     else:
         if not e.endpoint:
             raise ConfigError("embedder.provider=remote-service needs endpoint")
-        provider = RemoteEmbeddingProvider(
-            endpoint=e.endpoint,
-            model_name=e.model_name,
-            timeout=e.timeout,
-            max_retries=e.max_retries,
-            max_in_flight=e.max_in_flight,
-        )
+        provider = RemoteEmbeddingProvider(e.endpoint, e.model_name, e.timeout, e.max_retries,
+                                           e.max_in_flight)
     return Embedder(provider, e.dimension, stopwords)
 
 
@@ -228,11 +224,11 @@ def _indexed_cache_dir(cfg: RunConfig) -> Path | None:
     except MissingArtifact:
         return None
     source = Path(e.precomputed_path)
-    recorded = doc.get("inputs", {}).get(str(source))
-    if recorded is None or not source.is_file() or sha256_file(source) != recorded:
+    recorded = doc["inputs"].get(str(source))
+    if recorded is None or not source.is_file() or files.sha256_file(source) != recorded:
         return None
     store_dir = cfg.paths.out_path("store")
-    outputs = doc.get("outputs", {})
+    outputs = doc["outputs"]
     cache = [str(store_dir / name) for name in (*CACHE_ARRAYS.values(), CACHE_TEXTS)]
     check_digests({path: outputs.get(path) for path in cache}, "index")
     return store_dir

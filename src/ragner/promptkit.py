@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import files
 from .config import PromptConfig
 from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
 from .errors import NoDictionaryFound, SchemaMismatch, TemplateError, UnknownTemplate
@@ -56,10 +57,8 @@ def resolve_template(template_id: str, template_file: str | Path | None = None) 
     {entity_definitions}, {examples} and {query}.
     """
     if template_file is not None:
-        try:
-            text = Path(template_file).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise TemplateError(f"cannot read template file {template_file}: {exc}") from exc
+        role = files.Role("template file", TemplateError, TemplateError)
+        text = files.read_text(template_file, role)
     elif template_id in BUILTIN_TEMPLATES:
         text = BUILTIN_TEMPLATES[template_id]
     else:

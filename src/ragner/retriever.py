@@ -18,15 +18,16 @@ one batched call over all the words of a block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import files
 from .config import _MODES, RetrieverConfig
-from .corpus import EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl, write_sentences_jsonl
+from .corpus import (EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl,
+                     save_schema, write_sentences_jsonl)
 from .embedder import Embedder
 from .errors import ConfigError, EmptyQueryAfterStopwords, EmptyStore, FormatError, RagnerError
 from .vector_index import (
@@ -35,7 +36,6 @@ from .vector_index import (
     flat_from_matrix,
     ivf_from_matrix,
     load_index,
-    open_json,
     save_index,
 )
 
@@ -155,14 +155,8 @@ class ExampleStore:
         if "sentence-level" in modes:
             matrix = np.stack([embedder.embed_sentence(s) for s in sentences])
             sentence_index = _build_index(matrix, [s.id for s in sentences], None, cfg)
-        return cls(
-            sentences,
-            schema,
-            word_index=word_index,
-            sentence_index=sentence_index,
-            store_words=cfg.store_words,
-            embedder=embedder,
-        )
+        return cls(sentences, schema, word_index, sentence_index, cfg.store_words,
+                   embedder=embedder)
 
     def require_index(self, cfg: RetrieverConfig) -> None:
         """Refuse a mode whose index this store lacks, or an nprobe above the
@@ -179,11 +173,8 @@ class ExampleStore:
 
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         write_sentences_jsonl(self.sentences, directory / "sentences.jsonl")
-        (directory / "schema.json").write_text(
-            json.dumps(self.schema.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
+        save_schema(self.schema, directory / "schema.json")
         meta = {
             "store_words": self.store_words,
             "model_name": self.model_name,
@@ -194,31 +185,25 @@ class ExampleStore:
             if index is not None:
                 save_index(index, directory / f"{name}_index.bin")
                 meta["indexes"][name] = f"{name}_index.bin"
-        (directory / "meta.json").write_text(
-            json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-        )
+        files.write_json(directory / "meta.json", meta, indent=2)
 
     @classmethod
     def load(cls, directory: str | Path, embedder: Embedder | None = None) -> "ExampleStore":
         directory = Path(directory)
         meta_path = directory / "meta.json"
-        if not meta_path.exists():
-            raise FormatError(f"{directory}: not a store directory (missing meta.json)")
-        meta = open_json(meta_path, "store")
+        role = files.store_role(meta_path, "store")._replace(
+            error=FormatError, not_found=f"{directory}: not a store directory (missing meta.json)")
+        meta = files.read_json(meta_path, role)
+        indexes = meta.get("indexes") if isinstance(meta, dict) else None
+        if not isinstance(indexes, dict) or not all(
+                isinstance(name, str) and isinstance(file, str) for name, file in indexes.items()):
+            raise role.malformed(meta_path, "expected an object whose indexes map names to files")
         sentences = read_sentences_jsonl(directory / "sentences.jsonl")
         schema = load_schema(directory / "schema.json")
-        indexes = {name: load_index(directory / file)
-                   for name, file in meta.get("indexes", {}).items()}
-        return cls(
-            sentences,
-            schema,
-            word_index=indexes.get("word"),
-            sentence_index=indexes.get("sentence"),
-            store_words=meta.get("store_words", "entity-only"),
-            model_name=meta.get("model_name"),
-            embedder=embedder,
-            build_key=meta.get("build_key"),
-        )
+        indexes = {name: load_index(directory / file) for name, file in indexes.items()}
+        return cls(sentences, schema, indexes.get("word"), indexes.get("sentence"),
+                   meta.get("store_words", "entity-only"), meta.get("model_name"), embedder,
+                   meta.get("build_key"))
 
 
 def _pool_words(

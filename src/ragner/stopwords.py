@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import FormatError, MissingArtifact
+from . import files
 
 DEFAULT_STOPWORDS: frozenset[str] = frozenset("""
 a about above after again against all am an and any are aren't as at be
@@ -29,14 +29,8 @@ yours yourself yourselves
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stop-word override file: one lowercase word per line. A file
     that cannot be read raises MissingArtifact, one not UTF-8 FormatError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MissingArtifact(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8: {exc}") from exc
     words = set()
-    for raw in text.splitlines():
+    for raw in files.read_text(path).splitlines():
         word = raw.split("#", 1)[0].strip().lower()
         if word:
             words.add(word)

@@ -15,24 +15,18 @@ An index on disk is its matrix as a .npy file (rows in record order for
 flat, grouped by cluster for IVF), one .npy file beside it per other
 array, and a JSON file recording its kind and words; `load_index` opens
 every array memory-mapped. The embedding cache is stored the same way,
-through the same `save_array`/`open_array` and `save_json`/`open_json`.
+through the same `save_array`/`open_array`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyCollection,
-    FormatError,
-    MissingArtifact,
-    NlistTooLarge,
-)
+from . import files
+from .errors import DimensionMismatch, EmptyCollection, NlistTooLarge
 
 _ASSIGN_CHUNK = 8192
 
@@ -298,51 +292,24 @@ def _spherical_kmeans(
 def save_array(path: Path, array: np.ndarray) -> None:
     """Write `array` as .npy at exactly `path` (np.save would append .npy),
     replacing the file: a reader that mapped the old one keeps it intact."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.save(fh, array, allow_pickle=False)
-    tmp.replace(path)
-
-
-def save_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def _unreadable(path: Path, what: str, reason) -> FormatError:
-    return FormatError(f"{path}: unreadable {what}: {reason}; re-run `ragner index`")
-
-
-def _read(path: Path, what: str, read):
-    """read(path), raising MissingArtifact for a missing file, else FormatError."""
-    try:
-        return read(path)
-    except FileNotFoundError:
-        raise MissingArtifact(
-            f"no {what} in {path.parent} ({path.name} is missing); re-run `ragner index`"
-        ) from None
-    except (OSError, ValueError, EOFError, RecursionError) as exc:
-        raise _unreadable(path, what, exc) from exc
+    files.replace(path, lambda fh: np.save(fh, array, allow_pickle=False))
 
 
 def open_array(path: Path, dtype, shape: tuple[int | None, ...], what: str = "index") -> np.ndarray:
     """Memory-map the .npy file at `path` and check its dtype and shape (None
-    matches any length). Raises MissingArtifact when the file is absent and
-    FormatError when it is unreadable, holds bytes past its array or does
-    not have the dtype and shape expected."""
+    matches any length). Raises MissingArtifact when the file is absent or
+    cannot be opened and FormatError when it is not a .npy array, holds
+    bytes past its array or does not have the dtype and shape expected."""
+    role = files.store_role(path, what)
     # np.load(path, mmap_mode="r") minus its fallback to pickle for a non-.npy
-    mapped = _read(path, what, lambda p: np.lib.format.open_memmap(p, mode="r"))
+    mapped = files.read(path, lambda p: np.lib.format.open_memmap(p, mode="r"), role)
     if mapped.offset + mapped.nbytes != path.stat().st_size:  # the mapping ignores them
-        raise _unreadable(path, what, "trailing bytes after the array")
+        raise role.malformed(path, "trailing bytes after the array")
     if mapped.dtype != dtype or len(mapped.shape) != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, mapped.shape)):
-        raise _unreadable(path, what, f"{mapped.dtype} {mapped.shape}, expected "
-                                      f"{np.dtype(dtype)} {shape}")
+        raise role.malformed(path, f"{mapped.dtype} {mapped.shape}, expected "
+                                   f"{np.dtype(dtype)} {shape}")
     return np.asarray(mapped)
-
-
-def open_json(path: Path, what: str = "index"):
-    """The JSON document at `path`; raises as `open_array` does."""
-    return _read(path, what, lambda p: json.loads(p.read_text(encoding="utf-8")))
 
 
 _IVF_ARRAYS = ("centroids", "offsets", "row_record_ids")
@@ -366,7 +333,8 @@ def save_index(index: Index, path: str | Path) -> None:
             save_array(_part(path, f"{name}.npy"), getattr(index, name))
         else:
             _part(path, f"{name}.npy").unlink(missing_ok=True)
-    save_json(_part(path, "json"), {"kind": index.kind, "words": index.words})
+    files.write_json(_part(path, "json"), {"kind": index.kind, "words": index.words},
+                     ensure_ascii=False)
 
 
 def load_index(path: str | Path) -> Index:
@@ -376,18 +344,21 @@ def load_index(path: str | Path) -> Index:
     matrix = open_array(path, np.float64, (None, None))
     n, dim = matrix.shape
     sentence_ids = open_array(_part(path, "sentence_ids.npy"), np.int64, (n,))
-    doc = open_json(_part(path, "json"))
+    json_path = _part(path, "json")
+    json_role = files.store_role(json_path, "index")
+    doc = files.read_json(json_path, json_role)
     kind, words = (doc.get("kind"), doc.get("words")) if isinstance(doc, dict) else (None, None)
     if kind not in ("flat", "ivf") or words is not None and not (
             isinstance(words, list) and len(words) == n and all(isinstance(w, str) for w in words)):
-        raise _unreadable(_part(path, "json"), "index", f"expected its kind and null or {n} words")
+        raise json_role.malformed(json_path, f"expected its kind and null or {n} words")
     if kind == "flat":
         return FlatIndex(matrix, sentence_ids, words)
+    role = files.store_role(path, "index")
     offsets = open_array(_part(path, "offsets.npy"), np.int64, (None,))
     if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
-        raise _unreadable(path, "index", f"offsets do not partition the {n} rows")
+        raise role.malformed(path, f"offsets do not partition the {n} rows")
     centroids = open_array(_part(path, "centroids.npy"), np.float64, (len(offsets) - 1, dim))
     row_record_ids = open_array(_part(path, "row_record_ids.npy"), np.int64, (n,))
     if not np.array_equal(np.sort(row_record_ids), np.arange(n)):
-        raise _unreadable(path, "index", f"row_record_ids are not a permutation of 0..{n - 1}")
+        raise role.malformed(path, f"row_record_ids are not a permutation of 0..{n - 1}")
     return IvfIndex(matrix, row_record_ids, offsets, centroids, sentence_ids, words)

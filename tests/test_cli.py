@@ -539,6 +539,7 @@ def test_missing_config_file_fails(proj):
     ("embedder.stopwords_file=missing.txt", "MissingArtifact",
      "cannot read missing.txt: No such file or directory"),
     ("embedder.stopwords_file=.", "MissingArtifact", "cannot read .: Is a directory"),
+    ("prompt.template_file=.", "TemplateError", "cannot read template file .: Is a directory"),
     ("seed=true", "ConfigError", "bad config: seed must be an integer, got True"),
     pytest.param("retriever.k=" + "[" * 20_000 + "]" * 20_000, "ConfigError",
                  "cannot parse override value", id="retriever.k=too-deeply-nested"),
@@ -1060,6 +1061,33 @@ def test_upstream_verification_lifecycle(tmp_path):
     err = error_payload(run(["-c", ns.cfg, *probe], expect=2))
     assert err["error"] == "FormatError"
     assert "unreadable manifest" in err["message"] and "re-run `ragner index`" in err["message"]
+
+
+@pytest.mark.parametrize("reshape", [
+    pytest.param(lambda doc: [], id="a list"),
+    pytest.param(lambda doc: {**doc, "outputs": sorted(doc["outputs"])}, id="outputs a list"),
+    pytest.param(lambda doc: {**doc, "inputs": sorted(doc["inputs"].items())},
+                 id="inputs a list of pairs"),
+    pytest.param(lambda doc: {**doc, "outputs": dict.fromkeys(doc["outputs"])},
+                 id="digests null"),
+    pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "outputs"}, id="no outputs"),
+])
+def test_a_manifest_of_the_wrong_shape_asks_for_a_rerun(tmp_path, reshape):
+    ns = indexed_project(tmp_path)
+    manifest = ns.out / "manifests" / "index.json"
+    manifest.write_text(json.dumps(reshape(json.loads(manifest.read_text(encoding="utf-8")))),
+                        encoding="utf-8")
+    result = run(["-c", ns.cfg, "predict"], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "FormatError"
+    assert "unreadable manifest" in err["message"] and "re-run `ragner index`" in err["message"]
+    # an ablation cell reads the same manifest to find the embedding cache
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1]}})
+    out = tmp_path / "ablation.json"
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out], expect=2)
+    [cell] = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert cell["error"] == f"FormatError: {err['message']}"
 
 
 def test_ingest_requires_schema(tmp_path):

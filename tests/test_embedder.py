@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import threading
 import time
 from decimal import Decimal, localcontext
@@ -43,6 +44,7 @@ from helpers import (
     json_with_literal,
     make_embedder,
     precomputed_provider,
+    set_at,
     write_precomputed,
 )
 
@@ -227,6 +229,69 @@ def test_precomputed_rejects_a_deeply_nested_line(tmp_path, line):
         fh.write(line + "\n")
     with pytest.raises(FormatError, match="emb.jsonl:2: invalid JSON"):
         load_precomputed(path)
+
+
+def with_span(record: dict, token: int, start: str, end: str) -> str:
+    """`record` as JSON text with the raw texts `start` and `end` as the
+    span of token `token`; "past" stands for one past the record's text."""
+    past = str(len(record["text"]) + 1)
+    set_at(record, ("tokens", token, "start_char"), "@@start")
+    set_at(record, ("tokens", token, "end_char"), "@@end")
+    return (json.dumps(record).replace('"@@start"', past if start == "past" else start)
+            .replace('"@@end"', past if end == "past" else end))
+
+
+NOT_INTEGERS = r"start_char and end_char must be integers"
+
+
+# orjson reads an integer outside the int64 range as a float, json as an int
+@pytest.mark.parametrize("deep", [False, True], ids=["orjson", "json"])
+@pytest.mark.parametrize("start, end, message", [
+    pytest.param("7", "-3", r"token span \[7, -3\) outside \[0, ", id="reversed and negative"),
+    pytest.param("-9223372036854775809", "11",
+                 rf"({NOT_INTEGERS}|token span \[-9223372036854775809, 11\) outside)",
+                 id="start below -2**63"),
+    pytest.param("-1", "5", r"token span \[-1, 5\) outside", id="negative start"),
+    pytest.param("3", "2", r"token span \[3, 2\) outside", id="start after end"),
+    pytest.param("0", "past", r"token span \[0, \d+\) outside \[0, ", id="end past the text"),
+    pytest.param("0", "18446744073709551616",
+                 rf"({NOT_INTEGERS}|token span \[0, 18446744073709551616\) outside)",
+                 id="end beyond 64 bits"),
+    pytest.param("true", "5", NOT_INTEGERS, id="bool start"),
+    pytest.param("0", "5.0", NOT_INTEGERS, id="float end"),
+    pytest.param("null", "5", NOT_INTEGERS, id="null start"),
+])
+def test_precomputed_rejects_a_token_span_outside_its_text(tmp_path, deep, start, end, message):
+    record = deep_record() if deep else encoding_record(["hello", "world"], dim=4)
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["ok"], dim=4)], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(with_span(record, 1, start, end) + "\n")
+    with pytest.raises(FormatError, match=rf"emb\.jsonl:2: bad embedding record: {message}"):
+        load_precomputed(path)
+
+
+def test_precomputed_takes_zero_width_spans_and_spans_at_the_text_ends(tmp_path):
+    record = encoding_record(["hello", "world"], dim=4)
+    special = {"text": "[CLS]", "start_char": 0, "end_char": 0, "vector": [1.0, 0.0, 0.0, 0.0]}
+    end = {**special, "text": "[SEP]", "start_char": 11, "end_char": 11}
+    whole = {**special, "text": "hello world", "end_char": 11}
+    record["tokens"] = [special, *record["tokens"], end, whole]
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([record], path)
+    provider = load_precomputed(path)
+    assert provider.token_spans.tolist() == [[0, 0], [0, 5], [6, 11], [11, 11], [0, 11]]
+
+
+def test_remote_provider_checks_spans_against_the_text_sent(embedding_server):
+    _EmbeddingHandler.mode = "garbage"
+    # a well-formed record, but for another text than the one sent
+    _EmbeddingHandler.garbage = json.dumps(encoding_record(["hello", "world"], dim=4)).encode()
+    provider = RemoteEmbeddingProvider(embedding_server, "m", timeout=5.0)
+    assert provider.encode("hello world").token_spans.tolist() == [[0, 5], [6, 11]]
+    with pytest.raises(FormatError, match=re.escape(
+            f"{embedding_server}: bad embedding record: token span [6, 11) outside [0, 5]")):
+        provider.encode("hello")
 
 
 # --- Embedder.embed_words / embed_sentence ---------------------------------------

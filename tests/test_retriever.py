@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from dataclasses import replace
@@ -638,6 +639,15 @@ def test_loaded_store_without_embedder_cannot_embed_queries(tmp_path):
 def test_load_rejects_non_store_directory(tmp_path):
     with pytest.raises(FormatError):
         ExampleStore.load(tmp_path)
+
+
+@pytest.mark.parametrize("meta", [[], {"indexes": ["word_index.bin"]}, {"indexes": {"word": 3}},
+                                  {"model_name": "m"}])
+def test_load_rejects_meta_of_the_wrong_shape(tmp_path, meta):
+    build_fixture_store(tmp_path).save(tmp_path / "store")
+    (tmp_path / "store" / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(FormatError, match=r"meta\.json: unreadable store: .*re-run `ragner index`"):
+        ExampleStore.load(tmp_path / "store")
 
 
 # --- payload shape ------------------------------------------------------------------

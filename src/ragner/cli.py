@@ -50,10 +50,13 @@ from .manifest import verify_upstream, write_manifest
 # never load numpy, and no command loads what it does not use.
 
 
-def _write_telemetry(out_path: Path, doc: dict) -> None:
+def _telemetry_path(out_path: Path) -> Path:
     """Wall-clock figures go next to `out_path`, outside every manifest."""
-    files.write_json(out_path.with_name(out_path.stem + "_telemetry.json"), doc,
-                     indent=2, sort_keys=True)
+    return out_path.with_name(out_path.stem + "_telemetry.json")
+
+
+def _write_telemetry(out_path: Path, doc: dict) -> None:
+    files.write_json(_telemetry_path(out_path), doc, indent=2, sort_keys=True)
 
 
 def _handle_errors(fn):
@@ -130,6 +133,8 @@ def index(cfg: RunConfig):
         digests[str(Path(embedder.provider.path))] = embedder.provider.sha256
     outputs = sorted(p for p in store_dir.iterdir() if p.is_file())
     inputs = [cfg.paths.out_path("corpus", "store.jsonl"), cfg.paths.out_path("schema.json")]
+    if cfg.embedder.stopwords_file:  # the store's word records depend on its content
+        inputs.append(Path(cfg.embedder.stopwords_file))
     write_manifest(cfg, "index", inputs, outputs, input_digests=digests)
     built = [m for m, attr in (("word", store.word_index), ("sentence", store.sentence_index))
              if attr is not None]
@@ -171,13 +176,14 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
     from .retriever import retrieval_payload, retrieve
 
     verify_upstream(cfg, "index")
+    out_path = Path(output_path) if output_path else cfg.paths.out_path("retrieval.jsonl")
+    files.check_writable(out_path)
     store = pipeline.load_store(cfg)
     queries = _read_queries(input_path, texts)
     entries = retrieve(queries, store, cfg.retriever)
     for entry in entries:
         if isinstance(entry, RagnerError):
             raise entry  # before the output is opened, so no partial file is left
-    out_path = Path(output_path) if output_path else cfg.paths.out_path("retrieval.jsonl")
     files.write_jsonl(out_path, (retrieval_payload(query.text, examples)
                                  for query, examples in zip(queries, entries)))
     inputs = [Path(input_path)] if input_path else []
@@ -203,8 +209,9 @@ def augment(cfg: RunConfig, output_path):
         raise ConfigError(
             "finetune split is empty; set store.size so ingest leaves sentences to finetune on"
         )
-    store = pipeline.load_store(cfg)
     out_path = Path(output_path) if output_path else cfg.paths.out_path("finetune_dataset.jsonl")
+    files.check_writable(out_path)
+    store = pipeline.load_store(cfg)
     skipped: list[tuple[int, str]] = []
     records = build_finetune_dataset(
         finetune_sentences, store, cfg.augment, cfg.retriever, resolve_prompt(cfg.prompt),
@@ -226,13 +233,14 @@ def predict(cfg: RunConfig, input_path, output_path):
     from . import pipeline
 
     verify_upstream(cfg, "index")
+    out_path = Path(output_path) if output_path else cfg.paths.out_path("predictions.jsonl")
+    files.check_writable(out_path, _telemetry_path(out_path))
     store = pipeline.load_store(cfg)
     in_path = Path(input_path) if input_path else cfg.paths.out_path("corpus", "test.jsonl")
     if not in_path.exists():
         raise MissingArtifact(f"no input sentences at {in_path}")
     outcome = pipeline.predict_sentences(_read_input(in_path), store, cfg)
 
-    out_path = Path(output_path) if output_path else cfg.paths.out_path("predictions.jsonl")
     files.write_jsonl(out_path, (row.to_dict() for row in outcome.rows))
     failures = sum(row.error is not None for row in outcome.rows)
     _write_telemetry(out_path, {"latency": outcome.latency, "failures": failures})
@@ -299,9 +307,10 @@ def ablate(cfg: RunConfig, grid_path, output_path):
     Exits 2 after writing the table when no cell succeeds."""
     from . import pipeline
 
+    out_path = Path(output_path) if output_path else cfg.paths.out_path("ablation.json")
+    files.check_writable(out_path, _telemetry_path(out_path))
     results = run_ablation(_grid_cells(grid_path), pipeline.make_ablation_runner(cfg))
     click.echo(format_ablation(results))
-    out_path = Path(output_path) if output_path else cfg.paths.out_path("ablation.json")
     files.write_json(out_path,
                      ablation_to_dict(results, config_fingerprint=cfg.fingerprint, seed=cfg.seed),
                      indent=2, sort_keys=True)

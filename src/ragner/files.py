@@ -118,6 +118,19 @@ def read_jsonl(path, loads: Callable = json.loads, digest=None) -> Iterator[tupl
             yield where, doc
 
 
+def check_writable(*paths) -> None:
+    """Raise the writers' ConfigError for a path that is a directory or
+    whose parent cannot be created, before the work that ends in writing
+    it. The parent is created; no file is."""
+    for path in map(Path, paths):
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: Is a directory")
+
+
 def _write(path, mode: str, write: Callable, rename_to: Path | None = None):
     """write(fh) into `path`, which then replaces `rename_to` if given;
     returns what write returned."""

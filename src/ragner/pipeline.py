@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .config import RunConfig, fingerprint, resolve, set_key
 from .corpus import (
@@ -199,12 +201,15 @@ class _Memo:
 @dataclass
 class AblationLoads:
     """What consecutive ablation cells share, each keyed on the config it
-    depends on: splits and schema on [paths], the embedder on [paths] +
-    [embedder], the store on [paths] + the store build key."""
+    depends on: splits and schema on [paths]; the embedder and the store
+    directory whose cache it opened on [paths] + [embedder]; the store on
+    [paths] + its build key less the index settings. `sha256` hashes a file
+    once per sweep."""
 
     inputs: _Memo = field(default_factory=_Memo)
     embedder: _Memo = field(default_factory=_Memo)
     store: _Memo = field(default_factory=_Memo)
+    sha256: Callable = field(default_factory=lambda: functools.cache(files.sha256_file))
 
 
 def _indexed_cache_dir(cfg: RunConfig) -> Path | None:
@@ -234,6 +239,28 @@ def _indexed_cache_dir(cfg: RunConfig) -> Path | None:
     return store_dir
 
 
+def _indexed_store(cfg: RunConfig, store_dir: Path | None, sentences, schema, embedder,
+                   sha256: Callable) -> ExampleStore | None:
+    """The store `index` wrote into `store_dir`, when it is the one this cell
+    would build: the same build key, sentences, schema and stop-word file,
+    and every file but the embedding cache (checked already) unchanged."""
+    if store_dir is None:
+        return None
+    doc = read_manifest(cfg, "index")
+    cache = (*CACHE_ARRAYS.values(), CACHE_TEXTS)
+    recorded = {path: digest for path, digest in doc["outputs"].items()
+                if Path(path).parent == store_dir and Path(path).name not in cache}
+    if cfg.embedder.stopwords_file:
+        stopwords = str(Path(cfg.embedder.stopwords_file))
+        recorded[stopwords] = doc["inputs"].get(stopwords)
+    if not all(Path(path).is_file() and sha256(path) == digest
+               for path, digest in recorded.items()):
+        return None
+    store = ExampleStore.load(store_dir, embedder)
+    held = (store.build_key, store.sentences, store.schema)
+    return store if held == (cfg.store_build_key, sentences, schema) else None
+
+
 def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalReport, dict]:
     """Run one ablation cell, base config plus dotted-key overrides:
     its report and latency summary.
@@ -242,12 +269,17 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
     splits, embedder and store of the cell before when its config allows.
     The embedder opens the store's embedding cache when `index` wrote one
     from the same, unchanged embedding file, and parses the file otherwise.
+    The cell loads the store `index` wrote when `_indexed_store` finds it
+    current, and rebuilds only the indexes of the store before when the two
+    differ in index settings alone.
     """
     doc = copy.deepcopy(base.raw)
     for dotted, value in axes.items():
         set_key(doc, dotted, value)
     cfg = resolve(doc)
     paths_key = fingerprint(doc["paths"])
+    records_key = fingerprint({"embedder": doc["embedder"], "store": doc["store"],
+                               "store_words": cfg.retriever.store_words})
 
     def inputs():
         splits, schema, _ = loads.inputs.get(paths_key, lambda: load_corpus(cfg))
@@ -255,16 +287,23 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
             raise ConfigError("ablation needs a corpus_test file")
         return splits, schema
 
+    def open_embedder():
+        store_dir = _indexed_cache_dir(cfg)
+        return store_dir, make_embedder(cfg, store_dir)
+
     def new_store():
         splits, schema = inputs()
-        embedder = loads.embedder.get(
-            (paths_key, fingerprint(doc["embedder"])),
-            lambda: make_embedder(cfg, _indexed_cache_dir(cfg)),
-        )
-        return build_store(select_store_split(splits, cfg).store, schema, embedder, cfg)
+        store_dir, embedder = loads.embedder.get((paths_key, fingerprint(doc["embedder"])),
+                                                 open_embedder)
+        sentences = select_store_split(splits, cfg).store
+        store = _indexed_store(cfg, store_dir, sentences, schema, embedder, loads.sha256)
+        return store if store is not None else build_store(sentences, schema, embedder, cfg)
 
     # the old store (and what only it holds) is released before a new one is built
-    store = loads.store.get((paths_key, cfg.store_build_key), new_store)
+    store = loads.store.get((paths_key, records_key), new_store)
+    if store.build_key != cfg.store_build_key:  # the same records, other index settings
+        store = loads.store.value = store.reindex(cfg.retriever)
+        store.build_key = cfg.store_build_key
     store.require_index(cfg.retriever)
     test = inputs()[0]["test"]
     outcome = predict_sentences(test, store, cfg)

@@ -158,6 +158,19 @@ class ExampleStore:
         return cls(sentences, schema, word_index, sentence_index, cfg.store_words,
                    embedder=embedder)
 
+    def reindex(self, cfg: RetrieverConfig) -> "ExampleStore":
+        """The same records under cfg's index settings, embedded no second
+        time: each index is rebuilt from its rows in record order."""
+        def rebuild(index: Index) -> Index:
+            rows = (index.matrix if index.kind == "flat"
+                    else index.grouped[np.argsort(index.row_record_ids)])
+            return _build_index(rows, index.sentence_ids, index.words, cfg)
+
+        indexes = [index if index is None else rebuild(index)
+                   for index in (self.word_index, self.sentence_index)]
+        return ExampleStore(self.sentences, self.schema, *indexes, self.store_words,
+                            self.model_name, self.embedder)
+
     def require_index(self, cfg: RetrieverConfig) -> None:
         """Refuse a mode whose index this store lacks, or an nprobe above the
         nlist of the mode's IVF index."""

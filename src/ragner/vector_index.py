@@ -62,11 +62,11 @@ def _check_queries(queries: np.ndarray, k: int, dim: int) -> np.ndarray:
 
 
 def _scores(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """block @ queries.T, shape (rows, m). One query goes through a mat-vec,
+    """queries @ block.T, shape (m, rows). One query goes through a mat-vec,
     so a single search keeps the bits it always had."""
     if queries.shape[0] == 1:
-        return (block @ queries[0])[:, None]
-    return block @ queries.T
+        return (block @ queries[0])[None, :]
+    return queries @ block.T
 
 
 def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -115,7 +115,7 @@ class FlatIndex:
         BLAS call; records where the boolean `exclude` is set never return.
         `exclude` is one (n,) mask for every row or an (m, n) mask per row."""
         queries = _check_queries(queries, k, self.dim)
-        scores = _scores(self.matrix, queries).T
+        scores = _scores(self.matrix, queries)
         if exclude is not None:
             np.copyto(scores, -np.inf, where=exclude)
         return _top_k(scores, np.arange(len(self)), k)
@@ -171,14 +171,14 @@ class IvfIndex:
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in [1, {self.nlist}], got {nprobe}")
         m = queries.shape[0]
-        probe = np.argsort(-_scores(self.centroids, queries).T, axis=1, kind="stable")
+        probe = np.argsort(-_scores(self.centroids, queries), axis=1, kind="stable")
         probed = np.zeros((self.nlist, m), dtype=bool)
         probed[probe[:, :nprobe], np.arange(m)[:, None]] = True
         scores = np.full((m, len(self)), -np.inf)
         for c in np.flatnonzero(probed.any(axis=1)).tolist():
             cols = np.flatnonzero(probed[c])
             rows = slice(self.offsets[c], self.offsets[c + 1])
-            scores[cols, rows] = _scores(self.grouped[rows], queries[cols]).T
+            scores[cols, rows] = _scores(self.grouped[rows], queries[cols])
         if exclude is not None:
             np.copyto(scores, -np.inf, where=exclude[..., self.row_record_ids])
         return _top_k(scores, self.row_record_ids, k)

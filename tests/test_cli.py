@@ -1336,17 +1336,19 @@ def test_reindex_under_another_index_kind_reads_no_stale_file(tmp_path, first, t
         sorted(p.name for p in (fresh.out / "store").iterdir())
 
 
-@pytest.mark.parametrize("axes, builds", [
-    ({"retriever.k": [1, 3], "retriever.mode": ["word-level", "sentence-level"]}, 1),
-    ({"retriever.index_kind": ["flat", "ivf"]}, 2),
+@pytest.mark.parametrize("axes, reindexes", [
+    ({"retriever.k": [1, 3], "retriever.mode": ["word-level", "sentence-level"]}, 0),
+    ({"retriever.index_kind": ["flat", "ivf"]}, 1),
 ])
-def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatch, axes, builds):
+def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatch, axes,
+                                                      reindexes):
     from ragner import pipeline
     from ragner.retriever import ExampleStore
 
-    calls = {"parse": 0, "build": 0}
+    calls = {"parse": 0, "build": 0, "reindex": 0}
     parse = pipeline.load_precomputed
     build = ExampleStore.build.__func__
+    reindex = ExampleStore.reindex
 
     def counting_parse(path):
         calls["parse"] += 1
@@ -1356,8 +1358,13 @@ def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatc
         calls["build"] += 1
         return build(cls, *args, **kwargs)
 
+    def counting_reindex(self, *args, **kwargs):
+        calls["reindex"] += 1
+        return reindex(self, *args, **kwargs)
+
     monkeypatch.setattr(pipeline, "load_precomputed", counting_parse)
     monkeypatch.setattr(ExampleStore, "build", classmethod(counting_build))
+    monkeypatch.setattr(ExampleStore, "reindex", counting_reindex)
     grid = tmp_path / "grid.yaml"
     grid.write_text(yaml.safe_dump({"axes": axes}), encoding="utf-8")
     out = tmp_path / "ablation.json"
@@ -1365,8 +1372,9 @@ def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatc
 
     cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
     assert all(c["error"] is None and c["report"]["micro"]["f1"] == 1.0 for c in cells)
-    # the project is indexed: every cell's embedder opens the store's embedding cache
-    assert calls == {"parse": 0, "build": builds}
+    # the project is indexed: every cell's embedder opens the store's embedding cache, the
+    # flat cells load the indexed store, and the IVF cell rebuilds its indexes from it
+    assert calls == {"parse": 0, "build": 0, "reindex": reindexes}
 
 
 @pytest.fixture
@@ -1423,6 +1431,102 @@ def test_ablate_parses_a_file_the_index_did_not_cache(tmp_path, parses, change):
     assert len(parses) == 1
     cells = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
     assert all(c["error"] is None and c["report"]["micro"]["f1"] == 1.0 for c in cells)
+
+
+ECHO = ("-S", "generator.backend=mock-echo-nearest")  # the scores follow the retrieval
+
+
+def ablate_indexed_then_fresh(ns, tmp_path, monkeypatch, grid, options=(), change=None):
+    """`ablate` of the grid on the indexed project after `change`, then on the
+    same project with its outputs removed: both ablation.json files' bytes and
+    the ExampleStore.build calls of the first run."""
+    from ragner.retriever import ExampleStore
+
+    run(["-c", ns.cfg, *options, "ingest"])
+    run(["-c", ns.cfg, *options, "index"])
+    if change is not None:
+        change(ns)
+    grid = write_grid(tmp_path / "grid.yaml", grid)
+    builds = []
+    build = ExampleStore.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(1)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ExampleStore, "build", classmethod(counting_build))
+    tables, indexed_builds = [], None
+    for name in ("indexed", "fresh"):
+        run(["-c", ns.cfg, *ECHO, *options, "ablate", "--grid", grid,
+             "--output", tmp_path / f"{name}.json"])
+        tables.append((tmp_path / f"{name}.json").read_bytes())
+        indexed_builds = len(builds) if indexed_builds is None else indexed_builds
+        shutil.rmtree(ns.out)
+    assert b'"error": null' in tables[1]
+    return tables, indexed_builds
+
+
+@pytest.mark.parametrize("indexed_kind, grid", [
+    ("flat", {"axes": {"retriever.index_kind": ["flat", "ivf"]}}),
+    ("ivf", {"axes": {"retriever.index_kind": ["ivf", "flat"]}}),
+    ("flat", {"axes": {"retriever.k": [1, 3], "retriever.mode": ["word-level", "sentence-level"]}}),
+    ("ivf", {"axes": {"retriever.k": [1, 3], "retriever.mode": ["word-level", "sentence-level"]}}),
+])
+def test_ablate_over_the_indexed_store_writes_what_a_fresh_build_does(
+        tmp_path, monkeypatch, indexed_kind, grid):
+    ns = make_project(tmp_path)
+    options = ("-S", f"retriever.index_kind={indexed_kind}")
+    [indexed, fresh], builds = ablate_indexed_then_fresh(ns, tmp_path, monkeypatch, grid, options)
+    assert indexed == fresh
+    assert builds == 0  # every cell loaded the indexed store or rebuilt only its indexes
+
+
+def _alter_a_store_file(ns):
+    """Swap the first two rows of the word index: still unit-norm, the same size."""
+    path = ns.out / "store" / "word_index.bin"
+    matrix = np.load(path)
+    np.save(path.with_name("swapped.npy"), matrix[[1, 0, *range(2, len(matrix))]])
+    path.with_name("swapped.npy").replace(path)
+
+
+def _edit_the_corpus(ns):
+    """Drop the entity of the train sentence "we meet at noon thursday"."""
+    train = ns.data / "train.txt"
+    text = train.read_text(encoding="utf-8")
+    train.write_text(text.replace("noon\tB-meeting time", "noon\tO")
+                     .replace("thursday\tI-meeting time", "thursday\tO"), encoding="utf-8")
+
+
+@pytest.mark.parametrize("change, grid", [
+    (_alter_a_store_file, {"axes": {"retriever.k": [1, 3]}}),
+    (_edit_the_corpus, {"axes": {"retriever.k": [1, 3]}}),
+    (None, {"axes": {"store.size": [6, 5]}}),
+], ids=["a store file altered after index", "a corpus edited after ingest", "store.size swept"])
+def test_ablate_builds_its_own_store_when_the_indexed_one_is_not_its_store(
+        tmp_path, monkeypatch, change, grid):
+    ns = make_project(tmp_path)
+    [indexed, fresh], builds = ablate_indexed_then_fresh(ns, tmp_path, monkeypatch, grid,
+                                                         change=change)
+    assert indexed == fresh
+    assert builds == 1  # the one store the indexed run cannot load
+
+
+def test_ablate_rebuilds_a_store_indexed_under_an_edited_stop_word_file(tmp_path, monkeypatch):
+    ns = make_project(tmp_path)
+    stopwords = ns.data / "stopwords.txt"
+    stopwords.write_text("the\nat\ngamma\nphone\n", encoding="utf-8")
+    options = ("-S", f"embedder.stopwords_file={stopwords}")
+
+    def edit(ns):
+        # a fresh store holds the records of "gamma phone"; the indexed one does not
+        stopwords.write_text("the\nat\n", encoding="utf-8")
+        index = json.loads((ns.out / "manifests" / "index.json").read_text(encoding="utf-8"))
+        assert str(stopwords) in index["inputs"]
+
+    [indexed, fresh], builds = ablate_indexed_then_fresh(
+        ns, tmp_path, monkeypatch, {"axes": {"retriever.k": [1, 3]}}, options, change=edit)
+    assert indexed == fresh
+    assert builds == 1
 
 
 @pytest.mark.parametrize("damage, message", [

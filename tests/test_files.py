@@ -231,3 +231,31 @@ def test_an_output_path_that_cannot_be_written_exits_2_with_one_json_line(
     assert doc["error"] == "ConfigError" and f"cannot write {path}" in doc["message"], doc
     if kind == "a directory":
         assert [p.name for p in path.iterdir()] == ["kept.txt"]
+
+
+@pytest.mark.parametrize("role, taken", [
+    ("retrieve --output", "output"), ("augment --output", "output"),
+    ("predict --output", "output"), ("predict --output", "telemetry"),
+    ("ablate --output", "output"), ("ablate --output", "telemetry"),
+])
+def test_an_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, role, taken):
+    from ragner import pipeline, retriever
+
+    ns = make_project(tmp_path)
+    for command in ("ingest", "index"):
+        run(["-c", ns.cfg, command])
+    write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1]}})
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    blocked = out if taken == "output" else tmp_path / "out_telemetry.json"
+    blocked.mkdir()
+    called = []
+    for module, name in ((pipeline, "generate_batch"), (pipeline, "run_cell"),
+                         (retriever, "_retrieve_blocks")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: called.append(name))
+    result = run(["-c", ns.cfg, *WRITES[role](out)], expect=2)
+    doc = json.loads(result.stderr.strip())
+    assert doc["error"] == "ConfigError" and doc["message"].startswith(f"cannot write {blocked}")
+    assert called == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["config.yaml", "data", "grid.yaml", "out", blocked.name])

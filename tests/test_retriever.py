@@ -608,6 +608,34 @@ def test_ivf_store_full_probe_matches_flat(tmp_path):
     ]
 
 
+def index_arrays(index) -> dict:
+    names = ("matrix", "grouped", "row_record_ids", "offsets", "centroids", "sentence_ids")
+    return {name: getattr(index, name) for name in names if hasattr(index, name)}
+
+
+@pytest.mark.parametrize("first, then", [("flat", "ivf"), ("ivf", "flat"), ("ivf", "ivf")])
+def test_reindex_builds_the_indexes_a_build_under_its_config_does(tmp_path, first, then):
+    rng = random.Random(79)
+    sents = random_store(rng, 30)
+    embedder = make_embedder(sents, tmp_path, dim=16)
+    modes = ("word-level", "sentence-level")
+    held = ExampleStore.build(sents, product_schema(), embedder,
+                              RetrieverConfig(store_words="all", index_kind=first, nlist=4, seed=3),
+                              modes=modes)
+    cfg = RetrieverConfig(store_words="all", index_kind=then, nlist=5, seed=11)
+    reindexed = held.reindex(cfg)
+    built = ExampleStore.build(sents, product_schema(), embedder, cfg, modes=modes)
+    assert reindexed.sentences == built.sentences and reindexed.embedder is embedder
+    for got, want in ((reindexed.word_index, built.word_index),
+                      (reindexed.sentence_index, built.sentence_index)):
+        assert got.kind == then and got.words == want.words
+        arrays = index_arrays(want)
+        assert index_arrays(got).keys() == arrays.keys()
+        for name, array in index_arrays(got).items():
+            assert array.dtype == arrays[name].dtype
+            assert array.tobytes() == arrays[name].tobytes(), name
+
+
 # --- persistence ---------------------------------------------------------------------
 
 

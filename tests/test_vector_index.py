@@ -666,6 +666,18 @@ def test_ivf_search_of_one_query_keeps_its_bits():
         assert all(hit.score == matvec[hit.record_id] for hit in hits)
 
 
+def test_flat_search_of_one_query_keeps_its_bits():
+    """One-query search scores every record with a mat-vec."""
+    rng = np.random.default_rng(97)
+    matrix = unit_rows(rng, 300, 32)
+    index = flat_from_matrix(matrix, np.arange(300))
+    for query in unit_rows(rng, 5, 32):
+        matvec = (matrix @ query).tolist()
+        hits = index.search(query, 300)
+        assert sorted(hit.record_id for hit in hits) == list(range(300))
+        assert all(hit.score == matvec[hit.record_id] for hit in hits)
+
+
 # --- spherical k-means ---------------------------------------------------------------
 
 

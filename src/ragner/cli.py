@@ -175,7 +175,6 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
     from . import pipeline
     from .retriever import retrieval_payload, retrieve
 
-    verify_upstream(cfg, "index")
     out_path = Path(output_path) if output_path else cfg.paths.out_path("retrieval.jsonl")
     files.check_writable(out_path)
     store = pipeline.load_store(cfg)
@@ -202,7 +201,6 @@ def augment(cfg: RunConfig, output_path):
     from .promptkit import resolve_prompt
 
     verify_upstream(cfg, "ingest")
-    verify_upstream(cfg, "index")
     finetune_path = cfg.paths.out_path("corpus", "finetune_split.jsonl")
     finetune_sentences = read_sentences_jsonl(finetune_path)
     if not finetune_sentences:
@@ -232,7 +230,6 @@ def predict(cfg: RunConfig, input_path, output_path):
     """Retrieve, prompt, generate and parse for every input sentence."""
     from . import pipeline
 
-    verify_upstream(cfg, "index")
     out_path = Path(output_path) if output_path else cfg.paths.out_path("predictions.jsonl")
     files.check_writable(out_path, _telemetry_path(out_path))
     store = pipeline.load_store(cfg)

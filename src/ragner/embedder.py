@@ -64,6 +64,7 @@ CACHE_ARRAYS = {
     "sentence_vectors": "embeddings.sentence_vectors.npy",
 }
 CACHE_TEXTS = "embeddings.texts.json"
+CACHE_FILES = (*CACHE_ARRAYS.values(), CACHE_TEXTS)
 
 
 class PrecomputedEmbeddingProvider:

@@ -8,6 +8,7 @@ read them. This module loads no numpy, so every command can use it.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 from . import files
 from .config import RunConfig
@@ -57,15 +58,18 @@ def read_manifest(cfg: RunConfig, command: str) -> dict:
     return doc
 
 
-def check_digests(recorded: dict[str, str | None], command: str) -> None:
+def check_digests(recorded: dict[str, str | None], command: str, sha256: Callable) -> None:
     """Raise MissingArtifact unless every file named in `recorded` exists and
-    hashes to its digest; a digest of None means `command` recorded none."""
+    hashes by `sha256` to its digest; a digest of None, which means that
+    `command` recorded none, is never met."""
+    rerun = f"; re-run `ragner {command}`"
     for artifact, expected in recorded.items():
-        missing = files.Role(not_found=f"{command} artifact missing: {artifact}")
-        if files.sha256_file(artifact, missing) != expected:
-            raise MissingArtifact(f"{command} artifact changed since its manifest: {artifact}")
+        missing = files.Role(not_found=f"{command} artifact missing: {artifact}{rerun}")
+        if expected is None or sha256(artifact, missing) != expected:
+            raise MissingArtifact(f"{command} artifact changed since its manifest: {artifact}"
+                                  f"{rerun}")
 
 
 def verify_upstream(cfg: RunConfig, command: str) -> None:
     """Check that `command`'s recorded outputs still exist and hash the same."""
-    check_digests(read_manifest(cfg, command)["outputs"], command)
+    check_digests(read_manifest(cfg, command)["outputs"], command, files.sha256_file)

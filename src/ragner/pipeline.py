@@ -18,8 +18,7 @@ from .corpus import (
     select_store_split,
 )
 from .embedder import (
-    CACHE_ARRAYS,
-    CACHE_TEXTS,
+    CACHE_FILES,
     Embedder,
     RemoteEmbeddingProvider,
     load_precomputed,
@@ -67,16 +66,49 @@ def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedd
     return Embedder(provider, e.dimension, stopwords)
 
 
+def indexed_store(cfg: RunConfig, sha256: Callable,
+                  embedder: Callable | None = None) -> ExampleStore | RagnerError:
+    """The store `index` wrote, if it is current for `cfg`, else the error
+    that says why not. It is current when meta.json's build key is
+    `cfg.store_build_key` and every file `manifests/index.json` records
+    still hashes by `sha256` to its digest.
+
+    The query commands pass no `embedder` and do not hash the embedding
+    file: their embedder reads only the cache, itself a recorded output. An
+    ablation cell's `embedder` opens the cache in the directory it is given;
+    it is called only when the cell's embedding file is recorded and
+    current. A changed or missing cache file raises MissingArtifact.
+    """
+    e, store_dir = cfg.embedder, cfg.paths.out_path("store")
+    source = str(Path(e.precomputed_path)) if e.precomputed_path else None
+    try:
+        doc = read_manifest(cfg, "index")
+        if embedder is not None and e.provider == "precomputed-file" and source:
+            check_digests({source: doc["inputs"].get(source)}, "index", sha256)
+    except MissingArtifact as exc:
+        return exc
+    recorded = {**doc["inputs"], **doc["outputs"]}
+    recorded.pop(source, None)  # hashed above, or not at all
+    cache = {p: recorded.pop(p) for p in doc["outputs"] if Path(p).name in CACHE_FILES}
+    check_digests(cache, "index", sha256)
+    opened = (embedder or functools.partial(make_embedder, cfg))(store_dir)
+    try:
+        check_digests(recorded, "index", sha256)
+    except MissingArtifact as exc:
+        return exc
+    store = ExampleStore.load(store_dir, opened)
+    if store.build_key == cfg.store_build_key:
+        return store
+    return ConfigError(f"the store in {store_dir} was built under another [embedder], [store] or "
+                       "retriever index config; re-run `ragner index` with this config")
+
+
 def load_store(cfg: RunConfig) -> ExampleStore:
-    """The indexed store, with the embedder opened from its embedding cache;
-    refuses a store built under another config."""
-    store_dir = cfg.paths.out_path("store")
-    store = ExampleStore.load(store_dir, embedder=make_embedder(cfg, store_dir))
-    if store.build_key != cfg.store_build_key:
-        raise ConfigError(
-            f"the store in {store_dir} was built under another [embedder], [store] or "
-            "retriever index config; re-run `ragner index` with this config"
-        )
+    """The indexed store for a query command; raises the reason when it is
+    not current."""
+    store = indexed_store(cfg, files.sha256_file)
+    if isinstance(store, RagnerError):
+        raise store
     store.require_index(cfg.retriever)
     return store
 
@@ -201,64 +233,15 @@ class _Memo:
 @dataclass
 class AblationLoads:
     """What consecutive ablation cells share, each keyed on the config it
-    depends on: splits and schema on [paths]; the embedder and the store
-    directory whose cache it opened on [paths] + [embedder]; the store on
-    [paths] + its build key less the index settings. `sha256` hashes a file
-    once per sweep."""
+    depends on: splits and schema on [paths]; the embedder on [paths] +
+    [embedder]; the store on [paths] + its build key less the index
+    settings. `sha256` hashes a file once per sweep, so `indexed_store`
+    hashes each file `index` recorded at most once however many cells ask."""
 
     inputs: _Memo = field(default_factory=_Memo)
     embedder: _Memo = field(default_factory=_Memo)
     store: _Memo = field(default_factory=_Memo)
     sha256: Callable = field(default_factory=lambda: functools.cache(files.sha256_file))
-
-
-def _indexed_cache_dir(cfg: RunConfig) -> Path | None:
-    """The store directory, when `index` cached there the embedding file this
-    config names and that file still hashes to the digest `index` recorded;
-    otherwise None.
-
-    `load_precomputed` reads nothing but the file, so its digest is the whole
-    key of the cache. The cache files are checked against their recorded
-    digests: a changed or missing one raises MissingArtifact.
-    """
-    e = cfg.embedder
-    if e.provider != "precomputed-file" or not e.precomputed_path:
-        return None
-    try:
-        doc = read_manifest(cfg, "index")
-    except MissingArtifact:
-        return None
-    source = Path(e.precomputed_path)
-    recorded = doc["inputs"].get(str(source))
-    if recorded is None or not source.is_file() or files.sha256_file(source) != recorded:
-        return None
-    store_dir = cfg.paths.out_path("store")
-    outputs = doc["outputs"]
-    cache = [str(store_dir / name) for name in (*CACHE_ARRAYS.values(), CACHE_TEXTS)]
-    check_digests({path: outputs.get(path) for path in cache}, "index")
-    return store_dir
-
-
-def _indexed_store(cfg: RunConfig, store_dir: Path | None, sentences, schema, embedder,
-                   sha256: Callable) -> ExampleStore | None:
-    """The store `index` wrote into `store_dir`, when it is the one this cell
-    would build: the same build key, sentences, schema and stop-word file,
-    and every file but the embedding cache (checked already) unchanged."""
-    if store_dir is None:
-        return None
-    doc = read_manifest(cfg, "index")
-    cache = (*CACHE_ARRAYS.values(), CACHE_TEXTS)
-    recorded = {path: digest for path, digest in doc["outputs"].items()
-                if Path(path).parent == store_dir and Path(path).name not in cache}
-    if cfg.embedder.stopwords_file:
-        stopwords = str(Path(cfg.embedder.stopwords_file))
-        recorded[stopwords] = doc["inputs"].get(stopwords)
-    if not all(Path(path).is_file() and sha256(path) == digest
-               for path, digest in recorded.items()):
-        return None
-    store = ExampleStore.load(store_dir, embedder)
-    held = (store.build_key, store.sentences, store.schema)
-    return store if held == (cfg.store_build_key, sentences, schema) else None
 
 
 def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalReport, dict]:
@@ -267,17 +250,18 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
 
     Every cell of a sweep gets the same `loads`, so that a cell reuses the
     splits, embedder and store of the cell before when its config allows.
-    The embedder opens the store's embedding cache when `index` wrote one
-    from the same, unchanged embedding file, and parses the file otherwise.
-    The cell loads the store `index` wrote when `_indexed_store` finds it
-    current, and rebuilds only the indexes of the store before when the two
-    differ in index settings alone.
+    A new store is the one `indexed_store` returns, if it holds the cell's
+    store split and schema; otherwise the cell builds its own, with the
+    embedder `indexed_store` opened or, when the embedding file was not
+    current, one that parses it. A cell whose store differs from the one
+    before in index settings alone rebuilds only the indexes.
     """
     doc = copy.deepcopy(base.raw)
     for dotted, value in axes.items():
         set_key(doc, dotted, value)
     cfg = resolve(doc)
     paths_key = fingerprint(doc["paths"])
+    embedder_key = (paths_key, fingerprint(doc["embedder"]))
     records_key = fingerprint({"embedder": doc["embedder"], "store": doc["store"],
                                "store_words": cfg.retriever.store_words})
 
@@ -287,17 +271,16 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
             raise ConfigError("ablation needs a corpus_test file")
         return splits, schema
 
-    def open_embedder():
-        store_dir = _indexed_cache_dir(cfg)
-        return store_dir, make_embedder(cfg, store_dir)
+    def open_embedder(store_dir=None):
+        return loads.embedder.get(embedder_key, lambda: make_embedder(cfg, store_dir))
 
     def new_store():
         splits, schema = inputs()
-        store_dir, embedder = loads.embedder.get((paths_key, fingerprint(doc["embedder"])),
-                                                 open_embedder)
-        sentences = select_store_split(splits, cfg).store
-        store = _indexed_store(cfg, store_dir, sentences, schema, embedder, loads.sha256)
-        return store if store is not None else build_store(sentences, schema, embedder, cfg)
+        split = select_store_split(splits, cfg).store
+        store = indexed_store(cfg, loads.sha256, open_embedder)
+        if isinstance(store, RagnerError) or (store.sentences, store.schema) != (split, schema):
+            store = build_store(split, schema, open_embedder(), cfg)
+        return store
 
     # the old store (and what only it holds) is released before a new one is built
     store = loads.store.get((paths_key, records_key), new_store)

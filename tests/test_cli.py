@@ -1553,6 +1553,103 @@ def test_ablate_fails_every_cell_on_a_damaged_cache(tmp_path, parses, damage, me
     assert parses == []
 
 
+def stop_word_project(root: Path):
+    """A project whose config sets a stop-word file, ingested and indexed."""
+    ns = make_project(root)
+    ns.stopwords = ns.data / "stopwords.txt"
+    ns.stopwords.write_text("the\nat\ngamma\nphone\n", encoding="utf-8")
+    doc = yaml.safe_load(Path(ns.cfg).read_text(encoding="utf-8"))
+    doc["embedder"]["stopwords_file"] = str(ns.stopwords)
+    Path(ns.cfg).write_text(yaml.safe_dump(doc), encoding="utf-8")
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, "index"])
+    return ns
+
+
+QUERY_COMMANDS = pytest.mark.parametrize(
+    "command", [["predict"], ["augment"], ["retrieve", "--text", TEST[0].text]],
+    ids=["predict", "augment", "retrieve"])
+
+
+def _edit_the_stop_words(ns) -> Path:
+    ns.stopwords.write_text("the\nat\n", encoding="utf-8")
+    return ns.stopwords
+
+
+def _reingest_an_edited_corpus(ns) -> Path:
+    store = ns.out / "corpus" / "store.jsonl"
+    before = store.read_bytes()
+    _edit_the_corpus(ns)
+    run(["-c", ns.cfg, "ingest"])
+    assert store.read_bytes() != before  # the edited sentence is in the store split
+    return store
+
+
+@pytest.mark.parametrize("change", [_edit_the_stop_words, _reingest_an_edited_corpus],
+                         ids=["stop words edited", "corpus edited and re-ingested"])
+@QUERY_COMMANDS
+def test_a_store_input_changed_after_index_asks_for_reindex(tmp_path, change, command):
+    ns = stop_word_project(tmp_path)
+    changed = change(ns)
+    result = run(["-c", ns.cfg, *command], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "MissingArtifact"
+    assert str(changed) in err["message"] and "re-run `ragner index`" in err["message"]
+
+
+def count_hashes(monkeypatch) -> dict[str, int]:
+    """How often `files.sha256_file` hashes each path while the test runs."""
+    from ragner import files
+
+    counts: dict[str, int] = {}
+    sha256_file = files.sha256_file
+
+    def counting(path, *args):
+        counts[str(path)] = counts.get(str(path), 0) + 1
+        return sha256_file(path, *args)
+
+    monkeypatch.setattr(files, "sha256_file", counting)
+    return counts
+
+
+@QUERY_COMMANDS
+def test_a_query_command_hashes_each_indexed_file_once_but_not_the_embedding_file(
+        tmp_path, monkeypatch, command):
+    ns = stop_word_project(tmp_path)
+    manifests = {name: json.loads((ns.out / "manifests" / f"{name}.json").read_text("utf-8"))
+                 for name in ("ingest", "index")}
+    counts = count_hashes(monkeypatch)
+    run(["-c", ns.cfg, *command])
+    jsonl = str(ns.data / "embeddings.jsonl")
+    recorded = [*manifests["index"]["inputs"], *manifests["index"]["outputs"]]
+    assert jsonl in recorded and str(ns.stopwords) in recorded
+    # augment also checks the ingest outputs it reads, store.jsonl and schema.json among them
+    upstream = manifests["ingest"]["outputs"] if command == ["augment"] else {}
+    assert {path: counts.get(path, 0) for path in recorded} == \
+        {path: (path != jsonl) + (path in upstream) for path in recorded}
+
+
+def test_ablate_hashes_each_indexed_file_once_per_sweep(tmp_path, monkeypatch, parses):
+    ns = stop_word_project(tmp_path)
+    other = ns.data / "other-stopwords.txt"
+    other.write_text("the\nat\n", encoding="utf-8")
+    index = json.loads((ns.out / "manifests" / "index.json").read_text(encoding="utf-8"))
+    cells = [{"embedder.stopwords_file": str(path)} for path in (ns.stopwords, other) * 2]
+    grid = write_grid(tmp_path / "grid.yaml", {"cells": cells})
+    parses.clear()
+    counts = count_hashes(monkeypatch)
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", tmp_path / "ablation.json"])
+    cells = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert all(c["error"] is None and c["report"]["micro"]["f1"] == 1.0 for c in cells)
+    assert parses == []  # every cell's embedder opened the cache
+    recorded = [*index["inputs"], *index["outputs"]]
+    assert str(ns.data / "embeddings.jsonl") in recorded
+    assert all(str(ns.out / "store" / name) in recorded for name in CACHE_FILES)
+    assert {path: counts.get(path, 0) for path in recorded} == dict.fromkeys(recorded, 1)
+    assert str(other) not in counts  # index recorded no digest for it
+
+
 # --- what each command imports, and remote generation ---------------------------
 
 HEAVY_MODULES = ("numpy", "orjson", "requests", "urllib.request")

@@ -64,6 +64,34 @@ def test_the_check_sees_every_kind_of_file_call():
     assert sorted(name for name, _ in file_calls(sample)) == sorted(FILE_CALLS)
 
 
+def index_manifest_calls(source: str) -> list[tuple[str | None, str, int]]:
+    """(owner, call, line) of each `read_manifest(..., "index")` and
+    `verify_upstream(..., "index")` in `source`; the owner is the top-level
+    function or class the call is in, None at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            command = node.args[1:2] + [k.value for k in node.keywords if k.arg == "command"]
+            if name in ("read_manifest", "verify_upstream") and any(
+                    isinstance(arg, ast.Constant) and arg.value == "index" for arg in command):
+                found.append((getattr(top, "name", None), name, node.lineno))
+    return found
+
+
+def test_only_the_currency_function_asks_whether_the_store_is_current():
+    sample = ("def f(cfg):\n    manifest.read_manifest(cfg, command='index')\n"
+              "verify_upstream(cfg, 'index')\nread_manifest(cfg, 'ingest')\n")
+    assert index_manifest_calls(sample) == [("f", "read_manifest", 2),
+                                            (None, "verify_upstream", 3)]
+    calls = [(path.stem, owner, name) for path in sorted(SRC.glob("*.py"))
+             for owner, name, _ in index_manifest_calls(path.read_text(encoding="utf-8"))]
+    assert calls == [("pipeline", "indexed_store", "read_manifest")]
+
+
 # --- writers -------------------------------------------------------------------
 
 def test_writers_keep_their_json_arguments_and_create_the_directory(tmp_path):

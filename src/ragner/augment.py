@@ -29,7 +29,7 @@ from . import files
 from .config import AugmentConfig, RetrieverConfig
 from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
 from .errors import RagnerError
-from .promptkit import PromptTemplate, build_prompt, order_examples, render_output
+from .promptkit import PromptExample, PromptTemplate, build_prompt, order_examples, render_output
 from .retriever import ExampleStore, retrieve
 
 logger = logging.getLogger(__name__)
@@ -165,14 +165,14 @@ def build_finetune_dataset(
 def _render_record(
     sentence: LabeledSentence,
     schema: EntitySchema,
-    example_gold: list[tuple[LabeledSentence, NerOutput]],
+    example_gold: list[PromptExample],
     gold: NerOutput,
     transforms: tuple[str, ...],
     removed: tuple[str, ...],
     permutation: tuple[str, ...] | None,
     template: PromptTemplate,
 ) -> FinetuneRecord:
-    examples = [(s, out.restricted_to(schema)) for s, out in example_gold]
+    examples = [(ex.input_text, ex.output.restricted_to(schema)) for ex in example_gold]
     prompt = build_prompt(schema, examples, sentence.text, template)
     return FinetuneRecord(
         prompt=prompt.rendered,

@@ -40,7 +40,6 @@ from .evaluation import (
     expand_grid,
     format_ablation,
     format_report,
-    run_ablation,
     score_rows,
     write_report_json,
 )
@@ -306,12 +305,13 @@ def ablate(cfg: RunConfig, grid_path, output_path):
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("ablation.json")
     files.check_writable(out_path, _telemetry_path(out_path))
-    results = run_ablation(_grid_cells(grid_path), pipeline.make_ablation_runner(cfg))
+    results = pipeline.run_sweep(cfg, _grid_cells(grid_path))
     click.echo(format_ablation(results))
     files.write_json(out_path,
                      ablation_to_dict(results, config_fingerprint=cfg.fingerprint, seed=cfg.seed),
                      indent=2, sort_keys=True)
-    _write_telemetry(out_path, {"cells": [{"axes": c.axes, "latency": c.latency} for c in results]})
+    _write_telemetry(out_path, {"cells": [{"axes": c.axes, "latency": c.latency, **c.telemetry}
+                                          for c in results]})
     write_manifest(cfg, "ablate", [Path(grid_path)], [out_path])
     if not any(cell.ok for cell in results):
         raise AblationFailed(f"no cell of {len(results)} succeeded; see {out_path}")

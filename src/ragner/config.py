@@ -12,6 +12,7 @@ retriever/store/augment sections inherits the global seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -86,6 +87,10 @@ class RetrieverConfig:
     @property
     def effective_per_word_k(self) -> int:
         return self.per_word_k if self.per_word_k is not None else self.k
+
+    @property
+    def search_depth(self) -> int:  # hits per query word, or per query in sentence-level mode
+        return self.effective_per_word_k if self.mode == "word-level" else self.k
 
 
 def _check_remote(timeout: float, max_retries: int) -> None:
@@ -324,6 +329,7 @@ _SECTIONS = {"paths": PathsConfig, "embedder": EmbedderConfig, "store": StoreCon
 _SEEDED = ("retriever", "store", "augment")
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
           tuple: "a list of strings"}
+_type_hints = functools.cache(typing.get_type_hints)  # once per class, not per cell
 
 
 def _defaults() -> dict:
@@ -349,7 +355,7 @@ def _checked(cls, values: dict, where: str) -> dict:
     """`values` checked against `cls`'s field annotations (`int`, `float`,
     `str`, `bool`, `X | None`, `tuple[str, ...]`), lists made tuples. A
     float must be finite and a string must not hold a NUL character."""
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     out = {}
     for key, value in values.items():
         hint = hints[key]

@@ -92,6 +92,7 @@ class EntitySchema:
     """Ordered entity types; the order is the prompt order."""
 
     types: tuple[EntityType, ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: dict[str, str] = {}
@@ -102,10 +103,9 @@ class EntitySchema:
             if key in seen:
                 raise DuplicateTypeName(f"{t.name!r} collides with {seen[key]!r}")
             seen[key] = t.name
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.types)
+        # once per schema: parsing and rendering ask for them per row
+        object.__setattr__(self, "names", tuple(t.name for t in self.types))
+        object.__setattr__(self, "_by_folded_name", seen)
 
     def __len__(self) -> int:
         return len(self.types)
@@ -114,15 +114,11 @@ class EntitySchema:
         return iter(self.types)
 
     def __contains__(self, name: str) -> bool:
-        return any(t.name == name for t in self.types)
+        return name in self.names
 
     def canonical(self, raw: str) -> str | None:
         """Match a raw key to a schema type name, folding case/space/underscore."""
-        key = fold_type_name(raw)
-        for t in self.types:
-            if fold_type_name(t.name) == key:
-                return t.name
-        return None
+        return self._by_folded_name.get(fold_type_name(raw))
 
     def without(self, removed: Iterable[str]) -> "EntitySchema":
         """Schema with the given type names deleted, order preserved."""

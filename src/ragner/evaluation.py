@@ -13,7 +13,7 @@ instruction-following breaks down.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import files
@@ -297,6 +297,7 @@ class AblationCell:
     report: EvalReport | None = None
     latency: dict | None = None
     error: str | None = None
+    telemetry: dict = field(default_factory=dict)  # kept out of the hashed table
 
     @property
     def ok(self) -> bool:

@@ -25,7 +25,7 @@ from .embedder import (
     open_precomputed_cache,
 )
 from .errors import ConfigError, MissingArtifact, NoDictionaryFound, RagnerError
-from .evaluation import EvalReport, score_rows
+from .evaluation import AblationCell, EvalReport, run_ablation, score_rows
 from .generation import (
     GenerationResult,
     GenerationTask,
@@ -36,7 +36,7 @@ from .generation import (
 from . import files
 from .manifest import check_digests, read_manifest
 from .promptkit import build_prompt, order_examples, parse_output, resolve_prompt
-from .retriever import ExampleStore, retrieve
+from .retriever import ExampleStore, _retrieve_blocks, retrieve, select
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
 
@@ -165,17 +165,19 @@ def predict_sentences(
     sentences: list[LabeledSentence],
     store: ExampleStore,
     cfg: RunConfig,
+    retrieved: list | None = None,
 ) -> PredictOutcome:
-    """retrieve -> prompt -> generate -> parse for every sentence.
+    """retrieve (unless `retrieved`) -> prompt -> generate -> parse, per sentence.
 
     Record-level failures (retrieval, generation, parsing) mark the row
     failed and score as all-false-negative; they never abort the batch.
     """
     schema = store.schema
     template = resolve_prompt(cfg.prompt)
+    retrieved = retrieve(sentences, store, cfg.retriever) if retrieved is None else retrieved
     rows: dict[int, PredictionRow] = {}
     tasks: list[GenerationTask] = []
-    for sentence, examples in zip(sentences, retrieve(sentences, store, cfg.retriever)):
+    for sentence, examples in zip(sentences, retrieved):
         row = PredictionRow(query_id=sentence.id, text=sentence.text)
         rows[sentence.id] = row
         try:
@@ -232,21 +234,39 @@ class _Memo:
 
 @dataclass
 class AblationLoads:
-    """What consecutive ablation cells share, each keyed on the config it
+    """What the cells of one sweep share, each keyed on the config it
     depends on: splits and schema on [paths]; the embedder on [paths] +
-    [embedder]; the store on [paths] + its build key less the index
-    settings. `sha256` hashes a file once per sweep, so `indexed_store`
-    hashes each file `index` recorded at most once however many cells ask."""
+    [embedder]; the store with its searches (at `depths`) on [paths] + its
+    build key less the index settings. `sha256` hashes a file once per
+    sweep, so `indexed_store` hashes each file `index` recorded at most once."""
 
     inputs: _Memo = field(default_factory=_Memo)
     embedder: _Memo = field(default_factory=_Memo)
     store: _Memo = field(default_factory=_Memo)
+    depths: dict = field(default_factory=dict)
     sha256: Callable = field(default_factory=lambda: functools.cache(files.sha256_file))
 
 
-def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalReport, dict]:
+def _cell_config(base: RunConfig, axes: dict) -> tuple[RunConfig, tuple]:
+    """A cell's config and the keys of what it can share: [paths], embedder,
+    store records, store, search (less the keys only `select` reads)."""
+    doc = copy.deepcopy(base.raw)
+    for dotted, value in axes.items():
+        set_key(doc, dotted, value)
+    cfg = resolve(doc)
+    paths = fingerprint(doc["paths"])
+    records = (paths, fingerprint({"embedder": doc["embedder"], "store": doc["store"],
+                                   "store_words": cfg.retriever.store_words}))
+    store = (*records, cfg.store_build_key)
+    search = (*store, fingerprint({**doc["retriever"], "k": 0, "per_word_k": 0, "aggregator": 0}))
+    return cfg, (paths, (paths, fingerprint(doc["embedder"])), records, store, search)
+
+
+def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
+             telemetry: dict) -> tuple[EvalReport, dict]:
     """Run one ablation cell, base config plus dotted-key overrides:
-    its report and latency summary.
+    its report and latency summary; `telemetry` gets how it came by its
+    store and retrieval.
 
     Every cell of a sweep gets the same `loads`, so that a cell reuses the
     splits, embedder and store of the cell before when its config allows.
@@ -254,16 +274,10 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
     store split and schema; otherwise the cell builds its own, with the
     embedder `indexed_store` opened or, when the embedding file was not
     current, one that parses it. A cell whose store differs from the one
-    before in index settings alone rebuilds only the indexes.
+    before in index settings alone rebuilds only the indexes. A cell selects
+    from the held store's search, made at the depth `loads.depths` gives.
     """
-    doc = copy.deepcopy(base.raw)
-    for dotted, value in axes.items():
-        set_key(doc, dotted, value)
-    cfg = resolve(doc)
-    paths_key = fingerprint(doc["paths"])
-    embedder_key = (paths_key, fingerprint(doc["embedder"]))
-    records_key = fingerprint({"embedder": doc["embedder"], "store": doc["store"],
-                               "store_words": cfg.retriever.store_words})
+    cfg, (paths_key, embedder_key, records_key, _, search_key) = _cell_config(base, axes)
 
     def inputs():
         splits, schema, _ = loads.inputs.get(paths_key, lambda: load_corpus(cfg))
@@ -280,25 +294,49 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads) -> tuple[EvalRep
         store = indexed_store(cfg, loads.sha256, open_embedder)
         if isinstance(store, RagnerError) or (store.sentences, store.schema) != (split, schema):
             store = build_store(split, schema, open_embedder(), cfg)
-        return store
+            telemetry["store"] = "built"
+        telemetry.setdefault("store", "loaded")
+        return store, {}
 
     # the old store (and what only it holds) is released before a new one is built
-    store = loads.store.get((paths_key, records_key), new_store)
+    store, searches = loads.store.get(records_key, new_store)
     if store.build_key != cfg.store_build_key:  # the same records, other index settings
-        store = loads.store.value = store.reindex(cfg.retriever)
+        store = store.reindex(cfg.retriever)
         store.build_key = cfg.store_build_key
+        loads.store.value = store, searches = store, {}
+        telemetry["store"] = "reindexed"
+    telemetry.setdefault("store", "held")
     store.require_index(cfg.retriever)
     test = inputs()[0]["test"]
-    outcome = predict_sentences(test, store, cfg)
+    depth = loads.depths[search_key]  # the deepest of the sweep's cells that share the search
+    telemetry.update(retrieval="shared", search_depth=depth)
+    if search_key not in searches:
+        searches[search_key] = _retrieve_blocks(test, store, cfg.retriever, depth)
+        telemetry["retrieval"] = "searched"
+    outcome = predict_sentences(test, store, cfg,
+                                select(test, searches[search_key], store, cfg.retriever))
     rows = ((f"test sentence {row.query_id}", row.to_dict()) for row in outcome.rows)
     report = score_rows(rows, {s.id: s for s in test}, store.schema, cfg.eval)
     return report, outcome.latency
 
 
-def make_ablation_runner(base: RunConfig):
-    """Adapter for evaluation.run_ablation: axes dict -> (report, latency).
-
-    The runner keeps its loads for the sweep it serves and no longer.
-    """
-    loads = AblationLoads()
-    return lambda axes: run_cell(base, dict(axes), loads)
+def run_sweep(base: RunConfig, grid: list[dict]) -> list[AblationCell]:
+    """One ablation cell per entry of `grid`, in grid order, with its telemetry.
+    Cells run grouped by [paths], [embedder], store records and store, each
+    group where its first cell stands. A look-ahead gives each search its
+    deepest cell's depth, skipping cells that do not resolve (they fail alone)."""
+    loads, ranks, groups = AblationLoads(), ({}, {}, {}, {}), []
+    for axes in grid:
+        try:
+            cfg, keys = _cell_config(base, axes)
+        except Exception:  # the cell's own run records why
+            groups.append(())
+            continue
+        groups.append(tuple(rank.setdefault(key, len(rank)) for rank, key in zip(ranks, keys)))
+        loads.depths[keys[-1]] = max(loads.depths.get(keys[-1], 0), cfg.retriever.search_depth)
+    cells: list = [None] * len(grid)
+    for i in sorted(range(len(grid)), key=groups.__getitem__):
+        note: dict = {}
+        [cells[i]] = run_ablation([grid[i]], lambda axes: run_cell(base, dict(axes), loads, note))
+        cells[i].telemetry = note
+    return cells

@@ -11,13 +11,14 @@ well-formed NerOutput or raises NoDictionaryFound, never anything else.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import files
 from .config import PromptConfig
-from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
+from .corpus import EntitySchema, NerOutput, gold_output
 from .errors import NoDictionaryFound, SchemaMismatch, TemplateError, UnknownTemplate
 
 if TYPE_CHECKING:  # the retriever loads numpy; this module needs only its names
@@ -93,6 +94,10 @@ class PromptExample:
     input_text: str
     output: NerOutput
 
+    @functools.cached_property
+    def rendered(self) -> str:
+        return render_example(self.input_text, self.output)
+
 
 @dataclass
 class Prompt:
@@ -133,9 +138,8 @@ def render_output(output: NerOutput) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def render_example(sentence: LabeledSentence | str, gold: NerOutput) -> str:
+def render_example(text: str, gold: NerOutput) -> str:
     """Render one in-prompt example as ``Input: ...\\nOutput: {...}``."""
-    text = sentence if isinstance(sentence, str) else sentence.text
     return f"Input: {text}\nOutput: {render_output(gold)}"
 
 
@@ -143,38 +147,37 @@ def render_entity_definitions(schema: EntitySchema) -> str:
     return "\n".join(f"- {t.name}: {t.definition}" for t in schema)
 
 
-def order_examples(
-    examples: Sequence[RetrievedExample], store: ExampleStore
-) -> list[tuple[LabeledSentence, NerOutput]]:
-    """Retrieved examples (most similar first) as the prompt's (sentence,
-    gold output) pairs, most similar last, next to the query."""
-    pairs = []
-    for ex in reversed(examples):
-        sentence = store.by_id[ex.sentence_id]
-        pairs.append((sentence, gold_output(sentence, store.schema)))
-    return pairs
+def order_examples(examples: Sequence[RetrievedExample], store: ExampleStore
+                   ) -> list[PromptExample]:
+    """Retrieved examples (most similar first) as the prompt's examples, most
+    similar last, next to the query; each made and rendered once per store."""
+    made, sids = store.prompt_examples, [ex.sentence_id for ex in reversed(examples)]
+    for sid in sids:
+        if sid not in made:
+            sentence = store.by_id[sid]
+            made[sid] = PromptExample(sentence.text, gold_output(sentence, store.schema))
+    return [made[sid] for sid in sids]
 
 
 def build_prompt(
     schema: EntitySchema,
-    examples: list[tuple[LabeledSentence | str, NerOutput]],
+    examples: Sequence[PromptExample | tuple[str, NerOutput]],
     query_text: str,
     template: PromptTemplate = PromptTemplate(),
 ) -> Prompt:
     """Deterministically render the four-section prompt.
 
-    Examples are rendered in the order given, the most similar last (see
-    `order_examples`).
+    Examples, or (text, gold output) pairs, are rendered in the order
+    given, the most similar last (see `order_examples`).
     """
-    for _, output in examples:
-        if tuple(output.entries.keys()) != schema.names:
+    prompt_examples = [ex if isinstance(ex, PromptExample) else PromptExample(*ex)
+                       for ex in examples]
+    for ex in prompt_examples:
+        if tuple(ex.output.entries) != schema.names:
             raise SchemaMismatch(
-                f"example output keys {tuple(output.entries.keys())} != schema {schema.names}"
+                f"example output keys {tuple(ex.output.entries)} != schema {schema.names}"
             )
-    prompt_examples = [
-        PromptExample(s if isinstance(s, str) else s.text, out) for s, out in examples
-    ]
-    examples_block = "\n\n".join(render_example(ex.input_text, ex.output) for ex in prompt_examples)
+    examples_block = "\n\n".join(ex.rendered for ex in prompt_examples)
     rendered = template.text.format(
         task_description=template.task_description,
         entity_definitions=render_entity_definitions(schema),

@@ -13,7 +13,9 @@ evaluating over the store itself cannot leak gold labels: the records of
 that sentence are masked out of the search itself. All ties break by
 ascending record or sentence id, which makes retrieval fully
 deterministic. Consecutive query sentences are searched in blocks, with
-one batched call over all the words of a block.
+one batched call over all the words of a block. `retrieve` searches
+(`_retrieve_blocks`), then selects (`select`), so that one search can serve
+every depth up to its own.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ class ExampleStore:
         self.model_name = model_name
         self.embedder = embedder
         self.build_key = build_key
+        self.prompt_examples: dict = {}  # sentence id -> promptkit.order_examples' example
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -168,8 +171,10 @@ class ExampleStore:
 
         indexes = [index if index is None else rebuild(index)
                    for index in (self.word_index, self.sentence_index)]
-        return ExampleStore(self.sentences, self.schema, *indexes, self.store_words,
-                            self.model_name, self.embedder)
+        store = ExampleStore(self.sentences, self.schema, *indexes, self.store_words,
+                             self.model_name, self.embedder)
+        store.prompt_examples = self.prompt_examples  # the same sentences and schema
+        return store
 
     def require_index(self, cfg: RetrieverConfig) -> None:
         """Refuse a mode whose index this store lacks, or an nprobe above the
@@ -231,7 +236,6 @@ def _pool_words(
     k. matched_pairs holds every contributing (query word, store word)
     hit for the sentence, best first.
     """
-    best: dict[int, float] = {}
     pairs: dict[int, list[MatchedPair]] = {}
     per_word_best: dict[int, dict[int, float]] = {}
     for word_index, (record_ids, hit_scores) in zip(word_indexes.tolist(), results):
@@ -239,56 +243,38 @@ def _pool_words(
         sids = index.sentence_ids[record_ids].tolist()
         for record_id, sid, score in zip(record_ids.tolist(), sids, hit_scores.tolist()):
             store_word = index.words[record_id] if index.words else ""
-            if sid not in best or score > best[sid]:
-                best[sid] = score
             pairs.setdefault(sid, []).append(MatchedPair(query_word, store_word, score))
-            word_best = per_word_best.setdefault(sid, {})
-            prev = word_best.get(word_index)
-            if prev is None or score > prev:
-                word_best[word_index] = score
+            # a word's hits come best first, so its first hit in a sentence is its best there
+            per_word_best.setdefault(sid, {}).setdefault(word_index, score)
 
-    if cfg.aggregator == "sum":
-        scores = {sid: sum(per_word_best[sid].values()) for sid in best}
-    else:
-        scores = best
+    combine = sum if cfg.aggregator == "sum" else max
+    scores = {sid: combine(best.values()) for sid, best in per_word_best.items()}
     ranked = sorted(scores, key=lambda sid: (-scores[sid], sid))[: cfg.k]
-    out = []
-    for sid in ranked:
-        matched = tuple(
-            sorted(pairs[sid], key=lambda p: (-p.similarity, p.query_word, p.store_word))
-        )
-        out.append(RetrievedExample(sid, float(scores[sid]), matched))
-    return out
+    return [RetrievedExample(sid, float(scores[sid]), tuple(sorted(
+        pairs[sid], key=lambda p: (-p.similarity, p.query_word, p.store_word)))) for sid in ranked]
 
 
-def _search_block(block, index: Index, cfg: RetrieverConfig, entries: list) -> None:
+def _search_block(block, index: Index, cfg: RetrieverConfig, depth: int, entries: list) -> None:
     """Search the rows of a block of (entry position, query, word indexes,
     row matrix) with one search_batch call and fill each query's entry."""
-    word_level = cfg.mode == "word-level"
     row_query_ids = np.repeat([q.id for _, q, _, _ in block], [len(rows) for *_, rows in block])
     exclude = index.sentence_ids[None, :] == row_query_ids[:, None] if cfg.exclude_self else None
-    results = iter(index.search_batch(np.concatenate([rows for *_, rows in block]),
-                                      cfg.effective_per_word_k if word_level else cfg.k,
+    results = iter(index.search_batch(np.concatenate([rows for *_, rows in block]), depth,
                                       nprobe=cfg.nprobe, exclude=exclude))
-    for position, query, word_indexes, rows in block:
-        hits = [next(results) for _ in range(len(rows))]
-        if word_level:
-            entries[position] = _pool_words(index, query, word_indexes, hits, cfg)
-        else:
-            [(record_ids, scores)] = hits
-            entries[position] = [RetrievedExample(int(index.sentence_ids[r]), s)
-                                 for r, s in zip(record_ids.tolist(), scores.tolist())]
+    for position, _, word_indexes, rows in block:
+        entries[position] = word_indexes, [next(results) for _ in range(len(rows))]
 
 
-def _retrieve_blocks(
-    queries: Sequence[LabeledSentence], store: ExampleStore, cfg: RetrieverConfig
-) -> list[list[RetrievedExample] | RagnerError]:
-    """One entry per query: its examples, or the error its embedding raised.
+def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
+                     cfg: RetrieverConfig, depth: int) -> list:
+    """One entry per query: its word indexes (None in sentence-level mode)
+    and its rows' top `depth` (record ids, scores), or its embedding error.
 
     Consecutive queries are embedded and searched one block at a time. A
     block takes queries while its m rows (one per query word, or one per
     query in sentence-level mode) keep m * len(index) <= _BLOCK_SCORES and
-    m <= len(index); it always holds at least one query.
+    m <= len(index); it always holds at least one query. Blocks, and so
+    scores, do not depend on the depth.
     """
     word_level = cfg.mode == "word-level"
     index = store.word_index if word_level else store.sentence_index
@@ -313,12 +299,31 @@ def _retrieve_blocks(
             entries[position] = exc
             continue
         if block and block_rows + len(rows) > max_rows:
-            _search_block(block, index, cfg, entries)
+            _search_block(block, index, cfg, depth, entries)
             block, block_rows = [], 0
         block.append((position, query, word_indexes, rows))
         block_rows += len(rows)
     if block:
-        _search_block(block, index, cfg, entries)
+        _search_block(block, index, cfg, depth, entries)
+    return entries
+
+
+def select(queries: Sequence[LabeledSentence], searched: list, store: ExampleStore,
+           cfg: RetrieverConfig) -> list[list[RetrievedExample] | RagnerError]:
+    """`retrieve`'s entries from a search at cfg.search_depth or deeper: a
+    top-d list is a prefix of every deeper one under the tie rule, so each
+    row's hits are cut to d, then pooled (never the pooled sentences: one
+    query word's hits can all come from one sentence)."""
+    index = store.word_index if cfg.mode == "word-level" else store.sentence_index
+    depth, entries = cfg.search_depth, []
+    for query, entry in zip(queries, searched):
+        if not isinstance(entry, RagnerError):
+            word_indexes, hits = entry
+            hits = [(record_ids[:depth], scores[:depth]) for record_ids, scores in hits]
+            entry = (_pool_words(index, query, word_indexes, hits, cfg) if cfg.mode == "word-level"
+                     else [RetrievedExample(int(index.sentence_ids[r]), s)
+                           for r, s in zip(hits[0][0].tolist(), hits[0][1].tolist())])
+        entries.append(entry)
     return entries
 
 
@@ -327,12 +332,12 @@ def retrieve(queries: LabeledSentence | Sequence[LabeledSentence], store: Exampl
     """Examples for one `LabeledSentence`, raising its error; for a sequence,
     one entry per query: its examples or the `RagnerError` that failed it.
     Store problems (no index for the mode, no embedder) raise for the call."""
-    if isinstance(queries, LabeledSentence):
-        [entry] = _retrieve_blocks([queries], store, cfg)
-        if isinstance(entry, RagnerError):
-            raise entry
-        return entry
-    return _retrieve_blocks(queries, store, cfg)
+    if not isinstance(queries, LabeledSentence):
+        return select(queries, _retrieve_blocks(queries, store, cfg, cfg.search_depth), store, cfg)
+    [entry] = retrieve([queries], store, cfg)
+    if isinstance(entry, RagnerError):
+        raise entry
+    return entry
 
 
 def retrieval_payload(query_text: str, examples: list[RetrievedExample]) -> dict:

@@ -1719,3 +1719,106 @@ def test_predict_fails_only_the_row_with_a_bad_reply(tmp_path):
     assert [r["text"] for r in failed] == [TEST[1].text]
     assert failed[0]["error"].startswith("HttpError") and "non-JSON" in failed[0]["error"]
     assert all(r["parsed"] is not None for r in rows if "error" not in r)
+
+
+# --- what an ablation sweep shares -------------------------------------------
+
+def test_ablate_embeds_and_searches_each_query_once_per_mode(tmp_path, monkeypatch):
+    """Over k x mode the cells of a mode share one search, made at the largest
+    k, and each store sentence's in-prompt example is rendered once."""
+    from ragner import promptkit
+    from ragner.embedder import Embedder
+    from ragner.vector_index import FlatIndex
+
+    ns = indexed_project(tmp_path)
+    embeds, depths, renders = {}, [], {}
+
+    def counting(method, kind):
+        def wrapper(self, sentence):
+            embeds[kind, sentence.text] = embeds.get((kind, sentence.text), 0) + 1
+            return method(self, sentence)
+        return wrapper
+
+    def counting_search(self, queries, k, *args, **kwargs):
+        depths.append(k)
+        return search_batch(self, queries, k, *args, **kwargs)
+
+    def counting_render(text, gold):
+        renders[text] = renders.get(text, 0) + 1
+        return render_example(text, gold)
+
+    search_batch, render_example = FlatIndex.search_batch, promptkit.render_example
+    monkeypatch.setattr(Embedder, "embed_words", counting(Embedder.embed_words, "words"))
+    monkeypatch.setattr(Embedder, "embed_sentence",
+                        counting(Embedder.embed_sentence, "sentence"))
+    monkeypatch.setattr(FlatIndex, "search_batch", counting_search)
+    monkeypatch.setattr(promptkit, "render_example", counting_render)
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {
+        "retriever.k": [1, 3, 5], "retriever.mode": ["word-level", "sentence-level"]}})
+    out = tmp_path / "ablation.json"
+    run(["-c", ns.cfg, *ECHO, "ablate", "--grid", grid, "--output", out])
+
+    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert [c["error"] for c in cells] == [None] * 6
+    # the loaded store embeds nothing: every embedding is of a test sentence
+    assert embeds == {(kind, s.text): 1 for kind in ("words", "sentence") for s in TEST}
+    assert depths == [5, 5]  # one block per mode for three test sentences
+    assert renders and max(renders.values()) == 1
+
+
+def test_ablate_runs_cells_grouped_by_store_and_writes_them_in_grid_order(tmp_path,
+                                                                          monkeypatch):
+    from ragner.retriever import ExampleStore
+
+    ns = indexed_project(tmp_path)
+    builds = []
+    build = ExampleStore.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(1)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ExampleStore, "build", classmethod(counting_build))
+    axes = {"retriever.k": [1, 3], "retriever.store_words": ["entity-only", "all"]}
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": axes})
+    out = tmp_path / "ablation.json"
+    result = run(["-c", ns.cfg, *ECHO, "ablate", "--grid", grid, "--output", out])
+
+    order = [{"retriever.k": k, "retriever.store_words": words}
+             for k in (1, 3) for words in ("entity-only", "all")]
+    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert [c["axes"] for c in cells] == order
+    assert [c["error"] for c in cells] == [None] * 4
+    table = result.output.splitlines()[2:]
+    assert [line.split()[:2] for line in table] == [[str(k), words] for k, words in
+                                                    ((1, "entity-only"), (1, "all"),
+                                                     (3, "entity-only"), (3, "all"))]
+    # in grid order the store_words values alternate, and the memo would build twice
+    assert builds == [1]
+    telemetry = json.loads((tmp_path / "ablation_telemetry.json").read_text(encoding="utf-8"))
+    assert [(c["store"], c["retrieval"]) for c in telemetry["cells"]] == [
+        ("loaded", "searched"), ("built", "searched"), ("held", "shared"), ("held", "shared")]
+
+
+def test_ablate_telemetry_tells_how_each_cell_got_its_store_and_retrieval(tmp_path):
+    ns = indexed_project(tmp_path)  # retriever.k=3, a flat index, store.size=6
+    cells = [{"retriever.k": 1}, {"retriever.k": 0}, {"retriever.k": 2},
+             {"retriever.index_kind": "ivf", "retriever.nlist": 2},
+             {"store.size": 5, "retriever.k": 1}, {"retriever.k": 1, "retriever.nprobe": 1}]
+    grid = write_grid(tmp_path / "grid.yaml", {"cells": cells})
+    out = tmp_path / "ablation.json"
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out])
+    telemetry = json.loads((tmp_path / "ablation_telemetry.json").read_text(encoding="utf-8"))
+    notes = [{key: c.get(key) for key in ("store", "retrieval", "search_depth")}
+             for c in telemetry["cells"]]
+    assert [c["axes"] for c in telemetry["cells"]] == cells
+    assert notes == [
+        {"store": "loaded", "retrieval": "searched", "search_depth": 2},
+        {"store": None, "retrieval": None, "search_depth": None},  # k=0 does not resolve
+        {"store": "held", "retrieval": "shared", "search_depth": 2},
+        {"store": "reindexed", "retrieval": "searched", "search_depth": 3},
+        {"store": "built", "retrieval": "searched", "search_depth": 1},
+        {"store": "held", "retrieval": "searched", "search_depth": 1},  # another nprobe
+    ]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert all("store" not in c and "retrieval" not in c for c in doc["cells"])

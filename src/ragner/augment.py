@@ -19,7 +19,6 @@ and safe to generate in parallel.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +30,6 @@ from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
 from .errors import RagnerError
 from .promptkit import PromptExample, PromptTemplate, build_prompt, order_examples, render_output
 from .retriever import ExampleStore, retrieve
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,8 @@ def build_finetune_dataset(
     dropout_ids = _exact_count_subset(ids, cfg.dropout_fraction, master)
     shuffle_ids = _exact_count_subset(ids, cfg.shuffle_fraction, master)
 
-    for sentence, examples in zip(sentences, retrieve(sentences, store, retriever_cfg)):
+    retrieved = retrieve(sentences, store, retriever_cfg, pairs=False)
+    for sentence, examples in zip(sentences, retrieved):
         rng = _sentence_rng(cfg.seed, sentence.id)
         try:
             if isinstance(examples, RagnerError):
@@ -134,7 +132,8 @@ def build_finetune_dataset(
             example_gold = order_examples(examples, store)
             gold = gold_output(sentence, schema)
         except RagnerError as exc:
-            logger.warning("skipping sentence %d: %s", sentence.id, exc)
+            import logging  # here, so that a run that skips nothing never loads it
+            logging.getLogger(__name__).warning("skipping sentence %d: %s", sentence.id, exc)
             if skipped is not None:
                 skipped.append((sentence.id, str(exc)))
             continue
@@ -172,7 +171,9 @@ def _render_record(
     permutation: tuple[str, ...] | None,
     template: PromptTemplate,
 ) -> FinetuneRecord:
-    examples = [(ex.input_text, ex.output.restricted_to(schema)) for ex in example_gold]
+    # an example already keyed as `schema` is the store's own, rendered once per store
+    examples = [ex if tuple(ex.output.entries) == schema.names
+                else (ex.input_text, ex.output.restricted_to(schema)) for ex in example_gold]
     prompt = build_prompt(schema, examples, sentence.text, template)
     return FinetuneRecord(
         prompt=prompt.rendered,

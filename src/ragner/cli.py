@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 
 from . import files
-from .config import RunConfig, load_config, read_yaml
+from .config import RunConfig, load_config, read_document
 from .corpus import (
     LabeledSentence,
     load_corpus,
@@ -35,18 +35,11 @@ from .corpus import (
     write_sentences_jsonl,
 )
 from .errors import AblationFailed, ConfigError, MissingArtifact, RagnerError
-from .evaluation import (
-    ablation_to_dict,
-    expand_grid,
-    format_ablation,
-    format_report,
-    score_rows,
-    write_report_json,
-)
 from .manifest import verify_upstream, write_manifest
 
 # Each command imports the modules it runs in its body: ingest and evaluate
-# never load numpy, and no command loads what it does not use.
+# never load numpy, only evaluate and ablate load the scoring module, and a
+# JSON config loads no yaml (see README, "What each command loads").
 
 
 def _telemetry_path(out_path: Path) -> Path:
@@ -255,6 +248,8 @@ def predict(cfg: RunConfig, input_path, output_path):
 @_handle_errors
 def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     """Score predictions against gold; writes report.json, prints a table."""
+    from .evaluation import format_report, score_rows, write_report_json
+
     verify_upstream(cfg, "predict")
     pred_path = Path(predictions_path) if predictions_path else cfg.paths.out_path("predictions.jsonl")
     gold_file = Path(gold_path) if gold_path else cfg.paths.out_path("corpus", "test.jsonl")
@@ -273,7 +268,9 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
 def _grid_cells(grid_path: str) -> list[dict]:
     """The cells of a grid file, `{axes: {dotted.key: [values]}}` or
     `{cells: [{dotted.key: value}]}`."""
-    doc = read_yaml(grid_path, "grid file")
+    from .evaluation import expand_grid
+
+    doc = read_document(grid_path, "grid file")
     if not isinstance(doc, dict) or not ("axes" in doc or "cells" in doc):
         raise ConfigError(f"{grid_path}: grid file needs an 'axes' or 'cells' key")
     if "axes" in doc:
@@ -302,6 +299,7 @@ def ablate(cfg: RunConfig, grid_path, output_path):
 
     Exits 2 after writing the table when no cell succeeds."""
     from . import pipeline
+    from .evaluation import ablation_to_dict, format_ablation
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("ablation.json")
     files.check_writable(out_path, _telemetry_path(out_path))

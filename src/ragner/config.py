@@ -4,25 +4,25 @@ that produced it.
 
 Each section's dataclass is the one declaration of its keys, defaults
 and types; the dataclasses live here so that reading a config imports
-nothing beyond errors, files and yaml. Every value is checked against its
-field's annotation before the dataclass is built, and `__post_init__`
-checks only ranges and allowed values. A seed left as null in the
-retriever/store/augment sections inherits the global seed.
+only errors and files (and yaml, for text that is not JSON). Every value
+is checked against its field's annotation before the dataclass is built,
+and `__post_init__` checks only ranges and allowed values. A seed left as
+null in the retriever/store/augment sections inherits the global seed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
+import re
 import threading
 import types
 import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import yaml
 
 from . import files
 from .errors import ConfigError, SchemaTooSmall
@@ -193,16 +193,35 @@ def _merge(base: dict, user: dict, trail: str = "") -> dict:
     return out
 
 
+# a JSON number that YAML 1.1 reads as a float: with a '.', and a sign on any exponent
+_YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?")
+
+
+def parse_text(text: str, what: str):
+    """`text` read as `yaml.safe_load` reads it (the README says where JSON
+    differs); `json` reads JSON text, so that PyYAML loads only for other
+    text. Every failure is a ConfigError saying it cannot parse `what`."""
+    try:
+        if not any(brk in text for brk in "\x85\u2028\u2029"):  # YAML folds these in a string
+            with contextlib.suppress(json.JSONDecodeError):  # 1e5, NaN, Infinity: YAML strings
+                return json.loads(text, parse_constant=str, parse_float=lambda number: (
+                    float(number) if _YAML_FLOAT.fullmatch(number) else number))
+        import yaml
+
+        try:
+            return yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ValueError(exc) from exc
+    except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
+        raise ConfigError(f"cannot parse {what}: {exc}") from exc
+
+
 def parse_override(assignment: str) -> tuple[str, object]:
     """Split one ``section.key=value`` override; the value parses as YAML."""
     if "=" not in assignment:
         raise ConfigError(f"override must look like key=value, got {assignment!r}")
     dotted, _, raw_value = assignment.partition("=")
-    try:
-        value = yaml.safe_load(raw_value)
-    except (yaml.YAMLError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse override value {raw_value!r}: {exc}") from exc
-    return dotted.strip(), value
+    return dotted.strip(), parse_text(raw_value, f"override value {raw_value!r}")
 
 
 def set_key(doc: dict, dotted: str, value) -> None:
@@ -390,21 +409,18 @@ def resolve(doc: dict) -> RunConfig:
     return RunConfig(raw=doc, seed=seed, **sections)
 
 
-def read_yaml(path: str | Path, what: str, not_found: str | None = None):
+def read_document(path: str | Path, what: str, not_found: str | None = None):
     """The YAML (or JSON) document in a config or grid file; every failure
     is a ConfigError naming the file."""
     text = files.read_text(path, files.Role(what, ConfigError, ConfigError, not_found=not_found))
-    try:
-        return yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:
-        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
+    return parse_text(text, f"{what} {path}")
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Defaults <- config file <- dotted overrides, then validate."""
     doc = _defaults()
     if path is not None:
-        user = read_yaml(path, "config file", not_found=f"config file not found: {path}") or {}
+        user = read_document(path, "config file", not_found=f"config file not found: {path}") or {}
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         doc = _merge(doc, user)

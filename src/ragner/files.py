@@ -71,7 +71,7 @@ def _json(path):
     with open(path, "rb") as fh:
         try:
             return json.loads(fh.read().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or an int past the limit
             raise ValueError(f"invalid JSON: {exc}") from exc
 
 
@@ -99,7 +99,7 @@ def read_jsonl(path, loads: Callable = json.loads, digest=None) -> Iterator[tupl
     """Each value of a JSON-lines file, decoded by `loads`, with the
     `path:line` it came from; blank lines are skipped. The file is streamed,
     and `digest` is updated with every byte of it. A line that is not UTF-8
-    JSON raises FormatError naming path:line."""
+    or that `loads` cannot read raises FormatError naming path:line."""
     with read(path, lambda p: open(p, "rb")) as fh:
         for line_no, raw in enumerate(fh, start=1):
             if digest is not None:
@@ -113,7 +113,7 @@ def read_jsonl(path, loads: Callable = json.loads, digest=None) -> Iterator[tupl
                 continue
             try:
                 doc = loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            except (ValueError, RecursionError) as exc:  # an int past the limit, too deep
                 raise FormatError(f"{where}: invalid JSON: {exc}") from exc
             yield where, doc
 

@@ -21,9 +21,8 @@ returned texts.
 from __future__ import annotations
 
 import hashlib
-import statistics
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -162,6 +161,7 @@ def generate_batch(
 
     if spec.parallelism == 1 or len(tasks) <= 1:
         return [run_one(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # here, so a serial batch never loads it
     with ThreadPoolExecutor(max_workers=spec.parallelism) as pool:
         return list(pool.map(run_one, tasks))
 
@@ -171,10 +171,10 @@ def latency_summary(results: Iterable[GenerationResult]) -> dict:
     latencies = sorted(r.latency for r in results)
     if not latencies:
         return {"count": 0, "median": None, "mean": None, "p95": None}
-    p95_index = min(len(latencies) - 1, int(round(0.95 * (len(latencies) - 1))))
-    return {
-        "count": len(latencies),
-        "median": statistics.median(latencies),
-        "mean": statistics.fmean(latencies),
-        "p95": latencies[p95_index],
+    n, mid = len(latencies), len(latencies) // 2
+    return {  # the median and mean of `statistics`, which costs an import
+        "count": n,
+        "median": latencies[mid] if n % 2 else (latencies[mid - 1] + latencies[mid]) / 2,
+        "mean": math.fsum(latencies) / n,
+        "p95": latencies[min(n - 1, round(0.95 * (n - 1)))],
     }

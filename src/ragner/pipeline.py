@@ -6,7 +6,7 @@ import copy
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .config import RunConfig, fingerprint, resolve, set_key
 from .corpus import (
@@ -25,7 +25,6 @@ from .embedder import (
     open_precomputed_cache,
 )
 from .errors import ConfigError, MissingArtifact, NoDictionaryFound, RagnerError
-from .evaluation import AblationCell, EvalReport, run_ablation, score_rows
 from .generation import (
     GenerationResult,
     GenerationTask,
@@ -38,6 +37,9 @@ from .manifest import check_digests, read_manifest
 from .promptkit import build_prompt, order_examples, parse_output, resolve_prompt
 from .retriever import ExampleStore, _retrieve_blocks, retrieve, select
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
+
+if TYPE_CHECKING:  # only evaluate and ablate load the scoring module
+    from .evaluation import AblationCell, EvalReport
 
 
 def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedder:
@@ -174,7 +176,8 @@ def predict_sentences(
     """
     schema = store.schema
     template = resolve_prompt(cfg.prompt)
-    retrieved = retrieve(sentences, store, cfg.retriever) if retrieved is None else retrieved
+    if retrieved is None:
+        retrieved = retrieve(sentences, store, cfg.retriever, pairs=False)
     rows: dict[int, PredictionRow] = {}
     tasks: list[GenerationTask] = []
     for sentence, examples in zip(sentences, retrieved):
@@ -277,6 +280,8 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
     before in index settings alone rebuilds only the indexes. A cell selects
     from the held store's search, made at the depth `loads.depths` gives.
     """
+    from .evaluation import score_rows
+
     cfg, (paths_key, embedder_key, records_key, _, search_key) = _cell_config(base, axes)
 
     def inputs():
@@ -313,8 +318,8 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
     if search_key not in searches:
         searches[search_key] = _retrieve_blocks(test, store, cfg.retriever, depth)
         telemetry["retrieval"] = "searched"
-    outcome = predict_sentences(test, store, cfg,
-                                select(test, searches[search_key], store, cfg.retriever))
+    examples = select(test, searches[search_key], store, cfg.retriever, pairs=False)
+    outcome = predict_sentences(test, store, cfg, examples)
     rows = ((f"test sentence {row.query_id}", row.to_dict()) for row in outcome.rows)
     report = score_rows(rows, {s.id: s for s in test}, store.schema, cfg.eval)
     return report, outcome.latency
@@ -325,6 +330,8 @@ def run_sweep(base: RunConfig, grid: list[dict]) -> list[AblationCell]:
     Cells run grouped by [paths], [embedder], store records and store, each
     group where its first cell stands. A look-ahead gives each search its
     deepest cell's depth, skipping cells that do not resolve (they fail alone)."""
+    from .evaluation import run_ablation
+
     loads, ranks, groups = AblationLoads(), ({}, {}, {}, {}), []
     for axes in grid:
         try:

@@ -226,32 +226,36 @@ class ExampleStore:
 
 def _pool_words(
     index: Index, query: LabeledSentence, word_indexes: np.ndarray, results,
-    cfg: RetrieverConfig,
+    cfg: RetrieverConfig, pairs: bool,
 ) -> list[RetrievedExample]:
     """The word-level pooling of one query's per-word hits, one per entry of
     `word_indexes` (the query's token indexes).
 
     Pools up to per_word_k hits per query word, collapses to unique store
     sentences keeping each one's maximum similarity, and returns the top
-    k. matched_pairs holds every contributing (query word, store word)
-    hit for the sentence, best first.
+    k. With `pairs`, matched_pairs holds every contributing (query word,
+    store word) hit for the sentence, best first.
     """
-    pairs: dict[int, list[MatchedPair]] = {}
     per_word_best: dict[int, dict[int, float]] = {}
     for word_index, (record_ids, hit_scores) in zip(word_indexes.tolist(), results):
-        query_word = query.tokens[word_index]
-        sids = index.sentence_ids[record_ids].tolist()
-        for record_id, sid, score in zip(record_ids.tolist(), sids, hit_scores.tolist()):
-            store_word = index.words[record_id] if index.words else ""
-            pairs.setdefault(sid, []).append(MatchedPair(query_word, store_word, score))
+        for sid, score in zip(index.sentence_ids[record_ids].tolist(), hit_scores.tolist()):
             # a word's hits come best first, so its first hit in a sentence is its best there
             per_word_best.setdefault(sid, {}).setdefault(word_index, score)
 
     combine = sum if cfg.aggregator == "sum" else max
     scores = {sid: combine(best.values()) for sid, best in per_word_best.items()}
     ranked = sorted(scores, key=lambda sid: (-scores[sid], sid))[: cfg.k]
-    return [RetrievedExample(sid, float(scores[sid]), tuple(sorted(
-        pairs[sid], key=lambda p: (-p.similarity, p.query_word, p.store_word)))) for sid in ranked]
+    matched: dict[int, list[MatchedPair]] = {sid: [] for sid in ranked}
+    if pairs:  # a second pass, over the hits of the ranked sentences alone
+        for word_index, (record_ids, hit_scores) in zip(word_indexes.tolist(), results):
+            sids = index.sentence_ids[record_ids].tolist()
+            for record_id, sid, score in zip(record_ids.tolist(), sids, hit_scores.tolist()):
+                if sid in matched:
+                    store_word = index.words[record_id] if index.words else ""
+                    matched[sid].append(MatchedPair(query.tokens[word_index], store_word, score))
+    return [RetrievedExample(sid, float(scores[sid]), tuple(
+        sorted(matched[sid], key=lambda p: (-p.similarity, p.query_word, p.store_word))))
+        for sid in ranked]
 
 
 def _search_block(block, index: Index, cfg: RetrieverConfig, depth: int, entries: list) -> None:
@@ -309,18 +313,20 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
 
 
 def select(queries: Sequence[LabeledSentence], searched: list, store: ExampleStore,
-           cfg: RetrieverConfig) -> list[list[RetrievedExample] | RagnerError]:
+           cfg: RetrieverConfig, pairs: bool = True) -> list[list[RetrievedExample] | RagnerError]:
     """`retrieve`'s entries from a search at cfg.search_depth or deeper: a
     top-d list is a prefix of every deeper one under the tie rule, so each
     row's hits are cut to d, then pooled (never the pooled sentences: one
-    query word's hits can all come from one sentence)."""
+    query word's hits can all come from one sentence). Without `pairs`,
+    the examples hold no matched_pairs."""
     index = store.word_index if cfg.mode == "word-level" else store.sentence_index
     depth, entries = cfg.search_depth, []
     for query, entry in zip(queries, searched):
         if not isinstance(entry, RagnerError):
             word_indexes, hits = entry
             hits = [(record_ids[:depth], scores[:depth]) for record_ids, scores in hits]
-            entry = (_pool_words(index, query, word_indexes, hits, cfg) if cfg.mode == "word-level"
+            entry = (_pool_words(index, query, word_indexes, hits, cfg, pairs)
+                     if cfg.mode == "word-level"
                      else [RetrievedExample(int(index.sentence_ids[r]), s)
                            for r, s in zip(hits[0][0].tolist(), hits[0][1].tolist())])
         entries.append(entry)
@@ -328,12 +334,14 @@ def select(queries: Sequence[LabeledSentence], searched: list, store: ExampleSto
 
 
 def retrieve(queries: LabeledSentence | Sequence[LabeledSentence], store: ExampleStore,
-             cfg: RetrieverConfig) -> list:
+             cfg: RetrieverConfig, pairs: bool = True) -> list:
     """Examples for one `LabeledSentence`, raising its error; for a sequence,
     one entry per query: its examples or the `RagnerError` that failed it.
-    Store problems (no index for the mode, no embedder) raise for the call."""
+    Store problems (no index for the mode, no embedder) raise for the call.
+    Callers that never read matched_pairs pass pairs=False (see `select`)."""
     if not isinstance(queries, LabeledSentence):
-        return select(queries, _retrieve_blocks(queries, store, cfg, cfg.search_depth), store, cfg)
+        searched = _retrieve_blocks(queries, store, cfg, cfg.search_depth)
+        return select(queries, searched, store, cfg, pairs)
     [entry] = retrieve([queries], store, cfg)
     if isinstance(entry, RagnerError):
         raise entry

@@ -623,6 +623,57 @@ def test_too_deeply_nested_input_file_exits_2_with_one_json_line(tmp_path, damag
     assert doc["error"] == error and message in doc["message"]
 
 
+BIG_INT = "1" * 5000  # past the 4,300 digits int(str) converts by default
+
+
+@pytest.mark.parametrize("place, message", [
+    ("yaml config", "cannot parse config file"),
+    ("json config", "cannot parse config file"),
+    ("override", "cannot parse override value"),
+    ("yaml grid", "cannot parse grid file"),
+    ("json grid", "cannot parse grid file"),
+])
+def test_an_integer_past_the_digit_limit_in_config_text_exits_2(tmp_path, place, message):
+    ns = make_project(tmp_path)
+    cfg, args = Path(ns.cfg), ["predict"]
+    if place.endswith("config"):
+        doc = yaml.safe_load(cfg.read_text(encoding="utf-8"))
+        text = (json.dumps(doc) if place == "json config" else yaml.safe_dump(doc))
+        cfg = cfg.with_suffix(".json" if place == "json config" else ".yaml")
+        cfg.write_text(text.replace('"seed": 7', f'"seed": {BIG_INT}')
+                       .replace("\nseed: 7\n", f"\nseed: {BIG_INT}\n"), encoding="utf-8")
+    elif place == "override":
+        args = ["-S", f"seed={BIG_INT}", "predict"]
+    else:
+        grid = tmp_path / f"grid.{place.split()[0]}"
+        grid.write_text(f'{{"axes": {{"retriever.k": [{BIG_INT}]}}}}', encoding="utf-8")
+        args = ["ablate", "--grid", grid, "--output", tmp_path / "ablation.json"]
+    result = run(["-c", cfg, *args], expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "ConfigError" and doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command", ["ingest", "predict --input", "evaluate --predictions"])
+def test_an_integer_past_the_digit_limit_in_json_lines_exits_2(proj, tmp_path, command):
+    line = f'{{"id": {BIG_INT}, "query_id": {BIG_INT}, "tokens": ["a"], "spans": []}}\n'
+    if command == "ingest":
+        ns = make_project(tmp_path)
+        path, args = ns.data / "dev.jsonl", ["-c", ns.cfg, "ingest"]
+        path.write_text(path.read_text(encoding="utf-8") + line, encoding="utf-8")
+        where = f"{path}:3"
+    else:
+        path = tmp_path / "rows.jsonl"
+        path.write_text(line, encoding="utf-8")
+        args = ["-c", proj.cfg, *command.split(), path, "--output", tmp_path / "out.json"]
+        where = f"{path}:1"
+    result = run(args, expect=2)
+    [line] = result.stderr.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "FormatError" and doc["message"].startswith(f"{where}: ")
+    assert not (tmp_path / "out.json").exists()
+
+
 def embedding_line(where: tuple, literal: str) -> bytes:
     """A record of the embedding file with the JSON text `literal` at the
     path `where`."""
@@ -1655,22 +1706,26 @@ def test_ablate_hashes_each_indexed_file_once_per_sweep(tmp_path, monkeypatch, p
 HEAVY_MODULES = ("numpy", "orjson", "requests", "urllib.request")
 _PROBE = """
 import json, sys
-if sys.argv[1:]:
+if sys.argv[2:]:
     from ragner.cli import main
-    main.main(args=sys.argv[1:], prog_name="ragner", standalone_mode=False)
+    main.main(args=sys.argv[2:], prog_name="ragner", standalone_mode=False)
 else:
     import ragner.cli
-print(json.dumps([m for m in %r if m in sys.modules]))
-""" % (HEAVY_MODULES,)
+print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))
+"""
 
 
-def heavy_modules_loaded(*args) -> list[str]:
-    """Run one command in a fresh interpreter; the heavy modules it loaded."""
+def modules_loaded(names, *args) -> list[str]:
+    """Run one command in a fresh interpreter; which of the modules `names` it loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(ragner.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *map(str, args)],
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(names), *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def heavy_modules_loaded(*args) -> list[str]:
+    return modules_loaded(HEAVY_MODULES, *args)
 
 
 def test_commands_import_only_what_they_use(tmp_path):
@@ -1682,6 +1737,35 @@ def test_commands_import_only_what_they_use(tmp_path):
     # mock generation over the embedding cache loads no HTTP machinery
     assert heavy_modules_loaded("-c", ns.cfg, "predict") == ["numpy"]
     assert heavy_modules_loaded("-c", ns.cfg, "evaluate") == []
+
+
+LAZY_MODULES = ("yaml", "ragner.evaluation", "concurrent.futures", "logging", "statistics")
+
+
+def test_a_json_config_loads_no_yaml_and_each_command_loads_what_it_runs(tmp_path):
+    """A JSON config, grid and override value are read without PyYAML; only
+    evaluate and ablate load the scoring module; a serial run that skips no
+    sentence loads no thread pool, logging or statistics."""
+    ns = make_project(tmp_path)
+    doc = yaml.safe_load(Path(ns.cfg).read_text(encoding="utf-8"))
+    doc["generator"]["parallelism"] = 1
+    cfg, grid = tmp_path / "config.json", tmp_path / "grid.json"
+    cfg.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    grid.write_text(json.dumps({"axes": {"retriever.k": [1, 2]}}), encoding="utf-8")
+    for command, loaded in (("ingest", []), ("index", []), ("augment", []), ("predict", []),
+                            ("evaluate", ["ragner.evaluation"])):
+        assert modules_loaded(LAZY_MODULES, "-c", cfg, command) == loaded, command
+    assert "(0 skipped)" in run(["-c", cfg, "augment", "--output", tmp_path / "f.jsonl"]).output
+    assert modules_loaded(LAZY_MODULES, "-c", cfg, "-S", "retriever.k=3", "predict",
+                          "--output", tmp_path / "k3.jsonl") == []
+    assert modules_loaded(LAZY_MODULES, "-c", cfg, "ablate", "--grid", grid) == \
+        ["ragner.evaluation"]
+    # the YAML twin still works, and is the same config
+    assert modules_loaded(LAZY_MODULES, "-c", ns.cfg, "-S", "generator.parallelism=1",
+                          "predict", "--output", tmp_path / "twin.jsonl") == ["yaml"]
+    assert (tmp_path / "twin.jsonl").read_bytes() == (ns.out / "predictions.jsonl").read_bytes()
+    twin = load_config(ns.cfg, ["generator.parallelism=1"])
+    assert twin.fingerprint == load_config(cfg).fingerprint
 
 
 class _FlakyCompletionHandler(BaseHTTPRequestHandler):

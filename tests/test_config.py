@@ -4,6 +4,7 @@ annotated type, and the defaults' fingerprints stay put."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -11,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragner.config import MAX_WAIT_S, _defaults, fingerprint, load_config
+from ragner.config import MAX_WAIT_S, _defaults, fingerprint, load_config, parse_text
 from ragner.errors import ConfigError
 
 
@@ -93,3 +94,97 @@ def test_defaults_and_their_fingerprints_are_pinned():
 def test_an_int_is_a_number_and_is_not_coerced():
     cfg = load_config(None, ["generator.timeout=3"])
     assert cfg.generator.timeout == 3 and type(cfg.raw["generator"]["timeout"]) is int
+
+
+# --- JSON text is read as YAML reads it ---------------------------------------
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+# every textual form of a JSON number: YAML 1.1 reads one without a '.', or
+# with an unsigned exponent, as a string
+_NUMBERS = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.just("0") | st.integers(1, 10**20).map(str),
+    st.just("") | _DIGITS.map(".{}".format),
+    st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"),
+                            st.sampled_from(["", "+", "-"]), _DIGITS),
+)
+# strings raw, and escaped as json.dumps escapes them; a non-BMP character
+# escaped is a surrogate pair, which YAML reads as two characters
+_STRINGS = (st.text().map(lambda s: json.dumps(s, ensure_ascii=False))
+            | st.text(st.characters(max_codepoint=0xFFFF)).map(json.dumps))
+_SCALARS = (_NUMBERS | _STRINGS
+            | st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity"]))
+_COMMAS = st.sampled_from([",", ", ", ",\n  "])
+_JSON_TEXTS = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.builds(lambda items, comma: "[" + comma.join(items) + "]",
+                  st.lists(inner, max_size=4), _COMMAS)
+        | st.builds(lambda items, comma, colon: "{" + comma.join(
+                        f"{key}{colon}{value}" for key, value in items) + "}",
+                    st.lists(st.tuples(_STRINGS, inner), max_size=4), _COMMAS,
+                    st.sampled_from([": ", ":"]))
+    ),
+    max_leaves=12,
+)
+
+
+def _typed(value):
+    """`value` with every scalar paired with its type, and floats by their bits."""
+    if isinstance(value, dict):
+        return {_typed(key): _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_JSON_TEXTS)
+def test_json_text_reads_as_pyyaml_reads_it(text):
+    json.loads(text)  # the text is JSON, and takes the reader's JSON path
+    try:
+        expected = yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError, RecursionError):
+        return  # JSON that PyYAML refuses is read all the same
+    assert _typed(parse_text(text, "text")) == _typed(expected)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e5", "1e5"), ("1.0e5", "1.0e5"), ("1E+5", "1E+5"), ("1.5e+3", 1500.0), ("-0.0", -0.0),
+    ("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+    ('{"a": [1, 2.5, 3e2]}', {"a": [1, 2.5, "3e2"]}),
+    # YAML folds a line break inside a quoted string, with the spaces around it
+    ('"a \x85 b"', "a b"), ('"a \u2028 b"', "a\u2028b"),
+    ("{a: [x, 'y']}", {"a": ["x", "y"]}),  # not JSON: read by PyYAML
+])
+def test_config_text_keeps_its_yaml_reading(text, value):
+    assert _typed(parse_text(text, "text")) == _typed(value) == _typed(yaml.safe_load(text))
+
+
+def test_json_that_pyyaml_refuses_is_read():
+    text = '{\n\t"retriever": {"k": 3}\n}'
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(text)
+    assert parse_text(text, "text") == {"retriever": {"k": 3}}
+
+
+def test_a_surrogate_pair_escape_reads_as_one_character():
+    text = '"\\ud83d\\ude00"'
+    assert yaml.safe_load(text) == "\ud83d\ude00"  # two lone surrogates
+    assert parse_text(text, "text") == "\U0001F600"
+
+
+def test_a_json_config_and_its_yaml_twin_have_one_fingerprint(tmp_path):
+    doc = {"seed": 3, "retriever": {"k": 2, "mode": "sentence-level"},
+           "generator": {"temperature": 0.5, "model_name": "1e5"}, "store": {"size": None}}
+    (tmp_path / "c.json").write_text(json.dumps(doc, indent="\t"), encoding="utf-8")
+    (tmp_path / "c.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    json_cfg, yaml_cfg = load_config(tmp_path / "c.json"), load_config(tmp_path / "c.yaml")
+    assert json_cfg.raw == yaml_cfg.raw and json_cfg.fingerprint == yaml_cfg.fingerprint
+
+
+@pytest.mark.parametrize("override", ["generator.temperature=1e5", "generator.temperature=NaN"])
+def test_an_exponent_or_nan_yaml_reads_as_a_string_is_refused_as_a_number(override):
+    with pytest.raises(ConfigError, match="temperature must be a number, got '"):
+        load_config(None, [override])

@@ -320,6 +320,10 @@ class Embedder:
             self._cache[text] = enc
         return enc
 
+    def word_indexes(self, sentence: LabeledSentence) -> list[int]:
+        """The token indexes of the sentence's non-stop words, ascending."""
+        return [i for i, word in enumerate(sentence.tokens) if word.lower() not in self.stopwords]
+
     def embed_words(self, sentence: LabeledSentence) -> tuple[np.ndarray, np.ndarray]:
         """The non-stop words of `sentence`: their token indexes (int64,
         ascending) and unit-norm vectors (float64, one row per word).
@@ -333,8 +337,7 @@ class Embedder:
         enc = self._encode(sentence.text)
         starts, ends = enc.token_spans.T
         ranges = token_char_ranges(sentence.tokens)
-        word_indexes = [i for i, word in enumerate(sentence.tokens)
-                        if word.lower() not in self.stopwords]
+        word_indexes = self.word_indexes(sentence)
         vectors = np.empty((len(word_indexes), self.dimension))
         for row, i in enumerate(word_indexes):
             ws, we = ranges[i]

@@ -168,8 +168,10 @@ def predict_sentences(
     store: ExampleStore,
     cfg: RunConfig,
     retrieved: list | None = None,
+    parse: Callable = parse_output,
 ) -> PredictOutcome:
     """retrieve (unless `retrieved`) -> prompt -> generate -> parse, per sentence.
+    `parse` is `parse_output` or a cache of it.
 
     Record-level failures (retrieval, generation, parsing) mark the row
     failed and score as all-false-negative; they never abort the batch.
@@ -204,7 +206,7 @@ def predict_sentences(
             row.error = result.error
             continue
         try:
-            row.parsed = parse_output(
+            row.parsed = parse(
                 result.completion_text,
                 schema,
                 query_text=prompts_by_id[result.query_id].user_query,
@@ -241,13 +243,16 @@ class AblationLoads:
     depends on: splits and schema on [paths]; the embedder on [paths] +
     [embedder]; the store with its searches (at `depths`) on [paths] + its
     build key less the index settings. `sha256` hashes a file once per
-    sweep, so `indexed_store` hashes each file `index` recorded at most once."""
+    sweep, so `indexed_store` hashes each file `index` recorded at most once.
+    `parse` parses each distinct (completion, schema, query text, grounding)
+    once per sweep: `parse_output` is a pure function of them."""
 
     inputs: _Memo = field(default_factory=_Memo)
     embedder: _Memo = field(default_factory=_Memo)
     store: _Memo = field(default_factory=_Memo)
     depths: dict = field(default_factory=dict)
     sha256: Callable = field(default_factory=lambda: functools.cache(files.sha256_file))
+    parse: Callable = field(default_factory=lambda: functools.cache(parse_output))
 
 
 def _cell_config(base: RunConfig, axes: dict) -> tuple[RunConfig, tuple]:
@@ -319,7 +324,7 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
         searches[search_key] = _retrieve_blocks(test, store, cfg.retriever, depth)
         telemetry["retrieval"] = "searched"
     examples = select(test, searches[search_key], store, cfg.retriever, pairs=False)
-    outcome = predict_sentences(test, store, cfg, examples)
+    outcome = predict_sentences(test, store, cfg, examples, loads.parse)
     rows = ((f"test sentence {row.query_id}", row.to_dict()) for row in outcome.rows)
     report = score_rows(rows, {s.id: s for s in test}, store.schema, cfg.eval)
     return report, outcome.latency

@@ -72,24 +72,31 @@ def _entity_word_indexes(sentence: LabeledSentence) -> set[int]:
 def _word_rows(
     sentences: list[LabeledSentence], embedder: Embedder, store_words: str
 ) -> tuple[np.ndarray, list[int], list[str]]:
-    """The kept store words as index rows: their concatenated vectors,
-    sentence ids and words. entity-only keeps the (non-stop) words inside
-    gold entity spans; all keeps every non-stop word. The per-sentence
-    matrices are freed on return, before an index build makes its own
-    temporaries."""
-    matrices, sentence_ids, words = [], [], []
+    """The kept store words as index rows: their vectors, sentence ids and
+    words. entity-only keeps the (non-stop) words inside gold entity spans;
+    all keeps every non-stop word. The rows are counted first, and each
+    sentence's vectors are written into the one matrix the index keeps: no
+    list of per-sentence matrices is held beside it and concatenated."""
+    def kept(sentence: LabeledSentence) -> int:
+        if store_words != "entity-only":
+            return len(embedder.word_indexes(sentence))
+        spans = _entity_word_indexes(sentence)
+        return sum(i in spans for i in embedder.word_indexes(sentence))
+
+    matrix = np.empty((sum(map(kept, sentences)), embedder.dimension))
+    sentence_ids, words = [], []
     for sentence in sentences:
         word_indexes, vectors = embedder.embed_words(sentence)
         if store_words == "entity-only":
             keep = _entity_word_indexes(sentence)
             mask = np.array([i in keep for i in word_indexes.tolist()], dtype=bool)
             word_indexes, vectors = word_indexes[mask], vectors[mask]
-        matrices.append(vectors)
+        matrix[len(words): len(words) + len(vectors)] = vectors
         sentence_ids.extend([sentence.id] * len(word_indexes))
         words.extend(sentence.tokens[i] for i in word_indexes.tolist())
     if not words:
         raise EmptyStore(f"store_words={store_words!r} kept zero word records")
-    return np.concatenate(matrices), sentence_ids, words
+    return matrix, sentence_ids, words
 
 
 def _build_index(matrix: np.ndarray, sentence_ids: list[int], words: list[str] | None,
@@ -156,7 +163,9 @@ class ExampleStore:
         if "word-level" in modes:
             word_index = _build_index(*_word_rows(sentences, embedder, cfg.store_words), cfg)
         if "sentence-level" in modes:
-            matrix = np.stack([embedder.embed_sentence(s) for s in sentences])
+            matrix = np.empty((len(sentences), embedder.dimension))
+            for row, sentence in enumerate(sentences):
+                matrix[row] = embedder.embed_sentence(sentence)
             sentence_index = _build_index(matrix, [s.id for s in sentences], None, cfg)
         return cls(sentences, schema, word_index, sentence_index, cfg.store_words,
                    embedder=embedder)

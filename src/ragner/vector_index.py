@@ -29,6 +29,7 @@ from . import files
 from .errors import DimensionMismatch, EmptyCollection, NlistTooLarge
 
 _ASSIGN_CHUNK = 8192
+_PARTITION_SCORES = 1 << 16  # scores per np.partition call in _top_k, 512 KB of float64
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,23 @@ def default_nprobe(nlist: int) -> int:
     return max(1, int(np.ceil(nlist / 8)))
 
 
-def _check_unit_norm(matrix: np.ndarray, what: str) -> None:
-    norms = np.linalg.norm(matrix, axis=1)
-    worst = float(np.abs(norms - 1.0).max())
+def _norm_fault(matrix: np.ndarray) -> str | None:
+    """Why the rows of a non-empty matrix are not all finite unit vectors, or
+    None. The row norms come from einsum, which makes no matrix-sized
+    temporary (np.linalg.norm squares a copy of the matrix)."""
+    deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0)
+    worst = float(deviation.max())  # nan or inf when a row is not finite
+    if not np.isfinite(worst):
+        return f"rows must be finite (row {int(np.argmax(~np.isfinite(deviation)))} is not)"
     if worst > 1e-5:
-        raise ValueError(f"{what} must be unit-norm (worst deviation {worst:.2e})")
+        return f"rows must be unit-norm (worst deviation {worst:.2e})"
+    return None
+
+
+def _check_unit_norm(matrix: np.ndarray) -> None:
+    fault = _norm_fault(matrix)
+    if fault is not None:
+        raise ValueError(f"index {fault}")
 
 
 def _check_queries(queries: np.ndarray, k: int, dim: int) -> np.ndarray:
@@ -74,8 +87,17 @@ def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[tuple[np.ndarray
     descending score then ascending id. -inf marks a column the row must
     not return (excluded or not probed); a row may come back short."""
     keep = scores > -np.inf
-    if k < scores.shape[1]:
-        kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1: k]
+    n = scores.shape[1]
+    if k < n:
+        # each row's k-th largest score, a few rows at a time, so that no
+        # copy of the whole block is made; negated, since numpy's partition
+        # is slow near the end of a row of many equal (-inf) values
+        kth = np.empty((len(scores), 1))
+        step = max(1, _PARTITION_SCORES // n)
+        for lo in range(0, len(scores), step):
+            negated = -scores[lo: lo + step]
+            negated.partition(k - 1, axis=1)
+            kth[lo: lo + step, 0] = -negated[:, k - 1]
         keep &= scores >= kth  # every tie with the k-th score survives
     rows, cols = np.nonzero(keep)
     kept_scores = scores[rows, cols]
@@ -93,7 +115,6 @@ class FlatIndex:
     kind = "flat"
 
     def __init__(self, matrix: np.ndarray, sentence_ids: np.ndarray, words: list[str] | None):
-        _check_unit_norm(matrix, "index vectors")
         self.matrix = matrix
         self.sentence_ids = sentence_ids
         self.words = words
@@ -194,6 +215,7 @@ def flat_from_matrix(
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.shape[0] == 0:
         raise EmptyCollection("cannot build an index over zero records")
+    _check_unit_norm(matrix)
     return FlatIndex(matrix, np.asarray(sentence_ids, dtype=np.int64), words)
 
 
@@ -212,7 +234,7 @@ def ivf_from_matrix(
         raise EmptyCollection("cannot build an index over zero records")
     if nlist < 1 or nlist > n:
         raise NlistTooLarge(f"nlist {nlist} out of range for {n} records")
-    _check_unit_norm(matrix, "index vectors")
+    _check_unit_norm(matrix)
     sentence_ids = np.asarray(sentence_ids, dtype=np.int64)
 
     centroids, assignment = _spherical_kmeans(matrix, nlist, kmeans_iters, seed)
@@ -271,14 +293,12 @@ def _spherical_kmeans(
         assignment = new_assignment
         order = np.argsort(assignment, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=nlist))])
-        grouped = matrix[order]  # each cluster a contiguous slice
         centroids = np.empty_like(centroids)
         for c, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            if stop > start:
-                centroids[c] = grouped[start:stop].sum(axis=0) / (stop - start)
+            if stop > start:  # one cluster's rows gathered: never a copy of the whole matrix
+                centroids[c] = matrix[order[start:stop]].sum(axis=0) / (stop - start)
             else:  # an empty cluster restarts at a random row
                 centroids[c] = matrix[int(rng.integers(n))]
-        del grouped  # before the next iteration gathers again
         norms = np.linalg.norm(centroids, axis=1)
         for c in np.flatnonzero(norms == 0.0):
             centroids[c] = matrix[int(rng.integers(n))]
@@ -343,6 +363,10 @@ def load_index(path: str | Path) -> Index:
     path = Path(path)
     matrix = open_array(path, np.float64, (None, None))
     n, dim = matrix.shape
+    role = files.store_role(path, "index")
+    fault = _norm_fault(matrix) if n else "zero rows"
+    if fault is not None:
+        raise role.malformed(path, fault)
     sentence_ids = open_array(_part(path, "sentence_ids.npy"), np.int64, (n,))
     json_path = _part(path, "json")
     json_role = files.store_role(json_path, "index")
@@ -353,7 +377,6 @@ def load_index(path: str | Path) -> Index:
         raise json_role.malformed(json_path, f"expected its kind and null or {n} words")
     if kind == "flat":
         return FlatIndex(matrix, sentence_ids, words)
-    role = files.store_role(path, "index")
     offsets = open_array(_part(path, "offsets.npy"), np.int64, (None,))
     if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
         raise role.malformed(path, f"offsets do not partition the {n} rows")

@@ -10,6 +10,7 @@ get their own throwaway project.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -1848,6 +1849,39 @@ def test_ablate_embeds_and_searches_each_query_once_per_mode(tmp_path, monkeypat
     assert embeds == {(kind, s.text): 1 for kind in ("words", "sentence") for s in TEST}
     assert depths == [5, 5]  # one block per mode for three test sentences
     assert renders and max(renders.values()) == 1
+
+
+@pytest.mark.parametrize("backend", [(), ECHO])
+def test_ablate_parses_each_distinct_completion_once_per_sweep(tmp_path, monkeypatch, backend):
+    from ragner import pipeline
+
+    ns = indexed_project(tmp_path)
+    calls = []
+
+    def counting_parse(completion, schema, query_text="", grounding="off"):
+        calls.append((completion, schema, query_text, grounding))
+        return parse_output(completion, schema, query_text, grounding)
+
+    parse_output = pipeline.parse_output
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {
+        "retriever.k": [1, 3], "retriever.mode": ["word-level", "sentence-level"],
+        "eval.grounding": ["off", "strict"]}})
+    out = tmp_path / "ablation.json"
+    run(["-c", ns.cfg, *backend, "ablate", "--grid", grid, "--output", out])
+    cached = out.read_bytes()
+    monkeypatch.setattr(pipeline, "parse_output", counting_parse)
+    run(["-c", ns.cfg, *backend, "ablate", "--grid", grid, "--output", out])
+
+    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert [c["error"] for c in cells] == [None] * 8
+    assert len(calls) == len(set(calls)) < 8 * len(TEST)
+    assert {grounding for *_, grounding in calls} == {"off", "strict"}
+    assert out.read_bytes() == cached
+    # the same sweep with every row parsed by its own call writes the same bytes
+    monkeypatch.setattr(pipeline, "AblationLoads",
+                        functools.partial(pipeline.AblationLoads, parse=parse_output))
+    run(["-c", ns.cfg, *backend, "ablate", "--grid", grid, "--output", out])
+    assert out.read_bytes() == cached
 
 
 def test_ablate_runs_cells_grouped_by_store_and_writes_them_in_grid_order(tmp_path,

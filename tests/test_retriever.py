@@ -510,9 +510,8 @@ def test_block_rule_splits_by_score_budget_and_row_cap(tmp_path, monkeypatch):
     assert rows == [5, 5, 2]
 
 
-@pytest.mark.parametrize("index_kind", ["flat", "ivf"])
-def test_store_build_traces_at_most_two_and_a_half_word_matrices(tmp_path, index_kind):
-    # the per-sentence word matrices must be freed before the index is built
+def store_build_peak(tmp_path, index_kind: str) -> float:
+    """The traced peak of a 4,000-word store build, in word matrices."""
     sentences = [LabeledSentence(i, [f"s{i}w{j}" for j in range(10)], []) for i in range(400)]
     embedder = make_embedder(sentences, tmp_path, dim=256)
     matrix_bytes = 400 * 10 * 256 * 8
@@ -524,7 +523,18 @@ def test_store_build_traces_at_most_two_and_a_half_word_matrices(tmp_path, index
     finally:
         tracemalloc.stop()
     assert len(store.word_index) == 4000
-    assert peak <= 2.5 * matrix_bytes, peak / matrix_bytes
+    return peak / matrix_bytes
+
+
+def test_flat_store_build_traces_at_most_one_and_a_quarter_word_matrices(tmp_path):
+    # each sentence's rows are written into the one matrix the index keeps
+    assert store_build_peak(tmp_path, "flat") <= 1.25
+
+
+@pytest.mark.parametrize("index_kind", ["ivf"])
+def test_store_build_traces_at_most_two_and_a_half_word_matrices(tmp_path, index_kind):
+    # IVF keeps its rows grouped by cluster: a second copy beside the built rows
+    assert store_build_peak(tmp_path, index_kind) <= 2.5
 
 
 # --- degenerate inputs ----------------------------------------------------------------

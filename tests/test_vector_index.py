@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,15 @@ def test_empty_records_rejected():
 def test_non_unit_vectors_rejected():
     with pytest.raises(ValueError, match="unit-norm"):
         word_flat(np.array([[2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vectors_rejected(bad):
+    matrix = np.array([[bad, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        flat_from_matrix(matrix, [0, 1])
+    with pytest.raises(ValueError, match="finite"):
+        ivf_from_matrix(matrix, [0, 1], None, nlist=1)
 
 
 def test_bad_query_dimension_rejected():
@@ -480,6 +490,39 @@ def test_load_rejects_postings_that_are_not_a_permutation(tmp_path):
             load_index(path)
 
 
+def names_the_file(path, reason: str) -> str:
+    """The pattern of a FormatError message about the index file at `path`."""
+    return f"^{re.escape(str(path))}: .*{reason}.*re-run `ragner index`"
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+@pytest.mark.parametrize("row, reason", [
+    ([np.nan, 0.0, 0.0, 0.0], "finite"), ([np.inf, 0.0, 0.0, 0.0], "finite"),
+    ([2.0, 0.0, 0.0, 0.0], "unit-norm"), ([0.0, 0.0, 0.0, 0.0], "unit-norm"),
+])
+def test_load_rejects_rows_that_are_not_finite_unit_vectors(tmp_path, kind, row, reason):
+    path, index = saved_ivf(tmp_path)
+    if kind == "flat":
+        save_index(word_flat(index.grouped), path)
+    corrupt = np.load(path)
+    corrupt[5] = row
+    with open(path, "wb") as fh:
+        np.save(fh, corrupt)
+    with pytest.raises(FormatError, match=names_the_file(path, reason)):
+        load_index(path)
+
+
+def test_load_rejects_an_index_of_zero_rows(tmp_path):
+    path = tmp_path / "word_index.bin"
+    save_index(word_flat(unit_rows(np.random.default_rng(3), 4, 4)), path)
+    for name, array in (("", np.zeros((0, 4))), ("sentence_ids.npy", np.zeros(0, dtype=np.int64))):
+        with open(part_path(path, name), "wb") as fh:
+            np.save(fh, array)
+    part(path, "json").write_text(json.dumps({"kind": "flat", "words": []}), encoding="utf-8")
+    with pytest.raises(FormatError, match=names_the_file(path, "zero rows")):
+        load_index(path)
+
+
 @pytest.mark.parametrize("offsets", [[0, 4, 8, 11], [1, 4, 8, 12], [0, 8, 4, 12], [0, 12, 12, 13],
                                      [0]])
 def test_load_rejects_offsets_that_do_not_partition_the_rows(tmp_path, offsets):
@@ -525,9 +568,14 @@ def test_search_batch_matches_lexsort_oracle(data):
         (flat_from_matrix(matrix, np.arange(len(rows))), None),
         (ivf_from_matrix(matrix, np.arange(len(rows)), None, nlist=nlist, seed=3), nlist),
     ]
-    for index, nprobe in indexes:
+    # the k-th scores are partitioned a block of rows at a time: here the
+    # whole batch, one row, or two rows (leaving a short last block)
+    for index, nprobe, partition_scores in [(*i, n) for i in indexes for n in (
+            vector_index._PARTITION_SCORES, 1, 2 * len(rows))]:
         for mask in (None, exclude, per_row):
-            results = index.search_batch(q, k, nprobe=nprobe, exclude=mask)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(vector_index, "_PARTITION_SCORES", partition_scores)
+                results = index.search_batch(q, k, nprobe=nprobe, exclude=mask)
             assert len(results) == len(queries)
             row_masks = np.broadcast_to(False if mask is None else mask, (len(queries), len(rows)))
             for row, row_mask, (ids, scores) in zip(q, row_masks, results):
@@ -681,6 +729,62 @@ def test_flat_search_of_one_query_keeps_its_bits():
 # --- spherical k-means ---------------------------------------------------------------
 
 
+def gathered_kmeans(matrix, nlist, iters, seed):
+    """The Lloyd loop that gathers the whole matrix in cluster order on every
+    update and sums each cluster as a contiguous slice of that copy; returns
+    (centroids, assignment, number of empty clusters restarted)."""
+    rng = np.random.default_rng(seed)
+    n = matrix.shape[0]
+    centroids = vector_index._kmeans_pp_init(matrix, nlist, rng)
+    assignment = np.full(n, -1, dtype=np.int64)
+    empty = 0
+    for _ in range(iters):
+        new_assignment = vector_index._assign_to_centroids(matrix, centroids)
+        if np.array_equal(new_assignment, assignment):
+            return centroids, assignment, empty
+        assignment = new_assignment
+        order = np.argsort(assignment, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=nlist))])
+        grouped = matrix[order]
+        centroids = np.empty_like(centroids)
+        for c, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            if stop > start:
+                centroids[c] = grouped[start:stop].sum(axis=0) / (stop - start)
+            else:
+                centroids[c] = matrix[int(rng.integers(n))]
+                empty += 1
+        norms = np.linalg.norm(centroids, axis=1)
+        for c in np.flatnonzero(norms == 0.0):
+            centroids[c] = matrix[int(rng.integers(n))]
+            norms[c] = 1.0
+        centroids /= norms[:, None]
+    return centroids, vector_index._assign_to_centroids(matrix, centroids), empty
+
+
+def repeated_rows(n_distinct: int, repeats: int, dim: int, seed: int) -> np.ndarray:
+    """n_distinct unit rows, each repeated: k-means++ then seeds duplicate
+    centroids, whose clusters come out empty."""
+    return np.repeat(unit_rows(np.random.default_rng(seed), n_distinct, dim), repeats, axis=0)
+
+
+@pytest.mark.parametrize("matrix, nlist, iters, seed, empty", [
+    (unit_rows(np.random.default_rng(0), 500, 32), 22, 20, 0, False),
+    (unit_rows(np.random.default_rng(1), 500, 32), 1, 20, 1, False),
+    (unit_rows(np.random.default_rng(2), 1200, 64), 34, 8, 2, False),
+    (unit_rows(np.random.default_rng(3), 90, 8), 90, 20, 3, None),
+    (unit_rows(np.random.default_rng(4), 3000, 16), 54, 3, 4, False),
+    (repeated_rows(5, 12, 8, 5), 8, 20, 5, True),
+    (repeated_rows(3, 40, 4, 6), 7, 10, 6, True),
+])
+def test_kmeans_keeps_the_bits_of_the_gathered_update(matrix, nlist, iters, seed, empty):
+    centroids, assignment = vector_index._spherical_kmeans(matrix, nlist, iters, seed)
+    want_centroids, want_assignment, restarted = gathered_kmeans(matrix, nlist, iters, seed)
+    assert centroids.tobytes() == want_centroids.tobytes()
+    assert assignment.tobytes() == want_assignment.tobytes()
+    if empty is not None:
+        assert (restarted > 0) == empty
+
+
 def reduceat_kmeans(matrix, nlist, iters, seed):
     """The Lloyd loop with each update's cluster sums by np.add.reduceat over
     the rows gathered in cluster order, and one assignment after the loop."""
@@ -742,6 +846,21 @@ def test_kmeans_assigns_once_per_iteration(monkeypatch, iters):
         assert len(assignments) < iters
     else:  # out of iterations: one more assignment, against the last centroids
         assert len(assignments) == iters + 1
+
+
+def test_flat_load_traces_at_most_a_tenth_of_its_matrix(tmp_path):
+    # the rows are mapped, not read, and the norm check makes no row-sized temporary
+    matrix = unit_rows(np.random.default_rng(103), 4000, 256)
+    path = tmp_path / "word_index.bin"
+    save_index(word_flat(matrix), path)
+    tracemalloc.start()
+    try:
+        loaded = load_index(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(loaded, FlatIndex) and len(loaded) == 4000
+    assert peak <= 0.1 * matrix.nbytes, peak / matrix.nbytes
 
 
 def test_ivf_build_traces_at_most_one_and_a_half_matrices():

@@ -6,7 +6,8 @@ Each section's dataclass is the one declaration of its keys, defaults
 and types; the dataclasses live here so that reading a config imports
 only errors and files (and yaml, for text that is not JSON). Every value
 is checked against its field's annotation before the dataclass is built,
-and `__post_init__` checks only ranges and allowed values. A seed left as
+and a `Literal[...]` annotation also names the values a key allows, so
+`__post_init__` checks only ranges and cross-field rules. A seed left as
 null in the retriever/store/augment sections inherits the global seed.
 """
 
@@ -23,19 +24,13 @@ import types
 import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Literal
 
 from . import files
 from .errors import ConfigError, SchemaTooSmall
 
-_PROVIDERS = ("remote-service", "precomputed-file")
-_MODES = ("word-level", "sentence-level")
-_STORE_WORDS = ("entity-only", "all")
-_INDEX_KINDS = ("flat", "ivf")
-_AGGREGATORS = ("max", "sum")
 # the RetrieverConfig fields ExampleStore.build reads; the rest are query-time
 STORE_BUILD_FIELDS = ("store_words", "index_kind", "nlist", "kmeans_iters", "seed")
-_BACKENDS = ("remote-completion", "mock-gold", "mock-echo-nearest")
-_WIRE_FORMATS = ("prompt", "chat")
 # The longest wait a timing key may ask for. time.sleep refuses a wait that
 # ends past threading.TIMEOUT_MAX on the monotonic clock, which counts from
 # boot; half of it holds for 146 years of uptime.
@@ -52,16 +47,16 @@ class RetrieverConfig:
     """
 
     k: int = 5
-    mode: str = "word-level"
+    mode: Literal["word-level", "sentence-level"] = "word-level"
     per_word_k: int | None = None
-    store_words: str = "entity-only"
-    index_kind: str = "flat"
+    store_words: Literal["entity-only", "all"] = "entity-only"
+    index_kind: Literal["flat", "ivf"] = "flat"
     nlist: int | None = None
     nprobe: int | None = None
     kmeans_iters: int = 20
     seed: int = 0
     exclude_self: bool = True
-    aggregator: str = "max"
+    aggregator: Literal["max", "sum"] = "max"
 
     def __post_init__(self):
         if self.k < 1:
@@ -75,14 +70,6 @@ class RetrieverConfig:
         if self.index_kind == "ivf" and self.seed < 0:
             # k-means draws its initial centroids from np.random.default_rng(seed)
             raise ValueError(f"an ivf index needs a non-negative seed, got {self.seed}")
-        for value, allowed, name in (
-            (self.mode, _MODES, "mode"),
-            (self.store_words, _STORE_WORDS, "store_words"),
-            (self.index_kind, _INDEX_KINDS, "index_kind"),
-            (self.aggregator, _AGGREGATORS, "aggregator"),
-        ):
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
     @property
     def effective_per_word_k(self) -> int:
@@ -105,10 +92,10 @@ def _check_remote(timeout: float, max_retries: int) -> None:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    backend: str = "mock-gold"
+    backend: Literal["remote-completion", "mock-gold", "mock-echo-nearest"] = "mock-gold"
     endpoint: str | None = None
     model_name: str | None = None
-    wire_format: str = "prompt"
+    wire_format: Literal["prompt", "chat"] = "prompt"
     max_tokens: int = 256
     temperature: float = 0.0
     timeout: float = 30.0
@@ -118,10 +105,6 @@ class GeneratorSpec:
     mock_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        if self.wire_format not in _WIRE_FORMATS:
-            raise ValueError(f"wire_format must be one of {_WIRE_FORMATS}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.parallelism < 1:
@@ -256,7 +239,7 @@ class PathsConfig:
 
 @dataclass(frozen=True)
 class EmbedderConfig:
-    provider: str = "precomputed-file"
+    provider: Literal["remote-service", "precomputed-file"] = "precomputed-file"
     model_name: str = "bge-base-en"
     dimension: int = 768
     stopwords_file: str | None = None
@@ -264,11 +247,8 @@ class EmbedderConfig:
     endpoint: str | None = None
     timeout: float = 10.0
     max_retries: int = 2
-    max_in_flight: int = 4
 
     def __post_init__(self):
-        if self.provider not in _PROVIDERS:
-            raise ValueError(f"provider must be one of {_PROVIDERS}, got {self.provider!r}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
         _check_remote(self.timeout, self.max_retries)
@@ -279,12 +259,10 @@ class StoreConfig:
     source_splits: tuple[str, ...] = ("train", "dev")
     size: int | None = None
     seed: int = 0
-    modes: tuple[str, ...] = _MODES
+    modes: tuple[Literal["word-level", "sentence-level"], ...] = (
+        "word-level", "sentence-level")
 
     def __post_init__(self):
-        for mode in self.modes:
-            if mode not in _MODES:
-                raise ValueError(f"unknown mode {mode!r}")
         if self.size is not None and self.size < 0:
             raise ValueError(f"size must be a non-negative integer or null, got {self.size!r}")
 
@@ -298,15 +276,9 @@ class PromptConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    grounding: str = "strict"
+    grounding: Literal["off", "strict"] = "strict"
     dedupe: bool = False
-    match_mode: str = "multiset"
-
-    def __post_init__(self):
-        if self.grounding not in ("off", "strict"):
-            raise ValueError("grounding must be 'off' or 'strict'")
-        if self.match_mode not in ("multiset", "positional"):
-            raise ValueError("match_mode must be 'multiset' or 'positional'")
+    match_mode: Literal["multiset", "positional"] = "multiset"
 
 
 @dataclass(frozen=True)
@@ -372,14 +344,21 @@ def _fits(value, kind: type) -> bool:
 
 def _checked(cls, values: dict, where: str) -> dict:
     """`values` checked against `cls`'s field annotations (`int`, `float`,
-    `str`, `bool`, `X | None`, `tuple[str, ...]`), lists made tuples. A
-    float must be finite and a string must not hold a NUL character."""
+    `str`, `bool`, `X | None`, `tuple[str, ...]`, and a `Literal` of
+    strings, alone or as a tuple's items), lists made tuples. A float must
+    be finite, a string must not hold a NUL character and a `Literal` key
+    takes only the values it names."""
     hints = _type_hints(cls)
     out = {}
     for key, value in values.items():
         hint = hints[key]
         nullable = isinstance(hint, types.UnionType)
-        kind = typing.get_args(hint)[0] if nullable else (typing.get_origin(hint) or hint)
+        if nullable:
+            hint = typing.get_args(hint)[0]
+        kind = typing.get_origin(hint) or hint
+        item = typing.get_args(hint)[0] if kind is tuple else hint
+        allowed = typing.get_args(item) if typing.get_origin(item) is Literal else ()
+        kind = str if kind is Literal else kind
         if not ((value is None and nullable) or _fits(value, kind)):
             null = " or null" if nullable else ""
             raise ConfigError(f"{where}: {key} must be {_KINDS[kind]}{null}, got {value!r}")
@@ -387,6 +366,9 @@ def _checked(cls, values: dict, where: str) -> dict:
             raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
         if isinstance(value, str) and "\0" in value:  # no file path can hold one
             raise ConfigError(f"{where}: {key} must not contain a NUL character")
+        for one in value if kind is tuple else [value]:
+            if allowed and one not in allowed:
+                raise ConfigError(f"{where}: {key} must be one of {allowed}, got {one!r}")
         out[key] = tuple(value) if kind is tuple else value
     return out
 

@@ -260,10 +260,14 @@ def load_schema(path: str | Path) -> EntitySchema:
     for item in doc:
         if not isinstance(item, dict) or "name" not in item or "definition" not in item:
             raise FormatError(f"schema file {path}: bad entry {item!r}")
-        name = str(item["name"]).strip()
+        for field in ("name", "definition"):
+            if not isinstance(item[field], str):
+                raise FormatError(f"schema file {path}: {field} must be a string, "
+                                  f"got {item[field]!r}")
+        name = item["name"].strip()
         if not name:
             raise FormatError(f"schema file {path}: empty type name")
-        types.append(EntityType(name, str(item["definition"]).strip()))
+        types.append(EntityType(name, item["definition"].strip()))
     return EntitySchema(tuple(types))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from array import array
 from pathlib import Path
 from typing import NamedTuple, Protocol
@@ -256,10 +255,10 @@ class RemoteEmbeddingProvider:
     """HTTP embedding service client.
 
     Wire contract: POST {model, text} as JSON; the response carries the
-    same record shape as the precomputed file. At most `max_in_flight`
-    posts are open at once; transient failures are retried (see
-    `remote.post_json`). Every failure is a ProviderUnavailable, except a
-    reply that is not an embedding record, which is a FormatError.
+    same record shape as the precomputed file. Transient failures are
+    retried (see `remote.post_json`). Every failure is a
+    ProviderUnavailable, except a reply that is not an embedding record,
+    which is a FormatError.
     """
 
     def __init__(
@@ -268,21 +267,18 @@ class RemoteEmbeddingProvider:
         model_name: str,
         timeout: float = 30.0,
         max_retries: int = 2,
-        max_in_flight: int = 8,
     ):
         self.endpoint = endpoint
         self.model_name = model_name
         self.timeout = timeout
         self.max_retries = max_retries
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
 
     def encode(self, text: str) -> Encoding:
-        with self._semaphore:
-            doc, _ = post_json(
-                self.endpoint, {"model": self.model_name, "text": text},
-                self.timeout, self.max_retries,
-                error=ProviderUnavailable, format_error=FormatError,
-            )
+        doc = post_json(
+            self.endpoint, {"model": self.model_name, "text": text},
+            self.timeout, self.max_retries,
+            error=ProviderUnavailable, format_error=FormatError,
+        )
         return _record_arrays(doc, text, self.endpoint)
 
 

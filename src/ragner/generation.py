@@ -47,13 +47,7 @@ class GenerationResult:
     query_id: int
     completion_text: str
     latency: float
-    backend_tag: str
-    attempt_count: int = 1
     error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 def prompt_hash(prompt: Prompt | str) -> str:
@@ -99,7 +93,7 @@ def _extract_text(doc: object) -> str:
     raise HttpError(f"completion response has no text field: {shape}")
 
 
-def _remote_completion(spec: GeneratorSpec, prompt_text: str) -> tuple[str, int]:
+def _remote_completion(spec: GeneratorSpec, prompt_text: str) -> str:
     body = {"max_tokens": spec.max_tokens, "temperature": spec.temperature}
     if spec.wire_format == "chat":
         body["messages"] = [{"role": "user", "content": prompt_text}]
@@ -107,17 +101,16 @@ def _remote_completion(spec: GeneratorSpec, prompt_text: str) -> tuple[str, int]
         body["prompt"] = prompt_text
     if spec.model_name:
         body["model"] = spec.model_name
-    doc, attempts = post_json(
+    doc = post_json(
         spec.endpoint, body, spec.timeout, spec.max_retries,
         error=HttpError, timeout_error=GenerationTimeout,
     )
-    return _extract_text(doc), attempts
+    return _extract_text(doc)
 
 
 def generate(task: GenerationTask, spec: GeneratorSpec) -> GenerationResult:
     """Run one prompt through the backend; errors become GenerationError."""
     started = time.perf_counter()
-    attempts = 1
     if spec.backend == "mock-gold":
         _mock_sleep(spec, task.query_id)
         text = _mock_gold_completion(task)
@@ -125,13 +118,11 @@ def generate(task: GenerationTask, spec: GeneratorSpec) -> GenerationResult:
         _mock_sleep(spec, task.query_id)
         text = _mock_echo_completion(task)
     else:
-        text, attempts = _remote_completion(spec, task.prompt.rendered)
+        text = _remote_completion(spec, task.prompt.rendered)
     return GenerationResult(
         query_id=task.query_id,
         completion_text=text,
         latency=time.perf_counter() - started,
-        backend_tag=spec.backend,
-        attempt_count=attempts,
     )
 
 
@@ -155,7 +146,6 @@ def generate_batch(
                 query_id=task.query_id,
                 completion_text="",
                 latency=time.perf_counter() - started,
-                backend_tag=spec.backend,
                 error=f"{type(exc).__name__}: {exc}",
             )
 

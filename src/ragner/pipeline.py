@@ -63,8 +63,7 @@ def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedd
     else:
         if not e.endpoint:
             raise ConfigError("embedder.provider=remote-service needs endpoint")
-        provider = RemoteEmbeddingProvider(e.endpoint, e.model_name, e.timeout, e.max_retries,
-                                           e.max_in_flight)
+        provider = RemoteEmbeddingProvider(e.endpoint, e.model_name, e.timeout, e.max_retries)
     return Embedder(provider, e.dimension, stopwords)
 
 

@@ -20,8 +20,8 @@ def post_json(
     error: type[RagnerError],
     timeout_error: type[RagnerError] | None = None,
     format_error: type[RagnerError] | None = None,
-) -> tuple[object, int]:
-    """POST `body` as JSON; returns (decoded reply, attempts made).
+) -> object:
+    """POST `body` as JSON; returns the decoded reply.
 
     Connection failures, timeouts, 429 and 5xx are retried after 0.1, 0.2,
     0.4 ... s (at most 2 s). Once retries are used up, the last failure is
@@ -59,7 +59,7 @@ def post_json(
                 last = error(f"{url}: connection failed: {exc}")
         else:
             try:
-                return json.loads(raw), attempt + 1
+                return json.loads(raw)
             except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise (format_error or error)(f"{url}: non-JSON response: {exc}") from exc
     raise last

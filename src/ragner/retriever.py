@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from . import files
-from .config import _MODES, RetrieverConfig
+from .config import RetrieverConfig
 from .corpus import (EntitySchema, LabeledSentence, load_schema, read_sentences_jsonl,
                      save_schema, write_sentences_jsonl)
 from .embedder import Embedder
@@ -188,7 +188,8 @@ class ExampleStore:
     def require_index(self, cfg: RetrieverConfig) -> None:
         """Refuse a mode whose index this store lacks, or an nprobe above the
         nlist of the mode's IVF index."""
-        indexes = dict(zip(_MODES, (self.word_index, self.sentence_index)))
+        modes = get_args(get_type_hints(RetrieverConfig)["mode"])
+        indexes = dict(zip(modes, (self.word_index, self.sentence_index)))
         built = [m for m, i in indexes.items() if i is not None]
         if cfg.mode not in built:
             raise ConfigError(f"retriever.mode={cfg.mode} needs the {cfg.mode} index, but the store "

@@ -518,6 +518,7 @@ def test_missing_config_file_fails(proj):
     ("embedder={provider: remote-service, endpoint: 'http://127.0.0.1:9/v1', timeout: -1}",
      "ConfigError", "[embedder] config: timeout must be > 0, got -1"),
     ("embedder.max_retries=-1", "ConfigError", "[embedder] config: max_retries must be >= 0"),
+    ("embedder.max_in_flight=0", "ConfigError", "unknown config key: embedder.max_in_flight"),
     # time.sleep and socket timeouts refuse waits this long with a traceback
     ("generator.mock_delay=1.0e+300", "ConfigError",
      "[generator] config: mock_delay + mock_jitter must be <= 4611686018.0, got 1e+300"),
@@ -553,6 +554,40 @@ def test_bad_override_exits_2_with_one_json_line(proj, tmp_path, override, error
     doc = json.loads(line)
     assert doc["error"] == error and message in doc["message"]
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("retriever.mode=bogus",
+     "bad [retriever] config: mode must be one of ('word-level', 'sentence-level'), got 'bogus'"),
+    ("retriever.store_words=bogus",
+     "bad [retriever] config: store_words must be one of ('entity-only', 'all'), got 'bogus'"),
+    ("retriever.index_kind=bogus",
+     "bad [retriever] config: index_kind must be one of ('flat', 'ivf'), got 'bogus'"),
+    ("retriever.aggregator=bogus",
+     "bad [retriever] config: aggregator must be one of ('max', 'sum'), got 'bogus'"),
+    ("generator.backend=bogus", "bad [generator] config: backend must be one of "
+     "('remote-completion', 'mock-gold', 'mock-echo-nearest'), got 'bogus'"),
+    ("generator.wire_format=bogus",
+     "bad [generator] config: wire_format must be one of ('prompt', 'chat'), got 'bogus'"),
+    ("embedder.provider=bogus", "bad [embedder] config: provider must be one of "
+     "('remote-service', 'precomputed-file'), got 'bogus'"),
+    ("eval.grounding=bogus",
+     "bad [eval] config: grounding must be one of ('off', 'strict'), got 'bogus'"),
+    ("eval.match_mode=bogus",
+     "bad [eval] config: match_mode must be one of ('multiset', 'positional'), got 'bogus'"),
+    ("store.modes=[bogus]",
+     "bad [store] config: modes must be one of ('word-level', 'sentence-level'), got 'bogus'"),
+    ("store.modes=[word-level, bogus]",
+     "bad [store] config: modes must be one of ('word-level', 'sentence-level'), got 'bogus'"),
+    # a value of the wrong type gets the type message, not the allowed values
+    ("retriever.mode=5", "bad [retriever] config: mode must be a string, got 5"),
+])
+def test_a_value_outside_its_allowed_set_exits_2(proj, tmp_path, override, message):
+    out = tmp_path / "out.jsonl"
+    err = error_payload(run(["-c", proj.cfg, "-S", override, "predict", "--output", out],
+                            expect=2))
+    assert err == {"error": "ConfigError", "message": message}
+    assert not out.exists()
 
 
 def test_ivf_index_with_a_seed_beyond_64_bits_exits_2(tmp_path):
@@ -1147,6 +1182,16 @@ def test_ingest_requires_schema(tmp_path):
     err = error_payload(run(["-c", ns.cfg, "ingest"], expect=2))
     assert err["error"] == "ConfigError"
     assert "paths.schema is not configured" in err["message"]
+
+
+def test_ingest_refuses_a_schema_definition_that_is_not_a_string(tmp_path):
+    ns = make_project(tmp_path)
+    schema = ns.data / "null-definition.json"
+    schema.write_text(json.dumps([{"name": "gadget", "definition": None}]), encoding="utf-8")
+    err = error_payload(run(["-c", ns.cfg, "-S", f"paths.schema={schema}", "ingest"], expect=2))
+    assert err == {"error": "FormatError",
+                   "message": f"schema file {schema}: definition must be a string, got None"}
+    assert not (ns.out / "schema.json").exists()
 
 
 @pytest.mark.parametrize("key, name", [

@@ -3,9 +3,11 @@ annotated type, and the defaults' fingerprints stay put."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -29,14 +31,26 @@ _HOLDS = {
     "float": lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
     "str": lambda v: type(v) is str,
     "bool": lambda v: type(v) is bool,
-    "tuple[str, ...]": lambda v: type(v) is tuple and all(type(s) is str for s in v),
 }
 
 
 def _holds(value, annotation: str) -> bool:
     if annotation.endswith(" | None"):
         return value is None or _holds(value, annotation.removesuffix(" | None"))
+    if annotation.startswith("tuple[") and annotation.endswith(", ...]"):
+        item = annotation.removeprefix("tuple[").removesuffix(", ...]")
+        return type(value) is tuple and all(_holds(v, item) for v in value)
+    if annotation.startswith("Literal["):  # Literal["a", "b"]: a string, one of those named
+        return type(value) is str and value in ast.literal_eval(annotation.removeprefix("Literal"))
     return _HOLDS[annotation](value)
+
+
+def test_holds_reads_literal_and_tuple_annotations():
+    modes = 'tuple[Literal["word-level", "sentence-level"], ...]'
+    assert _holds(("sentence-level",), modes) and _holds((), modes)
+    assert not _holds(("word-level", "bogus"), modes) and not _holds(["word-level"], modes)
+    assert _holds("b", "Literal['a', 'b']") and not _holds("c", "Literal['a', 'b']")
+    assert _holds(("x",), "tuple[str, ...]") and not _holds((1,), "tuple[str, ...]")
 
 
 @pytest.mark.parametrize("key", _dotted_keys(_defaults()))
@@ -80,15 +94,42 @@ def test_mock_delay_and_jitter_together_wait_at_most_the_bound():
 def test_defaults_and_their_fingerprints_are_pinned():
     defaults = _defaults()
     assert fingerprint(defaults) == (
-        "8fad1757d65b196788a7069e1f3f94760e5f61e47cf88e06208f32cdeb6b2f85"
+        "e4baf739849e61f569a71addf2007f31eb915e34f65bcb5be6396fee18829157"
     )
     assert load_config().store_build_key == (
-        "53ca5ff16ec48b4422c8a1d4cb28460eb57e62f06c534bfd81d4a2f0b183a485"
+        "708ee112cd60c5365614be5da46fab968551a2b45f33f88cf788832657ec0609"
     )
     # the raw document keeps YAML's lists; only the dataclass holds tuples
     assert defaults["store"]["source_splits"] == ["train", "dev"]
     assert defaults["store"]["modes"] == ["word-level", "sentence-level"]
     assert [defaults[s]["seed"] for s in ("retriever", "store", "augment")] == [None] * 3
+
+
+def post_init_membership_tests(source: str) -> list[tuple[str, int]]:
+    """(class, line) of each `in` / `not in` test in a `__post_init__` in
+    `source` against a tuple, list or set display or a bare name."""
+    found = []
+    for cls in (node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)):
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__":
+                found += [(cls.name, node.lineno) for node in ast.walk(method)
+                          if isinstance(node, ast.Compare) and any(
+                              isinstance(op, (ast.In, ast.NotIn))
+                              and isinstance(right, (ast.Tuple, ast.List, ast.Set, ast.Name))
+                              for op, right in zip(node.ops, node.comparators))]
+    return found
+
+
+def test_allowed_values_live_in_the_annotations():
+    sample = ("class A:\n    def __post_init__(self):\n        if self.m not in _MODES: pass\n"
+              "        if self.g in ('off', 'strict'): pass\n"
+              "        for v, allowed in ((self.a, {'x'}),):\n            assert v in allowed\n"
+              "        if self.k < 1 or 'x' in self.name: pass\n"
+              "    def other(self):\n        return self.m in _MODES\n")
+    assert post_init_membership_tests(sample) == [("A", 3), ("A", 4), ("A", 6)]
+    source = (Path(__file__).resolve().parents[1] / "src" / "ragner" / "config.py").read_text(
+        encoding="utf-8")
+    assert post_init_membership_tests(source) == []
 
 
 def test_an_int_is_a_number_and_is_not_coerced():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,20 @@ def test_schema_bad_file_shape(tmp_path):
     path = tmp_path / "schema.json"
     path.write_text('{"kinds": []}')
     with pytest.raises(FormatError):
+        load_schema(path)
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"name": "person", "definition": None}, "definition"),
+    ({"name": "person", "definition": ["a"]}, "definition"),
+    ({"name": 7, "definition": "people"}, "name"),
+    ({"name": ["person"], "definition": "people"}, "name"),
+])
+def test_schema_name_and_definition_must_be_strings(tmp_path, entry, field):
+    # str() made them "None", "['a']" and "7" in every rendered prompt
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(FormatError, match=re.escape(f"schema file {path}: {field} must be a string")):
         load_schema(path)
 
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from ragner import retriever
-from ragner.config import RetrieverConfig
+from ragner.config import RetrieverConfig, load_config
 from ragner.corpus import EntitySpan, LabeledSentence
 from ragner.errors import (
+    ConfigError,
     EmptyInput,
     EmptyQueryAfterStopwords,
     EmptyStore,
@@ -77,8 +78,10 @@ def test_per_word_k_defaults_to_k():
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        RetrieverConfig(**kwargs)
+    # ranges are checked by __post_init__, allowed values by the loader
+    [(key, value)] = kwargs.items()
+    with pytest.raises(ConfigError, match=f"bad \\[retriever\\] config: {key} must be"):
+        load_config(None, [f"retriever.{key}={value}"])
 
 
 def test_word_level_ranks_entity_match_first(tmp_path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from array import array
 from pathlib import Path
 from typing import NamedTuple, Protocol
@@ -64,6 +65,7 @@ CACHE_ARRAYS = {
 }
 CACHE_TEXTS = "embeddings.texts.json"
 CACHE_FILES = (*CACHE_ARRAYS.values(), CACHE_TEXTS)
+_NOT_FINITE = "vector entries must be finite numbers"
 
 
 class PrecomputedEmbeddingProvider:
@@ -157,7 +159,7 @@ def _flat_vector(values, dim: int | None) -> np.ndarray:
     if vector.ndim != 1 or (dim is not None and len(vector) != dim):
         raise ValueError(f"vector of shape {vector.shape}, expected ({dim},)")
     if not np.isfinite(vector).all():  # null becomes NaN in the cast above
-        raise ValueError("vector entries must be finite numbers")
+        raise ValueError(_NOT_FINITE)
     return vector
 
 
@@ -169,23 +171,36 @@ def _append_record(
     token count. The sentence vector must have `dim` entries when `dim` is
     given, and every token vector as many as the sentence vector. A token's
     span must be two JSON integers with 0 <= start_char <= end_char <=
-    len(text); (0, 0), which tokenizers give special tokens, covers no word."""
+    len(text); (0, 0), which tokenizers give special tokens, covers no word.
+    Token vectors are packed by struct and checked finite once per record,
+    with the messages, and the first fault, of `_flat_vector` per vector."""
+    packed: list[bytes] = []
     try:
         tokens = doc["tokens"]
         sentence_vector = _flat_vector(doc["sentence_vector"], dim)
+        # struct packs any empty iterable as zero floats: a width-0 record takes the cast
+        pack = struct.Struct(f"{len(sentence_vector)}d").pack if len(sentence_vector) else None
         for t in tokens:
             if "text" not in t:
                 raise KeyError("text")
-            vectors.frombytes(_flat_vector(t["vector"], len(sentence_vector)).tobytes())
+            try:
+                packed.append(pack(*t["vector"]))
+            except (struct.error, TypeError, OverflowError):  # the cast says why, or reads it
+                packed.append(_flat_vector(t["vector"], len(sentence_vector)).tobytes())
             start, end = t["start_char"], t["end_char"]
             if type(start) is not int or type(end) is not int:
                 raise ValueError(f"start_char and end_char must be integers: {start!r}, {end!r}")
             if not 0 <= start <= end <= len(text):
                 raise ValueError(f"token span [{start}, {end}) outside [0, {len(text)}]")
             spans.extend((start, end))
+        block = b"".join(packed)
+        _flat_vector(np.frombuffer(block), None)
+        vectors.frombytes(block)
         sentence_vectors.frombytes(sentence_vector.tobytes())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{source}: bad embedding record: {exc}") from exc
+        # a non-finite entry of an earlier token is the first fault
+        fault = exc if np.isfinite(np.frombuffer(b"".join(packed))).all() else _NOT_FINITE
+        raise FormatError(f"{source}: bad embedding record: {fault}") from exc
     return len(tokens)
 
 
@@ -207,7 +222,9 @@ def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
     import orjson  # here, so that commands which open the cache never load it
 
     def loads(line: str):  # orjson's error subclasses json.JSONDecodeError
-        deep = line.count("[") + line.count("{") > _MAX_OPENERS
+        # '[' (0x5B) and '{' (0x7B) are the two bytes that OR 0x20 maps to 0x7B
+        codes = np.frombuffer(line.encode(), dtype=np.uint8)
+        deep = np.count_nonzero((codes | 0x20) == 0x7B) > _MAX_OPENERS
         return json.loads(line) if deep else orjson.loads(line)
 
     digest = hashlib.sha256()
@@ -325,26 +342,33 @@ class Embedder:
         ascending) and unit-norm vectors (float64, one row per word).
 
         Each word vector is the mean of the provider subword vectors whose
-        character offsets overlap the word, L2-normalized. Raises
-        AlignmentGap when a kept word is covered by zero subword tokens.
+        character offsets overlap the word, L2-normalized; the overlaps are one
+        (words x tokens) mask per sentence. Raises AlignmentGap when a kept
+        word is covered by zero subword tokens.
         """
         if not sentence.tokens:
             raise EmptyInput(f"sentence {sentence.id} has no tokens")
         enc = self._encode(sentence.text)
+        word_indexes = np.array(self.word_indexes(sentence), dtype=np.int64)
+        ranges = np.array(token_char_ranges(sentence.tokens), dtype=np.int64)[word_indexes]
         starts, ends = enc.token_spans.T
-        ranges = token_char_ranges(sentence.tokens)
-        word_indexes = self.word_indexes(sentence)
-        vectors = np.empty((len(word_indexes), self.dimension))
-        for row, i in enumerate(word_indexes):
-            ws, we = ranges[i]
-            covering = (starts < we) & (ends > ws)
-            if not covering.any():
-                raise AlignmentGap(
-                    f"sentence {sentence.id}: word {sentence.tokens[i]!r} at chars [{ws},{we}) "
-                    "covered by no subword token"
-                )
-            vectors[row] = l2_normalize(enc.token_vectors[covering].mean(axis=0))
-        return np.array(word_indexes, dtype=np.int64), vectors
+        covering = (starts < ranges[:, 1:]) & (ends > ranges[:, :1])  # (words, tokens)
+        counts = np.count_nonzero(covering, axis=1)
+        n = len(counts) if counts.all() else int(np.argmin(counts))  # words before the first gap
+        # one covering token: its row plus 0.0, as its mean is (-0.0 becomes 0.0)
+        first = covering[:n].argmax(axis=1) if n else np.zeros(0, dtype=np.int64)
+        vectors = enc.token_vectors[first] + 0.0
+        for row in np.flatnonzero(counts[:n] > 1).tolist():
+            vectors[row] = enc.token_vectors[covering[row]].mean(axis=0)
+        norms = np.sqrt([row.dot(row) for row in vectors])  # np.linalg.norm's dot, per row
+        if not norms.all():
+            raise EmbedderError("cannot normalize a zero vector")
+        if n < len(counts):
+            ws, we = ranges[n].tolist()
+            raise AlignmentGap(f"sentence {sentence.id}: word {sentence.tokens[word_indexes[n]]!r} "
+                               f"at chars [{ws},{we}) covered by no subword token")
+        vectors /= norms[:, None]
+        return word_indexes, vectors
 
     def embed_sentence(self, sentence: LabeledSentence) -> np.ndarray:
         """The provider's pooled sentence vector, L2-normalized."""

@@ -100,7 +100,8 @@ def read_jsonl(path, loads: Callable = json.loads, digest=None) -> Iterator[tupl
     `path:line` it came from; blank lines are skipped. The file is streamed,
     and `digest` is updated with every byte of it. A line that is not UTF-8
     or that `loads` cannot read raises FormatError naming path:line."""
-    with read(path, lambda p: open(p, "rb")) as fh:
+    # a 1 MB buffer reads a line of an embedding file (about 135 KB at 768-d) in one call
+    with read(path, lambda p: open(p, "rb", buffering=1 << 20)) as fh:
         for line_no, raw in enumerate(fh, start=1):
             if digest is not None:
                 digest.update(raw)

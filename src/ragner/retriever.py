@@ -83,6 +83,7 @@ def _word_rows(
         spans = _entity_word_indexes(sentence)
         return sum(i in spans for i in embedder.word_indexes(sentence))
 
+    embedder.embed_words(sentences[0])  # checks the vector width before a matrix takes it
     matrix = np.empty((sum(map(kept, sentences)), embedder.dimension))
     sentence_ids, words = [], []
     for sentence in sentences:
@@ -163,6 +164,7 @@ class ExampleStore:
         if "word-level" in modes:
             word_index = _build_index(*_word_rows(sentences, embedder, cfg.store_words), cfg)
         if "sentence-level" in modes:
+            embedder.embed_sentence(sentences[0])  # checks the vector width, as above
             matrix = np.empty((len(sentences), embedder.dimension))
             for row, sentence in enumerate(sentences):
                 matrix[row] = embedder.embed_sentence(sentence)
@@ -213,6 +215,9 @@ class ExampleStore:
             if index is not None:
                 save_index(index, directory / f"{name}_index.bin")
                 meta["indexes"][name] = f"{name}_index.bin"
+            else:  # an earlier build's files of this mode, its IVF parts included
+                for stale in directory.glob(f"{name}_index.*"):
+                    stale.unlink()
         files.write_json(directory / "meta.json", meta, indent=2)
 
     @classmethod
@@ -268,13 +273,16 @@ def _pool_words(
         for sid in ranked]
 
 
-def _search_block(block, index: Index, cfg: RetrieverConfig, depth: int, entries: list) -> None:
+def _search_block(block, index: Index, cfg: RetrieverConfig, depth: int, entries: list,
+                  scores: np.ndarray) -> None:
     """Search the rows of a block of (entry position, query, word indexes,
-    row matrix) with one search_batch call and fill each query's entry."""
+    row matrix) with one search_batch call and fill each query's entry; the
+    scores go into the leading rows of `scores` when the block fits there."""
     row_query_ids = np.repeat([q.id for _, q, _, _ in block], [len(rows) for *_, rows in block])
     exclude = index.sentence_ids[None, :] == row_query_ids[:, None] if cfg.exclude_self else None
-    results = iter(index.search_batch(np.concatenate([rows for *_, rows in block]), depth,
-                                      nprobe=cfg.nprobe, exclude=exclude))
+    queries = np.concatenate([rows for *_, rows in block])
+    out = scores[:len(queries)] if len(queries) <= len(scores) else None
+    results = iter(index.search_batch(queries, depth, nprobe=cfg.nprobe, exclude=exclude, out=out))
     for position, _, word_indexes, rows in block:
         entries[position] = word_indexes, [next(results) for _ in range(len(rows))]
 
@@ -297,6 +305,7 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
     if store.embedder is None:
         raise EmptyStore("store has no embedder attached; pass one to ExampleStore.load")
     max_rows = min(len(index), _BLOCK_SCORES // len(index))
+    scores = np.empty((max_rows, len(index)))  # every block's; a page is mapped when first used
     entries: list = [None] * len(queries)
     block: list = []
     block_rows = 0
@@ -313,12 +322,12 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
             entries[position] = exc
             continue
         if block and block_rows + len(rows) > max_rows:
-            _search_block(block, index, cfg, depth, entries)
+            _search_block(block, index, cfg, depth, entries, scores)
             block, block_rows = [], 0
         block.append((position, query, word_indexes, rows))
         block_rows += len(rows)
     if block:
-        _search_block(block, index, cfg, depth, entries)
+        _search_block(block, index, cfg, depth, entries, scores)
     return entries
 
 

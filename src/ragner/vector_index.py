@@ -74,12 +74,12 @@ def _check_queries(queries: np.ndarray, k: int, dim: int) -> np.ndarray:
     return queries
 
 
-def _scores(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """queries @ block.T, shape (m, rows). One query goes through a mat-vec,
-    so a single search keeps the bits it always had."""
+def _scores(block: np.ndarray, queries: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """queries @ block.T, shape (m, rows), into `out` if given. One query goes
+    through a mat-vec, so a single search keeps the bits it always had."""
     if queries.shape[0] == 1:
-        return (block @ queries[0])[None, :]
-    return queries @ block.T
+        return np.matmul(block, queries[0], out=None if out is None else out[0])[None, :]
+    return np.matmul(queries, block.T, out=out)
 
 
 def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -131,12 +131,14 @@ class FlatIndex:
         return list(map(SearchHit, ids.tolist(), scores.tolist()))
 
     def search_batch(self, queries: np.ndarray, k: int, nprobe: int | None = None,
-                     exclude: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+                     exclude: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """Top-k (record ids, scores) for each row of queries (m, dim), in one
         BLAS call; records where the boolean `exclude` is set never return.
-        `exclude` is one (n,) mask for every row or an (m, n) mask per row."""
+        `exclude` is one (n,) mask for every row or an (m, n) mask per row.
+        The scores go into `out`, a C-contiguous (m, n) float64 matrix, if given."""
         queries = _check_queries(queries, k, self.dim)
-        scores = _scores(self.matrix, queries)
+        scores = _scores(self.matrix, queries, out)
         if exclude is not None:
             np.copyto(scores, -np.inf, where=exclude)
         return _top_k(scores, np.arange(len(self)), k)
@@ -183,7 +185,8 @@ class IvfIndex:
         return list(map(SearchHit, ids.tolist(), scores.tolist()))
 
     def search_batch(self, queries: np.ndarray, k: int, nprobe: int | None = None,
-                     exclude: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+                     exclude: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """FlatIndex.search_batch over the `nprobe` clusters nearest to each
         row. Each probed cluster's contiguous slice is multiplied with only
         the rows that probe it; a record the row did not probe scores -inf."""
@@ -195,7 +198,8 @@ class IvfIndex:
         probe = np.argsort(-_scores(self.centroids, queries), axis=1, kind="stable")
         probed = np.zeros((self.nlist, m), dtype=bool)
         probed[probe[:, :nprobe], np.arange(m)[:, None]] = True
-        scores = np.full((m, len(self)), -np.inf)
+        scores = np.empty((m, len(self))) if out is None else out
+        scores.fill(-np.inf)
         for c in np.flatnonzero(probed.any(axis=1)).tolist():
             cols = np.flatnonzero(probed[c])
             rows = slice(self.offsets[c], self.offsets[c + 1])

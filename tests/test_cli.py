@@ -894,6 +894,47 @@ def test_mode_without_its_index_fails_before_any_row(tmp_path, built, mode, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("modes, message", [
+    ("[]", "bad [store] config: modes must list one or more modes, none twice, got ()"),
+    ("[word-level, word-level]", "bad [store] config: modes must list one or more modes, "
+                                 "none twice, got ('word-level', 'word-level')"),
+], ids=["empty", "repeated"])
+def test_empty_or_repeated_store_modes_exit_2(tmp_path, modes, message):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    err = error_payload(run(["-c", ns.cfg, "-S", f"store.modes={modes}", "index"], expect=2))
+    assert err == {"error": "ConfigError", "message": message}
+    assert not (ns.out / "store").exists()
+
+
+@pytest.mark.parametrize("modes", ["[word-level, sentence-level]", "[sentence-level]"])
+def test_index_under_a_dimension_too_large_for_an_array_exits_2(tmp_path, modes):
+    # the store's matrices are sized only after an embedding has checked the width
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    err = error_payload(run(["-c", ns.cfg, "-S", f"store.modes={modes}",
+                             "-S", f"embedder.dimension={2**63}", "index"], expect=2))
+    assert err["error"] == "DimensionMismatch"
+    assert f"expected ({2**63},)" in err["message"]
+
+
+@pytest.mark.parametrize("first", [[], ["-S", "retriever.index_kind=ivf",
+                                         "-S", "retriever.nlist=2"]], ids=["flat", "ivf"])
+def test_index_removes_the_files_of_modes_it_no_longer_builds(tmp_path, first):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, *first, "index"])
+    store = ns.out / "store"
+    assert {p.name for p in store.glob("sentence_index.*")}
+    run(["-c", ns.cfg, "-S", "store.modes=[word-level]", "index"])
+    meta = json.loads((store / "meta.json").read_text(encoding="utf-8"))
+    assert meta["indexes"] == {"word": "word_index.bin"}
+    index_files = {p.name for p in store.glob("*_index.*")}
+    assert index_files == {"word_index.bin", "word_index.sentence_ids.npy", "word_index.json"}
+    manifest = json.loads((ns.out / "manifests" / "index.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["outputs"]) == sorted(str(p) for p in store.iterdir())
+
+
 @pytest.fixture(scope="module")
 def ivf_proj(tmp_path_factory):
     ns = make_project(tmp_path_factory.mktemp("ivf"))

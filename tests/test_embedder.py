@@ -633,3 +633,218 @@ def test_cache_open_rejects_missing_and_malformed_files(tmp_path):
     np.save(victim, np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(FormatError):
         open_precomputed_cache(tmp_path)
+
+
+# --- the per-record and per-sentence paths against per-token formulas ---------------
+
+
+def reference_word_vectors(sentence: LabeledSentence, enc, stopwords) -> tuple:
+    """embed_words one word at a time: its covering mask, the mean of the
+    covered rows and l2_normalize, raising on the first uncovered word."""
+    starts, ends = enc.token_spans.T
+    ranges = token_char_ranges(sentence.tokens)
+    kept = [i for i, word in enumerate(sentence.tokens) if word.lower() not in stopwords]
+    rows = []
+    for i in kept:
+        ws, we = ranges[i]
+        covering = (starts < we) & (ends > ws)
+        if not covering.any():
+            raise AlignmentGap(f"sentence {sentence.id}: word {sentence.tokens[i]!r} at chars "
+                               f"[{ws},{we}) covered by no subword token")
+        rows.append(l2_normalize(enc.token_vectors[covering].mean(axis=0)))
+    width = enc.token_vectors.shape[1]
+    return np.array(kept, dtype=np.int64), np.array(rows).reshape(len(kept), width)
+
+
+# "the snowboarding ski lift of tea": [CLS], the stop word "the", three tokens
+# for "snowboarding", "ski l" over "ski" and "lift", "ift", the stop word
+# "of", "tea", [SEP] at the end of the text and a second (0, 0) token
+MIXED_TEXT = "the snowboarding ski lift of tea"
+MIXED_SPANS = [(0, 0), (0, 3), (4, 8), (8, 13), (13, 16), (17, 22), (22, 25), (26, 28),
+               (29, 32), (32, 32), (0, 0)]
+
+
+def mixed_vectors(seed: int) -> np.ndarray:
+    """Token vectors with -0.0, 0.0 and integer entries among the normals."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(len(MIXED_SPANS), 6))
+    vectors[rng.random(vectors.shape) < 0.2] = -0.0
+    vectors[rng.random(vectors.shape) < 0.1] = 0.0
+    vectors[rng.random(vectors.shape) < 0.1] = 3.0
+    vectors[5, :3] = vectors[8, :2] = -0.0  # in the one-token words "ski" and "tea"
+    return vectors
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_embed_words_equals_the_per_word_formulas_byte_for_byte(seed):
+    enc = encoding(MIXED_SPANS, mixed_vectors(seed), [1.0] * 6)
+    embedder = Embedder(precomputed_provider({MIXED_TEXT: enc}), 6)
+    sentence = sent(MIXED_TEXT, 4)
+    indexes, vectors = embedder.embed_words(sentence)
+    want_indexes, want_vectors = reference_word_vectors(sentence, enc, embedder.stopwords)
+    assert indexes.tolist() == [1, 2, 3, 5] and indexes.dtype == want_indexes.dtype
+    assert indexes.tobytes() == want_indexes.tobytes()
+    assert vectors.dtype == np.float64 and vectors.flags.c_contiguous
+    assert vectors.tobytes() == want_vectors.tobytes()
+
+
+@pytest.mark.parametrize("drop, zero, error", [
+    ({2, 3, 4, 8}, set(), AlignmentGap),  # "snowboarding" and "tea" uncovered: the first names
+    ({8}, {2, 3, 4}, EmbedderError),  # a zero word before the uncovered "tea"
+    ({2, 3, 4}, {8}, AlignmentGap),  # the uncovered word before the zero "tea"
+    (set(), {5, 6}, EmbedderError),  # "ski" and "lift" are both zero
+], ids=["two gaps", "zero then gap", "gap then zero", "zero"])
+def test_embed_words_raises_the_first_fault_with_the_per_word_message(drop, zero, error):
+    vectors = mixed_vectors(0)
+    vectors[sorted(zero)] = 0.0
+    keep = [i for i in range(len(MIXED_SPANS)) if i not in drop]
+    enc = encoding([MIXED_SPANS[i] for i in keep], vectors[keep], [1.0] * 6)
+    embedder = Embedder(precomputed_provider({MIXED_TEXT: enc}), 6)
+    with pytest.raises(error) as want:
+        reference_word_vectors(sent(MIXED_TEXT, 4), enc, embedder.stopwords)
+    with pytest.raises(error) as got:
+        embedder.embed_words(sent(MIXED_TEXT, 4))
+    assert str(got.value) == str(want.value)
+
+
+def test_embed_words_of_a_sentence_with_no_tokens():
+    enc = encoding([], [], [1.0, 0.0])
+    embedder = Embedder(precomputed_provider({"the of": enc, "tea": enc}), 2)
+    indexes, vectors = embedder.embed_words(sent("the of"))
+    assert indexes.shape == (0,) and vectors.shape == (0, 2)
+    with pytest.raises(AlignmentGap, match=re.escape("word 'tea' at chars [0,3) covered by no")):
+        embedder.embed_words(sent("tea"))
+
+
+def reference_parse(path) -> tuple:
+    """The embedding file parsed line by line with json.loads, np.asarray per
+    vector, the last line of a text winning."""
+    docs = {}
+    for raw in path.read_bytes().split(b"\n"):
+        line = raw.decode("utf-8").strip()
+        if line:
+            doc = json.loads(line)
+            docs.pop(doc["text"], None)
+            docs[doc["text"]] = doc
+    tokens = [t for doc in docs.values() for t in doc["tokens"]]
+    return (
+        list(docs),
+        np.array([np.asarray(t["vector"], dtype=np.float64) for t in tokens]),
+        np.array([(t["start_char"], t["end_char"]) for t in tokens], dtype=np.int64),
+        np.cumsum([0] + [len(doc["tokens"]) for doc in docs.values()], dtype=np.int64),
+        np.array([np.asarray(doc["sentence_vector"], dtype=np.float64) for doc in docs.values()]),
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+    )
+
+
+def test_load_precomputed_equals_a_reference_parse(tmp_path):
+    first = encoding_record(["naïve", "[café]", "{x}"], dim=4)
+    first["tokens"][0]["vector"] = [1, True, -0.0, 2**60 + 1]
+    first["tokens"][2]["vector"] = [False, 3, 0.5, -7]
+    other = encoding_record(["日本", "[語]", "{", "ü"], dim=4)
+    other["sentence_vector"] = [True, 0, -2, 1e-300]
+    again = encoding_record(["naïve", "[café]", "{x}"], dim=4, sentence_vector=[4, 3, 2, 1])
+    lines = [json.dumps(doc, ensure_ascii=False).encode() for doc in (first, other, again)]
+    path = tmp_path / "emb.jsonl"
+    path.write_bytes(b"\r\n".join([lines[0], b"", b"  \t ", lines[1], b" \r", lines[2], b""]))
+    provider = load_precomputed(path)
+    texts, token_vectors, token_spans, token_offsets, sentence_vectors, sha = reference_parse(path)
+    assert provider.texts == texts == ["日本 [語] { ü", "naïve [café] {x}"]
+    assert provider.token_vectors.tobytes() == token_vectors.tobytes()
+    assert provider.token_spans.tobytes() == token_spans.tobytes()
+    assert provider.token_offsets.tobytes() == token_offsets.tobytes()
+    assert provider.sentence_vectors.tobytes() == sentence_vectors.tobytes()
+    assert provider.sha256 == sha
+
+
+def record_with_openers(openers: int) -> dict:
+    """A valid record whose JSON text holds exactly `openers` '[' and '{'
+    bytes: braces that no token covers pad its text."""
+    record = encoding_record(["w"] * 10, dim=4)
+    count = json.dumps(record).count("[") + json.dumps(record).count("{")
+    record["text"] += " " + "{" * (openers - count)
+    assert json.dumps(record).count("[") + json.dumps(record).count("{") == openers
+    return record
+
+
+@pytest.mark.parametrize("openers, parser", [
+    (ragner.embedder._MAX_OPENERS, "orjson"), (ragner.embedder._MAX_OPENERS + 1, "json")])
+def test_the_depth_guard_sends_a_line_past_the_limit_to_json(tmp_path, monkeypatch, openers,
+                                                             parser):
+    import orjson
+
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([record_with_openers(openers)], path)
+    calls = []
+    for module in (orjson, json):
+        loads = module.loads
+        monkeypatch.setattr(module, "loads", lambda s, _loads=loads, _name=module.__name__:
+                            calls.append(_name) or _loads(s))
+    load_precomputed(path)
+    assert calls == [parser]
+
+
+def numpy_message(value) -> str:
+    """What the cast of one vector to float64 says of `value`."""
+    with pytest.raises((TypeError, ValueError)) as exc:
+        np.asarray(value, dtype=np.float64)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("vector, message", [
+    ([1.0, 2.0, 3.0], "vector of shape (3,), expected (4,)"),
+    ([1.0, 2.0, 3.0, 4.0, 5.0], "vector of shape (5,), expected (4,)"),
+    ([[1.0, 2.0], [3.0]], numpy_message([[1.0, 2.0], [3.0]])),
+    (["x", 1.0, 2.0, 3.0], "could not convert string to float: 'x'"),
+    ([[1.0, 2.0, 3.0, 4.0]], "vector of shape (1, 4), expected (4,)"),
+    ({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}, numpy_message({"a": 1.0})),
+    (5.0, "vector of shape (), expected (4,)"),
+], ids=["short", "long", "ragged", "string entry", "nested list", "object", "number"])
+@pytest.mark.parametrize("token", [0, 1])
+def test_a_bad_token_vector_keeps_its_message(tmp_path, vector, message, token):
+    record = encoding_record(["hello", "world"], dim=4)
+    record["tokens"][token]["vector"] = vector
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["ok"], dim=4), record], path)
+    with pytest.raises(FormatError) as exc:
+        load_precomputed(path)
+    assert str(exc.value) == f"{path}:2: bad embedding record: {message}"
+
+
+@pytest.mark.parametrize("vector", [{}, "", []], ids=["object", "string", "list"])
+def test_a_record_of_width_zero_checks_its_token_vectors_by_the_cast(tmp_path, vector):
+    record = {"text": "a", "tokens": [{"text": "a", "start_char": 0, "end_char": 1,
+                                       "vector": vector}], "sentence_vector": []}
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([record], path)
+    if vector == []:
+        assert load_precomputed(path).token_vectors.shape == (1, 0)
+        return
+    with pytest.raises(FormatError) as exc:
+        load_precomputed(path)
+    assert str(exc.value) == f"{path}:1: bad embedding record: {numpy_message(vector)}"
+
+
+def test_a_numeric_string_entry_is_read_as_by_the_float64_cast(tmp_path):
+    record = encoding_record(["hello"], dim=4)
+    record["tokens"][0]["vector"] = ["1.5", 0.0, "-2", 3]
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([record], path)
+    assert load_precomputed(path).token_vectors.tolist() == [[1.5, 0.0, -2.0, 3.0]]
+
+
+@pytest.mark.parametrize("later", [
+    ("tokens", 1, "start_char", -1), ("tokens", 1, "vector", [1.0]), ("tokens", 1, "text", None)],
+    ids=["span", "short vector", "no text"])
+def test_a_non_finite_entry_is_the_first_fault_before_a_later_one(tmp_path, later):
+    record = deep_record()  # a line `json` parses, which reads NaN
+    *where, value = later
+    if value is None:
+        del record["tokens"][1]["text"]
+    else:
+        set_at(record, tuple(where), value)
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json_with_literal(record, ("tokens", 0, "vector", 2), "NaN") + "\n",
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match=f"emb.jsonl:1: {NOT_FINITE}$"):
+        load_precomputed(path)

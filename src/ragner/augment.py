@@ -117,8 +117,6 @@ def build_finetune_dataset(
     if cfg.dropout_fraction > 0:
         cfg.removal_bounds(len(schema))  # fail fast on 1-type schemas
     ids = [s.id for s in sentences]
-    if len(set(ids)) != len(ids):
-        raise ValueError("finetune sentences must have unique ids")
     master = random.Random(cfg.seed)
     dropout_ids = _exact_count_subset(ids, cfg.dropout_fraction, master)
     shuffle_ids = _exact_count_subset(ids, cfg.shuffle_fraction, master)

@@ -109,7 +109,7 @@ def ingest(cfg: RunConfig):
 def index(cfg: RunConfig):
     """Embed the store split and build the configured vector indexes."""
     from . import pipeline
-    from .embedder import PrecomputedEmbeddingProvider
+    from .embedder import CACHE_FILES, PrecomputedEmbeddingProvider
 
     verify_upstream(cfg, "ingest")
     sentences = read_sentences_jsonl(cfg.paths.out_path("corpus", "store.jsonl"))
@@ -123,6 +123,9 @@ def index(cfg: RunConfig):
         # later commands open this cache instead of parsing the file again
         embedder.provider.save_cache(store_dir)
         digests[str(Path(embedder.provider.path))] = embedder.provider.sha256
+    else:  # an earlier build's cache, which no command reads for this store
+        for name in CACHE_FILES:
+            (store_dir / name).unlink(missing_ok=True)
     outputs = sorted(p for p in store_dir.iterdir() if p.is_file())
     inputs = [cfg.paths.out_path("corpus", "store.jsonl"), cfg.paths.out_path("schema.json")]
     if cfg.embedder.stopwords_file:  # the store's word records depend on its content

@@ -265,6 +265,8 @@ class StoreConfig:
     def __post_init__(self):
         if self.size is not None and self.size < 0:
             raise ValueError(f"size must be a non-negative integer or null, got {self.size!r}")
+        if len(set(self.source_splits)) < len(self.source_splits):
+            raise ValueError(f"source_splits must name no split twice, got {self.source_splits!r}")
         if not self.modes or len(set(self.modes)) < len(self.modes):
             raise ValueError(f"modes must list one or more modes, none twice, got {self.modes!r}")
 

@@ -59,8 +59,8 @@ class LabeledSentence:
     def text(self) -> str:
         return " ".join(self.tokens)
 
-    def validate(self, schema: "EntitySchema | None" = None) -> None:
-        """Check span invariants; with a schema, also check span types."""
+    def validate(self, schema: "EntitySchema") -> None:
+        """Check span invariants and span types."""
         prev_end = 0
         for span in self.spans:
             if not (0 <= span.start < span.end <= len(self.tokens)):
@@ -74,7 +74,7 @@ class LabeledSentence:
                 raise InvalidSpan(
                     f"sentence {self.id}: span surface {span.surface!r} != {expected!r}"
                 )
-            if schema is not None and span.entity_type not in schema:
+            if span.entity_type not in schema:
                 raise UnknownSpanType(
                     f"sentence {self.id}: span type {span.entity_type!r} not in schema"
                 )
@@ -126,9 +126,7 @@ class EntitySchema:
         return EntitySchema(tuple(t for t in self.types if t.name not in gone))
 
     def reordered(self, names: Sequence[str]) -> "EntitySchema":
-        """Schema permuted to the given name order (must be a permutation)."""
-        if sorted(names) != sorted(self.names):
-            raise ValueError("reordered() requires a permutation of the schema names")
+        """Schema permuted to the given name order, a permutation of its names."""
         by_name = {t.name: t for t in self.types}
         return EntitySchema(tuple(by_name[n] for n in names))
 

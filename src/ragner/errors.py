@@ -95,10 +95,6 @@ class EmptyStore(RagnerError):
 
 # --- promptkit ------------------------------------------------------------
 
-class SchemaMismatch(RagnerError):
-    """An in-prompt example's output keys differ from the prompt schema."""
-
-
 class NoDictionaryFound(RagnerError):
     """A completion contains no balanced {...} region to parse."""
 
@@ -125,10 +121,6 @@ class GenerationError(RagnerError):
     """Base class for per-record generation failures."""
 
 
-class MissingGold(GenerationError):
-    """The mock-gold backend was invoked without an attached gold output."""
-
-
 class HttpError(GenerationError):
     """The completion endpoint failed: an error answer, no connection, or a
     reply without a completion text."""
@@ -136,12 +128,6 @@ class HttpError(GenerationError):
 
 class GenerationTimeout(GenerationError):
     """The completion endpoint did not answer within the configured timeout."""
-
-
-# --- evaluation -----------------------------------------------------------
-
-class SchemaMismatchAcrossRecords(RagnerError):
-    """Prediction records in one batch disagree on the schema key set."""
 
 
 # --- cli ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import files
 from .config import EvalConfig
 from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
-from .errors import ConfigError, FormatError, SchemaMismatch, SchemaMismatchAcrossRecords
+from .errors import ConfigError, FormatError
 
 
 def normalize_surface(value: str) -> str:
@@ -116,10 +116,6 @@ def _first_unused_span(
 
 
 def _positional_multisets(record: PredictionRecord) -> tuple[Counter, Counter]:
-    if record.sentence is None:
-        raise ValueError(
-            f"positional scoring needs the sentence attached (record {record.sentence_id})"
-        )
     gold: Counter = Counter(
         (s.entity_type, s.start, s.end) for s in record.sentence.spans
     )
@@ -148,26 +144,9 @@ def score(
     Per sentence: tp = sum over (type, string) of min(pred count, gold
     count); fp = predicted surplus; fn = gold surplus.
     """
-    if match_mode not in ("multiset", "positional"):
-        raise ValueError(f"match_mode must be 'multiset' or 'positional', got {match_mode!r}")
-    key_set: frozenset | None = None
     per_type: dict[str, TypeCounts] = {}
     n_parse_failures = 0
     for record in records:
-        gold_keys = frozenset(record.gold.entries)
-        pred_keys = frozenset(record.predicted.entries)
-        if gold_keys != pred_keys:
-            raise SchemaMismatch(
-                f"record {record.sentence_id}: gold keys {sorted(gold_keys)} != "
-                f"predicted keys {sorted(pred_keys)}"
-            )
-        if key_set is None:
-            key_set = gold_keys
-        elif gold_keys != key_set:
-            raise SchemaMismatchAcrossRecords(
-                f"record {record.sentence_id} uses keys {sorted(gold_keys)}, "
-                f"batch started with {sorted(key_set)}"
-            )
         if match_mode == "positional":
             gold_ms, pred_ms = _positional_multisets(record)
             if record.parse_failed:

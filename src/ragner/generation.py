@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .config import GeneratorSpec
 from .corpus import NerOutput
-from .errors import GenerationError, GenerationTimeout, HttpError, MissingGold
+from .errors import GenerationError, GenerationTimeout, HttpError
 from .promptkit import Prompt, render_output
 from .remote import post_json
 
@@ -65,8 +65,6 @@ def _mock_sleep(spec: GeneratorSpec, query_id: int) -> None:
 
 
 def _mock_gold_completion(task: GenerationTask) -> str:
-    if task.gold is None:
-        raise MissingGold(f"mock-gold needs a gold output for query {task.query_id}")
     return render_output(task.gold.restricted_to(task.prompt.schema))
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from . import files
 from .config import PromptConfig
 from .corpus import EntitySchema, NerOutput, gold_output
-from .errors import NoDictionaryFound, SchemaMismatch, TemplateError, UnknownTemplate
+from .errors import NoDictionaryFound, TemplateError, UnknownTemplate
 
 if TYPE_CHECKING:  # the retriever loads numpy; this module needs only its names
     from .retriever import ExampleStore, RetrievedExample
@@ -168,15 +168,11 @@ def build_prompt(
     """Deterministically render the four-section prompt.
 
     Examples, or (text, gold output) pairs, are rendered in the order
-    given, the most similar last (see `order_examples`).
+    given, the most similar last (see `order_examples`); each output is
+    keyed by `schema`, in its order.
     """
     prompt_examples = [ex if isinstance(ex, PromptExample) else PromptExample(*ex)
                        for ex in examples]
-    for ex in prompt_examples:
-        if tuple(ex.output.entries) != schema.names:
-            raise SchemaMismatch(
-                f"example output keys {tuple(ex.output.entries)} != schema {schema.names}"
-            )
     examples_block = "\n\n".join(ex.rendered for ex in prompt_examples)
     rendered = template.text.format(
         task_description=template.task_description,
@@ -351,8 +347,6 @@ def parse_output(
 
     Raises NoDictionaryFound when the completion has no balanced braces.
     """
-    if grounding not in ("off", "strict"):
-        raise ValueError(f"grounding must be 'off' or 'strict', got {grounding!r}")
     body = _first_balanced_region(completion)
     if body is None:
         raise NoDictionaryFound("completion contains no balanced {...} region")

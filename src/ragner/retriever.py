@@ -127,9 +127,6 @@ class ExampleStore:
         embedder: Embedder | None = None,
         build_key: str | None = None,
     ):
-        ids = [s.id for s in sentences]
-        if len(set(ids)) != len(ids):
-            raise ValueError("store sentences must have unique ids")
         self.sentences = list(sentences)
         self.by_id = {s.id: s for s in sentences}
         self.schema = schema
@@ -151,14 +148,11 @@ class ExampleStore:
         schema: EntitySchema,
         embedder: Embedder,
         cfg: RetrieverConfig,
-        modes: tuple[str, ...] | None = None,
+        modes: tuple[str, ...],
     ) -> "ExampleStore":
         """Embed the sentences and build the index for each requested mode."""
         if not sentences:
             raise EmptyStore("cannot build a store from zero sentences")
-        for s in sentences:
-            s.validate(schema)
-        modes = modes if modes is not None else (cfg.mode,)
         word_index = None
         sentence_index = None
         if "word-level" in modes:
@@ -221,7 +215,7 @@ class ExampleStore:
         files.write_json(directory / "meta.json", meta, indent=2)
 
     @classmethod
-    def load(cls, directory: str | Path, embedder: Embedder | None = None) -> "ExampleStore":
+    def load(cls, directory: str | Path, embedder: Embedder) -> "ExampleStore":
         directory = Path(directory)
         meta_path = directory / "meta.json"
         role = files.store_role(meta_path, "store")._replace(
@@ -300,10 +294,6 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
     """
     word_level = cfg.mode == "word-level"
     index = store.word_index if word_level else store.sentence_index
-    if index is None or len(index) == 0:
-        raise EmptyStore(f"store has no {'word' if word_level else 'sentence'} index")
-    if store.embedder is None:
-        raise EmptyStore("store has no embedder attached; pass one to ExampleStore.load")
     max_rows = min(len(index), _BLOCK_SCORES // len(index))
     scores = np.empty((max_rows, len(index)))  # every block's; a page is mapped when first used
     entries: list = [None] * len(queries)
@@ -352,19 +342,13 @@ def select(queries: Sequence[LabeledSentence], searched: list, store: ExampleSto
     return entries
 
 
-def retrieve(queries: LabeledSentence | Sequence[LabeledSentence], store: ExampleStore,
+def retrieve(queries: Sequence[LabeledSentence], store: ExampleStore,
              cfg: RetrieverConfig, pairs: bool = True) -> list:
-    """Examples for one `LabeledSentence`, raising its error; for a sequence,
-    one entry per query: its examples or the `RagnerError` that failed it.
-    Store problems (no index for the mode, no embedder) raise for the call.
+    """One entry per query: its examples or the `RagnerError` that failed it.
+    The store holds cfg.mode's index (`require_index` refused it otherwise).
     Callers that never read matched_pairs pass pairs=False (see `select`)."""
-    if not isinstance(queries, LabeledSentence):
-        searched = _retrieve_blocks(queries, store, cfg, cfg.search_depth)
-        return select(queries, searched, store, cfg, pairs)
-    [entry] = retrieve([queries], store, cfg)
-    if isinstance(entry, RagnerError):
-        raise entry
-    return entry
+    searched = _retrieve_blocks(queries, store, cfg, cfg.search_depth)
+    return select(queries, searched, store, cfg, pairs)
 
 
 def retrieval_payload(query_text: str, examples: list[RetrievedExample]) -> dict:

@@ -65,9 +65,7 @@ def _check_unit_norm(matrix: np.ndarray) -> None:
         raise ValueError(f"index {fault}")
 
 
-def _check_queries(queries: np.ndarray, k: int, dim: int) -> np.ndarray:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def _check_queries(queries: np.ndarray, dim: int) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != dim:
         raise DimensionMismatch(f"query shape {queries.shape[1:]}, index dim {dim}")
@@ -137,7 +135,7 @@ class FlatIndex:
         BLAS call; records where the boolean `exclude` is set never return.
         `exclude` is one (n,) mask for every row or an (m, n) mask per row.
         The scores go into `out`, a C-contiguous (m, n) float64 matrix, if given."""
-        queries = _check_queries(queries, k, self.dim)
+        queries = _check_queries(queries, self.dim)
         scores = _scores(self.matrix, queries, out)
         if exclude is not None:
             np.copyto(scores, -np.inf, where=exclude)
@@ -190,10 +188,8 @@ class IvfIndex:
         """FlatIndex.search_batch over the `nprobe` clusters nearest to each
         row. Each probed cluster's contiguous slice is multiplied with only
         the rows that probe it; a record the row did not probe scores -inf."""
-        queries = _check_queries(queries, k, self.dim)
+        queries = _check_queries(queries, self.dim)
         nprobe = default_nprobe(self.nlist) if nprobe is None else nprobe
-        if not 1 <= nprobe <= self.nlist:
-            raise ValueError(f"nprobe must be in [1, {self.nlist}], got {nprobe}")
         m = queries.shape[0]
         probe = np.argsort(-_scores(self.centroids, queries), axis=1, kind="stable")
         probed = np.zeros((self.nlist, m), dtype=bool)

@@ -163,8 +163,10 @@ def test_word_level_contrast_fixture(tmp_path):
     )
     query = fixture_query()
 
-    word_ids = [ex.sentence_id for ex in retrieve(query, store, cfg)]
-    sent_ids = [ex.sentence_id for ex in retrieve(query, store, replace(cfg, mode="sentence-level"))]
+    [word] = retrieve([query], store, cfg)
+    [sent] = retrieve([query], store, replace(cfg, mode="sentence-level"))
+    word_ids = [ex.sentence_id for ex in word]
+    sent_ids = [ex.sentence_id for ex in sent]
     # word level surfaces the sentence sharing the entity word; sentence
     # level prefers the globally closer sentence embedding
     assert word_ids == [1, 0]
@@ -222,7 +224,7 @@ def test_pooling_equivalence(tmp_path):
             store = ExampleStore.build(
                 sentences, product_schema(), embedder, cfg, modes=("word-level",)
             )
-            got = retrieve(query, store, cfg)
+            [got] = retrieve([query], store, cfg)
             expected = _pooling_oracle(store, query, cfg)
             assert [ex.sentence_id for ex in got] == [sid for sid, _ in expected]
             for ex, (_, score_) in zip(got, expected):

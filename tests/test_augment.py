@@ -165,7 +165,7 @@ def build_corpus(tmp_path, n_finetune=10):
         store_sents + [fixture_query()] + finetune, tmp_path, dim=8, name="aug.jsonl"
     )
     store = ExampleStore.build(
-        store_sents, product_schema(), embedder, RetrieverConfig(k=2)
+        store_sents, product_schema(), embedder, RetrieverConfig(k=2), modes=("word-level",)
     )
     return store, finetune
 
@@ -339,13 +339,6 @@ def test_failed_sentences_are_skipped_and_reported(tmp_path):
     assert skipped[0][0] == 999
 
 
-def test_duplicate_sentence_ids_rejected(tmp_path):
-    store, finetune = build_corpus(tmp_path, n_finetune=2)
-    twin = [finetune[0], finetune[0]]
-    with pytest.raises(ValueError, match="unique"):
-        records_list(store, twin, AugmentConfig())
-
-
 def test_single_type_schema_rejected_for_dropout(tmp_path):
     schema = EntitySchema((EntityType("product", "a thing"),))
     sents = [
@@ -353,7 +346,7 @@ def test_single_type_schema_rejected_for_dropout(tmp_path):
         LabeledSentence(1, ["beta"], [EntitySpan("product", 0, 1, "beta")]),
     ]
     embedder = make_embedder(sents, tmp_path, dim=4)
-    store = ExampleStore.build(sents, schema, embedder, RetrieverConfig(k=1))
+    store = ExampleStore.build(sents, schema, embedder, RetrieverConfig(k=1), modes=("word-level",))
     with pytest.raises(SchemaTooSmall):
         records_list(store, [sents[0]], AugmentConfig(dropout_fraction=0.5))
     # without dropout the 1-type schema is fine

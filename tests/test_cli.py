@@ -490,6 +490,9 @@ def test_missing_config_file_fails(proj):
     ("prompt.template_id=nope", "UnknownTemplate", "unknown template id 'nope'"),
     ("prompt.template_file=nope.txt", "TemplateError", "cannot read template file nope.txt"),
     ("store.source_splits=3", "ConfigError", "[store] config: source_splits must be a list of"),
+    # a split named twice would put each of its sentences in the store twice, under one id
+    ("store.source_splits=[train, train]", "ConfigError",
+     "[store] config: source_splits must name no split twice, got ('train', 'train')"),
     ("store.modes=word-level", "ConfigError", "[store] config: modes must be a list of strings"),
     ("embedder.provider=bogus", "ConfigError", "[embedder] config: provider must be one of"),
     ("embedder.dimension=0", "ConfigError", "[embedder] config: dimension must be a positive"),
@@ -505,6 +508,8 @@ def test_missing_config_file_fails(proj):
     ("retriever.exclude_self=abc", "ConfigError",
      "[retriever] config: exclude_self must be true or false, got 'abc'"),
     ("retriever.k=true", "ConfigError", "[retriever] config: k must be an integer, got True"),
+    ("retriever.k=0", "ConfigError", "[retriever] config: k must be >= 1"),
+    ("retriever.per_word_k=0", "ConfigError", "[retriever] config: per_word_k must be >= 1"),
     ("generator.max_tokens=abc", "ConfigError", "[generator] config: max_tokens must be an integer"),
     ("generator.timeout=abc", "ConfigError", "[generator] config: timeout must be a number"),
     ("generator.mock_delay=abc", "ConfigError", "[generator] config: mock_delay must be a number"),
@@ -933,6 +938,56 @@ def test_index_removes_the_files_of_modes_it_no_longer_builds(tmp_path, first):
     assert index_files == {"word_index.bin", "word_index.sentence_ids.npy", "word_index.json"}
     manifest = json.loads((ns.out / "manifests" / "index.json").read_text(encoding="utf-8"))
     assert sorted(manifest["outputs"]) == sorted(str(p) for p in store.iterdir())
+
+
+class _EmbeddingHandler(BaseHTTPRequestHandler):
+    """An embedding service answering each text with the record the
+    project's embedding file holds for it."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        payload = json.dumps(encoding_record(body["text"].split(), DIM)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def embedding_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/embed"
+    server.shutdown()
+    thread.join()
+
+
+def test_an_index_that_writes_no_cache_removes_the_cache_of_an_earlier_one(tmp_path,
+                                                                           embedding_server):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, "index"])
+    store = ns.out / "store"
+    cache = {*CACHE_ARRAYS.values(), CACHE_TEXTS}
+    assert {p.name for p in store.glob("embeddings.*")} == cache
+    remote = ["-c", ns.cfg, "-S",
+              f"embedder={{provider: remote-service, endpoint: '{embedding_server}'}}"]
+    run([*remote, "index"])
+    meta = json.loads((store / "meta.json").read_text(encoding="utf-8"))
+    assert meta["indexes"] == {"word": "word_index.bin", "sentence": "sentence_index.bin"}
+    index_files = {f"{mode}_index.{part}" for mode in ("word", "sentence")
+                   for part in ("bin", "sentence_ids.npy", "json")}
+    assert {p.name for p in store.iterdir()} == {"sentences.jsonl", "schema.json", "meta.json",
+                                                 *index_files}
+    manifest = json.loads((ns.out / "manifests" / "index.json").read_text(encoding="utf-8"))
+    assert sorted(manifest["outputs"]) == sorted(str(p) for p in store.iterdir())
+    out = tmp_path / "retrieval.jsonl"
+    run([*remote, "retrieve", "--text", TEST[0].text, "--output", out])
+    assert len(read_jsonl(out)) == 1
 
 
 @pytest.fixture(scope="module")

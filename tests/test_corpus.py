@@ -339,7 +339,7 @@ def test_bio_corpus_that_is_not_utf8_is_a_format_error(tmp_path):
 def test_validate_rejects_bad_surface():
     s = LabeledSentence(0, ["New", "York"], [EntitySpan("location", 0, 2, "New Jersey")])
     with pytest.raises(ValueError):
-        s.validate()
+        s.validate(EntitySchema((EntityType("location", "places"),)))
 
 
 def test_validate_rejects_overlap():
@@ -349,4 +349,4 @@ def test_validate_rejects_overlap():
         [EntitySpan("x", 0, 2, "a b"), EntitySpan("x", 1, 3, "b c")],
     )
     with pytest.raises(ValueError):
-        s.validate()
+        s.validate(EntitySchema((EntityType("x", "a type"),)))

@@ -11,7 +11,7 @@ import pytest
 
 from ragner.config import GeneratorSpec, load_config
 from ragner.corpus import EntitySchema, EntityType, NerOutput
-from ragner.errors import ConfigError, GenerationTimeout, HttpError, MissingGold
+from ragner.errors import ConfigError, GenerationTimeout, HttpError
 from ragner.generation import (
     GenerationResult,
     GenerationTask,
@@ -89,12 +89,6 @@ def test_mock_gold_restricts_to_prompt_schema():
     assert result.completion_text == "{product:[lamp], time:[]}"
 
 
-def test_mock_gold_without_gold_raises():
-    task = GenerationTask(1, make_prompt(), None)
-    with pytest.raises(MissingGold):
-        generate(task, GeneratorSpec(backend="mock-gold"))
-
-
 def test_mock_echo_nearest_repeats_the_adjacent_example():
     examples = [
         ("far example", gold(product=["chair"])),
@@ -138,17 +132,19 @@ def test_batch_results_keep_task_order_under_random_delays():
     assert all(r.latency > 0 for r in results)
 
 
-def test_batch_isolates_per_task_failures():
+def test_batch_isolates_per_task_failures(completion_server):
+    _CompletionHandler.reject_text = "reject me"
     tasks = [
-        GenerationTask(0, make_prompt(query="a"), gold(product=["x"])),
-        GenerationTask(1, make_prompt(query="b"), None),  # will fail: no gold
-        GenerationTask(2, make_prompt(query="c"), gold(product=["y"])),
+        GenerationTask(0, make_prompt(query="a lamp"), None),
+        GenerationTask(1, make_prompt(query="reject me"), None),  # will fail: HTTP 400
+        GenerationTask(2, make_prompt(query="c"), None),
     ]
-    results = generate_batch(tasks, GeneratorSpec(backend="mock-gold"))
+    results = generate_batch(tasks, remote_spec(completion_server))
     assert [r.error is None for r in results] == [True, False, True]
-    assert "MissingGold" in results[1].error
+    assert "HttpError" in results[1].error
     assert results[1].completion_text == ""
-    assert results[0].completion_text == "{product:[x], time:[]}"
+    assert results[0].completion_text == "{product:[lamp], time:[]}"
+    assert results[2].completion_text == "{}"
 
 
 def test_fixed_mock_delay_shows_up_in_latency():
@@ -181,6 +177,7 @@ class _CompletionHandler(BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 502
     mode = "text"
+    reject_text: str | None = None  # a prompt holding it is refused, in any mode
     sleep = 0.0
     bodies: list[dict] = []
 
@@ -194,11 +191,12 @@ class _CompletionHandler(BaseHTTPRequestHandler):
             self.send_response(type(self).fail_status)
             self.end_headers()
             return
-        if type(self).mode == "reject":
+        prompt_text = body.get("prompt") or body["messages"][0]["content"]
+        rejected = type(self).reject_text
+        if type(self).mode == "reject" or (rejected and rejected in prompt_text):
             self.send_response(400)
             self.end_headers()
             return
-        prompt_text = body.get("prompt") or body["messages"][0]["content"]
         completion = "{product:[lamp], time:[]}" if "lamp" in prompt_text else "{}"
         if type(self).mode == "text":
             doc = {"text": completion}
@@ -227,6 +225,7 @@ def completion_server():
     _CompletionHandler.fail_first = 0
     _CompletionHandler.fail_status = 502
     _CompletionHandler.mode = "text"
+    _CompletionHandler.reject_text = None
     _CompletionHandler.sleep = 0.0
     _CompletionHandler.bodies = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CompletionHandler)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ragner.config import PromptConfig
 from ragner.corpus import EntitySchema, EntityType, NerOutput, gold_output
-from ragner.errors import NoDictionaryFound, SchemaMismatch
+from ragner.errors import NoDictionaryFound
 from ragner.promptkit import (
     DEFAULT_TASK_DESCRIPTION,
     DEFAULT_TEMPLATE_ID,
@@ -124,20 +124,6 @@ def test_build_prompt_ends_ready_for_completion():
     schema = product_schema()
     prompt = build_prompt(schema, [], "anything")
     assert prompt.rendered.endswith("Input: anything\nOutput: ")
-
-
-def test_build_prompt_rejects_mismatched_example_keys():
-    schema = product_schema()
-    bad = NerOutput({"product": ["x"]})  # missing "time"
-    with pytest.raises(SchemaMismatch):
-        build_prompt(schema, [("some text", bad)], "query")
-
-
-def test_build_prompt_rejects_reordered_example_keys():
-    schema = product_schema()
-    bad = NerOutput({"time": [], "product": []})
-    with pytest.raises(SchemaMismatch):
-        build_prompt(schema, [("some text", bad)], "query")
 
 
 def test_nearest_example_defaults_to_last():
@@ -285,11 +271,6 @@ def test_grounding_is_case_insensitive():
     )
     assert out.entries["product"] == ["LAMP"]
     assert out.dropped_ungrounded == 0
-
-
-def test_grounding_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        parse_output("{product:[], time:[]}", product_schema(), grounding="fuzzy")
 
 
 # --- render -> parse round trip ----------------------------------------------

@@ -86,7 +86,7 @@ def test_config_validation(kwargs):
 
 def test_word_level_ranks_entity_match_first(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
-    results = retrieve(fixture_query(), store, RetrieverConfig(k=2))
+    [results] = retrieve([fixture_query()], store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in results] == [1, 0]
     assert results[0].score == pytest.approx(1.0)
     assert results[1].score == pytest.approx(0.436, abs=1e-9)
@@ -95,7 +95,7 @@ def test_word_level_ranks_entity_match_first(tmp_path):
 def test_sentence_level_ranks_surface_match_first(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     cfg = RetrieverConfig(k=2, mode="sentence-level")
-    results = retrieve(fixture_query(), store, cfg)
+    [results] = retrieve([fixture_query()], store, cfg)
     assert [r.sentence_id for r in results] == [0, 1]
     assert results[0].score == pytest.approx(0.95, abs=1e-9)
     assert results[1].score == pytest.approx(0.5, abs=1e-9)
@@ -103,15 +103,15 @@ def test_sentence_level_ranks_surface_match_first(tmp_path):
 
 def test_retrieve_dispatches_on_mode(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
-    word = retrieve(fixture_query(), store, RetrieverConfig(k=2))
-    sent = retrieve(fixture_query(), store, RetrieverConfig(k=2, mode="sentence-level"))
+    [word] = retrieve([fixture_query()], store, RetrieverConfig(k=2))
+    [sent] = retrieve([fixture_query()], store, RetrieverConfig(k=2, mode="sentence-level"))
     assert [r.sentence_id for r in word] == [1, 0]
     assert [r.sentence_id for r in sent] == [0, 1]
 
 
 def test_matched_pairs_justify_the_ranking(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
-    results = retrieve(fixture_query(), store, RetrieverConfig(k=2))
+    [results] = retrieve([fixture_query()], store, RetrieverConfig(k=2))
     top = results[0]
     assert MatchedPair("macbook", "macbook", 1.0) in top.matched_pairs
     # best pair first, and every pair names a word the store sentence contains
@@ -141,7 +141,7 @@ def test_store_words_all_keeps_every_content_word(tmp_path):
 def test_self_match_is_excluded(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     query = store.sentences[1]  # "Show me a 15-inch macbook", id 1
-    results = retrieve(query, store, RetrieverConfig(k=2))
+    [results] = retrieve([query], store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in results] == [0]
 
 
@@ -149,7 +149,7 @@ def test_self_match_kept_when_disabled(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     query = store.sentences[1]
     cfg = RetrieverConfig(k=2, exclude_self=False)
-    results = retrieve(query, store, cfg)
+    [results] = retrieve([query], store, cfg)
     assert results[0].sentence_id == 1
     assert results[0].score == pytest.approx(1.0)
 
@@ -158,7 +158,7 @@ def test_sentence_level_self_exclusion(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
     query = store.sentences[0]
     cfg = RetrieverConfig(k=1, mode="sentence-level")
-    results = retrieve(query, store, cfg)
+    [results] = retrieve([query], store, cfg)
     assert [r.sentence_id for r in results] == [1]
 
 
@@ -174,8 +174,9 @@ def test_exact_ties_rank_by_ascending_sentence_id(tmp_path):
     ]
     query = LabeledSentence(50, ["alpha"], [])
     embedder = make_embedder(sents + [query], tmp_path, dim=4, word_vectors=shared)
-    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(k=2))
-    results = retrieve(query, store, RetrieverConfig(k=2))
+    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(k=2),
+                               modes=("word-level",))
+    [results] = retrieve([query], store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in results] == [3, 11]
     assert results[0].score == results[1].score == pytest.approx(1.0)
 
@@ -195,13 +196,14 @@ def test_sum_aggregator_rewards_multiple_matches(tmp_path):
     ]
     query = LabeledSentence(9, ["qa", "qb"], [])
     embedder = make_embedder(sents + [query], tmp_path, dim=4, word_vectors=vectors)
-    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig())
+    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(),
+                               modes=("word-level",))
 
-    by_max = retrieve(query, store, RetrieverConfig(k=2))
+    [by_max] = retrieve([query], store, RetrieverConfig(k=2))
     assert [r.sentence_id for r in by_max] == [1, 2]
     assert by_max[0].score == pytest.approx(0.9)
 
-    by_sum = retrieve(query, store, RetrieverConfig(k=2, aggregator="sum"))
+    [by_sum] = retrieve([query], store, RetrieverConfig(k=2, aggregator="sum"))
     assert [r.sentence_id for r in by_sum] == [2, 1]
     assert by_sum[0].score == pytest.approx(1.2)
 
@@ -255,11 +257,11 @@ def test_pooling_matches_exhaustive_oracle(tmp_path, seed):
     query = query_over(rng)
     embedder = make_embedder(sents + [query], tmp_path, dim=16, name=f"emb{seed}.jsonl")
     cfg = RetrieverConfig(store_words="all")
-    store = ExampleStore.build(sents, product_schema(), embedder, cfg)
+    store = ExampleStore.build(sents, product_schema(), embedder, cfg, modes=("word-level",))
 
     for k in (1, 3, 5):
         run_cfg = RetrieverConfig(k=k, store_words="all")
-        got = retrieve(query, store, run_cfg)
+        [got] = retrieve([query], store, run_cfg)
         expected = oracle_word_level(sents, query, embedder, per_word_k=k, k=k)
         assert [(r.sentence_id) for r in got] == [sid for sid, _ in expected]
         for r, (_, score) in zip(got, expected):
@@ -272,9 +274,9 @@ def test_result_invariants_hold(tmp_path):
     query = query_over(rng, n=5)
     embedder = make_embedder(sents + [query], tmp_path, dim=16)
     store = ExampleStore.build(
-        sents, product_schema(), embedder, RetrieverConfig(store_words="all")
+        sents, product_schema(), embedder, RetrieverConfig(store_words="all"), modes=("word-level",)
     )
-    results = retrieve(query, store, RetrieverConfig(k=10, store_words="all"))
+    [results] = retrieve([query], store, RetrieverConfig(k=10, store_words="all"))
     ids = [r.sentence_id for r in results]
     assert len(ids) == len(set(ids)) == 10
     scores = [r.score for r in results]
@@ -338,7 +340,8 @@ def test_batched_word_level_equals_the_overfetch_reference(tmp_path, seed):
     build = [RetrieverConfig(store_words="all"),
              RetrieverConfig(store_words="all", index_kind="ivf", nlist=3, seed=seed)]
     for build_cfg in build:
-        store = ExampleStore.build(sents, product_schema(), embedder, build_cfg)
+        store = ExampleStore.build(sents, product_schema(), embedder, build_cfg,
+                                   modes=("word-level",))
         nprobe = 3 if build_cfg.index_kind == "ivf" else None
         for query in (sents[-1], sents[0], outside):
             for k, per_word_k, aggregator, exclude_self in (
@@ -349,7 +352,7 @@ def test_batched_word_level_equals_the_overfetch_reference(tmp_path, seed):
                                       exclude_self=exclude_self, store_words="all",
                                       index_kind=build_cfg.index_kind, nprobe=nprobe)
                 expected = overfetch_reference(query, store, cfg)
-                assert retrieve(query, store, cfg) == expected
+                assert retrieve([query], store, cfg) == [expected]
                 if exclude_self:
                     assert query.id not in [r.sentence_id for r in expected]
 
@@ -361,7 +364,7 @@ def test_word_level_searches_once_per_query_sentence(tmp_path, monkeypatch, inde
     query = query_over(rng, n=5)
     embedder = make_embedder(sents + [query], tmp_path, dim=16)
     build_cfg = RetrieverConfig(store_words="all", index_kind=index_kind, nlist=3)
-    store = ExampleStore.build(sents, product_schema(), embedder, build_cfg)
+    store = ExampleStore.build(sents, product_schema(), embedder, build_cfg, modes=("word-level",))
     cls = type(store.word_index)
     calls = []
     original = cls.search_batch
@@ -373,7 +376,7 @@ def test_word_level_searches_once_per_query_sentence(tmp_path, monkeypatch, inde
     monkeypatch.setattr(cls, "search_batch", spy)
     monkeypatch.setattr(cls, "search", lambda *a, **kw: pytest.fail("per-word search"))
     for target in (query, sents[0]):
-        retrieve(target, store, build_cfg)
+        retrieve([target], store, build_cfg)
     assert calls == [(5, 16), (len(sents[0].tokens), 16)]
 
 
@@ -438,7 +441,7 @@ def test_query_blocks_equal_one_query_at_a_time(tmp_path, monkeypatch, seed):
             rows = search_batch_rows(monkeypatch, store)
             got = retrieve(queries, store, cfg)
             assert len(rows) > 1
-            assert got == [retrieve(q, store, cfg) for q in queries]
+            assert got == [retrieve([q], store, cfg)[0] for q in queries]
             if exclude_self:
                 for q, examples in zip(queries, got):
                     assert q.id not in [ex.sentence_id for ex in examples]
@@ -461,27 +464,15 @@ def test_a_failed_query_fails_only_its_own_entry(tmp_path, mode):
         "word-level": (EmptyQueryAfterStopwords, MissingEntry, EmptyInput),
         "sentence-level": (None, MissingEntry, EmptyInput),
     }[mode]
-    assert [entries[i] for i in (0, 2, 4, 6)] == [retrieve(q, store, cfg) for q in good]
+    assert [entries[i] for i in (0, 2, 4, 6)] == [retrieve([q], store, cfg)[0] for q in good]
     for entry, query, error in zip(entries[1::2], queries[1::2], expected_errors):
         if error is None:  # stop words still have a sentence vector
-            assert entry == retrieve(query, store, cfg)
+            assert [entry] == retrieve([query], store, cfg)
             continue
         assert type(entry) is error
-        with pytest.raises(error):
-            retrieve(query, store, cfg)
-
-
-def test_store_problems_raise_for_the_whole_call(tmp_path):
-    store = build_fixture_store(tmp_path)
-    store.save(tmp_path / "store")
-    loaded = ExampleStore.load(tmp_path / "store")
-    with pytest.raises(EmptyStore, match="embedder"):
-        retrieve([fixture_query(), fixture_query()], loaded, RetrieverConfig())
-    only_words = ExampleStore.build(fixture_store_sentences(), product_schema(),
-                                    fixture_embedder(tmp_path), RetrieverConfig())
-    with pytest.raises(EmptyStore, match="sentence index"):
-        retrieve([fixture_query()], only_words, RetrieverConfig(mode="sentence-level"))
-    assert retrieve([], only_words, RetrieverConfig()) == []
+        [alone] = retrieve([query], store, cfg)
+        assert type(alone) is error
+    assert retrieve([], store, cfg) == []
 
 
 def test_block_rule_splits_by_score_budget_and_row_cap(tmp_path, monkeypatch):
@@ -521,7 +512,8 @@ def store_build_peak(tmp_path, index_kind: str) -> float:
     cfg = RetrieverConfig(store_words="all", index_kind=index_kind)
     tracemalloc.start()
     try:
-        store = ExampleStore.build(sentences, product_schema(), embedder, cfg)
+        store = ExampleStore.build(sentences, product_schema(), embedder, cfg,
+                                   modes=("word-level",))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -547,9 +539,10 @@ def test_all_stopword_query_raises(tmp_path):
     sents = fixture_store_sentences()
     query = LabeledSentence(7, ["the", "of", "and"], [])
     embedder = make_embedder(sents + [query], tmp_path, dim=8)
-    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig())
-    with pytest.raises(EmptyQueryAfterStopwords):
-        retrieve(query, store, RetrieverConfig())
+    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(),
+                               modes=("word-level",))
+    [entry] = retrieve([query], store, RetrieverConfig())
+    assert isinstance(entry, EmptyQueryAfterStopwords)
 
 
 def test_word_retrieval_without_word_index_raises(tmp_path):
@@ -561,8 +554,8 @@ def test_word_retrieval_without_word_index_raises(tmp_path):
         cfg,
         modes=("sentence-level",),
     )
-    with pytest.raises(EmptyStore):
-        retrieve(fixture_query(), store, RetrieverConfig())
+    with pytest.raises(ConfigError, match="needs the word-level index"):
+        store.require_index(RetrieverConfig())
 
 
 def test_sentence_retrieval_without_sentence_index_raises(tmp_path):
@@ -573,28 +566,24 @@ def test_sentence_retrieval_without_sentence_index_raises(tmp_path):
         RetrieverConfig(),
         modes=("word-level",),
     )
-    with pytest.raises(EmptyStore):
-        retrieve(fixture_query(), store, RetrieverConfig(mode="sentence-level"))
+    with pytest.raises(ConfigError, match="needs the sentence-level index"):
+        store.require_index(RetrieverConfig(mode="sentence-level"))
 
 
 def test_empty_store_rejected(tmp_path):
     with pytest.raises(EmptyStore):
         ExampleStore.build(
-            [], product_schema(), fixture_embedder(tmp_path), RetrieverConfig()
+            [], product_schema(), fixture_embedder(tmp_path), RetrieverConfig(),
+            modes=("word-level",),
         )
-
-
-def test_duplicate_sentence_ids_rejected():
-    s = LabeledSentence(1, ["a"], [])
-    with pytest.raises(ValueError, match="unique"):
-        ExampleStore([s, s], product_schema())
 
 
 def test_entity_only_store_with_no_spans_raises(tmp_path):
     sents = [LabeledSentence(0, ["alpha", "beta"], [])]
     embedder = make_embedder(sents, tmp_path, dim=4)
     with pytest.raises(EmptyStore, match="entity-only"):
-        ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig())
+        ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(),
+                           modes=("word-level",))
 
 
 # --- IVF-backed stores ------------------------------------------------------------------
@@ -607,14 +596,15 @@ def test_ivf_store_full_probe_matches_flat(tmp_path):
     embedder = make_embedder(sents + [query], tmp_path, dim=16)
 
     flat_store = ExampleStore.build(
-        sents, product_schema(), embedder, RetrieverConfig(store_words="all")
+        sents, product_schema(), embedder, RetrieverConfig(store_words="all"), modes=("word-level",)
     )
     ivf_cfg = RetrieverConfig(store_words="all", index_kind="ivf", nlist=4, seed=7)
-    ivf_store = ExampleStore.build(sents, product_schema(), embedder, ivf_cfg)
+    ivf_store = ExampleStore.build(sents, product_schema(), embedder, ivf_cfg,
+                                   modes=("word-level",))
 
-    flat_results = retrieve(query, flat_store, RetrieverConfig(k=5, store_words="all"))
-    ivf_results = retrieve(
-        query, ivf_store, RetrieverConfig(k=5, store_words="all", index_kind="ivf", nprobe=4)
+    [flat_results] = retrieve([query], flat_store, RetrieverConfig(k=5, store_words="all"))
+    [ivf_results] = retrieve(
+        [query], ivf_store, RetrieverConfig(k=5, store_words="all", index_kind="ivf", nprobe=4)
     )
     assert [(r.sentence_id, pytest.approx(r.score)) for r in flat_results] == [
         (r.sentence_id, r.score) for r in ivf_results
@@ -661,34 +651,27 @@ def test_store_save_load_round_trip(tmp_path):
     assert loaded.model_name == store.model_name
     assert loaded.store_words == "entity-only"
 
-    before = retrieve(fixture_query(), store, RetrieverConfig(k=2))
-    after = retrieve(fixture_query(), loaded, RetrieverConfig(k=2))
+    [before] = retrieve([fixture_query()], store, RetrieverConfig(k=2))
+    [after] = retrieve([fixture_query()], loaded, RetrieverConfig(k=2))
     assert before == after
     assert retrieve(
-        fixture_query(), loaded, RetrieverConfig(k=2, mode="sentence-level")
-    ) == retrieve(fixture_query(), store, RetrieverConfig(k=2, mode="sentence-level"))
-
-
-def test_loaded_store_without_embedder_cannot_embed_queries(tmp_path):
-    store = build_fixture_store(tmp_path)
-    store.save(tmp_path / "store")
-    loaded = ExampleStore.load(tmp_path / "store")
-    with pytest.raises(EmptyStore, match="embedder"):
-        retrieve(fixture_query(), loaded, RetrieverConfig())
+        [fixture_query()], loaded, RetrieverConfig(k=2, mode="sentence-level")
+    ) == retrieve([fixture_query()], store, RetrieverConfig(k=2, mode="sentence-level"))
 
 
 def test_load_rejects_non_store_directory(tmp_path):
     with pytest.raises(FormatError):
-        ExampleStore.load(tmp_path)
+        ExampleStore.load(tmp_path, fixture_embedder(tmp_path))
 
 
 @pytest.mark.parametrize("meta", [[], {"indexes": ["word_index.bin"]}, {"indexes": {"word": 3}},
                                   {"model_name": "m"}])
 def test_load_rejects_meta_of_the_wrong_shape(tmp_path, meta):
-    build_fixture_store(tmp_path).save(tmp_path / "store")
+    store = build_fixture_store(tmp_path)
+    store.save(tmp_path / "store")
     (tmp_path / "store" / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(FormatError, match=r"meta\.json: unreadable store: .*re-run `ragner index`"):
-        ExampleStore.load(tmp_path / "store")
+        ExampleStore.load(tmp_path / "store", store.embedder)
 
 
 # --- payload shape ------------------------------------------------------------------
@@ -696,7 +679,7 @@ def test_load_rejects_meta_of_the_wrong_shape(tmp_path, meta):
 
 def test_retrieval_payload_shape(tmp_path):
     store = build_fixture_store(tmp_path, k=2)
-    results = retrieve(fixture_query(), store, RetrieverConfig(k=2))
+    [results] = retrieve([fixture_query()], store, RetrieverConfig(k=2))
     payload = retrieval_payload(fixture_query().text, results)
     assert payload["query_text"] == "I want to buy a 13-inch macbook from store"
     assert [e["sentence_id"] for e in payload["examples"]] == [1, 0]

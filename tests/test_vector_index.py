@@ -157,12 +157,6 @@ def test_bad_query_dimension_rejected():
         index.search(np.array([1.0, 0.0, 0.0]), 1)
 
 
-def test_k_must_be_positive():
-    index = flat_from_matrix(np.array([[1.0, 0.0]]), [0])
-    with pytest.raises(ValueError):
-        index.search(np.array([1.0, 0.0]), 0)
-
-
 def test_nlist_out_of_range():
     rng = np.random.default_rng(6)
     matrix = unit_rows(rng, 5, 4)
@@ -170,16 +164,6 @@ def test_nlist_out_of_range():
         word_ivf(matrix, nlist=6)
     with pytest.raises(NlistTooLarge):
         word_ivf(matrix, nlist=0)
-
-
-def test_nprobe_out_of_range():
-    rng = np.random.default_rng(7)
-    matrix = unit_rows(rng, 16, 4)
-    index = word_ivf(matrix, nlist=4)
-    with pytest.raises(ValueError):
-        index.search(matrix[0], 1, nprobe=0)
-    with pytest.raises(ValueError):
-        index.search(matrix[0], 1, nprobe=5)
 
 
 # --- IVF correctness ------------------------------------------------------------
@@ -607,11 +591,6 @@ def test_search_batch_validates_its_arguments():
             index.search_batch(unit_rows(rng, 2, 3), 1)
         with pytest.raises(DimensionMismatch):
             index.search_batch(matrix[0], 1)  # one vector, not a batch
-        with pytest.raises(ValueError, match="k must be"):
-            index.search_batch(matrix[:2], 0)
-    for nprobe in (0, 5):
-        with pytest.raises(ValueError, match="nprobe"):
-            ivf.search_batch(matrix[:2], 1, nprobe=nprobe)
 
 
 

@@ -107,22 +107,35 @@ def ingest(cfg: RunConfig):
 @click.pass_obj
 @_handle_errors
 def index(cfg: RunConfig):
-    """Embed the store split and build the configured vector indexes."""
+    """Embed the store split and build the configured vector indexes, from
+    the embedding cache while the embedding file is unchanged."""
     from . import pipeline
     from .embedder import CACHE_FILES, PrecomputedEmbeddingProvider
 
     verify_upstream(cfg, "ingest")
     sentences = read_sentences_jsonl(cfg.paths.out_path("corpus", "store.jsonl"))
     schema = load_schema(cfg.paths.out_path("schema.json"))
-    embedder = pipeline.make_embedder(cfg)
-    store = pipeline.build_store(sentences, schema, embedder, cfg)
+    open_embedder, hashes = pipeline.embedder_opener(cfg), {}
+
+    def sha256(path, role):  # the digests indexed_store takes, the embedding file's among them
+        hashes[path] = files.sha256_file(path, role)
+        return hashes[path]
+
+    try:
+        indexed = pipeline.indexed_store(cfg, sha256, open_embedder)
+    except RagnerError as exc:  # a damaged cache is not current either: this run rewrites it
+        indexed = exc
+    store, _ = pipeline.current_store(cfg, sentences, schema, indexed, open_embedder)
     store_dir = cfg.paths.out_path("store")
     store.save(store_dir)
-    digests = {}
-    if isinstance(embedder.provider, PrecomputedEmbeddingProvider):
-        # later commands open this cache instead of parsing the file again
-        embedder.provider.save_cache(store_dir)
-        digests[str(Path(embedder.provider.path))] = embedder.provider.sha256
+    provider, digests = store.embedder.provider, {}
+    if isinstance(provider, PrecomputedEmbeddingProvider):
+        source = str(Path(cfg.embedder.precomputed_path))
+        if provider.sha256 is None:  # the cache, opened once the file hashed to its digest
+            digests[source] = hashes[source]
+        else:  # later commands open this cache instead of parsing the file again
+            provider.save_cache(store_dir)
+            digests[source] = provider.sha256
     else:  # an earlier build's cache, which no command reads for this store
         for name in CACHE_FILES:
             (store_dir / name).unlink(missing_ok=True)
@@ -131,8 +144,7 @@ def index(cfg: RunConfig):
     if cfg.embedder.stopwords_file:  # the store's word records depend on its content
         inputs.append(Path(cfg.embedder.stopwords_file))
     write_manifest(cfg, "index", inputs, outputs, input_digests=digests)
-    built = [m for m, attr in (("word", store.word_index), ("sentence", store.sentence_index))
-             if attr is not None]
+    built = [mode.removesuffix("-level") for mode in store.indexes]
     click.echo(f"indexed {len(sentences)} store sentences ({' + '.join(built)})")
 
 

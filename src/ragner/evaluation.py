@@ -1,5 +1,5 @@
 """Micro-F1 scoring of NerOutput predictions against gold, plus the
-ablation runner.
+ablation grid, cells and table.
 
 Matching is multiset-over-(type, normalized string): the generation format
 is string-valued, so positions are gone by the time predictions exist. A
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import files
 from .config import EvalConfig
@@ -266,7 +266,7 @@ def write_report_json(report: EvalReport, path, **context) -> None:
     files.write_json(path, report_to_dict(report, **context), indent=2, sort_keys=True)
 
 
-# --- ablation runner --------------------------------------------------------
+# --- ablation grid, cells and table ------------------------------------------
 
 @dataclass
 class AblationCell:
@@ -288,28 +288,6 @@ def expand_grid(axes: Mapping[str, Sequence]) -> list[dict]:
     cells: list[dict] = [{}]
     for name in sorted(axes):
         cells = [{**cell, name: value} for cell in cells for value in axes[name]]
-    return cells
-
-
-def run_ablation(
-    grid: Iterable[Mapping],
-    runner: Callable[[Mapping], tuple[EvalReport, dict | None]],
-) -> list[AblationCell]:
-    """Evaluate one pipeline run per grid cell.
-
-    `runner` maps a cell's axis overrides to (EvalReport, latency summary);
-    a raising cell is recorded as failed instead of aborting the sweep.
-    """
-    cells: list[AblationCell] = []
-    for axes in grid:
-        cell = AblationCell(axes=dict(axes))
-        try:
-            report, latency = runner(axes)
-            cell.report = report
-            cell.latency = latency
-        except Exception as exc:  # per-cell isolation, every cell must report
-            cell.error = f"{type(exc).__name__}: {exc}"
-        cells.append(cell)
     return cells
 
 

@@ -75,10 +75,11 @@ def indexed_store(cfg: RunConfig, sha256: Callable,
     still hashes by `sha256` to its digest.
 
     The query commands pass no `embedder` and do not hash the embedding
-    file: their embedder reads only the cache, itself a recorded output. An
-    ablation cell's `embedder` opens the cache in the directory it is given;
-    it is called only when the cell's embedding file is recorded and
-    current. A changed or missing cache file raises MissingArtifact.
+    file: their embedder reads only the cache, itself a recorded output.
+    The `embedder` of `index` and of an ablation cell opens the cache in the
+    directory it is given; it is called only when the embedding file is
+    recorded and current. A changed or missing cache file raises
+    MissingArtifact.
     """
     e, store_dir = cfg.embedder, cfg.paths.out_path("store")
     source = str(Path(e.precomputed_path)) if e.precomputed_path else None
@@ -114,18 +115,29 @@ def load_store(cfg: RunConfig) -> ExampleStore:
     return store
 
 
-def build_store(
-    sentences: list[LabeledSentence],
-    schema: EntitySchema,
-    embedder: Embedder,
-    cfg: RunConfig,
-) -> ExampleStore:
-    store = ExampleStore.build(
-        sentences, schema, embedder, cfg.retriever, modes=cfg.store.modes
-    )
+def embedder_opener(cfg: RunConfig, memo: _Memo | None = None, key=None) -> Callable:
+    """`open_embedder(store_dir=None)` for `indexed_store` and `current_store`:
+    its first call makes `cfg`'s embedder, from the cache in `store_dir`
+    when one is given, and `memo` holds it under `key` for every later call."""
+    memo = memo or _Memo()
+    return lambda store_dir=None: memo.get(key, lambda: make_embedder(cfg, store_dir))
+
+
+def current_store(cfg: RunConfig, sentences: list[LabeledSentence], schema: EntitySchema,
+                  indexed: ExampleStore | RagnerError,
+                  open_embedder: Callable) -> tuple[ExampleStore, str]:
+    """The store of `sentences` under `schema` for `cfg`, and how it came:
+    "loaded" when `indexed`, what `indexed_store` returned, is a store of
+    these sentences under this schema; else "built" by `open_embedder`'s
+    embedder, the cache if `indexed_store` opened it, else a parse."""
+    loaded = isinstance(indexed, ExampleStore)
+    if loaded and (indexed.sentences, indexed.schema) == (sentences, schema):
+        return indexed, "loaded"
+    store = ExampleStore.build(sentences, schema, open_embedder(), cfg.retriever,
+                               modes=cfg.store.modes)
     store.model_name = cfg.embedder.model_name
     store.build_key = cfg.store_build_key
-    return store
+    return store, "built"
 
 
 @dataclass
@@ -172,8 +184,9 @@ def predict_sentences(
     """retrieve (unless `retrieved`) -> prompt -> generate -> parse, per sentence.
     `parse` is `parse_output` or a cache of it.
 
-    Record-level failures (retrieval, generation, parsing) mark the row
-    failed and score as all-false-negative; they never abort the batch.
+    Record-level failures (retrieval, a span type outside the schema,
+    generation, parsing) mark the row failed and score as
+    all-false-negative; they never abort the batch.
     """
     schema = store.schema
     template = resolve_prompt(cfg.prompt)
@@ -188,12 +201,13 @@ def predict_sentences(
             if isinstance(examples, RagnerError):
                 raise examples
             prompt = build_prompt(schema, order_examples(examples, store), sentence.text, template)
+            gold = gold_output(sentence, schema)  # an --input span type outside the schema
         except RagnerError as exc:
             row.parse_failed = True
             row.error = f"{type(exc).__name__}: {exc}"
             continue
         row.prompt_hash = prompt_hash(prompt)
-        tasks.append(GenerationTask(sentence.id, prompt, gold_output(sentence, schema)))
+        tasks.append(GenerationTask(sentence.id, prompt, gold))
 
     results: list[GenerationResult] = generate_batch(tasks, cfg.generator)
     prompts_by_id = {t.query_id: t.prompt for t in tasks}
@@ -277,12 +291,10 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
 
     Every cell of a sweep gets the same `loads`, so that a cell reuses the
     splits, embedder and store of the cell before when its config allows.
-    A new store is the one `indexed_store` returns, if it holds the cell's
-    store split and schema; otherwise the cell builds its own, with the
-    embedder `indexed_store` opened or, when the embedding file was not
-    current, one that parses it. A cell whose store differs from the one
-    before in index settings alone rebuilds only the indexes. A cell selects
-    from the held store's search, made at the depth `loads.depths` gives.
+    A new store is `current_store`'s for the cell's store split and schema.
+    A cell whose store differs from the one before in index settings alone
+    rebuilds only the indexes. A cell selects from the held store's search,
+    made at the depth `loads.depths` gives.
     """
     from .evaluation import score_rows
 
@@ -294,17 +306,13 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
             raise ConfigError("ablation needs a corpus_test file")
         return splits, schema
 
-    def open_embedder(store_dir=None):
-        return loads.embedder.get(embedder_key, lambda: make_embedder(cfg, store_dir))
+    open_embedder = embedder_opener(cfg, loads.embedder, embedder_key)
 
     def new_store():
         splits, schema = inputs()
-        split = select_store_split(splits, cfg).store
-        store = indexed_store(cfg, loads.sha256, open_embedder)
-        if isinstance(store, RagnerError) or (store.sentences, store.schema) != (split, schema):
-            store = build_store(split, schema, open_embedder(), cfg)
-            telemetry["store"] = "built"
-        telemetry.setdefault("store", "loaded")
+        indexed = indexed_store(cfg, loads.sha256, open_embedder)
+        store, telemetry["store"] = current_store(cfg, select_store_split(splits, cfg).store,
+                                                  schema, indexed, open_embedder)
         return store, {}
 
     # the old store (and what only it holds) is released before a new one is built
@@ -334,7 +342,7 @@ def run_sweep(base: RunConfig, grid: list[dict]) -> list[AblationCell]:
     Cells run grouped by [paths], [embedder], store records and store, each
     group where its first cell stands. A look-ahead gives each search its
     deepest cell's depth, skipping cells that do not resolve (they fail alone)."""
-    from .evaluation import run_ablation
+    from .evaluation import AblationCell
 
     loads, ranks, groups = AblationLoads(), ({}, {}, {}, {}), []
     for axes in grid:
@@ -347,7 +355,9 @@ def run_sweep(base: RunConfig, grid: list[dict]) -> list[AblationCell]:
         loads.depths[keys[-1]] = max(loads.depths.get(keys[-1], 0), cfg.retriever.search_depth)
     cells: list = [None] * len(grid)
     for i in sorted(range(len(grid)), key=groups.__getitem__):
-        note: dict = {}
-        [cells[i]] = run_ablation([grid[i]], lambda axes: run_cell(base, dict(axes), loads, note))
-        cells[i].telemetry = note
+        cells[i] = cell = AblationCell(axes=dict(grid[i]))
+        try:
+            cell.report, cell.latency = run_cell(base, cell.axes, loads, cell.telemetry)
+        except Exception as exc:  # per-cell isolation, every cell must report
+            cell.error = f"{type(exc).__name__}: {exc}"
     return cells

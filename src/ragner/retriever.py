@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, get_args, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
@@ -110,7 +110,8 @@ def _build_index(matrix: np.ndarray, sentence_ids: list[int], words: list[str] |
 
 
 class ExampleStore:
-    """Labeled sentences plus the indexes retrieval searches.
+    """Labeled sentences plus the indexes retrieval searches, keyed by the
+    retriever mode that searches each, word-level first.
 
     The embedder is attached (not serialized) so the retrieve ops can
     embed incoming queries with the same model that built the store.
@@ -120,8 +121,7 @@ class ExampleStore:
         self,
         sentences: list[LabeledSentence],
         schema: EntitySchema,
-        word_index: Index | None = None,
-        sentence_index: Index | None = None,
+        indexes: dict[str, Index],
         store_words: str = "entity-only",
         model_name: str | None = None,
         embedder: Embedder | None = None,
@@ -130,8 +130,7 @@ class ExampleStore:
         self.sentences = list(sentences)
         self.by_id = {s.id: s for s in sentences}
         self.schema = schema
-        self.word_index = word_index
-        self.sentence_index = sentence_index
+        self.indexes = indexes
         self.store_words = store_words
         self.model_name = model_name
         self.embedder = embedder
@@ -153,18 +152,17 @@ class ExampleStore:
         """Embed the sentences and build the index for each requested mode."""
         if not sentences:
             raise EmptyStore("cannot build a store from zero sentences")
-        word_index = None
-        sentence_index = None
+        indexes = {}
         if "word-level" in modes:
-            word_index = _build_index(*_word_rows(sentences, embedder, cfg.store_words), cfg)
+            indexes["word-level"] = _build_index(
+                *_word_rows(sentences, embedder, cfg.store_words), cfg)
         if "sentence-level" in modes:
             embedder.embed_sentence(sentences[0])  # checks the vector width, as above
             matrix = np.empty((len(sentences), embedder.dimension))
             for row, sentence in enumerate(sentences):
                 matrix[row] = embedder.embed_sentence(sentence)
-            sentence_index = _build_index(matrix, [s.id for s in sentences], None, cfg)
-        return cls(sentences, schema, word_index, sentence_index, cfg.store_words,
-                   embedder=embedder)
+            indexes["sentence-level"] = _build_index(matrix, [s.id for s in sentences], None, cfg)
+        return cls(sentences, schema, indexes, cfg.store_words, embedder=embedder)
 
     def reindex(self, cfg: RetrieverConfig) -> "ExampleStore":
         """The same records under cfg's index settings, embedded no second
@@ -174,9 +172,8 @@ class ExampleStore:
                     else index.grouped[np.argsort(index.row_record_ids)])
             return _build_index(rows, index.sentence_ids, index.words, cfg)
 
-        indexes = [index if index is None else rebuild(index)
-                   for index in (self.word_index, self.sentence_index)]
-        store = ExampleStore(self.sentences, self.schema, *indexes, self.store_words,
+        indexes = {mode: rebuild(index) for mode, index in self.indexes.items()}
+        store = ExampleStore(self.sentences, self.schema, indexes, self.store_words,
                              self.model_name, self.embedder)
         store.prompt_examples = self.prompt_examples  # the same sentences and schema
         return store
@@ -184,13 +181,11 @@ class ExampleStore:
     def require_index(self, cfg: RetrieverConfig) -> None:
         """Refuse a mode whose index this store lacks, or an nprobe above the
         nlist of the mode's IVF index."""
-        modes = get_args(get_type_hints(RetrieverConfig)["mode"])
-        indexes = dict(zip(modes, (self.word_index, self.sentence_index)))
-        built = [m for m, i in indexes.items() if i is not None]
-        if cfg.mode not in built:
-            raise ConfigError(f"retriever.mode={cfg.mode} needs the {cfg.mode} index, but the store "
-                              f"was built with store.modes={built}; add it and re-run `ragner index`")
-        nlist = getattr(indexes[cfg.mode], "nlist", None)
+        if cfg.mode not in self.indexes:
+            raise ConfigError(f"retriever.mode={cfg.mode} needs the {cfg.mode} index, but the "
+                              f"store was built with store.modes={list(self.indexes)}; add it and "
+                              "re-run `ragner index`")
+        nlist = getattr(self.indexes[cfg.mode], "nlist", None)
         if cfg.nprobe is not None and nlist is not None and cfg.nprobe > nlist:
             raise ConfigError(f"retriever.nprobe={cfg.nprobe} must be in [1, {nlist}], the nlist "
                               "of the store's IVF index")
@@ -205,13 +200,13 @@ class ExampleStore:
             "build_key": self.build_key,
             "indexes": {},
         }
-        for name, index in (("word", self.word_index), ("sentence", self.sentence_index)):
-            if index is not None:
-                save_index(index, directory / f"{name}_index.bin")
-                meta["indexes"][name] = f"{name}_index.bin"
-            else:  # an earlier build's files of this mode, its IVF parts included
-                for stale in directory.glob(f"{name}_index.*"):
-                    stale.unlink()
+        for mode, index in self.indexes.items():
+            name = mode.removesuffix("-level")  # "word" or "sentence", in meta.json and file names
+            save_index(index, directory / f"{name}_index.bin")
+            meta["indexes"][name] = f"{name}_index.bin"
+        for stale in directory.glob("*_index.*"):  # an earlier build's, of a mode not built now
+            if stale.name.partition("_index.")[0] not in meta["indexes"]:
+                stale.unlink()
         files.write_json(directory / "meta.json", meta, indent=2)
 
     @classmethod
@@ -227,10 +222,9 @@ class ExampleStore:
             raise role.malformed(meta_path, "expected an object whose indexes map names to files")
         sentences = read_sentences_jsonl(directory / "sentences.jsonl")
         schema = load_schema(directory / "schema.json")
-        indexes = {name: load_index(directory / file) for name, file in indexes.items()}
-        return cls(sentences, schema, indexes.get("word"), indexes.get("sentence"),
-                   meta.get("store_words", "entity-only"), meta.get("model_name"), embedder,
-                   meta.get("build_key"))
+        indexes = {f"{name}-level": load_index(directory / file) for name, file in indexes.items()}
+        return cls(sentences, schema, indexes, meta.get("store_words", "entity-only"),
+                   meta.get("model_name"), embedder, meta.get("build_key"))
 
 
 def _pool_words(
@@ -293,7 +287,7 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
     scores, do not depend on the depth.
     """
     word_level = cfg.mode == "word-level"
-    index = store.word_index if word_level else store.sentence_index
+    index = store.indexes[cfg.mode]
     max_rows = min(len(index), _BLOCK_SCORES // len(index))
     scores = np.empty((max_rows, len(index)))  # every block's; a page is mapped when first used
     entries: list = [None] * len(queries)
@@ -328,7 +322,7 @@ def select(queries: Sequence[LabeledSentence], searched: list, store: ExampleSto
     row's hits are cut to d, then pooled (never the pooled sentences: one
     query word's hits can all come from one sentence). Without `pairs`,
     the examples hold no matched_pairs."""
-    index = store.word_index if cfg.mode == "word-level" else store.sentence_index
+    index = store.indexes[cfg.mode]
     depth, entries = cfg.search_depth, []
     for query, entry in zip(queries, searched):
         if not isinstance(entry, RagnerError):

@@ -1095,6 +1095,25 @@ def test_ablate_isolates_failing_cells(proj, tmp_path):
     assert "sideways" in bad["error"]
 
 
+def test_ablate_isolates_a_cell_that_raises_any_exception(proj, tmp_path, monkeypatch):
+    from ragner import pipeline
+
+    predict = pipeline.predict_sentences
+
+    def unlucky(sentences, store, cfg, *args):
+        if cfg.retriever.k == 2:
+            raise RuntimeError("unlucky")
+        return predict(sentences, store, cfg, *args)
+
+    monkeypatch.setattr(pipeline, "predict_sentences", unlucky)
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 2, 3]}})
+    result = run(["-c", proj.cfg, "ablate", "--grid", grid, "--output", tmp_path / "ablation.json"])
+    assert "failed: RuntimeError: unlucky" in result.output
+    cells = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert [c["error"] for c in cells] == [None, "RuntimeError: unlucky", None]
+    assert [c["report"] and c["report"]["micro"]["f1"] for c in cells] == [1.0, None, 1.0]
+
+
 def test_ablate_fails_a_cell_whose_mode_the_store_lacks(proj, tmp_path):
     grid = tmp_path / "grid.yaml"
     grid.write_text(
@@ -1746,8 +1765,9 @@ def test_ablate_fails_every_cell_on_a_damaged_cache(tmp_path, parses, damage, me
     assert parses == []
 
 
-def stop_word_project(root: Path):
-    """A project whose config sets a stop-word file, ingested and indexed."""
+def stop_word_project(root: Path, *options):
+    """A project whose config sets a stop-word file, ingested and indexed
+    (under the `-S` options given)."""
     ns = make_project(root)
     ns.stopwords = ns.data / "stopwords.txt"
     ns.stopwords.write_text("the\nat\ngamma\nphone\n", encoding="utf-8")
@@ -1755,7 +1775,7 @@ def stop_word_project(root: Path):
     doc["embedder"]["stopwords_file"] = str(ns.stopwords)
     Path(ns.cfg).write_text(yaml.safe_dump(doc), encoding="utf-8")
     run(["-c", ns.cfg, "ingest"])
-    run(["-c", ns.cfg, "index"])
+    run(["-c", ns.cfg, *options, "index"])
     return ns
 
 
@@ -1789,6 +1809,59 @@ def test_a_store_input_changed_after_index_asks_for_reindex(tmp_path, change, co
     err = json.loads(line)
     assert err["error"] == "MissingArtifact"
     assert str(changed) in err["message"] and "re-run `ragner index`" in err["message"]
+
+
+# --- a re-index opens the embedding cache when it is current ---------------------
+
+def _edit_the_embedding_file(ns):
+    jsonl = ns.data / "embeddings.jsonl"
+    jsonl.write_bytes(jsonl.read_bytes() + b"\n")
+
+
+def _flip_a_byte_of_the_cache(ns):
+    victim = ns.out / "store" / CACHE_ARRAYS["token_vectors"]
+    data = victim.read_bytes()
+    victim.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+
+
+def _delete_a_cache_file(ns):
+    (ns.out / "store" / CACHE_ARRAYS["token_vectors"]).unlink()
+
+
+def index_outputs(ns) -> dict[str, bytes]:
+    """The bytes of every file under store/ and of manifests/index.json."""
+    paths = [*(ns.out / "store").iterdir(), ns.out / "manifests" / "index.json"]
+    return {str(p.relative_to(ns.out)): p.read_bytes() for p in sorted(paths)}
+
+
+@pytest.mark.parametrize("index_kind", ["flat", "ivf"])
+@pytest.mark.parametrize("option, change, parsed", [
+    ("retriever.store_words=all", None, 0),
+    ("retriever.index_kind=other", None, 0),
+    (None, _edit_the_stop_words, 0),
+    (None, _edit_the_embedding_file, 1),
+    (None, _flip_a_byte_of_the_cache, 1),
+    (None, _delete_a_cache_file, 1),
+], ids=["store_words", "index_kind", "stop words edited", "embedding file edited",
+        "a cache byte flipped", "a cache file deleted"])
+def test_a_reindex_parses_only_a_changed_embedding_file_and_writes_what_a_fresh_index_does(
+        tmp_path, parses, index_kind, option, change, parsed):
+    kind = ("-S", f"retriever.index_kind={index_kind}")
+    ns = stop_word_project(tmp_path, *kind)
+    if change is not None:
+        change(ns)
+    other = {"flat": "ivf", "ivf": "flat"}[index_kind]
+    options = (*kind, "-S", option.replace("other", other)) if option else kind
+    parses.clear()
+    run(["-c", ns.cfg, *options, "index"])
+    assert len(parses) == parsed
+    reindexed = index_outputs(ns)
+    shutil.rmtree(ns.out)
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, *options, "index"])
+    fresh = index_outputs(ns)
+    assert reindexed.keys() == fresh.keys()
+    assert [name for name in fresh if reindexed[name] != fresh[name]] == []
 
 
 def count_hashes(monkeypatch) -> dict[str, int]:
@@ -1874,8 +1947,12 @@ def test_commands_import_only_what_they_use(tmp_path):
     ns = make_project(tmp_path)
     assert heavy_modules_loaded() == []
     assert heavy_modules_loaded("-c", ns.cfg, "ingest") == []
-    # only the command that parses the embedding file loads its parser
+    # only a command that parses the embedding file loads its parser
     assert heavy_modules_loaded("-c", ns.cfg, "index") == ["numpy", "orjson"]
+    # a re-index over a current cache opens it, under other build settings too
+    assert heavy_modules_loaded("-c", ns.cfg, "-S", "retriever.store_words=all", "index") == \
+        ["numpy"]
+    assert heavy_modules_loaded("-c", ns.cfg, "index") == ["numpy"]
     # mock generation over the embedding cache loads no HTTP machinery
     assert heavy_modules_loaded("-c", ns.cfg, "predict") == ["numpy"]
     assert heavy_modules_loaded("-c", ns.cfg, "evaluate") == []
@@ -1945,6 +2022,19 @@ def test_predict_fails_only_the_row_with_a_bad_reply(tmp_path):
     assert [r["text"] for r in failed] == [TEST[1].text]
     assert failed[0]["error"].startswith("HttpError") and "non-JSON" in failed[0]["error"]
     assert all(r["parsed"] is not None for r in rows if "error" not in r)
+
+
+def test_predict_fails_only_the_row_whose_span_type_is_outside_the_schema(proj, tmp_path):
+    queries = tmp_path / "queries.jsonl"
+    write_sentences_jsonl([_sent(100, TEST[0].text, ("gadget", 3, 5)),
+                           _sent(101, TEST[1].text, ("bogus", 4, 5))], queries)
+    out = tmp_path / "predictions.jsonl"
+    result = run(["-c", proj.cfg, "predict", "--input", queries, "--output", out])
+    assert "predicted 2 sentences (1 failures" in result.output
+    good, bad = read_jsonl(out)
+    assert "error" not in good and good["parsed"] == {"gadget": ["zeta gizmo"], "meeting time": []}
+    assert bad["error"].startswith("UnknownSpanType") and "'bogus'" in bad["error"]
+    assert bad["parse_failed"] and bad["parsed"] is None
 
 
 # --- what an ablation sweep shares -------------------------------------------

@@ -23,7 +23,6 @@ from ragner.evaluation import (
     format_report,
     normalize_surface,
     report_to_dict,
-    run_ablation,
     score,
     score_rows,
     to_multiset,
@@ -331,20 +330,6 @@ def test_expand_grid_is_sorted_cartesian():
         {"a": "y", "b": 2},
     ]
     assert expand_grid({}) == [{}]
-
-
-def test_run_ablation_isolates_failures():
-    def runner(axes):
-        if axes["k"] == 13:
-            raise RuntimeError("unlucky")
-        report = score([rec({"t": ["a"]}, {"t": ["a"] if axes["k"] > 1 else []})])
-        return report, {"median": 0.01}
-
-    cells = run_ablation(expand_grid({"k": [1, 13, 5]}), runner)
-    assert [c.ok for c in cells] == [True, False, True]
-    assert cells[1].error == "RuntimeError: unlucky"
-    assert cells[0].report.f1 == 0.0
-    assert cells[2].report.f1 == 1.0
 
 
 def test_format_ablation_table():

@@ -125,14 +125,15 @@ def test_matched_pairs_justify_the_ranking(tmp_path):
 
 def test_entity_only_store_keeps_span_words(tmp_path):
     store = build_fixture_store(tmp_path)
-    assert sorted(store.word_index.words) == ["15-inch", "macbook", "table"]
+    assert sorted(store.indexes["word-level"].words) == ["15-inch", "macbook", "table"]
 
 
 def test_store_words_all_keeps_every_content_word(tmp_path):
     store = build_fixture_store(tmp_path, store_words="all")
     # records run in sentence order, then word order
-    assert store.word_index.words == ["want", "buy", "table", "store", "Show", "15-inch", "macbook"]
-    assert store.word_index.sentence_ids.tolist() == [0, 0, 0, 0, 1, 1, 1]
+    index = store.indexes["word-level"]
+    assert index.words == ["want", "buy", "table", "store", "Show", "15-inch", "macbook"]
+    assert index.sentence_ids.tolist() == [0, 0, 0, 0, 1, 1, 1]
 
 
 # --- self-exclusion -----------------------------------------------------------------
@@ -299,7 +300,7 @@ def overfetch_reference(query, store, cfg):
     """Word-level retrieval as it was before batching: one index.search per
     query word, overfetched by the records the query's own sentence owns,
     then filtered."""
-    index = store.word_index
+    index = store.indexes["word-level"]
     per_word_k = cfg.effective_per_word_k
     owned = int(np.sum(index.sentence_ids == query.id)) if cfg.exclude_self else 0
     best, pairs, per_word_best = {}, {}, {}
@@ -365,7 +366,7 @@ def test_word_level_searches_once_per_query_sentence(tmp_path, monkeypatch, inde
     embedder = make_embedder(sents + [query], tmp_path, dim=16)
     build_cfg = RetrieverConfig(store_words="all", index_kind=index_kind, nlist=3)
     store = ExampleStore.build(sents, product_schema(), embedder, build_cfg, modes=("word-level",))
-    cls = type(store.word_index)
+    cls = type(store.indexes["word-level"])
     calls = []
     original = cls.search_batch
 
@@ -407,7 +408,7 @@ def exact_store(tmp_path, seed: int, name: str, extra: tuple[LabeledSentence, ..
 def search_batch_rows(monkeypatch, store) -> list[int]:
     """Spy on both indexes' search_batch: the row count of each call."""
     rows = []
-    for cls in {type(store.word_index), type(store.sentence_index)} - {type(None)}:
+    for cls in {type(index) for index in store.indexes.values()}:
         original = cls.search_batch
 
         def spy(self, queries, *args, _original=original, **kwargs):
@@ -486,7 +487,7 @@ def test_block_rule_splits_by_score_budget_and_row_cap(tmp_path, monkeypatch):
     embedder = make_embedder(sents + queries, tmp_path, dim=16, word_vectors=_EXACT_WORDS)
     store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(store_words="all"),
                                modes=("word-level", "sentence-level"))
-    assert len(store.word_index) == 20 and len(store.sentence_index) == 5
+    assert len(store.indexes["word-level"]) == 20 and len(store.indexes["sentence-level"]) == 5
     rows = search_batch_rows(monkeypatch, store)
 
     # the score budget: 6 rows of 20 scores; a 7-word query still gets a block
@@ -517,7 +518,7 @@ def store_build_peak(tmp_path, index_kind: str) -> float:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(store.word_index) == 4000
+    assert len(store.indexes["word-level"]) == 4000
     return peak / matrix_bytes
 
 
@@ -629,8 +630,8 @@ def test_reindex_builds_the_indexes_a_build_under_its_config_does(tmp_path, firs
     reindexed = held.reindex(cfg)
     built = ExampleStore.build(sents, product_schema(), embedder, cfg, modes=modes)
     assert reindexed.sentences == built.sentences and reindexed.embedder is embedder
-    for got, want in ((reindexed.word_index, built.word_index),
-                      (reindexed.sentence_index, built.sentence_index)):
+    assert reindexed.indexes.keys() == built.indexes.keys()
+    for got, want in zip(reindexed.indexes.values(), built.indexes.values()):
         assert got.kind == then and got.words == want.words
         arrays = index_arrays(want)
         assert index_arrays(got).keys() == arrays.keys()

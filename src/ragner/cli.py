@@ -35,7 +35,7 @@ from .corpus import (
     write_sentences_jsonl,
 )
 from .errors import AblationFailed, ConfigError, MissingArtifact, RagnerError
-from .manifest import verify_upstream, write_manifest
+from .manifest import Digests, verify_upstream, write_manifest
 
 # Each command imports the modules it runs in its body: ingest and evaluate
 # never load numpy, only evaluate and ablate load the scoring module, and a
@@ -51,22 +51,48 @@ def _write_telemetry(out_path: Path, doc: dict) -> None:
     files.write_json(_telemetry_path(out_path), doc, indent=2, sort_keys=True)
 
 
+def _fail(error: str, message: str):
+    click.echo(json.dumps({"error": error, "message": message}), err=True)
+    sys.exit(2)
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except RagnerError as exc:
-            click.echo(
-                json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                err=True,
-            )
-            sys.exit(2)
+            _fail(type(exc).__name__, str(exc))
 
     return wrapper
 
 
-@click.group()
+def _usage_errors(method):
+    """A `click.Group` method whose usage errors end as every other error
+    does; `ragner` alone still prints the help."""
+    @functools.wraps(method)
+    def wrapper(*args, **kwargs):
+        try:
+            return method(*args, **kwargs)
+        except click.exceptions.NoArgsIsHelpError:
+            raise
+        except click.UsageError as exc:
+            hint = f" See `{exc.ctx.command_path} --help`." if exc.ctx else ""
+            _fail("UsageError", exc.format_message() + hint)
+
+    return wrapper
+
+
+class _Commands(click.Group):
+    """The command group. A usage error arises while it parses its own
+    options (make_context) or chooses a command and parses its options
+    (invoke)."""
+
+    make_context = _usage_errors(click.Group.make_context)
+    invoke = _usage_errors(click.Group.invoke)
+
+
+@click.group(cls=_Commands)
 @click.option("--config", "-c", "config_path", type=click.Path(), default=None,
               help="YAML or JSON run configuration.")
 @click.option("--set", "-S", "overrides", multiple=True, metavar="KEY=VALUE",
@@ -95,7 +121,7 @@ def ingest(cfg: RunConfig):
 
     inputs = [Path(p) for p in (cfg.paths.corpus_train, cfg.paths.corpus_dev,
                                 cfg.paths.corpus_test, cfg.paths.schema) if p]
-    write_manifest(cfg, "ingest", inputs, outputs)
+    write_manifest(cfg, "ingest", inputs, outputs, files.sha256_file)
     counts = ", ".join(f"{name}={len(s)}" for name, s in splits.items())
     click.echo(
         f"ingested {counts}; store={len(split.store)} finetune={len(split.finetune)}; "
@@ -112,38 +138,41 @@ def index(cfg: RunConfig):
     from . import pipeline
     from .embedder import CACHE_FILES, PrecomputedEmbeddingProvider
 
-    verify_upstream(cfg, "ingest")
-    sentences = read_sentences_jsonl(cfg.paths.out_path("corpus", "store.jsonl"))
-    schema = load_schema(cfg.paths.out_path("schema.json"))
-    open_embedder, hashes = pipeline.embedder_opener(cfg), {}
-
-    def sha256(path, role):  # the digests indexed_store takes, the embedding file's among them
-        hashes[path] = files.sha256_file(path, role)
-        return hashes[path]
-
-    try:
-        indexed = pipeline.indexed_store(cfg, sha256, open_embedder)
-    except RagnerError as exc:  # a damaged cache is not current either: this run rewrites it
-        indexed = exc
-    store, _ = pipeline.current_store(cfg, sentences, schema, indexed, open_embedder)
-    store_dir = cfg.paths.out_path("store")
-    store.save(store_dir)
-    provider, digests = store.embedder.provider, {}
-    if isinstance(provider, PrecomputedEmbeddingProvider):
-        source = str(Path(cfg.embedder.precomputed_path))
-        if provider.sha256 is None:  # the cache, opened once the file hashed to its digest
-            digests[source] = hashes[source]
-        else:  # later commands open this cache instead of parsing the file again
-            provider.save_cache(store_dir)
-            digests[source] = provider.sha256
-    else:  # an earlier build's cache, which no command reads for this store
-        for name in CACHE_FILES:
-            (store_dir / name).unlink(missing_ok=True)
-    outputs = sorted(p for p in store_dir.iterdir() if p.is_file())
+    digests = Digests()  # each file read once: the outputs left as they were keep theirs
+    verify_upstream(cfg, "ingest", digests)
     inputs = [cfg.paths.out_path("corpus", "store.jsonl"), cfg.paths.out_path("schema.json")]
+    sentences = read_sentences_jsonl(inputs[0])
+    schema = load_schema(inputs[1])
+    store_dir = cfg.paths.out_path("store")
+    # a parse writes its cache here, which moves into the store only once the store is saved
+    with files.scratch_dir(store_dir.parent) as parse_dir:
+        open_embedder = pipeline.embedder_opener(cfg, parse_dir)
+        try:
+            indexed = pipeline.indexed_store(cfg, digests, open_embedder)
+        except RagnerError as exc:  # a damaged cache is not current either: this run rewrites it
+            indexed = exc
+        store, how = pipeline.current_store(cfg, sentences, schema, indexed, open_embedder)
+        written = []
+        if how == "built":  # a loaded store's files are the ones indexed_store hashed
+            store.save(store_dir)
+            written = [p for p in store_dir.iterdir() if p.name not in CACHE_FILES]
+        provider = store.embedder.provider
+        if isinstance(provider, PrecomputedEmbeddingProvider):
+            inputs.append(Path(cfg.embedder.precomputed_path))
+            if provider.sha256 is not None:  # parsed: later commands open this cache instead
+                for name in CACHE_FILES:
+                    written.append(store_dir / name)
+                    files.move(parse_dir / name, written[-1])
+                digests[str(inputs[-1])] = provider.sha256
+        else:  # an earlier build's cache, which no command reads for this store
+            for name in CACHE_FILES:
+                (store_dir / name).unlink(missing_ok=True)
+    for path in written:
+        digests.pop(str(path), None)
+    outputs = sorted(p for p in store_dir.iterdir() if p.is_file())
     if cfg.embedder.stopwords_file:  # the store's word records depend on its content
         inputs.append(Path(cfg.embedder.stopwords_file))
-    write_manifest(cfg, "index", inputs, outputs, input_digests=digests)
+    write_manifest(cfg, "index", inputs, outputs, digests)
     built = [mode.removesuffix("-level") for mode in store.indexes]
     click.echo(f"indexed {len(sentences)} store sentences ({' + '.join(built)})")
 
@@ -184,7 +213,8 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("retrieval.jsonl")
     files.check_writable(out_path)
-    store = pipeline.load_store(cfg)
+    digests = Digests()
+    store = pipeline.load_store(cfg, digests)
     queries = _read_queries(input_path, texts)
     entries = retrieve(queries, store, cfg.retriever)
     for entry in entries:
@@ -193,7 +223,8 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
     files.write_jsonl(out_path, (retrieval_payload(query.text, examples)
                                  for query, examples in zip(queries, entries)))
     inputs = [Path(input_path)] if input_path else []
-    write_manifest(cfg, "retrieve", inputs, [out_path])
+    digests.pop(str(out_path), None)
+    write_manifest(cfg, "retrieve", inputs, [out_path], digests)
     click.echo(f"retrieved examples for {len(queries)} queries -> {out_path}")
 
 
@@ -207,7 +238,8 @@ def augment(cfg: RunConfig, output_path):
     from .augment import build_finetune_dataset, write_finetune_jsonl
     from .promptkit import resolve_prompt
 
-    verify_upstream(cfg, "ingest")
+    digests = Digests()
+    verify_upstream(cfg, "ingest", digests)
     finetune_path = cfg.paths.out_path("corpus", "finetune_split.jsonl")
     finetune_sentences = read_sentences_jsonl(finetune_path)
     if not finetune_sentences:
@@ -216,14 +248,15 @@ def augment(cfg: RunConfig, output_path):
         )
     out_path = Path(output_path) if output_path else cfg.paths.out_path("finetune_dataset.jsonl")
     files.check_writable(out_path)
-    store = pipeline.load_store(cfg)
+    store = pipeline.load_store(cfg, digests)
     skipped: list[tuple[int, str]] = []
     records = build_finetune_dataset(
         finetune_sentences, store, cfg.augment, cfg.retriever, resolve_prompt(cfg.prompt),
         skipped=skipped,
     )
     count = write_finetune_jsonl(records, out_path)
-    write_manifest(cfg, "augment", [finetune_path], [out_path])
+    digests.pop(str(out_path), None)
+    write_manifest(cfg, "augment", [finetune_path], [out_path], digests)
     click.echo(f"wrote {count} finetune records -> {out_path} ({len(skipped)} skipped)")
 
 
@@ -239,7 +272,8 @@ def predict(cfg: RunConfig, input_path, output_path):
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("predictions.jsonl")
     files.check_writable(out_path, _telemetry_path(out_path))
-    store = pipeline.load_store(cfg)
+    digests = Digests()
+    store = pipeline.load_store(cfg, digests)
     in_path = Path(input_path) if input_path else cfg.paths.out_path("corpus", "test.jsonl")
     if not in_path.exists():
         raise MissingArtifact(f"no input sentences at {in_path}")
@@ -248,7 +282,8 @@ def predict(cfg: RunConfig, input_path, output_path):
     files.write_jsonl(out_path, (row.to_dict() for row in outcome.rows))
     failures = sum(row.error is not None for row in outcome.rows)
     _write_telemetry(out_path, {"latency": outcome.latency, "failures": failures})
-    write_manifest(cfg, "predict", [in_path], [out_path])
+    digests.pop(str(out_path), None)
+    write_manifest(cfg, "predict", [in_path], [out_path], digests)
     median = outcome.latency.get("median")
     timing = f", median latency {median:.4f}s" if median is not None else ""
     click.echo(f"predicted {len(outcome.rows)} sentences ({failures} failures{timing}) -> "
@@ -265,7 +300,8 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     """Score predictions against gold; writes report.json, prints a table."""
     from .evaluation import format_report, score_rows, write_report_json
 
-    verify_upstream(cfg, "predict")
+    digests = Digests()
+    verify_upstream(cfg, "predict", digests)
     pred_path = Path(predictions_path) if predictions_path else cfg.paths.out_path("predictions.jsonl")
     gold_file = Path(gold_path) if gold_path else cfg.paths.out_path("corpus", "test.jsonl")
     schema = load_schema(cfg.paths.out_path("schema.json"))
@@ -277,7 +313,8 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
                       template_id=cfg.prompt.template_id,
                       model_name=cfg.generator.model_name or cfg.generator.backend,
                       grounding=cfg.eval.grounding)
-    write_manifest(cfg, "evaluate", [pred_path, gold_file], [out_path])
+    digests.pop(str(out_path), None)
+    write_manifest(cfg, "evaluate", [pred_path, gold_file], [out_path], digests)
 
 
 def _grid_cells(grid_path: str) -> list[dict]:
@@ -318,14 +355,15 @@ def ablate(cfg: RunConfig, grid_path, output_path):
 
     out_path = Path(output_path) if output_path else cfg.paths.out_path("ablation.json")
     files.check_writable(out_path, _telemetry_path(out_path))
-    results = pipeline.run_sweep(cfg, _grid_cells(grid_path))
+    with files.scratch_dir(out_path.parent) as scratch:  # for a cell that has to parse
+        results = pipeline.run_sweep(cfg, _grid_cells(grid_path), scratch)
     click.echo(format_ablation(results))
     files.write_json(out_path,
                      ablation_to_dict(results, config_fingerprint=cfg.fingerprint, seed=cfg.seed),
                      indent=2, sort_keys=True)
     _write_telemetry(out_path, {"cells": [{"axes": c.axes, "latency": c.latency, **c.telemetry}
                                           for c in results]})
-    write_manifest(cfg, "ablate", [Path(grid_path)], [out_path])
+    write_manifest(cfg, "ablate", [Path(grid_path)], [out_path], files.sha256_file)
     if not any(cell.ok for cell in results):
         raise AblationFailed(f"no cell of {len(results)} succeeded; see {out_path}")
 

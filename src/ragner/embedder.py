@@ -10,11 +10,13 @@ deterministic offline runs.
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import struct
 from array import array
 from pathlib import Path
-from typing import NamedTuple, Protocol
+from typing import BinaryIO, NamedTuple, Protocol
 
 import numpy as np
 
@@ -75,8 +77,9 @@ class PrecomputedEmbeddingProvider:
     of token_vectors (float64, n_tokens x d) and token_spans (int64 start
     and end chars); its pooled vector is sentence_vectors[i]. Vectors may
     be stored non-normalized; normalization happens at the embedding-op
-    boundary. Built by `load_precomputed` (parses the JSON-lines file) or
-    `open_precomputed_cache` (memory-maps what `save_cache` wrote).
+    boundary. The arrays are the memory-mapped embedding cache, which
+    `load_precomputed` writes as it parses the JSON-lines file and
+    `open_precomputed_cache` opens again.
     """
 
     def __init__(
@@ -110,26 +113,24 @@ class PrecomputedEmbeddingProvider:
         lo, hi = self.token_offsets[row], self.token_offsets[row + 1]
         return Encoding(self.token_vectors[lo:hi], self.token_spans[lo:hi], self.sentence_vectors[row])
 
-    def save_cache(self, directory: str | Path) -> None:
-        """Write the arrays and texts into `directory`."""
-        directory = Path(directory)
-        for attr, name in CACHE_ARRAYS.items():
-            save_array(directory / name, getattr(self, attr))
-        files.write_json(directory / CACHE_TEXTS, self.texts, ensure_ascii=False)
-
 
 def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvider:
-    """Memory-map the embedding cache `save_cache` wrote into `directory`.
+    """Memory-map the embedding cache `load_precomputed` wrote into `directory`.
 
     Raises MissingArtifact when a cache file is absent and FormatError when
     one cannot be read or the arrays disagree.
     """
     directory = Path(directory)
-    what = "embedding cache"
-    role = files.store_role(directory / CACHE_TEXTS, what)
+    role = files.store_role(directory / CACHE_TEXTS, "embedding cache")
     texts = files.read_json(directory / CACHE_TEXTS, role)
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise role.malformed(directory / CACHE_TEXTS, "expected a JSON list of texts")
+    return _open_arrays(directory, texts)
+
+
+def _open_arrays(directory: Path, texts: list[str]) -> PrecomputedEmbeddingProvider:
+    """The provider of `texts` over the cache arrays in `directory`, memory-mapped."""
+    what = "embedding cache"
     path = {attr: directory / name for attr, name in CACHE_ARRAYS.items()}
     token_vectors = open_array(path["token_vectors"], np.float64, (None, None), what)
     n_tokens, dim = token_vectors.shape
@@ -145,12 +146,11 @@ def open_precomputed_cache(directory: str | Path) -> PrecomputedEmbeddingProvide
 def _record_arrays(doc: dict, text: str, source: str) -> Encoding:
     """The arrays of one record in the file schema, which the remote service
     answers in, for `text`."""
-    vectors, spans, sentence_vector = array("d"), array("q"), array("d")
-    n_tokens = _append_record(doc, text, source, vectors, spans, sentence_vector)
+    block, spans, sentence_vector = _record(doc, text, source)
     return Encoding(
-        np.frombuffer(vectors, dtype=np.float64).reshape(n_tokens, len(sentence_vector)),
-        np.frombuffer(spans, dtype=np.int64).reshape(n_tokens, 2),
-        np.frombuffer(sentence_vector, dtype=np.float64),
+        np.frombuffer(block, dtype=np.float64).reshape(len(spans) // 2, len(sentence_vector)),
+        np.frombuffer(spans, dtype=np.int64).reshape(-1, 2),
+        sentence_vector,
     )
 
 
@@ -163,18 +163,18 @@ def _flat_vector(values, dim: int | None) -> np.ndarray:
     return vector
 
 
-def _append_record(
-    doc: dict, text: str, source: str, vectors: array, spans: array, sentence_vectors: array,
-    dim: int | None = None,
-) -> int:
-    """Append one record's vectors and spans to growing buffers; returns its
-    token count. The sentence vector must have `dim` entries when `dim` is
-    given, and every token vector as many as the sentence vector. A token's
-    span must be two JSON integers with 0 <= start_char <= end_char <=
-    len(text); (0, 0), which tokenizers give special tokens, covers no word.
-    Token vectors are packed by struct and checked finite once per record,
-    with the messages, and the first fault, of `_flat_vector` per vector."""
+def _record(doc: dict, text: str, source: str,
+            dim: int | None = None) -> tuple[bytes, array, np.ndarray]:
+    """One record's token vectors (packed float64 rows), token spans (start
+    and end chars in turn) and sentence vector. The sentence vector must
+    have `dim` entries when `dim` is given, and every token vector as many
+    as the sentence vector. A token's span must be two JSON integers with
+    0 <= start_char <= end_char <= len(text); (0, 0), which tokenizers give
+    special tokens, covers no word. Token vectors are packed by struct and
+    checked finite once per record, with the messages, and the first fault,
+    of `_flat_vector` per vector."""
     packed: list[bytes] = []
+    spans = array("q")
     try:
         tokens = doc["tokens"]
         sentence_vector = _flat_vector(doc["sentence_vector"], dim)
@@ -195,13 +195,42 @@ def _append_record(
             spans.extend((start, end))
         block = b"".join(packed)
         _flat_vector(np.frombuffer(block), None)
-        vectors.frombytes(block)
-        sentence_vectors.frombytes(sentence_vector.tobytes())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # a non-finite entry of an earlier token is the first fault
         fault = exc if np.isfinite(np.frombuffer(b"".join(packed))).all() else _NOT_FINITE
         raise FormatError(f"{source}: bad embedding record: {fault}") from exc
-    return len(tokens)
+    return block, spans, sentence_vector
+
+
+def _npy_header(dtype, shape: tuple[int, ...]) -> bytes:
+    """The .npy header `np.save` writes for a C-ordered array of `shape`."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False, "shape": shape})
+    return header.getvalue()
+
+
+# the cache files written record by record, with their dtypes
+_STREAMED = {"token_vectors": np.float64, "token_spans": np.int64,
+             "sentence_vectors": np.float64}
+_COPY_CHUNK = 1 << 20
+
+
+def _keep_rows(fh: BinaryIO, start: int, row_bytes: int, runs: list[tuple[int, int]]) -> None:
+    """Move the row ranges `runs`, [lo, hi) in ascending order, of the rows
+    that begin at byte `start` of `fh` to the front of those rows, and cut
+    the file after them. A range moves towards the start of the file, so a
+    chunk is read before any write can reach it."""
+    end = start
+    for lo, hi in runs:
+        source, size = start + lo * row_bytes, (hi - lo) * row_bytes
+        for done in range(0, size, _COPY_CHUNK):
+            fh.seek(source + done)
+            chunk = fh.read(min(_COPY_CHUNK, size - done))
+            fh.seek(end)
+            end += fh.write(chunk)
+    fh.truncate(end)
 
 
 # orjson recurses on the C stack with no depth limit and overflows it on a
@@ -211,13 +240,17 @@ def _append_record(
 _MAX_OPENERS = 4096
 
 
-def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
-    """Parse a precomputed embedding file; raises FormatError on bad records.
+def load_precomputed(path: str | Path, directory: str | Path) -> PrecomputedEmbeddingProvider:
+    """Parse a precomputed embedding file into an embedding cache in
+    `directory` and memory-map it; raises FormatError on bad records.
 
     One record per line: {"text", "tokens": [{"text", "start_char",
-    "end_char", "vector"}, ...], "sentence_vector"}. When a text appears on
-    several lines, the last one wins. The provider's sha256 is the digest of
-    the bytes parsed, so the file is read once.
+    "end_char", "vector"}, ...], "sentence_vector"}. Each record's rows are
+    written to the cache files once it passes its checks, so one record is
+    held at a time. When a text appears on several lines, the last one wins:
+    the rows of the earlier lines are cut from the files at the end. The
+    provider's sha256 is the digest of the bytes parsed, so the file is read
+    once.
     """
     import orjson  # here, so that commands which open the cache never load it
 
@@ -227,45 +260,58 @@ def load_precomputed(path: str | Path) -> PrecomputedEmbeddingProvider:
         deep = np.count_nonzero((codes | 0x20) == 0x7B) > _MAX_OPENERS
         return json.loads(line) if deep else orjson.loads(line)
 
+    directory = Path(directory)
     digest = hashlib.sha256()
     texts: list[str] = []
     offsets = [0]
-    # growing C buffers: their reallocation does not hold two full copies
-    vectors, spans, sentence_vectors = array("d"), array("q"), array("d")
     dim = None
-    for where, doc in files.read_jsonl(path, loads, digest):
-        if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
-            raise FormatError(f"{where}: record missing 'text'")
-        text = doc["text"]
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate escape, which json lets through
-            raise FormatError(f"{where}: text is not valid Unicode: {exc}") from exc
-        n_tokens = _append_record(doc, text, where, vectors, spans, sentence_vectors, dim)
-        if dim is None:  # the first record fixes it for the file
-            dim = len(sentence_vectors)
-        texts.append(text)
-        offsets.append(offsets[-1] + n_tokens)
+    with files.created([directory / CACHE_ARRAYS[attr] for attr in _STREAMED]) as streams:
+        vectors, spans, sentence_vectors = streams
+        # each header is rewritten in place once the shape is known: np.save pads the
+        # header of every 2-D shape to the same length
+        for fh, dtype in zip(streams, _STREAMED.values()):
+            start = fh.write(_npy_header(dtype, (0, 0)))
+        for where, doc in files.read_jsonl(path, loads, digest):
+            if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
+                raise FormatError(f"{where}: record missing 'text'")
+            text = doc["text"]
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate escape, which json lets through
+                raise FormatError(f"{where}: text is not valid Unicode: {exc}") from exc
+            block, token_spans, sentence_vector = _record(doc, text, where, dim)
+            vectors.write(block)
+            spans.write(token_spans.tobytes())
+            sentence_vectors.write(sentence_vector.tobytes())
+            if dim is None:  # the first record fixes it for the file
+                dim = len(sentence_vector)
+            texts.append(text)
+            offsets.append(offsets[-1] + len(token_spans) // 2)
 
-    dim = dim or 0
-    token_vectors = np.frombuffer(vectors, dtype=np.float64).reshape(offsets[-1], dim)
-    token_spans = np.frombuffer(spans, dtype=np.int64).reshape(offsets[-1], 2)
-    token_offsets = np.array(offsets, dtype=np.int64)
-    sentence_matrix = np.frombuffer(sentence_vectors, dtype=np.float64).reshape(len(texts), dim)
-    last = {text: i for i, text in enumerate(texts)}
-    if len(last) < len(texts):
-        keep = np.zeros(len(texts), dtype=bool)
-        keep[list(last.values())] = True
-        counts = np.diff(token_offsets)
-        token_vectors = token_vectors[np.repeat(keep, counts)]
-        token_spans = token_spans[np.repeat(keep, counts)]
-        token_offsets = np.concatenate(([0], np.cumsum(counts[keep]))).astype(np.int64)
-        sentence_matrix = sentence_matrix[keep]
-        texts = [text for text, kept in zip(texts, keep) if kept]
-    return PrecomputedEmbeddingProvider(
-        texts, token_vectors, token_spans, token_offsets, sentence_matrix,
-        path=str(path), sha256=digest.hexdigest(),
-    )
+        dim = dim or 0
+        last = {text: i for i, text in enumerate(texts)}
+        if len(last) < len(texts):
+            keep = sorted(last.values())
+            token_runs = [(offsets[i], offsets[i + 1]) for i in keep]
+            _keep_rows(vectors, start, dim * 8, token_runs)
+            _keep_rows(spans, start, 16, token_runs)
+            _keep_rows(sentence_vectors, start, dim * 8, [(i, i + 1) for i in keep])
+            texts = [texts[i] for i in keep]
+            offsets = [0, *itertools.accumulate(hi - lo for lo, hi in token_runs)]
+        shapes = {"token_vectors": (offsets[-1], dim), "token_spans": (offsets[-1], 2),
+                  "sentence_vectors": (len(texts), dim)}
+        for (attr, dtype), fh in zip(_STREAMED.items(), streams):
+            header = _npy_header(dtype, shapes[attr])
+            if len(header) != start:
+                raise FormatError(f"{path}: the .npy header of shape {shapes[attr]} is longer "
+                                  "than the one written first")
+            fh.seek(0)
+            fh.write(header)
+    save_array(directory / CACHE_ARRAYS["token_offsets"], np.array(offsets, dtype=np.int64))
+    files.write_json(directory / CACHE_TEXTS, texts, ensure_ascii=False)
+    provider = _open_arrays(directory, texts)
+    provider.path, provider.sha256 = str(path), digest.hexdigest()
+    return provider
 
 
 class RemoteEmbeddingProvider:

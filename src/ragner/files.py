@@ -11,10 +11,11 @@ ConfigError for a path it cannot write, which `--output` or
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 from .errors import ConfigError, FormatError, MissingArtifact, RagnerError
 
@@ -167,3 +168,40 @@ def replace(path: Path, write: Callable) -> None:
     """write(fh) into a new binary file that then replaces `path`, so that a
     reader that mapped the old file keeps it intact."""
     _write(path.with_name(path.name + ".tmp"), "wb", write, rename_to=path)
+
+
+@contextlib.contextmanager
+def created(paths: list[Path]) -> Iterator[list[BinaryIO]]:
+    """New binary files at `paths`, open for reading and writing until the
+    block ends; an OSError raised in the block is the writers' ConfigError."""
+    try:
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            yield [stack.enter_context(open(path, "w+b")) for path in paths]
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or paths[0].parent}: "
+                          f"{exc.strerror or exc}") from exc
+
+
+def move(path: Path, target: Path) -> None:
+    """Rename `path` to `target`, replacing it: a reader that mapped the old
+    file keeps it intact."""
+    try:
+        path.replace(target)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
+def scratch_dir(parent: Path) -> Iterator[Path]:
+    """A new empty directory `.ragner-*` in `parent`, removed with everything
+    in it when the block ends."""
+    import tempfile  # here: only index and ablate need it, and it costs every command's start
+
+    try:
+        scratch = tempfile.TemporaryDirectory(prefix=".ragner-", dir=parent)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {parent}: {exc.strerror or exc}") from exc
+    with scratch as name:
+        yield Path(name)

@@ -19,21 +19,28 @@ def manifest_path(cfg: RunConfig, command: str) -> Path:
     return cfg.paths.out_path("manifests", f"{command}.json")
 
 
-def write_manifest(
-    cfg: RunConfig,
-    command: str,
-    inputs: list[Path],
-    outputs: list[Path],
-    input_digests: dict[str, str] | None = None,
-) -> None:
-    """`input_digests` records inputs already hashed while they were read."""
+class Digests(dict):
+    """The sha256 of each file one command has hashed, by path. Called as
+    `files.sha256_file` is, it hashes a file the first time only, so a
+    command that hashes through one `Digests` reads each file once for it;
+    the command drops the entry of a file it writes after hashing it."""
+
+    def __call__(self, path, role: files.Role = files.Role()) -> str:
+        key = str(path)
+        if key not in self:
+            self[key] = files.sha256_file(path, role)
+        return self[key]
+
+
+def write_manifest(cfg: RunConfig, command: str, inputs: list[Path], outputs: list[Path],
+                   sha256: Callable) -> None:
+    """Record the digest by `sha256` of every input and output."""
     doc = {
         "command": command,
         "config_fingerprint": cfg.fingerprint,
         "seed": cfg.seed,
-        "inputs": {**{str(p): files.sha256_file(p) for p in sorted(inputs)},
-                   **(input_digests or {})},
-        "outputs": {str(p): files.sha256_file(p) for p in sorted(outputs)},
+        "inputs": {str(p): sha256(p) for p in sorted(inputs)},
+        "outputs": {str(p): sha256(p) for p in sorted(outputs)},
     }
     files.write_json(manifest_path(cfg, command), doc, indent=2, sort_keys=True)
 
@@ -70,6 +77,7 @@ def check_digests(recorded: dict[str, str | None], command: str, sha256: Callabl
                                   f"{rerun}")
 
 
-def verify_upstream(cfg: RunConfig, command: str) -> None:
-    """Check that `command`'s recorded outputs still exist and hash the same."""
-    check_digests(read_manifest(cfg, command)["outputs"], command, files.sha256_file)
+def verify_upstream(cfg: RunConfig, command: str, sha256: Digests) -> None:
+    """Check that `command`'s recorded outputs still exist and hash by
+    `sha256` the same; `sha256` keeps their digests for the caller."""
+    check_digests(read_manifest(cfg, command)["outputs"], command, sha256)

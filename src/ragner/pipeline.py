@@ -33,7 +33,7 @@ from .generation import (
     prompt_hash,
 )
 from . import files
-from .manifest import check_digests, read_manifest
+from .manifest import Digests, check_digests, read_manifest
 from .promptkit import build_prompt, order_examples, parse_output, resolve_prompt
 from .retriever import ExampleStore, _retrieve_blocks, retrieve, select
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
@@ -42,12 +42,13 @@ if TYPE_CHECKING:  # only evaluate and ablate load the scoring module
     from .evaluation import AblationCell, EvalReport
 
 
-def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedder:
+def make_embedder(cfg: RunConfig, store_dir: Path | None,
+                  parse_dir: Path | None = None) -> Embedder:
     """Build the embedder named by the config's [embedder] section.
 
-    A precomputed-file embedder parses its JSON-lines file, unless
-    `store_dir` is given: it then opens the embedding cache `index` wrote
-    there and never reads the file.
+    A precomputed-file embedder opens the embedding cache `index` wrote in
+    `store_dir` and never reads its JSON-lines file; when `store_dir` is
+    None, it parses the file into a cache in `parse_dir`.
     """
     e = cfg.embedder
     stopwords = (
@@ -59,7 +60,7 @@ def make_embedder(cfg: RunConfig, store_dir: str | Path | None = None) -> Embedd
         if store_dir is not None:
             provider = open_precomputed_cache(store_dir)
         else:
-            provider = load_precomputed(e.precomputed_path)
+            provider = load_precomputed(e.precomputed_path, parse_dir)
     else:
         if not e.endpoint:
             raise ConfigError("embedder.provider=remote-service needs endpoint")
@@ -105,22 +106,25 @@ def indexed_store(cfg: RunConfig, sha256: Callable,
                        "retriever index config; re-run `ragner index` with this config")
 
 
-def load_store(cfg: RunConfig) -> ExampleStore:
-    """The indexed store for a query command; raises the reason when it is
-    not current."""
-    store = indexed_store(cfg, files.sha256_file)
+def load_store(cfg: RunConfig, sha256: Callable) -> ExampleStore:
+    """The indexed store for a query command, its files hashed by `sha256`;
+    raises the reason when it is not current."""
+    store = indexed_store(cfg, sha256)
     if isinstance(store, RagnerError):
         raise store
     store.require_index(cfg.retriever)
     return store
 
 
-def embedder_opener(cfg: RunConfig, memo: _Memo | None = None, key=None) -> Callable:
+def embedder_opener(cfg: RunConfig, parse_dir: Path, memo: _Memo | None = None,
+                    key=None) -> Callable:
     """`open_embedder(store_dir=None)` for `indexed_store` and `current_store`:
     its first call makes `cfg`'s embedder, from the cache in `store_dir`
-    when one is given, and `memo` holds it under `key` for every later call."""
+    when one is given, else by parsing the embedding file into `parse_dir`,
+    and `memo` holds it under `key` for every later call."""
     memo = memo or _Memo()
-    return lambda store_dir=None: memo.get(key, lambda: make_embedder(cfg, store_dir))
+    return lambda store_dir=None: memo.get(key,
+                                           lambda: make_embedder(cfg, store_dir, parse_dir))
 
 
 def current_store(cfg: RunConfig, sentences: list[LabeledSentence], schema: EntitySchema,
@@ -255,16 +259,19 @@ class AblationLoads:
     """What the cells of one sweep share, each keyed on the config it
     depends on: splits and schema on [paths]; the embedder on [paths] +
     [embedder]; the store with its searches (at `depths`) on [paths] + its
-    build key less the index settings. `sha256` hashes a file once per
-    sweep, so `indexed_store` hashes each file `index` recorded at most once.
-    `parse` parses each distinct (completion, schema, query text, grounding)
-    once per sweep: `parse_output` is a pure function of them."""
+    build key less the index settings. An embedder that parses its file
+    writes its cache under `scratch`, in a directory of its own, which
+    lasts the sweep. `sha256` hashes a file once per sweep, so
+    `indexed_store` hashes each file `index` recorded at most once. `parse`
+    parses each distinct (completion, schema, query text, grounding) once
+    per sweep: `parse_output` is a pure function of them."""
 
+    scratch: Path
     inputs: _Memo = field(default_factory=_Memo)
     embedder: _Memo = field(default_factory=_Memo)
     store: _Memo = field(default_factory=_Memo)
     depths: dict = field(default_factory=dict)
-    sha256: Callable = field(default_factory=lambda: functools.cache(files.sha256_file))
+    sha256: Callable = field(default_factory=Digests)
     parse: Callable = field(default_factory=lambda: functools.cache(parse_output))
 
 
@@ -306,7 +313,8 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
             raise ConfigError("ablation needs a corpus_test file")
         return splits, schema
 
-    open_embedder = embedder_opener(cfg, loads.embedder, embedder_key)
+    open_embedder = embedder_opener(cfg, loads.scratch.joinpath(*embedder_key), loads.embedder,
+                                    embedder_key)
 
     def new_store():
         splits, schema = inputs()
@@ -337,14 +345,15 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
     return report, outcome.latency
 
 
-def run_sweep(base: RunConfig, grid: list[dict]) -> list[AblationCell]:
+def run_sweep(base: RunConfig, grid: list[dict], scratch: Path) -> list[AblationCell]:
     """One ablation cell per entry of `grid`, in grid order, with its telemetry.
     Cells run grouped by [paths], [embedder], store records and store, each
     group where its first cell stands. A look-ahead gives each search its
-    deepest cell's depth, skipping cells that do not resolve (they fail alone)."""
+    deepest cell's depth, skipping cells that do not resolve (they fail alone).
+    A cell that parses an embedding file writes its cache under `scratch`."""
     from .evaluation import AblationCell
 
-    loads, ranks, groups = AblationLoads(), ({}, {}, {}, {}), []
+    loads, ranks, groups = AblationLoads(scratch), ({}, {}, {}, {}), []
     for axes in grid:
         try:
             cfg, keys = _cell_config(base, axes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -146,7 +147,7 @@ def make_embedder(
         sentences, tmp_path / name, dim,
         word_vectors=word_vectors, sentence_vectors=sentence_vectors,
     )
-    return Embedder(load_precomputed(path), dim)
+    return Embedder(load_precomputed(path, tempfile.mkdtemp(dir=tmp_path)), dim)
 
 
 # --- the engineered retrieval-contrast fixture ------------------------------

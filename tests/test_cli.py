@@ -19,6 +19,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -1457,7 +1458,7 @@ def test_cache_outputs_match_a_parsed_embedder(tmp_path, monkeypatch):
     hidden.rename(jsonl)
 
     monkeypatch.setattr(pipeline, "open_precomputed_cache",
-                        lambda store_dir: embedder_mod.load_precomputed(jsonl))
+                        lambda store_dir: embedder_mod.load_precomputed(jsonl, tmp_path / "parse"))
     for name, args in commands.items():
         run(["-c", ns.cfg, *args, "--output", tmp_path / f"parsed-{name}"])
         cached = (tmp_path / f"cached-{name}").read_bytes()
@@ -1562,9 +1563,9 @@ def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatc
     build = ExampleStore.build.__func__
     reindex = ExampleStore.reindex
 
-    def counting_parse(path):
+    def counting_parse(path, directory):
         calls["parse"] += 1
-        return parse(path)
+        return parse(path, directory)
 
     def counting_build(cls, *args, **kwargs):
         calls["build"] += 1
@@ -1597,9 +1598,9 @@ def parses(monkeypatch):
     calls = []
     parse = pipeline.load_precomputed
 
-    def counting_parse(path):
+    def counting_parse(path, directory):
         calls.append(path)
-        return parse(path)
+        return parse(path, directory)
 
     monkeypatch.setattr(pipeline, "load_precomputed", counting_parse)
     return calls
@@ -1890,10 +1891,9 @@ def test_a_query_command_hashes_each_indexed_file_once_but_not_the_embedding_fil
     jsonl = str(ns.data / "embeddings.jsonl")
     recorded = [*manifests["index"]["inputs"], *manifests["index"]["outputs"]]
     assert jsonl in recorded and str(ns.stopwords) in recorded
-    # augment also checks the ingest outputs it reads, store.jsonl and schema.json among them
-    upstream = manifests["ingest"]["outputs"] if command == ["augment"] else {}
+    # augment takes store.jsonl's and schema.json's digests from its check of the ingest outputs
     assert {path: counts.get(path, 0) for path in recorded} == \
-        {path: (path != jsonl) + (path in upstream) for path in recorded}
+        {path: int(path != jsonl) for path in recorded}
 
 
 def test_ablate_hashes_each_indexed_file_once_per_sweep(tmp_path, monkeypatch, parses):
@@ -1914,6 +1914,119 @@ def test_ablate_hashes_each_indexed_file_once_per_sweep(tmp_path, monkeypatch, p
     assert all(str(ns.out / "store" / name) in recorded for name in CACHE_FILES)
     assert {path: counts.get(path, 0) for path in recorded} == dict.fromkeys(recorded, 1)
     assert str(other) not in counts  # index recorded no digest for it
+
+
+def stamp(path: Path) -> tuple[int, int]:
+    """What changes when a file is written: its inode when replaced, else its mtime."""
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns
+
+
+def test_no_command_hashes_a_file_twice(tmp_path, monkeypatch):
+    ns = make_project(tmp_path)
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 3]}})
+    store_words = ("-S", "retriever.store_words=all")
+    chain = {
+        "ingest": ["ingest"],
+        "index, fresh": ["index"],
+        "index, the same config": ["index"],  # loads the store
+        "index, another store": [*store_words, "index"],  # builds from the cache
+        "index, the first store again": ["index"],
+        "index, an edited embedding file": ["index"],  # parses it
+        "retrieve": ["retrieve", "--input", ns.out / "corpus" / "test.jsonl"],
+        "augment": ["augment"],
+        "predict": ["predict"],
+        "evaluate": ["evaluate"],
+        "ablate": ["ablate", "--grid", grid],
+    }
+    twice = {}
+    for name, args in chain.items():
+        if name == "index, an edited embedding file":
+            _edit_the_embedding_file(ns)
+        stats = {str(p): stamp(p) for p in tmp_path.rglob("*") if p.is_file()}
+        counts = count_hashes(monkeypatch)
+        run(["-c", ns.cfg, *args])
+        monkeypatch.undo()
+        # a file the command wrote may be hashed once before and once after
+        twice[name] = sorted(path for path, count in counts.items()
+                             if count > 1 and stamp(Path(path)) == stats.get(path))
+    assert twice == dict.fromkeys(chain, [])
+
+
+def out_tree(ns) -> dict[str, bytes | None]:
+    """Every path under the project's output directory, with a file's bytes."""
+    return {str(p.relative_to(ns.out)): p.read_bytes() if p.is_file() else None
+            for p in sorted(ns.out.rglob("*"))}
+
+
+def _break_the_last_line(ns):
+    jsonl = ns.data / "embeddings.jsonl"
+    jsonl.write_bytes(jsonl.read_bytes() + b'{"text": "a line without tokens"}\n')
+
+
+def _uncover_a_store_word(ns):
+    """An embedding file that parses, whose tokens of the first store
+    sentence cover none of its words."""
+    [store_text] = [" ".join(json.loads(line)["tokens"]) for line in
+                    (ns.out / "corpus" / "store.jsonl").read_text("utf-8").splitlines()[:1]]
+    jsonl = ns.data / "embeddings.jsonl"
+    records = [json.loads(line) for line in jsonl.read_text("utf-8").splitlines()]
+    for token in next(r for r in records if r["text"] == store_text)["tokens"]:
+        token["start_char"] = token["end_char"] = 0
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+@pytest.mark.parametrize("index_kind", ["flat", "ivf"])
+@pytest.mark.parametrize("change, error", [(_break_the_last_line, "FormatError"),
+                                           (_uncover_a_store_word, "AlignmentGap")],
+                         ids=["the parse fails on the last line", "the build fails"])
+def test_a_failed_index_leaves_the_indexed_store_as_it_was(tmp_path, index_kind, change, error):
+    kind = ("-S", f"retriever.index_kind={index_kind}")
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, *kind, "index"])
+    before = out_tree(ns)
+    change(ns)
+    result = run(["-c", ns.cfg, *kind, "index"], expect=2)
+    assert error_payload(result)["error"] == error
+    assert out_tree(ns) == before  # no temporary file either
+
+
+def test_ablate_without_an_index_leaves_nothing_but_its_outputs(tmp_path, monkeypatch, parses):
+    ns = make_project(tmp_path)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    grid = write_grid(tmp_path / "grid.yaml",
+                      {"axes": {"retriever.mode": ["word-level", "sentence-level"]}})
+    before = set(tmp_path.rglob("*"))
+    run(["-c", ns.cfg, "ablate", "--grid", grid])
+    assert len(parses) == 1
+    outputs = ["ablation.json", "ablation_telemetry.json", "manifests", "manifests/ablate.json"]
+    assert sorted(set(tmp_path.rglob("*")) - before) == [ns.out, *(ns.out / p for p in outputs)]
+
+
+# --- usage errors ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args", [["--bogus"], ["predict", "--nope"], ["frob"], ["ablate"]],
+                         ids=["unknown option", "unknown command option", "unknown command",
+                              "missing --grid"])
+def test_a_usage_error_is_one_json_line(args):
+    result = run(args, expect=2)
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "UsageError"
+
+
+def test_help_is_unchanged_and_an_in_process_usage_error_exits_2(capsys):
+    assert run(["--help"]).stdout.startswith("Usage: ")
+    assert run(["predict", "--help"]).stdout.startswith("Usage: ")
+    with pytest.raises(SystemExit) as exc:
+        main.main(args=["frob"], prog_name="ragner", standalone_mode=False)
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "UsageError", "message": "No such command 'frob'. See `ragner --help`."}
 
 
 # --- what each command imports, and remote generation ---------------------------

@@ -63,7 +63,6 @@ class FinetuneRecord:
 
 
 def drop_entity_types(
-    sentence: LabeledSentence,
     gold: NerOutput,
     schema: EntitySchema,
     rng: random.Random,
@@ -149,9 +148,7 @@ def build_finetune_dataset(
         )
 
         if sentence.id in dropout_ids:
-            reduced_schema, reduced_gold, removed = drop_entity_types(
-                sentence, gold, base_schema, rng, cfg
-            )
+            reduced_schema, reduced_gold, removed = drop_entity_types(gold, base_schema, rng, cfg)
             yield _render_record(
                 sentence, reduced_schema, example_gold, reduced_gold,
                 transforms + ("dropout",), removed,
@@ -171,7 +168,8 @@ def _render_record(
 ) -> FinetuneRecord:
     # an example already keyed as `schema` is the store's own, rendered once per store
     examples = [ex if tuple(ex.output.entries) == schema.names
-                else (ex.input_text, ex.output.restricted_to(schema)) for ex in example_gold]
+                else PromptExample(ex.input_text, ex.output.restricted_to(schema))
+                for ex in example_gold]
     prompt = build_prompt(schema, examples, sentence.text, template)
     return FinetuneRecord(
         prompt=prompt.rendered,

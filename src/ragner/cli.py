@@ -56,20 +56,9 @@ def _fail(error: str, message: str):
     sys.exit(2)
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RagnerError as exc:
-            _fail(type(exc).__name__, str(exc))
-
-    return wrapper
-
-
-def _usage_errors(method):
-    """A `click.Group` method whose usage errors end as every other error
-    does; `ragner` alone still prints the help."""
+def _one_error_line(method):
+    """A `click.Group` method whose usage errors and RagnerErrors end as one
+    JSON line and exit 2; `ragner` alone still prints the help."""
     @functools.wraps(method)
     def wrapper(*args, **kwargs):
         try:
@@ -79,6 +68,8 @@ def _usage_errors(method):
         except click.UsageError as exc:
             hint = f" See `{exc.ctx.command_path} --help`." if exc.ctx else ""
             _fail("UsageError", exc.format_message() + hint)
+        except RagnerError as exc:
+            _fail(type(exc).__name__, str(exc))
 
     return wrapper
 
@@ -86,10 +77,11 @@ def _usage_errors(method):
 class _Commands(click.Group):
     """The command group. A usage error arises while it parses its own
     options (make_context) or chooses a command and parses its options
-    (invoke)."""
+    (invoke); every other error, while invoke runs the group's callback
+    and then the command's."""
 
-    make_context = _usage_errors(click.Group.make_context)
-    invoke = _usage_errors(click.Group.invoke)
+    make_context = _one_error_line(click.Group.make_context)
+    invoke = _one_error_line(click.Group.invoke)
 
 
 @click.group(cls=_Commands)
@@ -98,7 +90,6 @@ class _Commands(click.Group):
 @click.option("--set", "-S", "overrides", multiple=True, metavar="KEY=VALUE",
               help="Dotted config override, e.g. retriever.k=10.")
 @click.pass_context
-@_handle_errors
 def main(ctx, config_path, overrides):
     """Retrieval-augmented few-shot NER pipeline."""
     ctx.obj = load_config(config_path, list(overrides))
@@ -106,7 +97,6 @@ def main(ctx, config_path, overrides):
 
 @main.command()
 @click.pass_obj
-@_handle_errors
 def ingest(cfg: RunConfig):
     """Parse corpus + schema files and persist the store/finetune split."""
     splits, schema, warnings = load_corpus(cfg)
@@ -131,12 +121,11 @@ def ingest(cfg: RunConfig):
 
 @main.command()
 @click.pass_obj
-@_handle_errors
 def index(cfg: RunConfig):
     """Embed the store split and build the configured vector indexes, from
     the embedding cache while the embedding file is unchanged."""
     from . import pipeline
-    from .embedder import CACHE_FILES, PrecomputedEmbeddingProvider
+    from .embedder import CACHE_FILES
 
     digests = Digests()  # each file read once: the outputs left as they were keep theirs
     verify_upstream(cfg, "ingest", digests)
@@ -146,27 +135,19 @@ def index(cfg: RunConfig):
     store_dir = cfg.paths.out_path("store")
     # a parse writes its cache here, which moves into the store only once the store is saved
     with files.scratch_dir(store_dir.parent) as parse_dir:
-        open_embedder = pipeline.embedder_opener(cfg, parse_dir)
-        try:
-            indexed = pipeline.indexed_store(cfg, digests, open_embedder)
-        except RagnerError as exc:  # a damaged cache is not current either: this run rewrites it
-            indexed = exc
-        store, how = pipeline.current_store(cfg, sentences, schema, indexed, open_embedder)
+        store, how = pipeline.current_store(cfg, sentences, schema, digests, parse_dir)
         written = []
         if how == "built":  # a loaded store's files are the ones indexed_store hashed
             store.save(store_dir)
             written = [p for p in store_dir.iterdir() if p.name not in CACHE_FILES]
-        provider = store.embedder.provider
-        if isinstance(provider, PrecomputedEmbeddingProvider):
-            inputs.append(Path(cfg.embedder.precomputed_path))
-            if provider.sha256 is not None:  # parsed: later commands open this cache instead
-                for name in CACHE_FILES:
-                    written.append(store_dir / name)
-                    files.move(parse_dir / name, written[-1])
-                digests[str(inputs[-1])] = provider.sha256
-        else:  # an earlier build's cache, which no command reads for this store
-            for name in CACHE_FILES:
+        for name in CACHE_FILES:  # parsed: later commands open this cache instead
+            if (parse_dir / name).exists():
+                written.append(store_dir / name)
+                files.move(parse_dir / name, written[-1])
+            elif cfg.embedder.provider != "precomputed-file":  # no command reads it for this store
                 (store_dir / name).unlink(missing_ok=True)
+    if cfg.embedder.provider == "precomputed-file":
+        inputs.append(Path(cfg.embedder.precomputed_path))
     for path in written:
         digests.pop(str(path), None)
     outputs = sorted(p for p in store_dir.iterdir() if p.is_file())
@@ -205,7 +186,6 @@ def _read_queries(input_path: str | None, texts: tuple[str, ...]) -> list[Labele
 @click.option("--text", "texts", multiple=True, help="Ad-hoc query sentence.")
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.pass_obj
-@_handle_errors
 def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
     """Retrieve in-prompt examples for query sentences (JSON lines out)."""
     from . import pipeline
@@ -231,7 +211,6 @@ def retrieve_cmd(cfg: RunConfig, input_path, texts, output_path):
 @main.command()
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.pass_obj
-@_handle_errors
 def augment(cfg: RunConfig, output_path):
     """Generate the regularized finetune dataset from the finetune split."""
     from . import pipeline
@@ -265,7 +244,6 @@ def augment(cfg: RunConfig, output_path):
               help="Sentences to predict on; defaults to the ingested test split.")
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.pass_obj
-@_handle_errors
 def predict(cfg: RunConfig, input_path, output_path):
     """Retrieve, prompt, generate and parse for every input sentence."""
     from . import pipeline
@@ -295,7 +273,6 @@ def predict(cfg: RunConfig, input_path, output_path):
 @click.option("--gold", "gold_path", type=click.Path(), default=None)
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.pass_obj
-@_handle_errors
 def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     """Score predictions against gold; writes report.json, prints a table."""
     from .evaluation import format_report, score_rows, write_report_json
@@ -345,7 +322,6 @@ def _grid_cells(grid_path: str) -> list[dict]:
               help="YAML/JSON grid: {axes: {dotted.key: [values]}} or {cells: [...]}.")
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.pass_obj
-@_handle_errors
 def ablate(cfg: RunConfig, grid_path, output_path):
     """Run one end-to-end evaluation per grid cell, same seed everywhere.
 

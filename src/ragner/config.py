@@ -65,6 +65,10 @@ class RetrieverConfig:
             raise ValueError("per_word_k must be >= 1")
         if self.nprobe is not None and self.nprobe < 1:
             raise ValueError("nprobe must be >= 1")
+        if self.nlist is not None and self.nlist < 1:
+            raise ValueError(f"nlist must be >= 1, got {self.nlist}")
+        if self.kmeans_iters < 0:
+            raise ValueError(f"kmeans_iters must be >= 0, got {self.kmeans_iters}")
         if not -(2**63) <= self.seed < 2**63:
             raise ValueError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         if self.index_kind == "ivf" and self.seed < 0:
@@ -109,6 +113,8 @@ class GeneratorSpec:
             raise ValueError("temperature must be >= 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         _check_remote(self.timeout, self.max_retries)
         for name, value in (("mock_delay", self.mock_delay), ("mock_jitter", self.mock_jitter)):
             if value < 0:

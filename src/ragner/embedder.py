@@ -89,8 +89,6 @@ class PrecomputedEmbeddingProvider:
         token_spans: np.ndarray,
         token_offsets: np.ndarray,
         sentence_vectors: np.ndarray,
-        path: str | None = None,
-        sha256: str | None = None,
     ):
         self._rows = {text: i for i, text in enumerate(texts)}
         if len(self._rows) != len(texts):
@@ -100,8 +98,6 @@ class PrecomputedEmbeddingProvider:
         self.token_spans = token_spans
         self.token_offsets = token_offsets
         self.sentence_vectors = sentence_vectors
-        self.path = path
-        self.sha256 = sha256  # of the parsed file; None when opened from a cache
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -240,7 +236,8 @@ def _keep_rows(fh: BinaryIO, start: int, row_bytes: int, runs: list[tuple[int, i
 _MAX_OPENERS = 4096
 
 
-def load_precomputed(path: str | Path, directory: str | Path) -> PrecomputedEmbeddingProvider:
+def load_precomputed(path: str | Path, directory: str | Path,
+                     digests: dict) -> PrecomputedEmbeddingProvider:
     """Parse a precomputed embedding file into an embedding cache in
     `directory` and memory-map it; raises FormatError on bad records.
 
@@ -248,9 +245,10 @@ def load_precomputed(path: str | Path, directory: str | Path) -> PrecomputedEmbe
     "end_char", "vector"}, ...], "sentence_vector"}. Each record's rows are
     written to the cache files once it passes its checks, so one record is
     held at a time. When a text appears on several lines, the last one wins:
-    the rows of the earlier lines are cut from the files at the end. The
-    provider's sha256 is the digest of the bytes parsed, so the file is read
-    once.
+    the rows of the earlier lines are cut from the files at the end.
+    `digests` gets the sha256 of the bytes parsed under `str(Path(path))`,
+    so the file is read once; when it holds one already, the parse hashes
+    nothing.
     """
     import orjson  # here, so that commands which open the cache never load it
 
@@ -260,8 +258,8 @@ def load_precomputed(path: str | Path, directory: str | Path) -> PrecomputedEmbe
         deep = np.count_nonzero((codes | 0x20) == 0x7B) > _MAX_OPENERS
         return json.loads(line) if deep else orjson.loads(line)
 
-    directory = Path(directory)
-    digest = hashlib.sha256()
+    directory, key = Path(directory), str(Path(path))
+    digest = None if key in digests else hashlib.sha256()
     texts: list[str] = []
     offsets = [0]
     dim = None
@@ -309,9 +307,9 @@ def load_precomputed(path: str | Path, directory: str | Path) -> PrecomputedEmbe
             fh.write(header)
     save_array(directory / CACHE_ARRAYS["token_offsets"], np.array(offsets, dtype=np.int64))
     files.write_json(directory / CACHE_TEXTS, texts, ensure_ascii=False)
-    provider = _open_arrays(directory, texts)
-    provider.path, provider.sha256 = str(path), digest.hexdigest()
-    return provider
+    if digest is not None:
+        digests[key] = digest.hexdigest()
+    return _open_arrays(directory, texts)
 
 
 class RemoteEmbeddingProvider:

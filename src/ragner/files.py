@@ -99,25 +99,29 @@ def sha256_file(path, role: Role = Role()) -> str:
 def read_jsonl(path, loads: Callable = json.loads, digest=None) -> Iterator[tuple[str, object]]:
     """Each value of a JSON-lines file, decoded by `loads`, with the
     `path:line` it came from; blank lines are skipped. The file is streamed,
-    and `digest` is updated with every byte of it. A line that is not UTF-8
+    and `digest` is updated with every byte of it. An OSError in opening or
+    reading it raises the default role's error; a line that is not UTF-8
     or that `loads` cannot read raises FormatError naming path:line."""
-    # a 1 MB buffer reads a line of an embedding file (about 135 KB at 768-d) in one call
-    with read(path, lambda p: open(p, "rb", buffering=1 << 20)) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if digest is not None:
-                digest.update(raw)
-            where = f"{path}:{line_no}"
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{where}: not UTF-8: {exc}") from exc
-            if not line:
-                continue
-            try:
-                doc = loads(line)
-            except (ValueError, RecursionError) as exc:  # an int past the limit, too deep
-                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
-            yield where, doc
+    try:
+        # a 1 MB buffer reads a line of an embedding file (about 135 KB at 768-d) in one call
+        with open(path, "rb", buffering=1 << 20) as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                if digest is not None:
+                    digest.update(raw)
+                where = f"{path}:{line_no}"
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{where}: not UTF-8: {exc}") from exc
+                if not line:
+                    continue
+                try:
+                    doc = loads(line)
+                except (ValueError, RecursionError) as exc:  # an int past the limit, too deep
+                    raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+                yield where, doc
+    except OSError as exc:  # the caller's own errors between lines are raised in its frame
+        raise Role().cannot_read(path, exc) from exc
 
 
 def check_writable(*paths) -> None:

@@ -50,9 +50,8 @@ class GenerationResult:
     error: str | None = None
 
 
-def prompt_hash(prompt: Prompt | str) -> str:
-    text = prompt if isinstance(prompt, str) else prompt.rendered
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def prompt_hash(prompt: Prompt) -> str:
+    return hashlib.sha256(prompt.rendered.encode("utf-8")).hexdigest()
 
 
 def _mock_sleep(spec: GeneratorSpec, query_id: int) -> None:

@@ -24,7 +24,7 @@ from .embedder import (
     load_precomputed,
     open_precomputed_cache,
 )
-from .errors import ConfigError, MissingArtifact, NoDictionaryFound, RagnerError
+from .errors import ConfigError, NoDictionaryFound, RagnerError
 from .generation import (
     GenerationResult,
     GenerationTask,
@@ -32,7 +32,6 @@ from .generation import (
     latency_summary,
     prompt_hash,
 )
-from . import files
 from .manifest import Digests, check_digests, read_manifest
 from .promptkit import build_prompt, order_examples, parse_output, resolve_prompt
 from .retriever import ExampleStore, _retrieve_blocks, retrieve, select
@@ -42,13 +41,14 @@ if TYPE_CHECKING:  # only evaluate and ablate load the scoring module
     from .evaluation import AblationCell, EvalReport
 
 
-def make_embedder(cfg: RunConfig, store_dir: Path | None,
-                  parse_dir: Path | None = None) -> Embedder:
+def make_embedder(cfg: RunConfig, store_dir: Path | None, parse_dir: Path | None = None,
+                  digests: dict | None = None) -> Embedder:
     """Build the embedder named by the config's [embedder] section.
 
     A precomputed-file embedder opens the embedding cache `index` wrote in
     `store_dir` and never reads its JSON-lines file; when `store_dir` is
-    None, it parses the file into a cache in `parse_dir`.
+    None, it parses the file into a cache in `parse_dir`, and `digests` gets
+    the file's sha256.
     """
     e = cfg.embedder
     stopwords = (
@@ -60,7 +60,7 @@ def make_embedder(cfg: RunConfig, store_dir: Path | None,
         if store_dir is not None:
             provider = open_precomputed_cache(store_dir)
         else:
-            provider = load_precomputed(e.precomputed_path, parse_dir)
+            provider = load_precomputed(e.precomputed_path, parse_dir, digests)
     else:
         if not e.endpoint:
             raise ConfigError("embedder.provider=remote-service needs endpoint")
@@ -69,75 +69,67 @@ def make_embedder(cfg: RunConfig, store_dir: Path | None,
 
 
 def indexed_store(cfg: RunConfig, sha256: Callable,
-                  embedder: Callable | None = None) -> ExampleStore | RagnerError:
-    """The store `index` wrote, if it is current for `cfg`, else the error
-    that says why not. It is current when meta.json's build key is
+                  embedder: Callable | None = None) -> ExampleStore:
+    """The store `index` wrote, when it is current for `cfg`; raises the
+    reason when it is not. It is current when meta.json's build key is
     `cfg.store_build_key` and every file `manifests/index.json` records
     still hashes by `sha256` to its digest.
 
     The query commands pass no `embedder` and do not hash the embedding
     file: their embedder reads only the cache, itself a recorded output.
     The `embedder` of `index` and of an ablation cell opens the cache in the
-    directory it is given; it is called only when the embedding file is
-    recorded and current. A changed or missing cache file raises
-    MissingArtifact.
+    directory it is given; it is called only when the embedding file and
+    the cache are recorded and current.
     """
     e, store_dir = cfg.embedder, cfg.paths.out_path("store")
-    source = str(Path(e.precomputed_path)) if e.precomputed_path else None
-    try:
-        doc = read_manifest(cfg, "index")
-        if embedder is not None and e.provider == "precomputed-file" and source:
-            check_digests({source: doc["inputs"].get(source)}, "index", sha256)
-    except MissingArtifact as exc:
-        return exc
+    doc = read_manifest(cfg, "index")
     recorded = {**doc["inputs"], **doc["outputs"]}
+    source = str(Path(e.precomputed_path)) if e.precomputed_path else None
+    if embedder is not None and e.provider == "precomputed-file" and source:
+        check_digests({source: doc["inputs"].get(source)}, "index", sha256)
     recorded.pop(source, None)  # hashed above, or not at all
     cache = {p: recorded.pop(p) for p in doc["outputs"] if Path(p).name in CACHE_FILES}
     check_digests(cache, "index", sha256)
     opened = (embedder or functools.partial(make_embedder, cfg))(store_dir)
-    try:
-        check_digests(recorded, "index", sha256)
-    except MissingArtifact as exc:
-        return exc
+    check_digests(recorded, "index", sha256)
     store = ExampleStore.load(store_dir, opened)
-    if store.build_key == cfg.store_build_key:
-        return store
-    return ConfigError(f"the store in {store_dir} was built under another [embedder], [store] or "
-                       "retriever index config; re-run `ragner index` with this config")
+    if store.build_key != cfg.store_build_key:
+        raise ConfigError(f"the store in {store_dir} was built under another [embedder], "
+                          "[store] or retriever index config; re-run `ragner index` with this "
+                          "config")
+    return store
 
 
 def load_store(cfg: RunConfig, sha256: Callable) -> ExampleStore:
     """The indexed store for a query command, its files hashed by `sha256`;
     raises the reason when it is not current."""
     store = indexed_store(cfg, sha256)
-    if isinstance(store, RagnerError):
-        raise store
     store.require_index(cfg.retriever)
     return store
 
 
-def embedder_opener(cfg: RunConfig, parse_dir: Path, memo: _Memo | None = None,
-                    key=None) -> Callable:
-    """`open_embedder(store_dir=None)` for `indexed_store` and `current_store`:
-    its first call makes `cfg`'s embedder, from the cache in `store_dir`
-    when one is given, else by parsing the embedding file into `parse_dir`,
-    and `memo` holds it under `key` for every later call."""
-    memo = memo or _Memo()
-    return lambda store_dir=None: memo.get(key,
-                                           lambda: make_embedder(cfg, store_dir, parse_dir))
-
-
 def current_store(cfg: RunConfig, sentences: list[LabeledSentence], schema: EntitySchema,
-                  indexed: ExampleStore | RagnerError,
-                  open_embedder: Callable) -> tuple[ExampleStore, str]:
+                  sha256: Digests, parse_dir: Path, memo: _Memo | None = None,
+                  key=None) -> tuple[ExampleStore, str]:
     """The store of `sentences` under `schema` for `cfg`, and how it came:
-    "loaded" when `indexed`, what `indexed_store` returned, is a store of
-    these sentences under this schema; else "built" by `open_embedder`'s
-    embedder, the cache if `indexed_store` opened it, else a parse."""
-    loaded = isinstance(indexed, ExampleStore)
-    if loaded and (indexed.sentences, indexed.schema) == (sentences, schema):
-        return indexed, "loaded"
-    store = ExampleStore.build(sentences, schema, open_embedder(), cfg.retriever,
+    "loaded" when `indexed_store` finds the indexed store current and it
+    holds these sentences under this schema; else "built", whatever the
+    reason, by the embedder `indexed_store` opened from the cache, or else
+    by parsing the embedding file into `parse_dir`. `sha256` hashes the
+    indexed files and gets the parsed file's digest; `memo` holds the
+    embedder under `key` for later calls."""
+    memo = memo or _Memo()
+
+    def embedder(store_dir: Path | None = None) -> Embedder:
+        return memo.get(key, lambda: make_embedder(cfg, store_dir, parse_dir, sha256))
+
+    try:
+        indexed = indexed_store(cfg, sha256, embedder)
+        if (indexed.sentences, indexed.schema) == (sentences, schema):
+            return indexed, "loaded"
+    except RagnerError:  # nothing indexed, a changed input, a damaged file, another build key
+        pass
+    store = ExampleStore.build(sentences, schema, embedder(), cfg.retriever,
                                modes=cfg.store.modes)
     store.model_name = cfg.embedder.model_name
     store.build_key = cfg.store_build_key
@@ -313,14 +305,11 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
             raise ConfigError("ablation needs a corpus_test file")
         return splits, schema
 
-    open_embedder = embedder_opener(cfg, loads.scratch.joinpath(*embedder_key), loads.embedder,
-                                    embedder_key)
-
     def new_store():
         splits, schema = inputs()
-        indexed = indexed_store(cfg, loads.sha256, open_embedder)
-        store, telemetry["store"] = current_store(cfg, select_store_split(splits, cfg).store,
-                                                  schema, indexed, open_embedder)
+        store, telemetry["store"] = current_store(
+            cfg, select_store_split(splits, cfg).store, schema, loads.sha256,
+            loads.scratch.joinpath(*embedder_key), loads.embedder, embedder_key)
         return store, {}
 
     # the old store (and what only it holds) is released before a new one is built

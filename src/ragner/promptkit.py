@@ -161,28 +161,23 @@ def order_examples(examples: Sequence[RetrievedExample], store: ExampleStore
 
 def build_prompt(
     schema: EntitySchema,
-    examples: Sequence[PromptExample | tuple[str, NerOutput]],
+    examples: list[PromptExample],
     query_text: str,
     template: PromptTemplate = PromptTemplate(),
 ) -> Prompt:
     """Deterministically render the four-section prompt.
 
-    Examples, or (text, gold output) pairs, are rendered in the order
-    given, the most similar last (see `order_examples`); each output is
-    keyed by `schema`, in its order.
+    Examples are rendered in the order given, the most similar last (see
+    `order_examples`); each output is keyed by `schema`, in its order.
     """
-    prompt_examples = [ex if isinstance(ex, PromptExample) else PromptExample(*ex)
-                       for ex in examples]
-    examples_block = "\n\n".join(ex.rendered for ex in prompt_examples)
+    examples_block = "\n\n".join(ex.rendered for ex in examples)
     rendered = template.text.format(
         task_description=template.task_description,
         entity_definitions=render_entity_definitions(schema),
         examples=examples_block,
         query=query_text,
     )
-    return Prompt(
-        examples=prompt_examples, user_query=query_text, rendered=rendered, schema=schema
-    )
+    return Prompt(examples=examples, user_query=query_text, rendered=rendered, schema=schema)
 
 
 # --- parsing ----------------------------------------------------------------

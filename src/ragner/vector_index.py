@@ -286,7 +286,7 @@ def _spherical_kmeans(
     n = matrix.shape[0]
     centroids = _kmeans_pp_init(matrix, nlist, rng)
     assignment = np.full(n, -1, dtype=np.int64)
-    for _ in range(max(0, iters)):
+    for _ in range(iters):
         new_assignment = _assign_to_centroids(matrix, centroids)
         if np.array_equal(new_assignment, assignment):
             return centroids, assignment

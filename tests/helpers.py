@@ -147,7 +147,7 @@ def make_embedder(
         sentences, tmp_path / name, dim,
         word_vectors=word_vectors, sentence_vectors=sentence_vectors,
     )
-    return Embedder(load_precomputed(path, tempfile.mkdtemp(dir=tmp_path)), dim)
+    return Embedder(load_precomputed(path, tempfile.mkdtemp(dir=tmp_path), {}), dim)
 
 
 # --- the engineered retrieval-contrast fixture ------------------------------

@@ -78,11 +78,10 @@ def test_removal_bounds_reject_tiny_schema():
 
 def test_drop_entity_types_removes_from_schema_and_gold():
     schema = product_schema()
-    sentence = LabeledSentence(1, ["lamp", "tomorrow"], [])
     gold = NerOutput({"product": ["lamp"], "time": ["tomorrow"]})
     cfg = AugmentConfig(min_removed=1, max_removed=1)
     reduced_schema, reduced_gold, removed = drop_entity_types(
-        sentence, gold, schema, random.Random(0), cfg
+        gold, schema, random.Random(0), cfg
     )
     assert len(removed) == 1
     kept = [n for n in schema.names if n not in removed]
@@ -95,10 +94,9 @@ def test_drop_entity_types_removes_from_schema_and_gold():
 def test_drop_entity_types_removed_is_sorted():
     schema = domain_schema("politics")
     gold = NerOutput({name: [] for name in schema.names})
-    sentence = LabeledSentence(1, ["x"], [])
     for seed in range(20):
         _, _, removed = drop_entity_types(
-            sentence, gold, schema, random.Random(seed), AugmentConfig()
+            gold, schema, random.Random(seed), AugmentConfig()
         )
         assert list(removed) == sorted(removed)
         assert 1 <= len(removed) <= len(schema) - 1
@@ -107,12 +105,11 @@ def test_drop_entity_types_removed_is_sorted():
 def test_per_type_removal_is_uniform():
     schema = domain_schema("politics")  # 9 types
     gold = NerOutput({name: [] for name in schema.names})
-    sentence = LabeledSentence(1, ["x"], [])
     cfg = AugmentConfig()
     counts: Counter = Counter()
     total = 0
     for i in range(10_000):
-        _, _, removed = drop_entity_types(sentence, gold, schema, random.Random(i), cfg)
+        _, _, removed = drop_entity_types(gold, schema, random.Random(i), cfg)
         counts.update(removed)
         total += len(removed)
     expected_share = 1 / len(schema)

@@ -501,6 +501,13 @@ def test_missing_config_file_fails(proj):
     ("retriever.nlist=abc", "ConfigError", "[retriever] config: nlist must be an integer or null"),
     ("retriever.nlist=true", "ConfigError", "[retriever] config: nlist must be an integer or null"),
     ("retriever.kmeans_iters=abc", "ConfigError", "[retriever] config: kmeans_iters must be an integer"),
+    # a negative count ran no Lloyd iteration, an nlist of 0 failed only at the IVF build, and a
+    # negative max_tokens went to the completion endpoint
+    ("retriever.kmeans_iters=-3", "ConfigError",
+     "[retriever] config: kmeans_iters must be >= 0, got -3"),
+    ("retriever.nlist=0", "ConfigError", "[retriever] config: nlist must be >= 1, got 0"),
+    ("generator.max_tokens=-5", "ConfigError",
+     "[generator] config: max_tokens must be >= 1, got -5"),
     ("retriever.seed=abc", "ConfigError", "[retriever] config: seed must be an integer"),
     ("retriever.seed=18446744073709551616", "ConfigError",
      "[retriever] config: seed must fit in a signed 64-bit integer"),
@@ -1275,7 +1282,7 @@ def test_upstream_verification_lifecycle(tmp_path):
                  id="digests null"),
     pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "outputs"}, id="no outputs"),
 ])
-def test_a_manifest_of_the_wrong_shape_asks_for_a_rerun(tmp_path, reshape):
+def test_a_manifest_of_the_wrong_shape_asks_for_a_rerun(tmp_path, parses, reshape):
     ns = indexed_project(tmp_path)
     manifest = ns.out / "manifests" / "index.json"
     manifest.write_text(json.dumps(reshape(json.loads(manifest.read_text(encoding="utf-8")))),
@@ -1285,12 +1292,16 @@ def test_a_manifest_of_the_wrong_shape_asks_for_a_rerun(tmp_path, reshape):
     err = json.loads(line)
     assert err["error"] == "FormatError"
     assert "unreadable manifest" in err["message"] and "re-run `ragner index`" in err["message"]
-    # an ablation cell reads the same manifest to find the embedding cache
+    # an ablation cell finds the indexed store not current, so it builds its own from a parse
+    before = index_outputs(ns)
     grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1]}})
     out = tmp_path / "ablation.json"
-    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out], expect=2)
+    parses.clear()
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out])
     [cell] = json.loads(out.read_text(encoding="utf-8"))["cells"]
-    assert cell["error"] == f"FormatError: {err['message']}"
+    assert cell["error"] is None and cell["report"]["micro"]["f1"] == 1.0
+    assert len(parses) == 1
+    assert index_outputs(ns) == before
 
 
 def test_ingest_requires_schema(tmp_path):
@@ -1457,8 +1468,8 @@ def test_cache_outputs_match_a_parsed_embedder(tmp_path, monkeypatch):
         run(["-c", ns.cfg, *args, "--output", tmp_path / f"cached-{name}"])
     hidden.rename(jsonl)
 
-    monkeypatch.setattr(pipeline, "open_precomputed_cache",
-                        lambda store_dir: embedder_mod.load_precomputed(jsonl, tmp_path / "parse"))
+    monkeypatch.setattr(pipeline, "open_precomputed_cache", lambda store_dir:
+                        embedder_mod.load_precomputed(jsonl, tmp_path / "parse", {}))
     for name, args in commands.items():
         run(["-c", ns.cfg, *args, "--output", tmp_path / f"parsed-{name}"])
         cached = (tmp_path / f"cached-{name}").read_bytes()
@@ -1563,9 +1574,9 @@ def test_ablate_parses_once_and_builds_once_per_store(proj, tmp_path, monkeypatc
     build = ExampleStore.build.__func__
     reindex = ExampleStore.reindex
 
-    def counting_parse(path, directory):
+    def counting_parse(path, directory, digests):
         calls["parse"] += 1
-        return parse(path, directory)
+        return parse(path, directory, digests)
 
     def counting_build(cls, *args, **kwargs):
         calls["build"] += 1
@@ -1598,9 +1609,9 @@ def parses(monkeypatch):
     calls = []
     parse = pipeline.load_precomputed
 
-    def counting_parse(path, directory):
+    def counting_parse(path, directory, digests):
         calls.append(path)
-        return parse(path, directory)
+        return parse(path, directory, digests)
 
     monkeypatch.setattr(pipeline, "load_precomputed", counting_parse)
     return calls
@@ -1742,30 +1753,6 @@ def test_ablate_rebuilds_a_store_indexed_under_an_edited_stop_word_file(tmp_path
     assert builds == 1
 
 
-@pytest.mark.parametrize("damage, message", [
-    ("flip a byte", "index artifact changed since its manifest"),
-    ("delete", "index artifact missing"),
-])
-def test_ablate_fails_every_cell_on_a_damaged_cache(tmp_path, parses, damage, message):
-    ns = indexed_project(tmp_path)
-    parses.clear()
-    victim = ns.out / "store" / CACHE_ARRAYS["token_vectors"]
-    if damage == "delete":
-        victim.unlink()
-    else:
-        data = victim.read_bytes()
-        victim.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
-    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 3]}})
-    out = tmp_path / "ablation.json"
-    result = run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out], expect=2)
-    err = error_payload(result)
-    assert err["error"] == "AblationFailed" and "no cell of 2 succeeded" in err["message"]
-    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
-    assert [c["error"].split(":")[0] for c in cells] == ["MissingArtifact"] * 2
-    assert all(message in c["error"] and str(victim) in c["error"] for c in cells)
-    assert parses == []
-
-
 def stop_word_project(root: Path, *options):
     """A project whose config sets a stop-word file, ingested and indexed
     (under the `-S` options given)."""
@@ -1863,6 +1850,31 @@ def test_a_reindex_parses_only_a_changed_embedding_file_and_writes_what_a_fresh_
     fresh = index_outputs(ns)
     assert reindexed.keys() == fresh.keys()
     assert [name for name in fresh if reindexed[name] != fresh[name]] == []
+
+
+def _reshape_the_index_manifest(ns):
+    (ns.out / "manifests" / "index.json").write_text("[]", encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [_flip_a_byte_of_the_cache, _delete_a_cache_file,
+                                    _reshape_the_index_manifest],
+                         ids=["a cache byte flipped", "a cache file deleted",
+                              "the index manifest reshaped"])
+def test_ablate_over_a_damaged_cache_or_index_manifest_builds_its_own_store(tmp_path, parses,
+                                                                             damage):
+    ns = indexed_project(tmp_path)
+    damage(ns)
+    before = index_outputs(ns)
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 3]}})
+    parses.clear()
+    run(["-c", ns.cfg, *ECHO, "ablate", "--grid", grid, "--output", tmp_path / "damaged.json"])
+    assert len(parses) == 1  # once for the sweep's one embedder
+    assert index_outputs(ns) == before  # ablate writes nothing into the indexed store
+    shutil.rmtree(ns.out)
+    run(["-c", ns.cfg, *ECHO, "ablate", "--grid", grid, "--output", tmp_path / "fresh.json"])
+    damaged = (tmp_path / "damaged.json").read_bytes()
+    assert [c["error"] for c in json.loads(damaged)["cells"]] == [None, None]
+    assert damaged == (tmp_path / "fresh.json").read_bytes()
 
 
 def count_hashes(monkeypatch) -> dict[str, int]:
@@ -2027,6 +2039,13 @@ def test_help_is_unchanged_and_an_in_process_usage_error_exits_2(capsys):
     assert exc.value.code == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "UsageError", "message": "No such command 'frob'. See `ragner --help`."}
+    # and so does any other error, which the same group method turns into one line
+    with pytest.raises(SystemExit) as exc:
+        main.main(args=["-S", "retriever.k=0", "ingest"], prog_name="ragner",
+                  standalone_mode=False)
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "bad [retriever] config: k must be >= 1"}
 
 
 # --- what each command imports, and remote generation ---------------------------

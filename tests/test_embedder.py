@@ -100,7 +100,7 @@ def test_precomputed_round_trip(tmp_path):
     rec = encoding_record(["hello", "world"], dim=4)
     path = tmp_path / "emb.jsonl"
     write_precomputed([rec], path)
-    provider = load_precomputed(path, tmp_path / "cache")
+    provider = load_precomputed(path, tmp_path / "cache", {})
     assert len(provider) == 1
     enc = provider.encode("hello world")
     assert token_texts("hello world", enc) == ["hello", "world"]
@@ -111,7 +111,7 @@ def test_precomputed_round_trip(tmp_path):
 def test_precomputed_is_keyed_by_exact_text(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(["hello", "world"], dim=4)], path)
-    provider = load_precomputed(path, tmp_path / "cache")
+    provider = load_precomputed(path, tmp_path / "cache", {})
     with pytest.raises(MissingEntry):
         provider.encode("Hello world")
 
@@ -120,14 +120,14 @@ def test_precomputed_rejects_invalid_json(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text('{"text": "ok", "tokens": [], "sentence_vector": [1]}\nnot json\n')
     with pytest.raises(FormatError):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
 
 
 def test_precomputed_rejects_record_without_text(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text('{"tokens": [], "sentence_vector": [1]}\n')
     with pytest.raises(FormatError):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
 
 
 def json_number_texts(x: float | int) -> list[str]:
@@ -163,7 +163,7 @@ def test_precomputed_parse_is_bit_identical_to_the_stdlib(tmp_path_factory, numb
             '"sentence_vector": %s}' % (vector, reverse, vector))
     path = tmp_path_factory.mktemp("parity") / "emb.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    provider = load_precomputed(path, path.parent / "cache")
+    provider = load_precomputed(path, path.parent / "cache", {})
     oracle = json.loads(line)
     token_vectors = np.asarray([t["vector"] for t in oracle["tokens"]], dtype=np.float64)
     sentence_vector = np.asarray(oracle["sentence_vector"], dtype=np.float64)
@@ -182,10 +182,10 @@ def test_a_line_with_more_openers_than_the_limit_parses_as_through_orjson(tmp_pa
     stdlib_parses = []
     stdlib_loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s: stdlib_parses.append(s) or stdlib_loads(s))
-    via_json = load_precomputed(path, tmp_path / "json")
+    via_json = load_precomputed(path, tmp_path / "json", {})
     assert [stdlib_loads(s)["text"] for s in stdlib_parses] == [deep_record()["text"]]
     monkeypatch.setattr(ragner.embedder, "_MAX_OPENERS", math.inf)
-    via_orjson = load_precomputed(path, tmp_path / "orjson")
+    via_orjson = load_precomputed(path, tmp_path / "orjson", {})
     assert len(stdlib_parses) == 1
     assert via_json.texts == via_orjson.texts
     for attr in ("token_vectors", "token_spans", "token_offsets", "sentence_vectors"):
@@ -217,7 +217,7 @@ def test_precomputed_rejects_non_finite_values_and_lone_surrogates(tmp_path, dee
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json_with_literal(record, where, literal) + "\n")
     with pytest.raises(FormatError, match=f"emb.jsonl:2: .*{on_json if deep else on_orjson}"):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
 
 
 @pytest.mark.parametrize("line", [
@@ -232,7 +232,7 @@ def test_precomputed_rejects_a_deeply_nested_line(tmp_path, line):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
     with pytest.raises(FormatError, match="emb.jsonl:2: invalid JSON"):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
 
 
 def with_span(record: dict, token: int, start: str, end: str) -> str:
@@ -272,7 +272,7 @@ def test_precomputed_rejects_a_token_span_outside_its_text(tmp_path, deep, start
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(with_span(record, 1, start, end) + "\n")
     with pytest.raises(FormatError, match=rf"emb\.jsonl:2: bad embedding record: {message}"):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
 
 
 def test_precomputed_takes_zero_width_spans_and_spans_at_the_text_ends(tmp_path):
@@ -283,7 +283,7 @@ def test_precomputed_takes_zero_width_spans_and_spans_at_the_text_ends(tmp_path)
     record["tokens"] = [special, *record["tokens"], end, whole]
     path = tmp_path / "emb.jsonl"
     write_precomputed([record], path)
-    provider = load_precomputed(path, tmp_path / "cache")
+    provider = load_precomputed(path, tmp_path / "cache", {})
     assert provider.token_spans.tolist() == [[0, 0], [0, 5], [6, 11], [11, 11], [0, 11]]
 
 
@@ -400,7 +400,7 @@ def test_dimension_mismatch_detected(tmp_path):
     s = sent("quantum computing")
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(s.tokens, dim=8)], path)
-    embedder = Embedder(load_precomputed(path, tmp_path / "cache"), 16)
+    embedder = Embedder(load_precomputed(path, tmp_path / "cache", {}), 16)
     with pytest.raises(DimensionMismatch):
         embedder.embed_words(s)
 
@@ -580,7 +580,7 @@ def test_precomputed_last_duplicate_line_wins(tmp_path):
     last = encoding_record(["hello", "world"], dim=4, sentence_vector=[0.0, 0.0, 0.0, 1.0])
     path = tmp_path / "emb.jsonl"
     write_precomputed([first, encoding_record(["bye"], dim=4), last], path)
-    provider = load_precomputed(path, tmp_path / "cache")
+    provider = load_precomputed(path, tmp_path / "cache", {})
     assert len(provider) == 2
     assert list(provider.encode("hello world").sentence_vector) == [0.0, 0.0, 0.0, 1.0]
 
@@ -588,26 +588,37 @@ def test_precomputed_last_duplicate_line_wins(tmp_path):
 def test_precomputed_records_digest_of_parsed_bytes(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(["hello"], dim=4)], path)
-    assert load_precomputed(path, tmp_path / "cache").sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    digests = {}
+    load_precomputed(path, tmp_path / "cache", digests)
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_a_parse_hashes_nothing_when_the_digest_is_known(tmp_path, monkeypatch):
+    path = tmp_path / "emb.jsonl"
+    write_precomputed([encoding_record(["hello"], dim=4)], path)
+    digests = {str(path): "taken before the parse"}
+    monkeypatch.setattr(ragner.embedder.hashlib, "sha256", None)  # any hashing would fail
+    assert len(load_precomputed(path, tmp_path / "cache", digests)) == 1
+    assert digests == {str(path): "taken before the parse"}
 
 
 def test_precomputed_rejects_vectors_of_different_lengths(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(["a"], dim=4), encoding_record(["b"], dim=3)], path)
     with pytest.raises(FormatError):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
     rec = encoding_record(["a", "b"], dim=4)
     rec["tokens"][1]["vector"] = [1.0, 0.0]
     write_precomputed([rec], path)
     with pytest.raises(FormatError):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
 
 
 def test_cache_round_trip_is_bit_exact(tmp_path):
     sentences = [sent("quantum computing accelerates discovery"), sent("hello world", 1)]
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(list(s.tokens), dim=8) for s in sentences], path)
-    parsed = load_precomputed(path, tmp_path / "cache")
+    parsed = load_precomputed(path, tmp_path / "cache", {})
     cached = open_precomputed_cache(tmp_path / "cache")
     assert cached.texts == parsed.texts
     for attr in ("token_vectors", "token_spans", "token_offsets", "sentence_vectors"):
@@ -624,7 +635,7 @@ def test_cache_open_rejects_missing_and_malformed_files(tmp_path):
         open_precomputed_cache(tmp_path)
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(["hello", "world"], dim=4)], path)
-    load_precomputed(path, tmp_path)
+    load_precomputed(path, tmp_path, {})
     victim = tmp_path / "embeddings.token_vectors.npy"
     data = victim.read_bytes()
     victim.write_bytes(data[:-8])
@@ -750,14 +761,15 @@ def test_load_precomputed_equals_a_reference_parse(tmp_path):
     lines = [json.dumps(doc, ensure_ascii=False).encode() for doc in (first, other, again)]
     path = tmp_path / "emb.jsonl"
     path.write_bytes(b"\r\n".join([lines[0], b"", b"  \t ", lines[1], b" \r", lines[2], b""]))
-    provider = load_precomputed(path, tmp_path / "cache")
+    digests = {}
+    provider = load_precomputed(path, tmp_path / "cache", digests)
     texts, token_vectors, token_spans, token_offsets, sentence_vectors, sha = reference_parse(path)
     assert provider.texts == texts == ["日本 [語] { ü", "naïve [café] {x}"]
     assert provider.token_vectors.tobytes() == token_vectors.tobytes()
     assert provider.token_spans.tobytes() == token_spans.tobytes()
     assert provider.token_offsets.tobytes() == token_offsets.tobytes()
     assert provider.sentence_vectors.tobytes() == sentence_vectors.tobytes()
-    assert provider.sha256 == sha
+    assert digests == {str(path): sha}
 
 
 @pytest.mark.parametrize("chunk", [ragner.embedder._COPY_CHUNK, 40], ids=["default", "40 B"])
@@ -772,7 +784,7 @@ def test_the_streamed_cache_is_what_np_save_writes_of_a_reference_parse(tmp_path
     last = encoding_record(["w0", "x"], dim=6, sentence_vector=[0, 0, 0, 0, 0, 1])
     path = tmp_path / "emb.jsonl"
     write_precomputed([a, b, c, again[0], d, again[1], e, last], path)
-    load_precomputed(path, tmp_path / "cache")
+    load_precomputed(path, tmp_path / "cache", {})
     texts, *arrays, _ = reference_parse(path)
     assert texts == [c["text"], d["text"], b["text"], e["text"], a["text"]]
     for name, array in zip(CACHE_ARRAYS.values(), arrays):
@@ -790,7 +802,7 @@ def parse_peak(tmp_path, records: int) -> int:
                        for i in range(records)], path)
     tracemalloc.start()
     try:
-        provider = load_precomputed(path, tmp_path / f"cache-{records}")
+        provider = load_precomputed(path, tmp_path / f"cache-{records}", {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -829,7 +841,7 @@ def test_the_depth_guard_sends_a_line_past_the_limit_to_json(tmp_path, monkeypat
         loads = module.loads
         monkeypatch.setattr(module, "loads", lambda s, _loads=loads, _name=module.__name__:
                             calls.append(_name) or _loads(s))
-    load_precomputed(path, tmp_path / "cache")
+    load_precomputed(path, tmp_path / "cache", {})
     assert calls == [parser]
 
 
@@ -856,7 +868,7 @@ def test_a_bad_token_vector_keeps_its_message(tmp_path, vector, message, token):
     path = tmp_path / "emb.jsonl"
     write_precomputed([encoding_record(["ok"], dim=4), record], path)
     with pytest.raises(FormatError) as exc:
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
     assert str(exc.value) == f"{path}:2: bad embedding record: {message}"
 
 
@@ -867,10 +879,10 @@ def test_a_record_of_width_zero_checks_its_token_vectors_by_the_cast(tmp_path, v
     path = tmp_path / "emb.jsonl"
     write_precomputed([record], path)
     if vector == []:
-        assert load_precomputed(path, tmp_path / "cache").token_vectors.shape == (1, 0)
+        assert load_precomputed(path, tmp_path / "cache", {}).token_vectors.shape == (1, 0)
         return
     with pytest.raises(FormatError) as exc:
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})
     assert str(exc.value) == f"{path}:1: bad embedding record: {numpy_message(vector)}"
 
 
@@ -879,7 +891,7 @@ def test_a_numeric_string_entry_is_read_as_by_the_float64_cast(tmp_path):
     record["tokens"][0]["vector"] = ["1.5", 0.0, "-2", 3]
     path = tmp_path / "emb.jsonl"
     write_precomputed([record], path)
-    assert load_precomputed(path, tmp_path / "cache").token_vectors.tolist() == [[1.5, 0.0, -2.0, 3.0]]
+    assert load_precomputed(path, tmp_path / "cache", {}).token_vectors.tolist() == [[1.5, 0.0, -2.0, 3.0]]
 
 
 @pytest.mark.parametrize("later", [
@@ -896,4 +908,4 @@ def test_a_non_finite_entry_is_the_first_fault_before_a_later_one(tmp_path, late
     path.write_text(json_with_literal(record, ("tokens", 0, "vector", 2), "NaN") + "\n",
                     encoding="utf-8")
     with pytest.raises(FormatError, match=f"emb.jsonl:1: {NOT_FINITE}$"):
-        load_precomputed(path, tmp_path / "cache")
+        load_precomputed(path, tmp_path / "cache", {})

@@ -10,14 +10,18 @@ file, so the rule has one implementation.
 from __future__ import annotations
 
 import ast
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import pytest
 
+from ragner import files
+from ragner.errors import MissingArtifact
 from ragner.files import read_jsonl, write_json, write_jsonl
 
 from test_cli import TEST, make_project, run, write_grid
@@ -112,6 +116,57 @@ def test_the_line_loop_digests_every_byte_and_skips_blank_lines(tmp_path):
     digest = hashlib.sha256()
     assert list(read_jsonl(path, digest=digest)) == [(f"{path}:1", {"a": 1}), (f"{path}:4", [2])]
     assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+class FailingLines:
+    """A binary file open for reading whose read of line `fail_at` fails with EIO."""
+
+    def __init__(self, path, fail_at: int):
+        self.lines = Path(path).read_bytes().splitlines(keepends=True)
+        self.fail_at = fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def __iter__(self):
+        for line_no, line in enumerate(self.lines, start=1):
+            if line_no == self.fail_at:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            yield line
+
+
+def fail_reading(monkeypatch, path: Path, line_no: int) -> None:
+    """Reading line `line_no` of `path` fails with EIO; every other file opens as usual."""
+    def opener(name, *args, **kwargs):
+        return FailingLines(name, line_no) if Path(name) == path else open(name, *args, **kwargs)
+
+    monkeypatch.setattr(files, "open", opener, raising=False)
+
+
+def test_a_read_error_in_the_line_loop_is_the_files_cannot_read(tmp_path, monkeypatch):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b"[1]\n[2]\n[3]\n")
+    fail_reading(monkeypatch, path, 3)
+    rows = read_jsonl(path)
+    assert [next(rows), next(rows)] == [(f"{path}:1", [1]), (f"{path}:2", [2])]
+    with pytest.raises(MissingArtifact) as exc:
+        next(rows)
+    assert str(exc.value) == f"cannot read {path}: Input/output error"
+
+
+def test_a_read_error_in_the_parse_names_the_embedding_file_not_the_cache(tmp_path,
+                                                                         monkeypatch):
+    ns = make_project(tmp_path)
+    run(["-c", ns.cfg, "ingest"])
+    jsonl = ns.data / "embeddings.jsonl"
+    fail_reading(monkeypatch, jsonl, 3)
+    err = json.loads(run(["-c", ns.cfg, "index"], expect=2).stderr)
+    assert err == {"error": "MissingArtifact",
+                   "message": f"cannot read {jsonl}: Input/output error"}
+    assert not (ns.out / "store").exists()
 
 
 # --- every path a command reads or writes ----------------------------------------

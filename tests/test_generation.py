@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -20,13 +21,14 @@ from ragner.generation import (
     latency_summary,
     prompt_hash,
 )
-from ragner.promptkit import build_prompt, parse_output, render_output
+from ragner.promptkit import PromptExample, build_prompt, parse_output, render_output
 
 from helpers import product_schema
 
 
 def make_prompt(examples=(), query="find the lamp"):
-    return build_prompt(product_schema(), list(examples), query)
+    """A prompt of (text, gold output) examples."""
+    return build_prompt(product_schema(), [PromptExample(*ex) for ex in examples], query)
 
 
 def gold(product=(), time_=()):
@@ -59,9 +61,9 @@ def test_spec_rejects_zero_parallelism():
 
 def test_prompt_hash_is_sha256_of_rendered_text():
     prompt = make_prompt()
-    assert prompt_hash(prompt) == prompt_hash(prompt.rendered)
+    assert prompt_hash(prompt) == hashlib.sha256(prompt.rendered.encode("utf-8")).hexdigest()
     assert len(prompt_hash(prompt)) == 64
-    assert prompt_hash("a") != prompt_hash("b")
+    assert prompt_hash(make_prompt(query="a")) != prompt_hash(make_prompt(query="b"))
 
 
 # --- mock backends ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from ragner.errors import NoDictionaryFound
 from ragner.promptkit import (
     DEFAULT_TASK_DESCRIPTION,
     DEFAULT_TEMPLATE_ID,
+    PromptExample,
     PromptTemplate,
     build_prompt,
     parse_output,
@@ -97,9 +98,9 @@ def test_render_entity_definitions_one_line_per_type():
 # --- build_prompt ------------------------------------------------------------
 
 
-def _example(schema: EntitySchema, text: str, **entities) -> tuple[str, NerOutput]:
+def _example(schema: EntitySchema, text: str, **entities) -> PromptExample:
     entries = {name: list(entities.get(name.replace(" ", "_"), [])) for name in schema.names}
-    return text, NerOutput(entries)
+    return PromptExample(text, NerOutput(entries))
 
 
 def test_build_prompt_sections_in_order():

@@ -21,6 +21,7 @@ every depth up to its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +34,7 @@ from .corpus import (EntitySchema, LabeledSentence, load_schema, read_sentences_
 from .embedder import Embedder
 from .errors import ConfigError, EmptyQueryAfterStopwords, EmptyStore, FormatError, RagnerError
 from .vector_index import (
+    Float32Copy,
     Index,
     default_nlist,
     flat_from_matrix,
@@ -41,9 +43,12 @@ from .vector_index import (
     save_index,
 )
 
-# scores per search block, about 4 MB of float64: blocks of consecutive
-# queries share one matrix product, which streams the index matrix once
+# float64 scores per search block, about 4 MB (twice as many float32 ones): blocks
+# of consecutive queries share one matrix product, which streams the index matrix once
 _BLOCK_SCORES = 1 << 19
+# a flat search selects in float32 from this many query rows and records on
+# (`_float32_copy` gives the cost model)
+_FLOAT32_FROM = (64, 2048)
 
 
 @dataclass(frozen=True)
@@ -261,18 +266,51 @@ def _pool_words(
         for sid in ranked]
 
 
-def _search_block(block, index: Index, cfg: RetrieverConfig, depth: int, entries: list,
+def _search_block(block, search, index: Index, cfg: RetrieverConfig, depth: int, entries: list,
                   scores: np.ndarray) -> None:
     """Search the rows of a block of (entry position, query, word indexes,
-    row matrix) with one search_batch call and fill each query's entry; the
-    scores go into the leading rows of `scores` when the block fits there."""
+    row matrix) with one `search` (the index's search_batch) and fill each
+    query's entry; the scores go into the leading rows of `scores` when the
+    block fits there."""
     row_query_ids = np.repeat([q.id for _, q, _, _ in block], [len(rows) for *_, rows in block])
     exclude = index.sentence_ids[None, :] == row_query_ids[:, None] if cfg.exclude_self else None
     queries = np.concatenate([rows for *_, rows in block])
     out = scores[:len(queries)] if len(queries) <= len(scores) else None
-    results = iter(index.search_batch(queries, depth, nprobe=cfg.nprobe, exclude=exclude, out=out))
+    results = iter(search(queries, depth, nprobe=cfg.nprobe, exclude=exclude, out=out))
     for position, _, word_indexes, rows in block:
         entries[position] = word_indexes, [next(results) for _ in range(len(rows))]
+
+
+def _float32_copy(index: Index, queries: Sequence[LabeledSentence], embedder: Embedder,
+                  word_level: bool) -> Float32Copy | None:
+    """The float32 copy of a flat index that the search of `queries`
+    selects with, or None where the float32 selection does not pay. By
+    `_FLOAT32_FROM`, it pays when the search has at least 64 query rows
+    (one per non-stop query word, or one per query in sentence-level mode)
+    and the index at least 2,048 records.
+
+    The cost model, measured on one core (AVX-512, OpenBLAS) against the
+    3,594 x 768 word matrix of the benchmark's large-store workload:
+    - casting the matrix, once per search: 2.3 ms, about 0.85 ns a value
+    - the product of its 1,196 query rows: 55 ms in float32 against 108 ms
+      in float64 as one call; 67 against 127 ms in blocks of 290 and 145
+      rows. A query row saves about 18 ps per record and dimension.
+    - rescoring: about 1.1 us a hit into the reused gather buffers (about
+      1.8 us into fresh ones); a row keeps about k + 1 hits.
+    A row saves n * d * 18 ps and pays (k + 1) * 1.1 us, so the selection
+    pays from about 500 records at k = 5, and from 2,048 records up to
+    k = 20. The cast pays back after 0.85 ns / 18 ps, about 50 rows. Below
+    these, the copy, the gathers and the first float32 product of a
+    process (4.4 MB more resident memory for a 290 x 3,594 block, 0.2 MB
+    of it OpenBLAS kernel text) cost more than they save: on a 67-record
+    index, as in a CrossNER-sized domain, a block of 60 rows takes 0.17 ms
+    in float64.
+    """
+    min_rows, min_records = _FLOAT32_FROM
+    if index.kind != "flat" or len(index) < min_records:
+        return None
+    rows = sum(len(embedder.word_indexes(q)) for q in queries) if word_level else len(queries)
+    return Float32Copy(index.matrix) if rows >= min_rows else None
 
 
 def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
@@ -282,14 +320,19 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
 
     Consecutive queries are embedded and searched one block at a time. A
     block takes queries while its m rows (one per query word, or one per
-    query in sentence-level mode) keep m * len(index) <= _BLOCK_SCORES and
-    m <= len(index); it always holds at least one query. Blocks, and so
-    scores, do not depend on the depth.
+    query in sentence-level mode) keep m * len(index) <= _BLOCK_SCORES, or
+    twice that when the search selects in float32, and m <= len(index); it
+    always holds at least one query. Blocks, and so scores, do not depend
+    on the depth. The float32 copy lives as long as this search.
     """
     word_level = cfg.mode == "word-level"
     index = store.indexes[cfg.mode]
-    max_rows = min(len(index), _BLOCK_SCORES // len(index))
-    scores = np.empty((max_rows, len(index)))  # every block's; a page is mapped when first used
+    copy32 = _float32_copy(index, queries, store.embedder, word_level)
+    search = index.search_batch if copy32 is None else partial(index.search_batch, copy32=copy32)
+    per_block = _BLOCK_SCORES if copy32 is None else 2 * _BLOCK_SCORES  # the same 4 MB
+    max_rows = min(len(index), per_block // len(index))
+    # every block's; a page is mapped when first used
+    scores = np.empty((max_rows, len(index)), np.float64 if copy32 is None else np.float32)
     entries: list = [None] * len(queries)
     block: list = []
     block_rows = 0
@@ -306,12 +349,12 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
             entries[position] = exc
             continue
         if block and block_rows + len(rows) > max_rows:
-            _search_block(block, index, cfg, depth, entries, scores)
+            _search_block(block, search, index, cfg, depth, entries, scores)
             block, block_rows = [], 0
         block.append((position, query, word_indexes, rows))
         block_rows += len(rows)
     if block:
-        _search_block(block, index, cfg, depth, entries, scores)
+        _search_block(block, search, index, cfg, depth, entries, scores)
     return entries
 
 

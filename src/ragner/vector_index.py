@@ -11,6 +11,14 @@ cluster with only the rows that probe it (IVF); `search` is its one-row
 case. Hit ordering is fully deterministic: descending score, ties broken
 by ascending record id.
 
+Given a `Float32Copy` of its matrix, a flat `search_batch` selects in
+float32 instead: one float32 product picks, per row, every record within a
+proved error bound of the row's k-th float32 score, and only those records
+are scored again in float64, each by a fixed-order dot of its two rows
+(`_band` derives the bound). The ids, their order and the scores are then
+those of an exact float64 top-k under the same tie rule, at about half the
+cost of the float64 product; the caller decides when that pays.
+
 An index on disk is its matrix as a .npy file (rows in record order for
 flat, grouped by cluster for IVF), one .npy file beside it per other
 array, and a JSON file recording its kind and words; `load_index` opens
@@ -21,6 +29,7 @@ through the same `save_array`/`open_array`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +38,9 @@ from . import files
 from .errors import DimensionMismatch, EmptyCollection, NlistTooLarge
 
 _ASSIGN_CHUNK = 8192
-_PARTITION_SCORES = 1 << 16  # scores per np.partition call in _top_k, 512 KB of float64
+_PARTITION_SCORES = 1 << 16  # scores per np.partition call in _kth, 512 KB of float64
+_GATHER_BYTES = 1 << 19  # each of the two gather buffers of _rescore
+_UNIT_TOLERANCE = 1e-5  # how far from 1 a stored row's norm may be
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,7 @@ def _norm_fault(matrix: np.ndarray) -> str | None:
     worst = float(deviation.max())  # nan or inf when a row is not finite
     if not np.isfinite(worst):
         return f"rows must be finite (row {int(np.argmax(~np.isfinite(deviation)))} is not)"
-    if worst > 1e-5:
+    if worst > _UNIT_TOLERANCE:
         return f"rows must be unit-norm (worst deviation {worst:.2e})"
     return None
 
@@ -73,38 +84,133 @@ def _check_queries(queries: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _scores(block: np.ndarray, queries: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """queries @ block.T, shape (m, rows), into `out` if given. One query goes
-    through a mat-vec, so a single search keeps the bits it always had."""
+    """queries @ block.T in float64, shape (m, rows), into `out` if given: the
+    scores of every search but a flat one's float32 selection. Their last
+    bits depend on the BLAS kernel and on m. One query goes through a
+    mat-vec, so a single search keeps the bits it always had."""
     if queries.shape[0] == 1:
         return np.matmul(block, queries[0], out=None if out is None else out[0])[None, :]
     return np.matmul(queries, block.T, out=out)
 
 
-def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _band(queries: np.ndarray) -> np.ndarray | None:
+    """2 eps per query row (m,): the float32 selection keeps every record whose
+    float32 score is within 2 eps of its row's k-th float32 score. None when a
+    row is outside the range the bound is proved for (a norm above 2^64 or
+    not finite, or d >= 2^20); that search stays in float64.
+
+    The bound. Let q be a query row and x a stored row of width d, s = q.x
+    exactly, s32 the score of the float32 product and s64 the fixed-order
+    float64 dot that rescores it (`_rescore`). u = 2^-24 and v = 2^-53 are
+    the unit roundoffs of float32 and float64, g(w) = d*w / (1 - d*w).
+    - Each cast rounds to nearest, so q32_i = q_i (1 + e_i) with |e_i| <= u,
+      and so for x; hence |q32.x32 - s| <= (2u + u^2) sum|q_i x_i|.
+    - A dot of d terms, summed in any order, with or without fused
+      multiply-adds (so whichever kernel BLAS picks), is within
+      g(u) sum|q32_i x32_i| <= g(u) (1 + u)^2 sum|q_i x_i| of q32.x32; the
+      float64 dot is within g(v) sum|q_i x_i| of s (Higham, Accuracy and
+      Stability of Numerical Algorithms, section 3.1).
+    - sum|q_i x_i| <= |q| |x| (Cauchy-Schwarz), and every stored row passed
+      `_norm_fault`, so |x| <= 1 + 1e-5.
+    - Underflow: below 2^-126 a cast or a product may lose up to 2^-126
+      outright, flushed to zero or not, and so may an addition where
+      subnormals are flushed. Over d terms and carried through the sum that
+      is at most 8 d (1 + |q|) 2^-126; the float64 dot's own underflow, at
+      2^-1022 per operation, fits in the same term.
+    - |q| <= 2^64 keeps every float32 product and partial sum below 2^128.
+    So |s32 - s64| <= eps = r |q| (1 + 1e-5) + 8 d (1 + |q|) 2^-126, with
+    r = (1 + u)^2 g(u) + 2u + u^2 + g(v), about (d + 2) 2^-24: 4.6e-5 for
+    unit rows of 768 dimensions. eps is computed here in float64 and raised
+    by 2^-10 of itself, which covers the rounding of this computation, of
+    |q| and of the cut (k-th float32 score - 2 eps).
+
+    Why the band holds the float64 top-k, ties included. Let t be the
+    row's k-th largest s64 and t32 its k-th largest s32. The k records
+    with s32 >= t32 have s64 >= s32 - eps >= t32 - eps, so t >= t32 - eps.
+    A record with s64 >= t then has s32 >= s64 - eps >= t - eps >=
+    t32 - 2 eps: it is in the band. So every record at or above t is in
+    the band and every record outside it scores below t, and the best k of
+    the band by descending s64, then ascending id, are the float64 top-k.
+    A row with fewer than k records left by its mask has t32 = -inf and
+    keeps them all.
+    """
+    d = queries.shape[1]
+    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    if d >= 1 << 20 or not np.all(norms <= 2.0 ** 64):
+        return None
+    u, v = 2.0 ** -24, 2.0 ** -53
+    r = (1 + u) ** 2 * d * u / (1 - d * u) + 2 * u + u * u + d * v / (1 - d * v)
+    eps = r * (1 + _UNIT_TOLERANCE) * norms + 8 * d * (1 + norms) * 2.0 ** -126
+    return 2 * (1 + 2.0 ** -10) * eps
+
+
+def _rescore(queries: np.ndarray, matrix: np.ndarray, gathered: np.ndarray,
+             rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The float64 score of each (query row, matrix row) pair: the
+    fixed-order dot np.einsum("ij,ij->i") of the two rows, gathered a chunk
+    at a time into the two buffers of `gathered`. Unlike a BLAS product's,
+    its bits depend neither on the kernel nor on the other pairs."""
+    exact = np.empty(len(rows))
+    step = gathered.shape[1]
+    for lo in range(0, len(rows), step):
+        q, x = gathered[:, : min(step, len(rows) - lo)]
+        # mode="clip" takes straight into `out` (the default mode copies through a
+        # buffer); every index is in range
+        np.take(queries, rows[lo: lo + step], axis=0, out=q, mode="clip")
+        np.take(matrix, cols[lo: lo + step], axis=0, out=x, mode="clip")
+        np.einsum("ij,ij->i", q, x, out=exact[lo: lo + step])
+    return exact
+
+
+def _kth(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th largest score, shape (m, 1), a few rows at a time so
+    that no copy of the whole block is made; negated, since numpy's
+    partition is slow near the end of a row of many equal (-inf) values."""
+    kth = np.empty((len(scores), 1))
+    step = max(1, _PARTITION_SCORES // scores.shape[1])
+    for lo in range(0, len(scores), step):
+        negated = -scores[lo: lo + step]
+        negated.partition(k - 1, axis=1)
+        kth[lo: lo + step, 0] = -negated[:, k - 1]
+    return kth
+
+
+def _top_k(scores: np.ndarray, ids: np.ndarray, k: int, band: np.ndarray | None = None,
+           rescore=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per row of scores (m, n): the k best columns as (ids, scores), by
     descending score then ascending id. -inf marks a column the row must
-    not return (excluded or not probed); a row may come back short."""
+    not return (excluded or not probed); a row may come back short.
+
+    For the float32 selection, `band` (m,) lowers each row's cut by its
+    2 eps (`_band`), and the kept columns are ranked by, and return, the
+    float64 scores `rescore(rows, cols)` instead of their own."""
     keep = scores > -np.inf
-    n = scores.shape[1]
-    if k < n:
-        # each row's k-th largest score, a few rows at a time, so that no
-        # copy of the whole block is made; negated, since numpy's partition
-        # is slow near the end of a row of many equal (-inf) values
-        kth = np.empty((len(scores), 1))
-        step = max(1, _PARTITION_SCORES // n)
-        for lo in range(0, len(scores), step):
-            negated = -scores[lo: lo + step]
-            negated.partition(k - 1, axis=1)
-            kth[lo: lo + step, 0] = -negated[:, k - 1]
-        keep &= scores >= kth  # every tie with the k-th score survives
-    rows, cols = np.nonzero(keep)
-    kept_scores = scores[rows, cols]
+    if k < scores.shape[1]:
+        cut = _kth(scores, k)
+        if band is not None:  # rounded down to float32, to compare float32 with float32
+            cut = np.nextafter((cut - band[:, None]).astype(np.float32), np.float32(-np.inf))
+        keep &= scores >= cut  # every tie with the k-th score survives
+    rows, cols = np.divmod(np.flatnonzero(keep), scores.shape[1])  # 10x np.nonzero's speed
+    kept_scores = scores[rows, cols] if rescore is None else rescore(rows, cols)
     kept_ids = ids[cols]
     order = np.lexsort((kept_ids, -kept_scores, rows))
     rows, kept_ids, kept_scores = rows[order], kept_ids[order], kept_scores[order]
     bounds = np.searchsorted(rows, np.arange(scores.shape[0] + 1)).tolist()
     return [(kept_ids[lo: min(hi, lo + k)], kept_scores[lo: min(hi, lo + k)])
             for lo, hi in zip(bounds, bounds[1:])]
+
+
+class Float32Copy:
+    """A flat index's matrix cast to float32, half its size, and the two
+    float64 gather buffers of `_rescore`: what the float32 selection of
+    `FlatIndex.search_batch` reuses across the blocks of one search. Its
+    maker holds it for one search and drops it with it, so no copy
+    outlives a search."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix.astype(np.float32)
+        dim = matrix.shape[1]
+        self.gathered = np.empty((2, max(1, _GATHER_BYTES // (8 * dim)), dim))
 
 
 class FlatIndex:
@@ -129,17 +235,30 @@ class FlatIndex:
         return list(map(SearchHit, ids.tolist(), scores.tolist()))
 
     def search_batch(self, queries: np.ndarray, k: int, nprobe: int | None = None,
-                     exclude: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+                     exclude: np.ndarray | None = None, out: np.ndarray | None = None,
+                     copy32: Float32Copy | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """Top-k (record ids, scores) for each row of queries (m, dim), in one
         BLAS call; records where the boolean `exclude` is set never return.
         `exclude` is one (n,) mask for every row or an (m, n) mask per row.
-        The scores go into `out`, a C-contiguous (m, n) float64 matrix, if given."""
+        The scores go into `out`, a C-contiguous (m, n) matrix, if given:
+        float64, or float32 with `copy32`.
+
+        With `copy32`, a `Float32Copy` of this index's matrix, the product is
+        the float32 one, and the hits within each row's band (`_band`) are
+        rescored in float64: the same ids in the same order as a float64
+        search, each scored by the fixed-order dot of its two rows. Rows
+        outside the bound's range are searched in float64 instead."""
         queries = _check_queries(queries, self.dim)
-        scores = _scores(self.matrix, queries, out)
+        band = None if copy32 is None else _band(queries)
+        if band is None:
+            scores = _scores(self.matrix, queries, None if copy32 else out)
+        else:
+            scores = np.matmul(queries.astype(np.float32), copy32.matrix.T, out=out)
         if exclude is not None:
             np.copyto(scores, -np.inf, where=exclude)
-        return _top_k(scores, np.arange(len(self)), k)
+        rescore = None if band is None else partial(
+            _rescore, queries, self.matrix, copy32.gathered)
+        return _top_k(scores, np.arange(len(self)), k, band, rescore)
 
 
 class IvfIndex:

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -40,7 +41,8 @@ from ragner.embedder import CACHE_ARRAYS, CACHE_TEXTS
 from ragner.errors import ConfigError
 from ragner.vector_index import load_index
 
-from helpers import encoding_record, json_with_literal, set_at, write_embedding_file
+from helpers import (domain_schema, encoding_record, json_with_literal, render_bio, set_at,
+                     synth_sentences, write_embedding_file)
 
 DIM = 8
 
@@ -2303,3 +2305,104 @@ def test_ablate_telemetry_tells_how_each_cell_got_its_store_and_retrieval(tmp_pa
     ]
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert all("store" not in c and "retrieval" not in c for c in doc["cells"])
+
+
+# --- a store large enough for the float32 selection ------------------------------------
+
+
+def float32_project(root: Path) -> SimpleNamespace:
+    """A generated project whose word index (every non-stop word kept) has
+    more records, and whose test split more query words, than
+    `retriever._FLOAT32_FROM` asks for: its `retrieve` and `predict` select
+    in float32. Words repeat across sentences, so scores tie exactly."""
+    rng = random.Random(31)
+    schema = domain_schema("big", n_types=2)
+    train = synth_sentences("big", 300, schema, rng)
+    test = synth_sentences("big", 12, schema, rng, id_base=300)
+    data = root / "data"
+    data.mkdir()
+    (data / "train.txt").write_text(render_bio(train), encoding="utf-8")
+    (data / "test.txt").write_text(render_bio(test), encoding="utf-8")
+    (data / "schema.json").write_text(json.dumps(
+        [{"name": t.name, "definition": t.definition} for t in schema.types]), encoding="utf-8")
+    write_embedding_file(train + test, data / "embeddings.jsonl", 16)
+    doc = {
+        "paths": {"corpus_train": "data/train.txt", "corpus_test": "data/test.txt",
+                  "schema": "data/schema.json", "out_dir": "out"},
+        "embedder": {"provider": "precomputed-file", "model_name": "test-hash", "dimension": 16,
+                     "precomputed_path": "data/embeddings.jsonl"},
+        "store": {"source_splits": ["train"]},
+        "retriever": {"store_words": "all"},
+        "generator": {"backend": "mock-echo-nearest"},
+    }
+    (root / "config.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return SimpleNamespace(root=root, cfg="config.yaml", out=root / "out")
+
+
+def brute_force_retrieve(store, queries, cfg) -> list[list[tuple[int, float]]]:
+    """Word-level retrieval by brute force in float64: every query word
+    against every word record by a fixed-order dot, the query's own
+    records left out, its per_word_k best records by descending score then
+    ascending record id, the best score per sentence, the k best sentences
+    by descending score then ascending sentence id."""
+    index = store.indexes["word-level"]
+    out = []
+    for query in queries:
+        best: dict[int, float] = {}
+        for vector in store.embedder.embed_words(query)[1]:
+            scores = np.einsum("ij,ij->i", np.broadcast_to(vector, index.matrix.shape), index.matrix)
+            allowed = np.flatnonzero(index.sentence_ids != query.id)
+            for record in sorted(allowed.tolist(), key=lambda i: (-scores[i], i))[:cfg.k]:
+                sid = int(index.sentence_ids[record])
+                best[sid] = max(best.get(sid, -np.inf), float(scores[record]))
+        out.append([(sid, best[sid]) for sid in sorted(best, key=lambda s: (-best[s], s))[:cfg.k]])
+    return out
+
+
+def test_retrieve_and_predict_over_a_store_that_selects_in_float32(tmp_path, monkeypatch):
+    from ragner import pipeline, retriever, vector_index
+    from ragner.corpus import read_sentences_jsonl
+    from ragner.manifest import Digests
+    from ragner.retriever import RetrievedExample
+
+    ns = float32_project(tmp_path)
+    monkeypatch.chdir(ns.root)
+    copies = []
+    monkeypatch.setattr(retriever, "Float32Copy", lambda matrix: copies.append(
+        matrix.shape) or vector_index.Float32Copy(matrix))
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(ns.out, ignore_errors=True)
+        run(["-c", ns.cfg, "ingest"])
+        run(["-c", ns.cfg, "index"])
+        store_part = read_sentences_jsonl(ns.out / "corpus" / "store.jsonl")[:40]
+        write_sentences_jsonl(store_part + read_sentences_jsonl(ns.out / "corpus" / "test.jsonl"),
+                              tmp_path / "queries.jsonl")
+        copies.clear()
+        run(["-c", ns.cfg, "retrieve", "--input", tmp_path / "queries.jsonl"])
+        run(["-c", ns.cfg, "predict"])
+        runs.append({p.relative_to(ns.out): p.read_bytes() for p in sorted(ns.out.rglob("*"))
+                     if p.is_file() and not p.name.endswith("_telemetry.json")})
+    assert [p for p in runs[0] if runs[0][p] != runs[1][p]] == [] and runs[0].keys() == runs[1].keys()
+
+    cfg = load_config(ns.cfg)
+    store = pipeline.load_store(cfg, Digests())
+    min_rows, min_records = retriever._FLOAT32_FROM
+    assert len(store.indexes["word-level"]) >= min_records
+    assert len(copies) == 2  # one float32 search each for retrieve and predict
+    queries = read_sentences_jsonl(tmp_path / "queries.jsonl")
+    test = read_sentences_jsonl(ns.out / "corpus" / "test.jsonl")
+    assert sum(len(store.embedder.word_indexes(q)) for q in test) >= min_rows
+
+    want = brute_force_retrieve(store, queries, cfg.retriever)
+    got = [[(ex["sentence_id"], ex["score"]) for ex in row["examples"]]
+           for row in read_jsonl(ns.out / "retrieval.jsonl")]
+    assert [[sid for sid, _ in row] for row in got] == [[sid for sid, _ in row] for row in want]
+    np.testing.assert_allclose([s for row in got for _, s in row],
+                               [s for row in want for _, s in row], rtol=0, atol=1e-12)
+    assert any(q.id in store.by_id for q in queries)  # self-exclusion had work to do
+
+    oracle = [[RetrievedExample(sid, score) for sid, score in row]
+              for row in brute_force_retrieve(store, test, cfg.retriever)]
+    expected = pipeline.predict_sentences(test, store, cfg, oracle)
+    assert read_jsonl(ns.out / "predictions.jsonl") == [row.to_dict() for row in expected.rows]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -503,6 +505,104 @@ def test_block_rule_splits_by_score_budget_and_row_cap(tmp_path, monkeypatch):
     rows.clear()
     retrieve(queries * 2, store, RetrieverConfig(mode="sentence-level"))
     assert rows == [5, 5, 2]
+
+
+# --- the float32 selection of a flat search ------------------------------------------
+
+
+def float32_copies(monkeypatch) -> list:
+    """Weak references to each Float32Copy the retriever makes from now on."""
+    made = []
+
+    class Recorded(retriever.Float32Copy):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(retriever, "Float32Copy", Recorded)
+    return made
+
+
+def test_the_float32_rule_reads_query_rows_and_records(tmp_path, monkeypatch):
+    vocab = sorted(_EXACT_WORDS)
+    sents = [LabeledSentence(i, vocab[i: i + 4], []) for i in range(5)]  # 20 word records
+    queries = [LabeledSentence(100 + i, [vocab[(i + j) % 10] for j in range(n)], [])
+               for i, n in enumerate((3, 2, 1, 4, 7, 1))]  # 18 word rows
+    embedder = make_embedder(sents + queries, tmp_path, dim=16, word_vectors=_EXACT_WORDS)
+    stores = {kind: ExampleStore.build(sents, product_schema(), embedder,
+                                       RetrieverConfig(store_words="all", index_kind=kind, nlist=2),
+                                       modes=("word-level", "sentence-level"))
+              for kind in ("flat", "ivf")}
+    made = float32_copies(monkeypatch)
+
+    def copies(rule, mode="word-level", kind="flat") -> int:
+        monkeypatch.setattr(retriever, "_FLOAT32_FROM", rule)
+        made.clear()
+        retrieve(queries, stores[kind], RetrieverConfig(store_words="all", mode=mode, nlist=2,
+                                                        index_kind=kind))
+        gc.collect()
+        assert all(ref() is None for ref in made)  # no copy outlives its search
+        return len(made)
+
+    assert copies((18, 20)) == 1
+    assert copies((19, 20)) == 0  # one query row short
+    assert copies((18, 21)) == 0  # one record short
+    assert copies((6, 5), "sentence-level") == 1  # a row per query, over 5 sentence records
+    assert copies((7, 5), "sentence-level") == 0
+    assert copies((1, 1), kind="ivf") == 0
+
+    # a float32 block holds twice the rows in the same bytes, under the same row cap
+    rows = search_batch_rows(monkeypatch, stores["flat"])
+    monkeypatch.setattr(retriever, "_BLOCK_SCORES", 6 * 20 + 19)
+    copies((1, 1))
+    assert rows == [10, 8]
+    rows.clear()
+    copies((19, 1))
+    assert rows == [6, 4, 7, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_float32_search_scores_each_hit_alike_in_any_block(tmp_path, monkeypatch, seed):
+    """Selected in float32, a hit's score is the fixed-order dot of its two
+    rows: the same bits whatever block the query is searched in, the same
+    ids as the float64 search and its scores within 1e-12."""
+    rng = random.Random(seed)
+    sents = random_store(rng, 40)
+    outside = [LabeledSentence(500 + j, rng.sample([f"tok{i}" for i in range(300, 400)], 4), [])
+               for j in range(5)]
+    queries = sents[::4] + outside
+    embedder = make_embedder(sents + outside, tmp_path, dim=16, name=f"f32_{seed}.jsonl")
+    store = ExampleStore.build(sents, product_schema(), embedder, RetrieverConfig(store_words="all"),
+                               modes=("word-level", "sentence-level"))
+    rows = search_batch_rows(monkeypatch, store)
+    made = float32_copies(monkeypatch)
+    for cfg, block_scores in ((RetrieverConfig(k=4, store_words="all"), 2000),
+                              (RetrieverConfig(k=3, per_word_k=6, aggregator="sum",
+                                               store_words="all"), 2000),
+                              (RetrieverConfig(k=5, mode="sentence-level", store_words="all"), 60)):
+        monkeypatch.setattr(retriever, "_BLOCK_SCORES", block_scores)  # blocks of a few queries
+        monkeypatch.setattr(retriever, "_FLOAT32_FROM", (1, 1))
+        rows.clear()
+        got = retrieve(queries, store, cfg)
+        assert len(rows) > 1 and len(made) > 0
+        assert got == [retrieve([q], store, cfg)[0] for q in queries]
+        monkeypatch.setattr(retriever, "_FLOAT32_FROM", (10 ** 9, 10 ** 9))
+        made.clear()
+        for examples, want in zip(got, retrieve(queries, store, cfg)):
+            assert [(ex.sentence_id, [(p.query_word, p.store_word) for p in ex.matched_pairs])
+                    for ex in examples] == \
+                [(ex.sentence_id, [(p.query_word, p.store_word) for p in ex.matched_pairs])
+                 for ex in want]
+            np.testing.assert_allclose([ex.score for ex in examples], [ex.score for ex in want],
+                                       rtol=0, atol=1e-12)
+        assert made == []
+    monkeypatch.setattr(retriever, "_FLOAT32_FROM", (1, 1))
+    got = retrieve(outside, store, RetrieverConfig(k=4, store_words="all"))
+    for query, examples in zip(outside, got):
+        want = oracle_word_level(sents, query, embedder, per_word_k=4, k=4)
+        assert [ex.sentence_id for ex in examples] == [sid for sid, _ in want]
+        np.testing.assert_allclose([ex.score for ex in examples], [score for _, score in want],
+                                   rtol=0, atol=1e-12)
 
 
 def store_build_peak(tmp_path, index_kind: str) -> float:

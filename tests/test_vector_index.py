@@ -705,6 +705,159 @@ def test_flat_search_of_one_query_keeps_its_bits():
         assert all(hit.score == matvec[hit.record_id] for hit in hits)
 
 
+
+# --- float32 selection, float64 rescoring ---------------------------------------------
+
+
+def fixed_dot(query: np.ndarray, row: np.ndarray) -> float:
+    """The fixed-order float64 dot of two rows, as the float32 selection
+    rescores each hit."""
+    return float(np.einsum("ij,ij->i", query[None, :], row[None, :])[0])
+
+
+def float64_oracle(matrix: np.ndarray, queries: np.ndarray, k: int,
+                   exclude: np.ndarray | None) -> list[list[tuple[int, str]]]:
+    """Per query row: brute-force top-k by the fixed-order dot, by descending
+    score then ascending record id, masked records left out; each score as
+    float.hex, so that equality is equality of bits."""
+    masks = np.broadcast_to(False if exclude is None else exclude, (len(queries), len(matrix)))
+    out = []
+    for query, mask in zip(queries, masks):
+        scores = {i: fixed_dot(query, row) for i, row in enumerate(matrix) if not mask[i]}
+        ranked = sorted(scores, key=lambda i: (-scores[i], i))[:k]
+        out.append([(i, scores[i].hex()) for i in ranked])
+    return out
+
+
+def select32(matrix: np.ndarray, queries: np.ndarray, k: int,
+             exclude: np.ndarray | None = None) -> list[list[tuple[int, str]]]:
+    """A flat search_batch through a Float32Copy, scores as float.hex."""
+    index = flat_from_matrix(matrix, np.arange(len(matrix)))
+    copy32 = vector_index.Float32Copy(index.matrix)
+    results = index.search_batch(queries, k, exclude=exclude, copy32=copy32)
+    return [[(i, s.hex()) for i, s in zip(ids.tolist(), scores.tolist())]
+            for ids, scores in results]
+
+
+def near_ties(rng: np.random.Generator, n: int, m: int, dim: int,
+              spread: float) -> tuple[np.ndarray, np.ndarray]:
+    """n unit rows about one direction, apart by about `spread`, every third
+    row a copy of an earlier one, and m unit queries at about 40 degrees
+    from it: a query's scores differ by about `spread`, so below 1e-7
+    float32 tells none of them apart, and the copies tie exactly."""
+    base = unit_rows(rng, 1, dim)[0]
+    matrix = base + spread * rng.normal(size=(n, dim))
+    copies = matrix[2::3]
+    copies[:] = matrix[: len(copies)]
+    queries = base + 0.8 * unit_rows(rng, m, dim)
+    return (matrix / np.linalg.norm(matrix, axis=1, keepdims=True),
+            queries / np.linalg.norm(queries, axis=1, keepdims=True))
+
+
+def test_the_band_is_about_d_plus_2_float32_roundings():
+    rng = np.random.default_rng(3)
+    for dim in (16, 768):
+        band = vector_index._band(unit_rows(rng, 3, dim))
+        np.testing.assert_allclose(band, 2 * (dim + 2) * 2.0 ** -24, rtol=2e-3)
+    assert vector_index._band(unit_rows(rng, 1, 768))[0] / 2 == pytest.approx(4.6e-5, rel=0.01)
+
+
+@pytest.mark.parametrize("spread", [1e-2, 1e-5, 1e-6, 3e-7, 1e-7, 3e-8, 1e-8, 1e-11, 1e-14])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_float32_selection_equals_the_float64_oracle_on_near_ties(seed, spread):
+    rng = np.random.default_rng(seed)
+    matrix, queries = near_ties(rng, 90, 7, 24, spread)
+    want = float64_oracle(matrix, queries, 6, None)
+    assert select32(matrix, queries, 6) == want
+    if spread <= 1e-8:  # the fixture holds k-th place gaps below float32's resolution and eps
+        gaps = [float.fromhex(row[4][1]) - float.fromhex(row[5][1]) for row in want]
+        assert any(0 < gap < 2.0 ** -24 for gap in gaps)
+
+
+@pytest.mark.parametrize("spread", [1e-2, 1e-9])
+def test_float32_selection_honours_self_exclusion_masks(spread):
+    rng = np.random.default_rng(5)
+    matrix, queries = near_ties(rng, 80, 6, 16, spread)
+    shared = rng.random(80) < 0.3
+    per_row = rng.random((6, 80)) < 0.3
+    for mask in (shared, per_row):
+        assert select32(matrix, queries, 5, mask) == float64_oracle(matrix, queries, 5, mask)
+
+
+def test_float32_selection_returns_rows_with_fewer_than_k_records_short():
+    rng = np.random.default_rng(7)
+    matrix, queries = near_ties(rng, 40, 5, 16, 1e-9)
+    mask = np.ones((5, 40), dtype=bool)
+    for row, allowed in enumerate((0, 1, 3, 8, 40)):
+        mask[row, rng.permutation(40)[:allowed]] = False
+    got = select32(matrix, queries, 8, mask)
+    assert [len(hits) for hits in got] == [0, 1, 3, 8, 8]
+    assert got == float64_oracle(matrix, queries, 8, mask)
+
+
+@pytest.mark.parametrize("k", [30, 31, 200])
+def test_float32_selection_with_k_at_least_n_returns_every_record(k):
+    rng = np.random.default_rng(11)
+    matrix, queries = near_ties(rng, 30, 4, 16, 1e-10)
+    mask = rng.random((4, 30)) < 0.2
+    want = float64_oracle(matrix, queries, k, None)
+    assert all(len({score for _, score in row}) < 30 for row in want)  # the copies tie
+    assert select32(matrix, queries, k) == want
+    assert select32(matrix, queries, k, mask) == float64_oracle(matrix, queries, k, mask)
+
+
+@pytest.mark.parametrize("spread", [1e-3, 1e-9])
+def test_float32_selection_at_the_unit_norm_tolerance(spread):
+    """Rows and queries whose norms are 1e-5 off 1, the most `_norm_fault` lets through."""
+    rng = np.random.default_rng(13)
+    matrix, queries = near_ties(rng, 70, 6, 32, spread)
+    matrix *= np.where(np.arange(70) % 2, 1 + 0.999e-5, 1 - 0.999e-5)[:, None]
+    queries *= np.where(np.arange(6) % 2, 1 + 1e-5, 1 - 1e-5)[:, None]
+    assert vector_index._norm_fault(matrix) is None
+    mask = rng.random((6, 70)) < 0.1
+    assert select32(matrix, queries, 7, mask) == float64_oracle(matrix, queries, 7, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float32_selection_matches_the_oracle_on_any_shape(data):
+    n, m, dim = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 6)), data.draw(
+        st.sampled_from([1, 3, 16, 40]))
+    spread = data.draw(st.sampled_from([1.0, 1e-4, 1e-8, 1e-12]))
+    k = data.draw(st.integers(1, 70))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    matrix, queries = near_ties(rng, n, m, dim, spread)
+    mask = data.draw(st.sampled_from([None, "shared", "per-row"]))
+    if mask is not None:
+        mask = rng.random(n if mask == "shared" else (m, n)) < 0.4
+    assert select32(matrix, queries, k, mask) == float64_oracle(matrix, queries, k, mask)
+
+
+def test_float32_selection_rescores_in_chunks_of_its_gather_buffers(monkeypatch):
+    """Hits past one buffer's worth are gathered again into the same buffers."""
+    rng = np.random.default_rng(17)
+    matrix, queries = near_ties(rng, 50, 5, 16, 1e-9)
+    monkeypatch.setattr(vector_index, "_GATHER_BYTES", 3 * 8 * 16)  # 3 hits a chunk
+    assert vector_index.Float32Copy(matrix).gathered.shape == (2, 3, 16)
+    assert select32(matrix, queries, 10) == float64_oracle(matrix, queries, 10, None)
+
+
+@pytest.mark.parametrize("bad", [2.0 ** 70, np.inf, np.nan])
+def test_rows_outside_the_bound_are_searched_in_float64(bad):
+    rng = np.random.default_rng(19)
+    matrix = unit_rows(rng, 40, 8)
+    index = flat_from_matrix(matrix, np.arange(40))
+    queries = unit_rows(rng, 3, 8)
+    queries[1, 2] = bad
+    assert vector_index._band(queries) is None
+    copy32 = vector_index.Float32Copy(index.matrix)
+    out = np.empty((3, 40), dtype=np.float32)  # the caller's float32 buffer is left alone
+    got = index.search_batch(queries, 5, out=out, copy32=copy32)
+    want = index.search_batch(queries, 5)
+    assert [(ids.tolist(), scores.tobytes()) for ids, scores in got] == \
+        [(ids.tolist(), scores.tobytes()) for ids, scores in want]
+
+
 # --- spherical k-means ---------------------------------------------------------------
 
 

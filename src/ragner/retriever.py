@@ -13,7 +13,9 @@ evaluating over the store itself cannot leak gold labels: the records of
 that sentence are masked out of the search itself. All ties break by
 ascending record or sentence id, which makes retrieval fully
 deterministic. Consecutive query sentences are searched in blocks, with
-one batched call over all the words of a block. `retrieve` searches
+one batched call over all the words of a block; a large flat search
+selects in float32 and rescores its hits in float64 (`_float32_copy`
+holds the rule), with the same results. `retrieve` searches
 (`_retrieve_blocks`), then selects (`select`), so that one search can serve
 every depth up to its own.
 """

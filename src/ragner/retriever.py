@@ -48,9 +48,9 @@ from .vector_index import (
 # float64 scores per search block, about 4 MB (twice as many float32 ones): blocks
 # of consecutive queries share one matrix product, which streams the index matrix once
 _BLOCK_SCORES = 1 << 19
-# a flat search selects in float32 from this many query rows and records on
+# a flat index of this many records or more is searched by float32 selection
 # (`_float32_copy` gives the cost model)
-_FLOAT32_FROM = (64, 2048)
+_FLOAT32_FROM = 2048
 
 
 @dataclass(frozen=True)
@@ -283,13 +283,10 @@ def _search_block(block, search, index: Index, cfg: RetrieverConfig, depth: int,
         entries[position] = word_indexes, [next(results) for _ in range(len(rows))]
 
 
-def _float32_copy(index: Index, queries: Sequence[LabeledSentence], embedder: Embedder,
-                  word_level: bool) -> Float32Copy | None:
-    """The float32 copy of a flat index that the search of `queries`
-    selects with, or None where the float32 selection does not pay. By
-    `_FLOAT32_FROM`, it pays when the search has at least 64 query rows
-    (one per non-stop query word, or one per query in sentence-level mode)
-    and the index at least 2,048 records.
+def _float32_copy(index: Index) -> Float32Copy | None:
+    """The float32 copy of a flat index that a search selects with, or
+    None where the float32 selection does not pay: by `_FLOAT32_FROM`, an
+    index of fewer than 2,048 records, or an IVF index.
 
     The cost model, measured on one core (AVX-512, OpenBLAS) against the
     3,594 x 768 word matrix of the benchmark's large-store workload:
@@ -301,18 +298,21 @@ def _float32_copy(index: Index, queries: Sequence[LabeledSentence], embedder: Em
       1.8 us into fresh ones); a row keeps about k + 1 hits.
     A row saves n * d * 18 ps and pays (k + 1) * 1.1 us, so the selection
     pays from about 500 records at k = 5, and from 2,048 records up to
-    k = 20. The cast pays back after 0.85 ns / 18 ps, about 50 rows. Below
-    these, the copy, the gathers and the first float32 product of a
-    process (4.4 MB more resident memory for a 290 x 3,594 block, 0.2 MB
-    of it OpenBLAS kernel text) cost more than they save: on a 67-record
-    index, as in a CrossNER-sized domain, a block of 60 rows takes 0.17 ms
-    in float64.
+    k = 20. Below that, the copy, the gathers and the first float32
+    product of a process (4.4 MB more resident memory for a 290 x 3,594
+    block, 0.2 MB of it OpenBLAS kernel text) cost more than they save: on
+    a 67-record index, as in a CrossNER-sized domain, a block of 60 rows
+    takes 0.17 ms in float64. The cast pays back after 0.85 ns / 18 ps,
+    about 50 query rows. The rule does not count rows: every search of a
+    large store that the benchmark makes (`predict`, `augment`, an
+    `ablate` cell, a `retrieve` of its 24 queries) has over a hundred, and a
+    search of few rows loses about the cast. A `retrieve` of one query
+    (5 rows) took 5.6-8.8 ms against 3.3-5.1 ms in float64, one of 8
+    queries (56 rows) 10.0-10.1 against 9.4 ms.
     """
-    min_rows, min_records = _FLOAT32_FROM
-    if index.kind != "flat" or len(index) < min_records:
-        return None
-    rows = sum(len(embedder.word_indexes(q)) for q in queries) if word_level else len(queries)
-    return Float32Copy(index.matrix) if rows >= min_rows else None
+    if index.kind == "flat" and len(index) >= _FLOAT32_FROM:
+        return Float32Copy(index.matrix)
+    return None
 
 
 def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
@@ -329,7 +329,7 @@ def _retrieve_blocks(queries: Sequence[LabeledSentence], store: ExampleStore,
     """
     word_level = cfg.mode == "word-level"
     index = store.indexes[cfg.mode]
-    copy32 = _float32_copy(index, queries, store.embedder, word_level)
+    copy32 = _float32_copy(index)
     search = index.search_batch if copy32 is None else partial(index.search_batch, copy32=copy32)
     per_block = _BLOCK_SCORES if copy32 is None else 2 * _BLOCK_SCORES  # the same 4 MB
     max_rows = min(len(index), per_block // len(index))

@@ -2312,9 +2312,9 @@ def test_ablate_telemetry_tells_how_each_cell_got_its_store_and_retrieval(tmp_pa
 
 def float32_project(root: Path) -> SimpleNamespace:
     """A generated project whose word index (every non-stop word kept) has
-    more records, and whose test split more query words, than
-    `retriever._FLOAT32_FROM` asks for: its `retrieve` and `predict` select
-    in float32. Words repeat across sentences, so scores tie exactly."""
+    at least as many records as `retriever._FLOAT32_FROM` asks for: its
+    `retrieve` and `predict` select in float32. Words repeat across
+    sentences, so scores tie exactly."""
     rng = random.Random(31)
     schema = domain_schema("big", n_types=2)
     train = synth_sentences("big", 300, schema, rng)
@@ -2387,12 +2387,10 @@ def test_retrieve_and_predict_over_a_store_that_selects_in_float32(tmp_path, mon
 
     cfg = load_config(ns.cfg)
     store = pipeline.load_store(cfg, Digests())
-    min_rows, min_records = retriever._FLOAT32_FROM
-    assert len(store.indexes["word-level"]) >= min_records
+    assert len(store.indexes["word-level"]) >= retriever._FLOAT32_FROM
     assert len(copies) == 2  # one float32 search each for retrieve and predict
     queries = read_sentences_jsonl(tmp_path / "queries.jsonl")
     test = read_sentences_jsonl(ns.out / "corpus" / "test.jsonl")
-    assert sum(len(store.embedder.word_indexes(q)) for q in test) >= min_rows
 
     want = brute_force_retrieve(store, queries, cfg.retriever)
     got = [[(ex["sentence_id"], ex["score"]) for ex in row["examples"]]

@@ -523,7 +523,7 @@ def float32_copies(monkeypatch) -> list:
     return made
 
 
-def test_the_float32_rule_reads_query_rows_and_records(tmp_path, monkeypatch):
+def test_the_float32_rule_reads_the_records_of_a_flat_index(tmp_path, monkeypatch):
     vocab = sorted(_EXACT_WORDS)
     sents = [LabeledSentence(i, vocab[i: i + 4], []) for i in range(5)]  # 20 word records
     queries = [LabeledSentence(100 + i, [vocab[(i + j) % 10] for j in range(n)], [])
@@ -535,8 +535,8 @@ def test_the_float32_rule_reads_query_rows_and_records(tmp_path, monkeypatch):
               for kind in ("flat", "ivf")}
     made = float32_copies(monkeypatch)
 
-    def copies(rule, mode="word-level", kind="flat") -> int:
-        monkeypatch.setattr(retriever, "_FLOAT32_FROM", rule)
+    def copies(records, mode="word-level", kind="flat") -> int:
+        monkeypatch.setattr(retriever, "_FLOAT32_FROM", records)
         made.clear()
         retrieve(queries, stores[kind], RetrieverConfig(store_words="all", mode=mode, nlist=2,
                                                         index_kind=kind))
@@ -544,20 +544,19 @@ def test_the_float32_rule_reads_query_rows_and_records(tmp_path, monkeypatch):
         assert all(ref() is None for ref in made)  # no copy outlives its search
         return len(made)
 
-    assert copies((18, 20)) == 1
-    assert copies((19, 20)) == 0  # one query row short
-    assert copies((18, 21)) == 0  # one record short
-    assert copies((6, 5), "sentence-level") == 1  # a row per query, over 5 sentence records
-    assert copies((7, 5), "sentence-level") == 0
-    assert copies((1, 1), kind="ivf") == 0
+    assert copies(20) == 1
+    assert copies(21) == 0  # one record short
+    assert copies(5, "sentence-level") == 1  # 5 sentence records
+    assert copies(6, "sentence-level") == 0
+    assert copies(1, kind="ivf") == 0
 
     # a float32 block holds twice the rows in the same bytes, under the same row cap
     rows = search_batch_rows(monkeypatch, stores["flat"])
     monkeypatch.setattr(retriever, "_BLOCK_SCORES", 6 * 20 + 19)
-    copies((1, 1))
+    copies(1)
     assert rows == [10, 8]
     rows.clear()
-    copies((19, 1))
+    copies(21)
     assert rows == [6, 4, 7, 1]
 
 
@@ -581,12 +580,12 @@ def test_a_float32_search_scores_each_hit_alike_in_any_block(tmp_path, monkeypat
                                                store_words="all"), 2000),
                               (RetrieverConfig(k=5, mode="sentence-level", store_words="all"), 60)):
         monkeypatch.setattr(retriever, "_BLOCK_SCORES", block_scores)  # blocks of a few queries
-        monkeypatch.setattr(retriever, "_FLOAT32_FROM", (1, 1))
+        monkeypatch.setattr(retriever, "_FLOAT32_FROM", 1)
         rows.clear()
         got = retrieve(queries, store, cfg)
         assert len(rows) > 1 and len(made) > 0
         assert got == [retrieve([q], store, cfg)[0] for q in queries]
-        monkeypatch.setattr(retriever, "_FLOAT32_FROM", (10 ** 9, 10 ** 9))
+        monkeypatch.setattr(retriever, "_FLOAT32_FROM", 10 ** 9)
         made.clear()
         for examples, want in zip(got, retrieve(queries, store, cfg)):
             assert [(ex.sentence_id, [(p.query_word, p.store_word) for p in ex.matched_pairs])
@@ -596,7 +595,7 @@ def test_a_float32_search_scores_each_hit_alike_in_any_block(tmp_path, monkeypat
             np.testing.assert_allclose([ex.score for ex in examples], [ex.score for ex in want],
                                        rtol=0, atol=1e-12)
         assert made == []
-    monkeypatch.setattr(retriever, "_FLOAT32_FROM", (1, 1))
+    monkeypatch.setattr(retriever, "_FLOAT32_FROM", 1)
     got = retrieve(outside, store, RetrieverConfig(k=4, store_words="all"))
     for query, examples in zip(outside, got):
         want = oracle_word_level(sents, query, embedder, per_word_k=4, k=4)

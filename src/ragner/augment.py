@@ -26,9 +26,9 @@ from typing import Iterable, Iterator
 
 from . import files
 from .config import AugmentConfig, RetrieverConfig
-from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
+from .corpus import EntitySchema, LabeledSentence, NerOutput
 from .errors import RagnerError
-from .promptkit import PromptExample, PromptTemplate, build_prompt, order_examples, render_output
+from .promptkit import PromptExample, PromptTemplate, build_prompt, query_rows, render_output
 from .retriever import ExampleStore, retrieve
 
 
@@ -108,9 +108,9 @@ def build_finetune_dataset(
 
     Each prompt is the one `predict` renders for the sentence, under the
     record's own schema. Output size is len(sentences) * (1 +
-    dropout_fraction) within rounding. Sentences whose retrieval or
-    rendering fails are logged, appended to `skipped` when given, and
-    omitted.
+    dropout_fraction) within rounding. A sentence that `query_rows` fails,
+    as `predict` fails its row, is logged, appended to `skipped` when
+    given, and omitted.
     """
     schema = store.schema
     if cfg.dropout_fraction > 0:
@@ -121,20 +121,15 @@ def build_finetune_dataset(
     shuffle_ids = _exact_count_subset(ids, cfg.shuffle_fraction, master)
 
     retrieved = retrieve(sentences, store, retriever_cfg, pairs=False)
-    for sentence, examples in zip(sentences, retrieved):
-        rng = _sentence_rng(cfg.seed, sentence.id)
-        try:
-            if isinstance(examples, RagnerError):
-                raise examples
-            example_gold = order_examples(examples, store)
-            gold = gold_output(sentence, schema)
-        except RagnerError as exc:
+    for sentence, entry in zip(sentences, query_rows(sentences, retrieved, store)):
+        if isinstance(entry, RagnerError):
             import logging  # here, so that a run that skips nothing never loads it
-            logging.getLogger(__name__).warning("skipping sentence %d: %s", sentence.id, exc)
+            logging.getLogger(__name__).warning("skipping sentence %d: %s", sentence.id, entry)
             if skipped is not None:
-                skipped.append((sentence.id, str(exc)))
+                skipped.append((sentence.id, str(entry)))
             continue
-
+        example_gold, gold = entry
+        rng = _sentence_rng(cfg.seed, sentence.id)
         base_schema = schema
         transforms: tuple[str, ...] = ()
         permutation: tuple[str, ...] | None = None

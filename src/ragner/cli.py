@@ -255,17 +255,18 @@ def predict(cfg: RunConfig, input_path, output_path):
     in_path = Path(input_path) if input_path else cfg.paths.out_path("corpus", "test.jsonl")
     if not in_path.exists():
         raise MissingArtifact(f"no input sentences at {in_path}")
-    outcome = pipeline.predict_sentences(_read_input(in_path), store, cfg)
+    if not input_path:
+        verify_upstream(cfg, "ingest", digests, only=[in_path])
+    rows, latency = pipeline.predict_sentences(_read_input(in_path), store, cfg)
 
-    files.write_jsonl(out_path, (row.to_dict() for row in outcome.rows))
-    failures = sum(row.error is not None for row in outcome.rows)
-    _write_telemetry(out_path, {"latency": outcome.latency, "failures": failures})
+    files.write_jsonl(out_path, (row.to_dict() for row in rows))
+    failures = sum(row.error is not None for row in rows)
+    _write_telemetry(out_path, {"latency": latency, "failures": failures})
     digests.pop(str(out_path), None)
     write_manifest(cfg, "predict", [in_path], [out_path], digests)
-    median = outcome.latency.get("median")
+    median = latency.get("median")
     timing = f", median latency {median:.4f}s" if median is not None else ""
-    click.echo(f"predicted {len(outcome.rows)} sentences ({failures} failures{timing}) -> "
-               f"{out_path}")
+    click.echo(f"predicted {len(rows)} sentences ({failures} failures{timing}) -> {out_path}")
 
 
 @main.command()
@@ -281,7 +282,10 @@ def evaluate(cfg: RunConfig, predictions_path, gold_path, output_path):
     verify_upstream(cfg, "predict", digests)
     pred_path = Path(predictions_path) if predictions_path else cfg.paths.out_path("predictions.jsonl")
     gold_file = Path(gold_path) if gold_path else cfg.paths.out_path("corpus", "test.jsonl")
-    schema = load_schema(cfg.paths.out_path("schema.json"))
+    schema_path = cfg.paths.out_path("schema.json")
+    checked = [schema_path] if gold_path or not gold_file.exists() else [schema_path, gold_file]
+    verify_upstream(cfg, "ingest", digests, only=checked)  # a missing gold file: its reader's error
+    schema = load_schema(schema_path)
     gold = {s.id: s for s in read_sentences_jsonl(gold_file, unique_ids=True)}
     report = score_rows(files.read_jsonl(pred_path), gold, schema, cfg.eval)
     click.echo(format_report(report, title=str(pred_path)))

@@ -137,19 +137,26 @@ def check_writable(*paths) -> None:
             raise ConfigError(f"cannot write {path}: Is a directory")
 
 
-def _write(path, mode: str, write: Callable, rename_to: Path | None = None):
-    """write(fh) into `path`, which then replaces `rename_to` if given;
-    returns what write returned."""
+def _write(path, mode: str, write: Callable, atomic: bool = False):
+    """write(fh) into `path`; returns what write returned. An atomic write
+    goes to a new file beside `path` that then replaces it, and that file
+    is removed if anything fails, so `path` is left either as it was or
+    whole; a reader that mapped the old file keeps it intact."""
     path = Path(path)
+    into = path.with_name(path.name + ".tmp") if atomic else path
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(into, mode, encoding=None if "b" in mode else "utf-8") as fh:
             result = write(fh)
-        if rename_to is not None:
-            path.replace(rename_to)
+        if atomic:
+            into.replace(path)
         return result
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if atomic:  # still there only when something failed
+            with contextlib.suppress(OSError):
+                into.unlink(missing_ok=True)
 
 
 def write_json(path, doc, **dumps) -> None:
@@ -158,20 +165,21 @@ def write_json(path, doc, **dumps) -> None:
 
 
 def write_jsonl(path, docs) -> int:
-    """One `json.dumps(doc, ensure_ascii=False)` line per doc; returns the count."""
+    """One `json.dumps(doc, ensure_ascii=False)` line per doc, written
+    atomically, so that an error raised while `docs` is consumed leaves the
+    earlier file; returns the count."""
     def write(fh) -> int:
         count = 0
         for count, doc in enumerate(docs, start=1):
             fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
         return count
 
-    return _write(path, "w", write)
+    return _write(path, "w", write, atomic=True)
 
 
 def replace(path: Path, write: Callable) -> None:
-    """write(fh) into a new binary file that then replaces `path`, so that a
-    reader that mapped the old file keeps it intact."""
-    _write(path.with_name(path.name + ".tmp"), "wb", write, rename_to=path)
+    """write(fh) into a binary file at `path`, atomically."""
+    _write(path, "wb", write, atomic=True)
 
 
 @contextlib.contextmanager

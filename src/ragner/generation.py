@@ -35,7 +35,7 @@ from .remote import post_json
 
 @dataclass(frozen=True)
 class GenerationTask:
-    """One unit of generator work, keyed for order-independent batching."""
+    """One unit of generator work; `query_id` seeds a mock backend's jitter."""
 
     query_id: int
     prompt: Prompt
@@ -44,7 +44,6 @@ class GenerationTask:
 
 @dataclass
 class GenerationResult:
-    query_id: int
     completion_text: str
     latency: float
     error: str | None = None
@@ -117,7 +116,6 @@ def generate(task: GenerationTask, spec: GeneratorSpec) -> GenerationResult:
     else:
         text = _remote_completion(spec, task.prompt.rendered)
     return GenerationResult(
-        query_id=task.query_id,
         completion_text=text,
         latency=time.perf_counter() - started,
     )
@@ -140,7 +138,6 @@ def generate_batch(
             return generate(task, spec)
         except GenerationError as exc:
             return GenerationResult(
-                query_id=task.query_id,
                 completion_text="",
                 latency=time.perf_counter() - started,
                 error=f"{type(exc).__name__}: {exc}",

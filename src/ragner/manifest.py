@@ -77,7 +77,12 @@ def check_digests(recorded: dict[str, str | None], command: str, sha256: Callabl
                                   f"{rerun}")
 
 
-def verify_upstream(cfg: RunConfig, command: str, sha256: Digests) -> None:
-    """Check that `command`'s recorded outputs still exist and hash by
-    `sha256` the same; `sha256` keeps their digests for the caller."""
-    check_digests(read_manifest(cfg, command)["outputs"], command, sha256)
+def verify_upstream(cfg: RunConfig, command: str, sha256: Digests,
+                    only: list[Path] | None = None) -> None:
+    """Check that `command`'s recorded outputs, or just the files at `only`,
+    which it must have recorded, still exist and hash by `sha256` the same;
+    `sha256` keeps their digests for the caller."""
+    recorded = read_manifest(cfg, command)["outputs"]
+    if only is not None:
+        recorded = {str(p): recorded.get(str(p)) for p in only}
+    check_digests(recorded, command, sha256)

@@ -9,14 +9,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .config import RunConfig, fingerprint, resolve, set_key
-from .corpus import (
-    EntitySchema,
-    LabeledSentence,
-    NerOutput,
-    gold_output,
-    load_corpus,
-    select_store_split,
-)
+from .corpus import EntitySchema, LabeledSentence, NerOutput, load_corpus, select_store_split
 from .embedder import (
     CACHE_FILES,
     Embedder,
@@ -25,15 +18,9 @@ from .embedder import (
     open_precomputed_cache,
 )
 from .errors import ConfigError, NoDictionaryFound, RagnerError
-from .generation import (
-    GenerationResult,
-    GenerationTask,
-    generate_batch,
-    latency_summary,
-    prompt_hash,
-)
+from .generation import GenerationTask, generate_batch, latency_summary, prompt_hash
 from .manifest import Digests, check_digests, read_manifest
-from .promptkit import build_prompt, order_examples, parse_output, resolve_prompt
+from .promptkit import build_prompt, parse_output, query_rows, resolve_prompt
 from .retriever import ExampleStore, _retrieve_blocks, retrieve, select
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 
@@ -164,21 +151,16 @@ class PredictionRow:
         return doc
 
 
-@dataclass
-class PredictOutcome:
-    rows: list[PredictionRow]
-    latency: dict
-
-
 def predict_sentences(
     sentences: list[LabeledSentence],
     store: ExampleStore,
     cfg: RunConfig,
     retrieved: list | None = None,
     parse: Callable = parse_output,
-) -> PredictOutcome:
-    """retrieve (unless `retrieved`) -> prompt -> generate -> parse, per sentence.
-    `parse` is `parse_output` or a cache of it.
+) -> tuple[list[PredictionRow], dict]:
+    """retrieve (unless `retrieved`) -> prompt -> generate -> parse, per
+    sentence: a row per sentence, in order, and the latency summary of the
+    generation. `parse` is `parse_output` or a cache of it.
 
     Record-level failures (retrieval, a span type outside the schema,
     generation, parsing) mark the row failed and score as
@@ -188,47 +170,31 @@ def predict_sentences(
     template = resolve_prompt(cfg.prompt)
     if retrieved is None:
         retrieved = retrieve(sentences, store, cfg.retriever, pairs=False)
-    rows: dict[int, PredictionRow] = {}
-    tasks: list[GenerationTask] = []
-    for sentence, examples in zip(sentences, retrieved):
+    rows: list[PredictionRow] = []
+    tasks: list[GenerationTask] = []  # one per row without an error, in row order
+    for sentence, entry in zip(sentences, query_rows(sentences, retrieved, store)):
         row = PredictionRow(query_id=sentence.id, text=sentence.text)
-        rows[sentence.id] = row
-        try:
-            if isinstance(examples, RagnerError):
-                raise examples
-            prompt = build_prompt(schema, order_examples(examples, store), sentence.text, template)
-            gold = gold_output(sentence, schema)  # an --input span type outside the schema
-        except RagnerError as exc:
-            row.parse_failed = True
-            row.error = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+        if isinstance(entry, RagnerError):
+            row.parse_failed, row.error = True, f"{type(entry).__name__}: {entry}"
             continue
+        examples, gold = entry
+        prompt = build_prompt(schema, examples, sentence.text, template)
         row.prompt_hash = prompt_hash(prompt)
         tasks.append(GenerationTask(sentence.id, prompt, gold))
 
-    results: list[GenerationResult] = generate_batch(tasks, cfg.generator)
-    prompts_by_id = {t.query_id: t.prompt for t in tasks}
-    for result in results:
-        row = rows[result.query_id]
+    results = generate_batch(tasks, cfg.generator)  # in task order
+    for row, result in zip([row for row in rows if row.error is None], results, strict=True):
         row.completion = result.completion_text
-        if result.error is not None:
-            row.parse_failed = True
-            row.error = result.error
-            continue
-        try:
-            row.parsed = parse(
-                result.completion_text,
-                schema,
-                query_text=prompts_by_id[result.query_id].user_query,
-                grounding=cfg.eval.grounding,
-            )
-        except NoDictionaryFound as exc:
-            row.parse_failed = True
-            row.error = f"{type(exc).__name__}: {exc}"
-
-    return PredictOutcome(
-        rows=[rows[s.id] for s in sentences],
-        latency=latency_summary(results),
-    )
+        row.error = result.error
+        if row.error is None:
+            try:
+                row.parsed = parse(result.completion_text, schema, query_text=row.text,
+                                   grounding=cfg.eval.grounding)
+            except NoDictionaryFound as exc:
+                row.error = f"{type(exc).__name__}: {exc}"
+        row.parse_failed = row.error is not None
+    return rows, latency_summary(results)
 
 
 class _Memo:
@@ -328,10 +294,10 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
         searches[search_key] = _retrieve_blocks(test, store, cfg.retriever, depth)
         telemetry["retrieval"] = "searched"
     examples = select(test, searches[search_key], store, cfg.retriever, pairs=False)
-    outcome = predict_sentences(test, store, cfg, examples, loads.parse)
-    rows = ((f"test sentence {row.query_id}", row.to_dict()) for row in outcome.rows)
-    report = score_rows(rows, {s.id: s for s in test}, store.schema, cfg.eval)
-    return report, outcome.latency
+    rows, latency = predict_sentences(test, store, cfg, examples, loads.parse)
+    report = score_rows(((f"test sentence {row.query_id}", row.to_dict()) for row in rows),
+                        {s.id: s for s in test}, store.schema, cfg.eval)
+    return report, latency
 
 
 def run_sweep(base: RunConfig, grid: list[dict], scratch: Path) -> list[AblationCell]:

@@ -14,15 +14,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import files
 from .config import PromptConfig
-from .corpus import EntitySchema, NerOutput, gold_output
-from .errors import NoDictionaryFound, TemplateError, UnknownTemplate
+from .corpus import EntitySchema, LabeledSentence, NerOutput, gold_output
+from .errors import NoDictionaryFound, RagnerError, TemplateError, UnknownSpanType, UnknownTemplate
 
 if TYPE_CHECKING:  # the retriever loads numpy; this module needs only its names
-    from .retriever import ExampleStore, RetrievedExample
+    from .retriever import ExampleStore
 
 DEFAULT_TEMPLATE_ID = "default-v1"
 
@@ -104,7 +104,6 @@ class Prompt:
     """A fully rendered prompt plus the structured pieces it was built from."""
 
     examples: list[PromptExample]
-    user_query: str
     rendered: str
     schema: EntitySchema
 
@@ -147,16 +146,30 @@ def render_entity_definitions(schema: EntitySchema) -> str:
     return "\n".join(f"- {t.name}: {t.definition}" for t in schema)
 
 
-def order_examples(examples: Sequence[RetrievedExample], store: ExampleStore
-                   ) -> list[PromptExample]:
-    """Retrieved examples (most similar first) as the prompt's examples, most
-    similar last, next to the query; each made and rendered once per store."""
-    made, sids = store.prompt_examples, [ex.sentence_id for ex in reversed(examples)]
-    for sid in sids:
-        if sid not in made:
-            sentence = store.by_id[sid]
-            made[sid] = PromptExample(sentence.text, gold_output(sentence, store.schema))
-    return [made[sid] for sid in sids]
+def query_rows(sentences: Sequence[LabeledSentence], entries: Sequence, store: ExampleStore
+               ) -> Iterator[tuple[list[PromptExample], NerOutput] | RagnerError]:
+    """`retrieve`'s entries (examples most similar first) for `sentences` as
+    one value per sentence, in order: its in-prompt examples, most similar
+    last, next to the query, each made and rendered once per store, and its
+    gold output under the store's schema; or the RagnerError that failed
+    it, retrieval's own or an --input span type outside the schema.
+    `predict` fails the row of such a sentence and `augment` skips it."""
+    made, schema = store.prompt_examples, store.schema
+    for sentence, examples in zip(sentences, entries):
+        if isinstance(examples, RagnerError):
+            yield examples
+            continue
+        try:
+            gold = gold_output(sentence, schema)
+        except UnknownSpanType as exc:
+            yield exc
+            continue
+        sids = [ex.sentence_id for ex in reversed(examples)]
+        for sid in sids:
+            if sid not in made:
+                example = store.by_id[sid]
+                made[sid] = PromptExample(example.text, gold_output(example, schema))
+        yield [made[sid] for sid in sids], gold
 
 
 def build_prompt(
@@ -168,7 +181,7 @@ def build_prompt(
     """Deterministically render the four-section prompt.
 
     Examples are rendered in the order given, the most similar last (see
-    `order_examples`); each output is keyed by `schema`, in its order.
+    `query_rows`); each output is keyed by `schema`, in its order.
     """
     examples_block = "\n\n".join(ex.rendered for ex in examples)
     rendered = template.text.format(
@@ -177,7 +190,7 @@ def build_prompt(
         examples=examples_block,
         query=query_text,
     )
-    return Prompt(examples=examples, user_query=query_text, rendered=rendered, schema=schema)
+    return Prompt(examples=examples, rendered=rendered, schema=schema)
 
 
 # --- parsing ----------------------------------------------------------------

@@ -142,7 +142,7 @@ class ExampleStore:
         self.model_name = model_name
         self.embedder = embedder
         self.build_key = build_key
-        self.prompt_examples: dict = {}  # sentence id -> promptkit.order_examples' example
+        self.prompt_examples: dict = {}  # sentence id -> its promptkit.query_rows example
 
     def __len__(self) -> int:
         return len(self.sentences)

@@ -367,3 +367,31 @@ def test_write_finetune_jsonl_round_trips(tmp_path):
         assert set(row["provenance"]) == {
             "sentence_id", "transforms", "removed_types", "permutation",
         }
+
+
+def test_predict_fails_exactly_the_sentences_augment_skips_with_the_same_error(tmp_path):
+    from ragner.config import load_config
+    from ragner.pipeline import predict_sentences
+
+    store_sents = fixture_store_sentences()
+    good = [LabeledSentence(200 + i, [f"item{i}", f"day{i}", "please"],
+                            [EntitySpan("product", 0, 1, f"item{i}")]) for i in range(3)]
+    stop_words = LabeledSentence(300, ["the", "of", "and"], [])
+    not_embedded = LabeledSentence(301, ["w1", "w2"], [])  # its text is not in the file
+    off_schema = LabeledSentence(302, ["item0", "colour", "please"],
+                                 [EntitySpan("colour", 1, 2, "colour")])
+    embedder = make_embedder(store_sents + good + [stop_words, off_schema], tmp_path, dim=8)
+    store = ExampleStore.build(store_sents, product_schema(), embedder, RetrieverConfig(k=2),
+                               modes=("word-level",))
+    sentences = [good[0], stop_words, good[1], not_embedded, off_schema, good[2]]
+
+    skipped: list[tuple[int, str]] = []
+    records = records_list(store, sentences, AugmentConfig(seed=1), skipped=skipped)
+    rows, _ = predict_sentences(sentences, store, load_config(None, ["retriever.k=2"]))
+
+    names = ["EmptyQueryAfterStopwords", "MissingEntry", "UnknownSpanType"]
+    assert [(row.query_id, row.error) for row in rows if row.error is not None] == [
+        (sid, f"{name}: {message}") for (sid, message), name in zip(skipped, names, strict=True)]
+    assert [sid for sid, _ in skipped] == [300, 301, 302]
+    assert all(row.parse_failed == (row.error is not None) for row in rows)
+    assert {r.provenance.sentence_id for r in records} == {200, 201, 202}

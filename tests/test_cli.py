@@ -1412,6 +1412,61 @@ def test_predict_needs_input_sentences(mini):
     assert "no input sentences at" in err["message"]
 
 
+def test_a_rejected_augment_leaves_the_earlier_dataset_as_it_was(tmp_path):
+    ns = indexed_project(tmp_path)
+    run(["-c", ns.cfg, "augment"])
+    before = {p: p.read_bytes() for p in sorted(ns.out.rglob("*")) if p.is_file()}
+    # the 2-type schema cannot lose 2 types: dropout is refused once the output is due
+    err = error_payload(run(["-c", ns.cfg, "-S", "augment.min_removed=2", "augment"], expect=2))
+    assert err["error"] == "SchemaTooSmall"
+    after = {p: p.read_bytes() for p in sorted(ns.out.rglob("*")) if p.is_file()}
+    assert after.keys() == before.keys()
+    assert [p.name for p in before if before[p] != after[p]] == []
+
+
+def _cut_the_test_split(ns):
+    test = ns.out / "corpus" / "test.jsonl"
+    test.write_bytes(test.read_bytes().splitlines(keepends=True)[0])
+    return test
+
+
+def _reformat_the_schema(ns):
+    schema = ns.out / "schema.json"
+    schema.write_text(json.dumps(json.loads(schema.read_text(encoding="utf-8"))),
+                      encoding="utf-8")
+    return schema
+
+
+@pytest.mark.parametrize("command, change", [
+    ("predict", _cut_the_test_split),
+    ("evaluate", _cut_the_test_split),
+    ("evaluate", _reformat_the_schema),
+], ids=["predict, test split cut", "evaluate, test split cut", "evaluate, schema reformatted"])
+def test_predict_and_evaluate_refuse_a_changed_ingest_output(tmp_path, command, change):
+    ns = indexed_project(tmp_path)
+    run(["-c", ns.cfg, "predict"])
+    changed = change(ns)
+    err = error_payload(run(["-c", ns.cfg, command], expect=2))
+    assert err["error"] == "MissingArtifact"
+    assert err["message"] == (f"ingest artifact changed since its manifest: {changed}; "
+                              "re-run `ragner ingest`")
+    run(["-c", ns.cfg, "ingest"])
+    run(["-c", ns.cfg, command])
+
+
+def test_predict_and_evaluate_read_an_input_or_gold_file_as_it_is(tmp_path):
+    ns = indexed_project(tmp_path)
+    queries = tmp_path / "queries.jsonl"
+    shutil.copy(ns.out / "corpus" / "test.jsonl", queries)
+    _cut_the_test_split(ns)  # the default, which neither command reads here
+    out = tmp_path / "predictions.jsonl"
+    run(["-c", ns.cfg, "predict", "--input", queries, "--output", out])
+    run(["-c", ns.cfg, "evaluate", "--predictions", out, "--gold", queries,
+         "--output", tmp_path / "report.json"])
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["n_sentences"] == len(TEST)
+
+
 # --- the embedding cache and the store build key ------------------------------
 
 CACHE_FILES = (*CACHE_ARRAYS.values(), CACHE_TEXTS)
@@ -2402,5 +2457,5 @@ def test_retrieve_and_predict_over_a_store_that_selects_in_float32(tmp_path, mon
 
     oracle = [[RetrievedExample(sid, score) for sid, score in row]
               for row in brute_force_retrieve(store, test, cfg.retriever)]
-    expected = pipeline.predict_sentences(test, store, cfg, oracle)
-    assert read_jsonl(ns.out / "predictions.jsonl") == [row.to_dict() for row in expected.rows]
+    expected, _ = pipeline.predict_sentences(test, store, cfg, oracle)
+    assert read_jsonl(ns.out / "predictions.jsonl") == [row.to_dict() for row in expected]

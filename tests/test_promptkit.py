@@ -118,7 +118,7 @@ def test_build_prompt_sections_in_order():
         "Input: Need a lamp today\nOutput: "
     )
     assert prompt.rendered == expected
-    assert prompt.user_query == "Need a lamp today"
+    assert prompt.examples == [ex1, ex2] and prompt.schema == schema
 
 
 def test_build_prompt_ends_ready_for_completion():

@@ -1,10 +1,16 @@
-"""Every function and class in `src/ragner` is used by the program itself.
+"""Every function, class and record field in `src/ragner` is used by the
+program itself.
 
 A definition counts as used when its name is read (as a name or an
 attribute) somewhere in `src/ragner` outside its own definition, so that
 code only the tests call, or only it calls itself, shows up here. Dunder
 methods, which Python calls, and click commands, which the command line
 calls, are exempt.
+
+A field of a dataclass or NamedTuple counts as read when an attribute of
+its name is loaded anywhere in `src/ragner`; assigning it, or passing it
+to the constructor, is no read. The match is by name, so a field shares
+the reads of every other attribute of its name.
 """
 
 from __future__ import annotations
@@ -48,8 +54,43 @@ def unused_definitions(src: Path) -> list[str]:
     return unused
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    def name(expr: ast.expr) -> str | None:
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+    return (any(name(d) == "dataclass" for d in node.decorator_list)
+            or any(name(b) == "NamedTuple" for b in node.bases))
+
+
+def unread_fields(src: Path) -> list[str]:
+    """`Class.field` of every dataclass or NamedTuple field whose name no
+    attribute load in `src` reads."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{stmt.target.id}"
+            for tree in trees.values() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_record(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in loaded]
+
+
+UNREAD_FIELDS = {  # each with the reason it stays
+    "NerOutput.unrecognized": "parse_output fills it for the prediction rows to record",
+    "NerOutput.dropped_ungrounded": "parse_output counts it for the prediction rows to record",
+    "SearchHit.record_id": "perfbench/run.py and the acceptance tests read it",
+}
+
+
 def test_every_function_and_class_is_used_by_the_program():
     assert unused_definitions(SRC) == []
+
+
+def test_every_record_field_is_read_by_the_program():
+    assert sorted(unread_fields(SRC)) == sorted(UNREAD_FIELDS)
 
 
 def test_the_scan_finds_a_definition_only_its_own_body_reads(tmp_path):
@@ -61,3 +102,15 @@ def test_the_scan_finds_a_definition_only_its_own_body_reads(tmp_path):
     (tmp_path / "b.py").write_text("from a import Shape\n\nSIZE = len(Shape())\n",
                                    encoding="utf-8")
     assert unused_definitions(tmp_path) == ["a.py:1 loop"]
+
+
+def test_the_field_scan_finds_a_field_only_written(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+        "@dataclass(eq=False)\nclass Row:\n    id: int\n    note: str = ''\n\n\n"
+        "class Pair(NamedTuple):\n    left: int\n    right: int\n\n\n"
+        "class Plain:\n    size: int\n\n\n"
+        "def use(row: Row, pair: Pair) -> int:\n    row.note = 'seen'\n"
+        "    return row.id + pair.left\n",
+        encoding="utf-8")
+    assert unread_fields(tmp_path) == ["Row.note", "Pair.right"]

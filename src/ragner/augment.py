@@ -110,11 +110,11 @@ def build_finetune_dataset(
     record's own schema. Output size is len(sentences) * (1 +
     dropout_fraction) within rounding. A sentence that `query_rows` fails,
     as `predict` fails its row, is logged, appended to `skipped` when
-    given, and omitted.
+    given, and omitted. A dropout record refuses a schema too small for
+    cfg's removal bounds (`ragner augment` checks them before it loads the
+    store).
     """
     schema = store.schema
-    if cfg.dropout_fraction > 0:
-        cfg.removal_bounds(len(schema))  # fail fast on 1-type schemas
     ids = [s.id for s in sentences]
     master = random.Random(cfg.seed)
     dropout_ids = _exact_count_subset(ids, cfg.dropout_fraction, master)

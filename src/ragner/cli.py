@@ -135,7 +135,8 @@ def index(cfg: RunConfig):
     store_dir = cfg.paths.out_path("store")
     # a parse writes its cache here, which moves into the store only once the store is saved
     with files.scratch_dir(store_dir.parent) as parse_dir:
-        store, how = pipeline.current_store(cfg, sentences, schema, digests, parse_dir)
+        store, how = pipeline.current_store(cfg, sentences, schema, digests, parse_dir,
+                                           cfg.store.modes)
         written = []
         if how == "built":  # a loaded store's files are the ones indexed_store hashed
             store.save(store_dir)
@@ -219,6 +220,8 @@ def augment(cfg: RunConfig, output_path):
 
     digests = Digests()
     verify_upstream(cfg, "ingest", digests)
+    if cfg.augment.dropout_fraction > 0:  # the store's schema, once load_store finds it current
+        cfg.augment.removal_bounds(len(load_schema(cfg.paths.out_path("schema.json"))))
     finetune_path = cfg.paths.out_path("corpus", "finetune_split.jsonl")
     finetune_sentences = read_sentences_jsonl(finetune_path)
     if not finetune_sentences:

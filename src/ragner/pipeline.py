@@ -6,7 +6,7 @@ import copy
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Collection
 
 from .config import RunConfig, fingerprint, resolve, set_key
 from .corpus import EntitySchema, LabeledSentence, NerOutput, load_corpus, select_store_split
@@ -55,12 +55,13 @@ def make_embedder(cfg: RunConfig, store_dir: Path | None, parse_dir: Path | None
     return Embedder(provider, e.dimension, stopwords)
 
 
-def indexed_store(cfg: RunConfig, sha256: Callable,
+def indexed_store(cfg: RunConfig, sha256: Callable, modes: Collection[str],
                   embedder: Callable | None = None) -> ExampleStore:
-    """The store `index` wrote, when it is current for `cfg`; raises the
-    reason when it is not. It is current when meta.json's build key is
-    `cfg.store_build_key` and every file `manifests/index.json` records
-    still hashes by `sha256` to its digest.
+    """The store `index` wrote, when it is current for `cfg`, keeping the
+    indexes of `modes` (`ExampleStore.load`); raises the reason when it is
+    not. It is current when meta.json's build key is `cfg.store_build_key`
+    and every file `manifests/index.json` records still hashes by `sha256`
+    to its digest.
 
     The query commands pass no `embedder` and do not hash the embedding
     file: their embedder reads only the cache, itself a recorded output.
@@ -79,7 +80,7 @@ def indexed_store(cfg: RunConfig, sha256: Callable,
     check_digests(cache, "index", sha256)
     opened = (embedder or functools.partial(make_embedder, cfg))(store_dir)
     check_digests(recorded, "index", sha256)
-    store = ExampleStore.load(store_dir, opened)
+    store = ExampleStore.load(store_dir, opened, modes)
     if store.build_key != cfg.store_build_key:
         raise ConfigError(f"the store in {store_dir} was built under another [embedder], "
                           "[store] or retriever index config; re-run `ragner index` with this "
@@ -88,36 +89,39 @@ def indexed_store(cfg: RunConfig, sha256: Callable,
 
 
 def load_store(cfg: RunConfig, sha256: Callable) -> ExampleStore:
-    """The indexed store for a query command, its files hashed by `sha256`;
-    raises the reason when it is not current."""
-    store = indexed_store(cfg, sha256)
+    """The indexed store for a query command, its files hashed by `sha256`,
+    holding the index of cfg.retriever.mode alone; raises the reason when
+    it is not current."""
+    store = indexed_store(cfg, sha256, (cfg.retriever.mode,))
     store.require_index(cfg.retriever)
     return store
 
 
 def current_store(cfg: RunConfig, sentences: list[LabeledSentence], schema: EntitySchema,
-                  sha256: Digests, parse_dir: Path, memo: _Memo | None = None,
-                  key=None) -> tuple[ExampleStore, str]:
-    """The store of `sentences` under `schema` for `cfg`, and how it came:
-    "loaded" when `indexed_store` finds the indexed store current and it
-    holds these sentences under this schema; else "built", whatever the
-    reason, by the embedder `indexed_store` opened from the cache, or else
-    by parsing the embedding file into `parse_dir`. `sha256` hashes the
-    indexed files and gets the parsed file's digest; `memo` holds the
-    embedder under `key` for later calls."""
+                  sha256: Digests, parse_dir: Path, modes: Collection[str],
+                  memo: _Memo | None = None, key=None) -> tuple[ExampleStore, str]:
+    """The store of `sentences` under `schema` for `cfg`, with the indexes of
+    `modes` that cfg.store.modes names, and how it came: "loaded" when
+    `indexed_store` finds the indexed store current and it holds these
+    sentences under this schema; else "built", whatever the reason, by the
+    embedder `indexed_store` opened from the cache, or else by parsing the
+    embedding file into `parse_dir`. `sha256` hashes the indexed files and
+    gets the parsed file's digest; `memo` holds the embedder under `key`
+    for later calls."""
     memo = memo or _Memo()
 
     def embedder(store_dir: Path | None = None) -> Embedder:
         return memo.get(key, lambda: make_embedder(cfg, store_dir, parse_dir, sha256))
 
     try:
-        indexed = indexed_store(cfg, sha256, embedder)
+        indexed = indexed_store(cfg, sha256, modes, embedder)
         if (indexed.sentences, indexed.schema) == (sentences, schema):
             return indexed, "loaded"
     except RagnerError:  # nothing indexed, a changed input, a damaged file, another build key
         pass
     store = ExampleStore.build(sentences, schema, embedder(), cfg.retriever,
-                               modes=cfg.store.modes)
+                               modes=tuple(mode for mode in cfg.store.modes if mode in modes))
+    store.modes = cfg.store.modes
     store.model_name = cfg.embedder.model_name
     store.build_key = cfg.store_build_key
     return store, "built"
@@ -217,7 +221,8 @@ class AblationLoads:
     """What the cells of one sweep share, each keyed on the config it
     depends on: splits and schema on [paths]; the embedder on [paths] +
     [embedder]; the store with its searches (at `depths`) on [paths] + its
-    build key less the index settings. An embedder that parses its file
+    build key less the index settings, holding the indexes of the modes its
+    cells search (`modes`). An embedder that parses its file
     writes its cache under `scratch`, in a directory of its own, which
     lasts the sweep. `sha256` hashes a file once per sweep, so
     `indexed_store` hashes each file `index` recorded at most once. `parse`
@@ -229,6 +234,7 @@ class AblationLoads:
     embedder: _Memo = field(default_factory=_Memo)
     store: _Memo = field(default_factory=_Memo)
     depths: dict = field(default_factory=dict)
+    modes: dict = field(default_factory=dict)
     sha256: Callable = field(default_factory=Digests)
     parse: Callable = field(default_factory=lambda: functools.cache(parse_output))
 
@@ -275,7 +281,8 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
         splits, schema = inputs()
         store, telemetry["store"] = current_store(
             cfg, select_store_split(splits, cfg).store, schema, loads.sha256,
-            loads.scratch.joinpath(*embedder_key), loads.embedder, embedder_key)
+            loads.scratch.joinpath(*embedder_key), loads.modes[records_key], loads.embedder,
+            embedder_key)
         return store, {}
 
     # the old store (and what only it holds) is released before a new one is built
@@ -304,7 +311,8 @@ def run_sweep(base: RunConfig, grid: list[dict], scratch: Path) -> list[Ablation
     """One ablation cell per entry of `grid`, in grid order, with its telemetry.
     Cells run grouped by [paths], [embedder], store records and store, each
     group where its first cell stands. A look-ahead gives each search its
-    deepest cell's depth, skipping cells that do not resolve (they fail alone).
+    deepest cell's depth and each store the modes its cells search,
+    skipping cells that do not resolve (they fail alone).
     A cell that parses an embedding file writes its cache under `scratch`."""
     from .evaluation import AblationCell
 
@@ -317,6 +325,7 @@ def run_sweep(base: RunConfig, grid: list[dict], scratch: Path) -> list[Ablation
             continue
         groups.append(tuple(rank.setdefault(key, len(rank)) for rank, key in zip(ranks, keys)))
         loads.depths[keys[-1]] = max(loads.depths.get(keys[-1], 0), cfg.retriever.search_depth)
+        loads.modes.setdefault(keys[2], set()).add(cfg.retriever.mode)
     cells: list = [None] * len(grid)
     for i in sorted(range(len(grid)), key=groups.__getitem__):
         cells[i] = cell = AblationCell(axes=dict(grid[i]))

@@ -118,7 +118,8 @@ def _build_index(matrix: np.ndarray, sentence_ids: list[int], words: list[str] |
 
 class ExampleStore:
     """Labeled sentences plus the indexes retrieval searches, keyed by the
-    retriever mode that searches each, word-level first.
+    retriever mode that searches each, word-level first. `modes` names the
+    modes the store was built with; `indexes` holds those a command keeps.
 
     The embedder is attached (not serialized) so the retrieve ops can
     embed incoming queries with the same model that built the store.
@@ -133,6 +134,7 @@ class ExampleStore:
         model_name: str | None = None,
         embedder: Embedder | None = None,
         build_key: str | None = None,
+        modes: tuple[str, ...] | None = None,
     ):
         self.sentences = list(sentences)
         self.by_id = {s.id: s for s in sentences}
@@ -142,6 +144,7 @@ class ExampleStore:
         self.model_name = model_name
         self.embedder = embedder
         self.build_key = build_key
+        self.modes = tuple(indexes) if modes is None else modes
         self.prompt_examples: dict = {}  # sentence id -> its promptkit.query_rows example
 
     def __len__(self) -> int:
@@ -181,7 +184,7 @@ class ExampleStore:
 
         indexes = {mode: rebuild(index) for mode, index in self.indexes.items()}
         store = ExampleStore(self.sentences, self.schema, indexes, self.store_words,
-                             self.model_name, self.embedder)
+                             self.model_name, self.embedder, modes=self.modes)
         store.prompt_examples = self.prompt_examples  # the same sentences and schema
         return store
 
@@ -190,7 +193,7 @@ class ExampleStore:
         nlist of the mode's IVF index."""
         if cfg.mode not in self.indexes:
             raise ConfigError(f"retriever.mode={cfg.mode} needs the {cfg.mode} index, but the "
-                              f"store was built with store.modes={list(self.indexes)}; add it and "
+                              f"store was built with store.modes={list(self.modes)}; add it and "
                               "re-run `ragner index`")
         nlist = getattr(self.indexes[cfg.mode], "nlist", None)
         if cfg.nprobe is not None and nlist is not None and cfg.nprobe > nlist:
@@ -217,7 +220,11 @@ class ExampleStore:
         files.write_json(directory / "meta.json", meta, indent=2)
 
     @classmethod
-    def load(cls, directory: str | Path, embedder: Embedder) -> "ExampleStore":
+    def load(cls, directory: str | Path, embedder: Embedder,
+             modes=("word-level", "sentence-level")) -> "ExampleStore":
+        """The store `save` wrote. Every index meta.json names is opened and
+        checked; only those of `modes` are kept, so the others' files are
+        unmapped again."""
         directory = Path(directory)
         meta_path = directory / "meta.json"
         role = files.store_role(meta_path, "store")._replace(
@@ -230,8 +237,9 @@ class ExampleStore:
         sentences = read_sentences_jsonl(directory / "sentences.jsonl")
         schema = load_schema(directory / "schema.json")
         indexes = {f"{name}-level": load_index(directory / file) for name, file in indexes.items()}
-        return cls(sentences, schema, indexes, meta.get("store_words", "entity-only"),
-                   meta.get("model_name"), embedder, meta.get("build_key"))
+        return cls(sentences, schema, {mode: indexes[mode] for mode in indexes if mode in modes},
+                   meta.get("store_words", "entity-only"), meta.get("model_name"), embedder,
+                   meta.get("build_key"), tuple(indexes))
 
 
 def _pool_words(

@@ -344,8 +344,8 @@ def test_single_type_schema_rejected_for_dropout(tmp_path):
     ]
     embedder = make_embedder(sents, tmp_path, dim=4)
     store = ExampleStore.build(sents, schema, embedder, RetrieverConfig(k=1), modes=("word-level",))
-    with pytest.raises(SchemaTooSmall):
-        records_list(store, [sents[0]], AugmentConfig(dropout_fraction=0.5))
+    with pytest.raises(SchemaTooSmall):  # once a dropout record is due: one of the two
+        records_list(store, sents, AugmentConfig(dropout_fraction=0.5))
     # without dropout the 1-type schema is fine
     records = records_list(store, [sents[0]], AugmentConfig(dropout_fraction=0.0))
     assert len(records) == 1

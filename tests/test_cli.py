@@ -1138,6 +1138,15 @@ def test_ablate_fails_a_cell_whose_mode_the_store_lacks(proj, tmp_path):
     assert "retriever.mode=sentence-level" in bad["error"]
 
 
+def test_ablate_names_the_store_modes_when_it_builds_no_index_a_cell_searches(proj, tmp_path):
+    grid = write_grid(tmp_path / "grid.yaml", {"cells": [{"retriever.mode": "sentence-level"}]})
+    run(["-c", proj.cfg, "-S", "store.modes=[word-level]", "ablate", "--grid", grid,
+         "--output", tmp_path / "ablation.json"], expect=2)
+    [cell] = json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))["cells"]
+    assert cell["error"].startswith("ConfigError: retriever.mode=sentence-level needs")
+    assert "the store was built with store.modes=['word-level']" in cell["error"]
+
+
 def test_ablate_exits_2_when_no_cell_succeeds(proj, tmp_path):
     grid = tmp_path / "grid.yaml"
     grid.write_text(yaml.safe_dump({"axes": {"retriever.index_kind": ["ivf-flat"]}}),
@@ -1412,13 +1421,19 @@ def test_predict_needs_input_sentences(mini):
     assert "no input sentences at" in err["message"]
 
 
-def test_a_rejected_augment_leaves_the_earlier_dataset_as_it_was(tmp_path):
+def test_a_rejected_augment_leaves_the_earlier_dataset_as_it_was(tmp_path, monkeypatch):
     ns = indexed_project(tmp_path)
     run(["-c", ns.cfg, "augment"])
     before = {p: p.read_bytes() for p in sorted(ns.out.rglob("*")) if p.is_file()}
-    # the 2-type schema cannot lose 2 types: dropout is refused once the output is due
+    index = json.loads((ns.out / "manifests" / "index.json").read_text(encoding="utf-8"))
+    counts = count_hashes(monkeypatch)
+    # the 2-type schema cannot lose 2 types: dropout is refused before the store is read
     err = error_payload(run(["-c", ns.cfg, "-S", "augment.min_removed=2", "augment"], expect=2))
-    assert err["error"] == "SchemaTooSmall"
+    assert err == {"error": "SchemaTooSmall",
+                   "message": "removal bounds [2, 1] invalid for schema of 2"}
+    assert [path for path in index["outputs"] if path in counts] == []
+    assert str(ns.data / "embeddings.jsonl") not in counts
+    monkeypatch.undo()
     after = {p: p.read_bytes() for p in sorted(ns.out.rglob("*")) if p.is_file()}
     assert after.keys() == before.keys()
     assert [p.name for p in before if before[p] != after[p]] == []
@@ -1598,6 +1613,34 @@ def test_store_in_the_old_index_format_asks_for_reindex(tmp_path, new_parts):
         assert err["error"] == "FormatError"
         assert "word_index.bin: unreadable index" in err["message"]
         assert "re-run `ragner index`" in err["message"]
+
+
+@pytest.mark.parametrize("mode", ["word-level", "sentence-level"])
+def test_a_query_command_keeps_only_the_index_of_its_mode(tmp_path, mode):
+    from ragner import pipeline
+    from ragner.manifest import Digests
+
+    ns = indexed_project(tmp_path)
+    store = pipeline.load_store(load_config(ns.cfg, [f"retriever.mode={mode}"]), Digests())
+    assert list(store.indexes) == [mode]
+    assert store.modes == ("word-level", "sentence-level")  # what `index` built
+
+
+def test_a_word_level_command_still_checks_the_sentence_level_index(tmp_path):
+    ns = indexed_project(tmp_path)
+    manifest_path = ns.out / "manifests" / "index.json"
+    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    path = ns.out / "store" / "sentence_index.bin"
+    rows = np.load(path)
+    with path.open("wb") as out:
+        np.save(out, 2 * rows)  # rows of norm 2
+    doc["outputs"][str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["predict"], ["augment"], ["retrieve", "--text", TEST[0].text]):
+        err = error_payload(run(["-c", ns.cfg, "-S", "retriever.mode=word-level", *command],
+                                expect=2))
+        assert err["error"] == "FormatError"
+        assert "sentence_index.bin: unreadable index: rows must be unit-norm" in err["message"]
 
 
 @pytest.mark.parametrize("first, then", [("ivf", "flat"), ("flat", "ivf")])
@@ -1983,6 +2026,44 @@ def test_ablate_hashes_each_indexed_file_once_per_sweep(tmp_path, monkeypatch, p
     assert all(str(ns.out / "store" / name) in recorded for name in CACHE_FILES)
     assert {path: counts.get(path, 0) for path in recorded} == dict.fromkeys(recorded, 1)
     assert str(other) not in counts  # index recorded no digest for it
+
+
+def test_an_index_kind_sweep_builds_the_ivf_index_of_its_mode_alone(tmp_path, monkeypatch):
+    from ragner import retriever
+
+    ns = indexed_project(tmp_path)
+    built = []
+    ivf_from_matrix = retriever.ivf_from_matrix
+
+    def counting(matrix, *args, **kwargs):
+        built.append(len(matrix))
+        return ivf_from_matrix(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(retriever, "ivf_from_matrix", counting)
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.index_kind": ["flat", "ivf"]}})
+    out = tmp_path / "ablation.json"
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out])
+    cells = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    assert [c["error"] for c in cells] == [None, None]
+    telemetry = json.loads((tmp_path / "ablation_telemetry.json").read_text(encoding="utf-8"))
+    assert [c["store"] for c in telemetry["cells"]] == ["loaded", "reindexed"]
+    store = read_jsonl(ns.out / "corpus" / "store.jsonl")
+    assert len(built) == 1 and built[0] > len(store)  # the word index alone
+
+
+def test_a_mode_sweep_keeps_and_searches_both_indexes(tmp_path):
+    ns = indexed_project(tmp_path)
+    modes = ["word-level", "sentence-level"]
+    sweeps = {}
+    for name, axes in {"both": modes, **{mode: [mode] for mode in modes}}.items():
+        grid = write_grid(tmp_path / f"{name}.yaml", {"axes": {"retriever.mode": axes}})
+        out = tmp_path / f"{name}.json"
+        run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out])
+        sweeps[name] = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    telemetry = json.loads((tmp_path / "both_telemetry.json").read_text(encoding="utf-8"))
+    assert [c["store"] for c in telemetry["cells"]] == ["loaded", "held"]
+    assert all(c["error"] is None for c in sweeps["both"])
+    assert sweeps["both"] == [sweeps[mode][0] for mode in modes]
 
 
 def stamp(path: Path) -> tuple[int, int]:

@@ -77,10 +77,14 @@ def _json(path):
 
 
 def _sha256(path) -> str:
+    """hashlib.file_digest's loop (Python 3.11+): every read goes into one
+    256 KB buffer, so hashing allocates nothing per read."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 18)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

@@ -117,6 +117,7 @@ def current_store(cfg: RunConfig, sentences: list[LabeledSentence], schema: Enti
         indexed = indexed_store(cfg, sha256, modes, embedder)
         if (indexed.sentences, indexed.schema) == (sentences, schema):
             return indexed, "loaded"
+        del indexed  # its sentences and mapped indexes go before the build
     except RagnerError:  # nothing indexed, a changed input, a damaged file, another build key
         pass
     store = ExampleStore.build(sentences, schema, embedder(), cfg.retriever,
@@ -288,6 +289,7 @@ def run_cell(base: RunConfig, axes: dict, loads: AblationLoads,
     # the old store (and what only it holds) is released before a new one is built
     store, searches = loads.store.get(records_key, new_store)
     if store.build_key != cfg.store_build_key:  # the same records, other index settings
+        loads.store.value = None  # the reindex spends the store: a failed one leaves none held
         store = store.reindex(cfg.retriever)
         store.build_key = cfg.store_build_key
         loads.store.value = store, searches = store, {}

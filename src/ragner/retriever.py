@@ -43,6 +43,7 @@ from .vector_index import (
     ivf_from_matrix,
     load_index,
     save_index,
+    take_rows,
 )
 
 # float64 scores per search block, about 4 MB (twice as many float32 ones): blocks
@@ -109,11 +110,13 @@ def _word_rows(
 
 def _build_index(matrix: np.ndarray, sentence_ids: list[int], words: list[str] | None,
                  cfg: RetrieverConfig) -> Index:
-    """Record i of the index is row i of matrix, from sentence sentence_ids[i]."""
+    """Record i of the index is row i of matrix, from sentence sentence_ids[i].
+    The index takes the matrix: an IVF one regroups its rows in place."""
     if cfg.index_kind == "flat":
         return flat_from_matrix(matrix, sentence_ids, words)
     nlist = cfg.nlist if cfg.nlist is not None else default_nlist(len(matrix))
-    return ivf_from_matrix(matrix, sentence_ids, words, nlist, cfg.kmeans_iters, cfg.seed)
+    return ivf_from_matrix(matrix, sentence_ids, words, nlist, cfg.kmeans_iters, cfg.seed,
+                           copy=False)
 
 
 class ExampleStore:
@@ -176,13 +179,13 @@ class ExampleStore:
 
     def reindex(self, cfg: RetrieverConfig) -> "ExampleStore":
         """The same records under cfg's index settings, embedded no second
-        time: each index is rebuilt from its rows in record order."""
-        def rebuild(index: Index) -> Index:
-            rows = (index.matrix if index.kind == "flat"
-                    else index.grouped[np.argsort(index.row_record_ids)])
-            return _build_index(rows, index.sentence_ids, index.words, cfg)
-
-        indexes = {mode: rebuild(index) for mode, index in self.indexes.items()}
+        time. It spends this store: each index's matrix is taken
+        (`take_rows`, in record order) and rebuilt in place, so no copy of
+        it is made, and this store keeps no index, even when a rebuild
+        fails. The files of a loaded index are never written."""
+        held, self.indexes = self.indexes, {}
+        indexes = {mode: _build_index(take_rows(index), index.sentence_ids, index.words, cfg)
+                   for mode, index in held.items()}
         store = ExampleStore(self.sentences, self.schema, indexes, self.store_words,
                              self.model_name, self.embedder, modes=self.modes)
         store.prompt_examples = self.prompt_examples  # the same sentences and schema

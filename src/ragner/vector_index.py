@@ -19,11 +19,19 @@ are scored again in float64, each by a fixed-order dot of its two rows
 those of an exact float64 top-k under the same tie rule, at about half the
 cost of the float64 product; the caller decides when that pays.
 
+An IVF index keeps its rows grouped by cluster. `ivf_from_matrix` groups
+a copy of its matrix unless told the matrix is its own: then the rows are
+regrouped in place (`_permute_rows`), so that a build holds one matrix,
+not two. The store's builds and re-indexes hand their matrices over, so
+a re-index spends the store it reads (`ExampleStore.reindex`).
+
 An index on disk is its matrix as a .npy file (rows in record order for
 flat, grouped by cluster for IVF), one .npy file beside it per other
 array, and a JSON file recording its kind and words; `load_index` opens
-every array memory-mapped. The embedding cache is stored the same way,
-through the same `save_array`/`open_array`.
+every array memory-mapped and read-only, the matrix copy-on-write, so
+that `take_rows` can regroup it in place without ever writing the file.
+The embedding cache is stored the same way, through the same
+`save_array`/`open_array`.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .errors import DimensionMismatch, EmptyCollection, NlistTooLarge
 _ASSIGN_CHUNK = 8192
 _PARTITION_SCORES = 1 << 16  # scores per np.partition call in _kth, 512 KB of float64
 _GATHER_BYTES = 1 << 19  # each of the two gather buffers of _rescore
+_PERMUTE_BYTES = 1 << 19  # the rows _permute_rows moves per step
 _UNIT_TOLERANCE = 1e-5  # how far from 1 a stored row's norm may be
 
 
@@ -327,6 +336,45 @@ class IvfIndex:
 Index = FlatIndex | IvfIndex
 
 
+def _permute_rows(matrix: np.ndarray, order: np.ndarray) -> None:
+    """matrix[:] = matrix[order] in place, for a permutation `order` of the
+    rows. Each cycle of `order` is walked once: its rows move up by one
+    within it, at most _PERMUTE_BYTES of them at a time through one buffer,
+    and its first row goes last. So no second matrix is made."""
+    n, dim = matrix.shape
+    step = max(1, _PERMUTE_BYTES // (matrix.itemsize * dim))
+    buffer = np.empty((step, dim), matrix.dtype)
+    successor = order.tolist()
+    todo = (order != np.arange(n)).tolist()  # a row that stays needs no move
+    for start in range(n):
+        if not todo[start]:
+            continue
+        cycle = [start]  # cycle[t] takes the row of cycle[t + 1]
+        while (row := successor[cycle[-1]]) != start:
+            cycle.append(row)
+            todo[row] = False
+        cycle = np.array(cycle)
+        first = matrix[start].copy()
+        for lo in range(0, len(cycle) - 1, step):
+            hi = min(lo + step, len(cycle) - 1)
+            # mode="clip" takes straight into `out`; every index is in range
+            np.take(matrix, cycle[lo + 1: hi + 1], axis=0, out=buffer[: hi - lo], mode="clip")
+            matrix[cycle[lo: hi]] = buffer[: hi - lo]
+        matrix[cycle[-1]] = first
+
+
+def take_rows(index: Index) -> np.ndarray:
+    """The index's matrix in record order, taken from it rather than copied:
+    made writeable (a loaded matrix is a copy-on-write map, so its file
+    never changes) and, for IVF, permuted back out of cluster order in
+    place. The index must not be searched afterwards."""
+    rows = index.matrix if index.kind == "flat" else index.grouped
+    rows.flags.writeable = True
+    if index.kind == "ivf":
+        _permute_rows(rows, np.argsort(index.row_record_ids))
+    return rows
+
+
 def flat_from_matrix(
     matrix: np.ndarray, sentence_ids: np.ndarray, words: list[str] | None = None
 ) -> FlatIndex:
@@ -345,8 +393,12 @@ def ivf_from_matrix(
     nlist: int,
     kmeans_iters: int = 20,
     seed: int = 0,
+    copy: bool = True,
 ) -> IvfIndex:
-    """Cluster the rows with seeded k-means and build the IVF layout."""
+    """Cluster the rows with seeded k-means and build the IVF layout. The
+    index keeps a grouped copy of the rows, or with `copy=False` the
+    matrix itself, its rows regrouped in place: then the caller must not
+    use the matrix again."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
     if n == 0:
@@ -358,7 +410,11 @@ def ivf_from_matrix(
 
     centroids, assignment = _spherical_kmeans(matrix, nlist, kmeans_iters, seed)
     order = np.argsort(assignment, kind="stable")  # stable: record id order inside clusters
-    grouped = np.ascontiguousarray(matrix[order])
+    if copy:
+        grouped = matrix[order]
+    else:
+        _permute_rows(matrix, order)
+        grouped = matrix
     row_record_ids = order.astype(np.int64)
     counts = np.bincount(assignment, minlength=nlist)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
@@ -434,21 +490,26 @@ def save_array(path: Path, array: np.ndarray) -> None:
     files.replace(path, lambda fh: np.save(fh, array, allow_pickle=False))
 
 
-def open_array(path: Path, dtype, shape: tuple[int | None, ...], what: str = "index") -> np.ndarray:
-    """Memory-map the .npy file at `path` and check its dtype and shape (None
-    matches any length). Raises MissingArtifact when the file is absent or
+def open_array(path: Path, dtype, shape: tuple[int | None, ...], what: str = "index",
+               mode: str = "r") -> np.ndarray:
+    """Memory-map the .npy file at `path` read-only and check its dtype and
+    shape (None matches any length). With mode "c" the map is copy-on-write:
+    a holder may set the array writeable and change it, and the file never
+    sees the change. Raises MissingArtifact when the file is absent or
     cannot be opened and FormatError when it is not a .npy array, holds
     bytes past its array or does not have the dtype and shape expected."""
     role = files.store_role(path, what)
-    # np.load(path, mmap_mode="r") minus its fallback to pickle for a non-.npy
-    mapped = files.read(path, lambda p: np.lib.format.open_memmap(p, mode="r"), role)
+    # np.load(path, mmap_mode=mode) minus its fallback to pickle for a non-.npy
+    mapped = files.read(path, lambda p: np.lib.format.open_memmap(p, mode=mode), role)
     if mapped.offset + mapped.nbytes != path.stat().st_size:  # the mapping ignores them
         raise role.malformed(path, "trailing bytes after the array")
     if mapped.dtype != dtype or len(mapped.shape) != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, mapped.shape)):
         raise role.malformed(path, f"{mapped.dtype} {mapped.shape}, expected "
                                    f"{np.dtype(dtype)} {shape}")
-    return np.asarray(mapped)
+    array = np.asarray(mapped)
+    array.flags.writeable = False
+    return array
 
 
 _IVF_ARRAYS = ("centroids", "offsets", "row_record_ids")
@@ -477,10 +538,11 @@ def save_index(index: Index, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> Index:
-    """Open the index `save_index` wrote at `path`, every array memory-mapped;
+    """Open the index `save_index` wrote at `path`, every array memory-mapped
+    read-only and the matrix copy-on-write (`take_rows` may regroup it);
     raises as `open_array` does, and FormatError when the parts disagree."""
     path = Path(path)
-    matrix = open_array(path, np.float64, (None, None))
+    matrix = open_array(path, np.float64, (None, None), mode="c")
     n, dim = matrix.shape
     role = files.store_role(path, "index")
     fault = _norm_fault(matrix) if n else "zero rows"

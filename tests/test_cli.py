@@ -2066,6 +2066,79 @@ def test_a_mode_sweep_keeps_and_searches_both_indexes(tmp_path):
     assert sweeps["both"] == [sweeps[mode][0] for mode in modes]
 
 
+def store_digests(ns) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((ns.out / "store").iterdir())}
+
+
+@pytest.mark.parametrize("indexed_kind, kinds", [("flat", ["flat", "ivf"]),
+                                                 ("ivf", ["ivf", "flat"])])
+def test_an_index_kind_sweep_writes_no_store_file(tmp_path, indexed_kind, kinds):
+    # a reindex regroups the mapped rows copy-on-write: the files keep their bytes
+    ns = make_project(tmp_path)
+    options = ("-S", f"retriever.index_kind={indexed_kind}")
+    run(["-c", ns.cfg, *options, "ingest"])
+    run(["-c", ns.cfg, *options, "index"])
+    before = store_digests(ns)
+    assert "word_index.bin" in before
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.index_kind": kinds}})
+    out = tmp_path / "ablation.json"
+    run(["-c", ns.cfg, *options, "ablate", "--grid", grid, "--output", out])
+    assert [c["error"] for c in json.loads(out.read_text(encoding="utf-8"))["cells"]] == [None] * 2
+    assert store_digests(ns) == before
+    run(["-c", ns.cfg, *options, "predict"])
+
+
+def test_a_cell_after_a_failed_reindex_reports_what_a_fresh_run_does(tmp_path):
+    # the first cell holds the indexed store. The sweep searches both modes, so the
+    # second cell's reindex rebuilds both indexes: nlist 7 fits the word index and fails
+    # the sentence index of the store's 6 sentences, after the word index took its rows
+    ns = indexed_project(tmp_path)
+    assert len(read_jsonl(ns.out / "corpus" / "store.jsonl")) == 6
+    cells = [{"retriever.mode": "sentence-level"},
+             {"retriever.index_kind": "ivf", "retriever.nlist": 7},
+             {"retriever.index_kind": "ivf", "retriever.nlist": 2}]
+    sweeps = {}
+    for name, grid in {"sweep": cells, "alone": cells[2:]}.items():
+        grid = write_grid(tmp_path / f"{name}.yaml", {"cells": grid})
+        out = tmp_path / f"{name}.json"
+        run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out])
+        sweeps[name] = json.loads(out.read_text(encoding="utf-8"))["cells"]
+    held, failed, after = sweeps["sweep"]
+    assert held["error"] is None
+    assert failed["error"].startswith("NlistTooLarge: nlist 7 out of range for 6 records")
+    assert after == sweeps["alone"][0] and after["error"] is None
+
+
+def test_a_store_of_other_sentences_releases_the_loaded_store_before_it_builds(
+        tmp_path, monkeypatch):
+    import weakref
+
+    from ragner.retriever import ExampleStore
+
+    ns = indexed_project(tmp_path)
+    _edit_the_corpus(ns)  # the indexed store is current, but of other sentences
+    load, build = ExampleStore.load.__func__, ExampleStore.build.__func__
+    loaded, alive_at_build = [], []
+
+    def recording_load(cls, *args, **kwargs):
+        store = load(cls, *args, **kwargs)
+        loaded.append(weakref.ref(store))
+        return store
+
+    def checking_build(cls, *args, **kwargs):
+        alive_at_build.append([ref() is not None for ref in loaded])
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ExampleStore, "load", classmethod(recording_load))
+    monkeypatch.setattr(ExampleStore, "build", classmethod(checking_build))
+    grid = write_grid(tmp_path / "grid.yaml", {"axes": {"retriever.k": [1, 3]}})
+    out = tmp_path / "ablation.json"
+    run(["-c", ns.cfg, "ablate", "--grid", grid, "--output", out])
+    assert [c["error"] for c in json.loads(out.read_text(encoding="utf-8"))["cells"]] == [None] * 2
+    assert alive_at_build == [[False]]
+
+
 def stamp(path: Path) -> tuple[int, int]:
     """What changes when a file is written: its inode when replaced, else its mtime."""
     stat = path.stat()

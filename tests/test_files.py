@@ -14,6 +14,7 @@ import errno
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -116,6 +117,25 @@ def test_the_line_loop_digests_every_byte_and_skips_blank_lines(tmp_path):
     digest = hashlib.sha256()
     assert list(read_jsonl(path, digest=digest)) == [(f"{path}:1", {"a": 1}), (f"{path}:4", [2])]
     assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, 3 << 18])
+def test_sha256_file_digests_every_byte(tmp_path, size):
+    raw = os.urandom(size)
+    (tmp_path / "blob").write_bytes(raw)
+    assert files.sha256_file(tmp_path / "blob") == hashlib.sha256(raw).hexdigest()
+
+
+def test_hashing_a_file_traces_less_than_half_a_megabyte(tmp_path):
+    # every read goes into one buffer: no chunk-sized bytes per read
+    (tmp_path / "blob").write_bytes(os.urandom(4 << 20))
+    tracemalloc.start()
+    try:
+        files.sha256_file(tmp_path / "blob")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * (1 << 20), peak
 
 
 class FailingLines:

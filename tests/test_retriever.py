@@ -22,6 +22,7 @@ from ragner.errors import (
     EmptyStore,
     FormatError,
     MissingEntry,
+    NlistTooLarge,
 )
 from ragner.retriever import (
     ExampleStore,
@@ -604,21 +605,34 @@ def test_a_float32_search_scores_each_hit_alike_in_any_block(tmp_path, monkeypat
                                    rtol=0, atol=1e-12)
 
 
-def store_build_peak(tmp_path, index_kind: str) -> float:
-    """The traced peak of a 4,000-word store build, in word matrices."""
+WORD_MATRIX_BYTES = 400 * 10 * 256 * 8  # the word matrix of `big_store_inputs`
+
+
+def big_store_inputs(tmp_path):
+    """400 sentences of 10 distinct words each at 256 dimensions: 4,000 word rows."""
     sentences = [LabeledSentence(i, [f"s{i}w{j}" for j in range(10)], []) for i in range(400)]
-    embedder = make_embedder(sentences, tmp_path, dim=256)
-    matrix_bytes = 400 * 10 * 256 * 8
-    cfg = RetrieverConfig(store_words="all", index_kind=index_kind)
+    return sentences, make_embedder(sentences, tmp_path, dim=256)
+
+
+def traced_peak(call):
+    """call()'s result and its traced peak, in word matrices of `big_store_inputs`."""
     tracemalloc.start()
     try:
-        store = ExampleStore.build(sentences, product_schema(), embedder, cfg,
-                                   modes=("word-level",))
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak / WORD_MATRIX_BYTES
+
+
+def store_build_peak(tmp_path, index_kind: str) -> float:
+    """The traced peak of a 4,000-word store build, in word matrices."""
+    sentences, embedder = big_store_inputs(tmp_path)
+    cfg = RetrieverConfig(store_words="all", index_kind=index_kind)
+    store, peak = traced_peak(lambda: ExampleStore.build(sentences, product_schema(), embedder,
+                                                         cfg, modes=("word-level",)))
     assert len(store.indexes["word-level"]) == 4000
-    return peak / matrix_bytes
+    return peak
 
 
 def test_flat_store_build_traces_at_most_one_and_a_quarter_word_matrices(tmp_path):
@@ -627,9 +641,26 @@ def test_flat_store_build_traces_at_most_one_and_a_quarter_word_matrices(tmp_pat
 
 
 @pytest.mark.parametrize("index_kind", ["ivf"])
-def test_store_build_traces_at_most_two_and_a_half_word_matrices(tmp_path, index_kind):
-    # IVF keeps its rows grouped by cluster: a second copy beside the built rows
-    assert store_build_peak(tmp_path, index_kind) <= 2.5
+def test_store_build_traces_at_most_one_and_a_half_word_matrices(tmp_path, index_kind):
+    # IVF regroups the built rows in place; above one matrix is k-means' assignment block
+    assert store_build_peak(tmp_path, index_kind) <= 1.5
+
+
+@pytest.mark.parametrize("first, then", [("flat", "ivf"), ("ivf", "flat")])
+def test_a_reindex_of_a_loaded_store_traces_at_most_half_a_word_matrix(tmp_path, first, then):
+    # the loaded matrix is regrouped in place, not gathered into a copy
+    sentences, embedder = big_store_inputs(tmp_path)
+    cfg = RetrieverConfig(store_words="all", index_kind=then)
+    ExampleStore.build(sentences, product_schema(), embedder, replace(cfg, index_kind=first),
+                       modes=("word-level",)).save(tmp_path / "store")
+    loaded = ExampleStore.load(tmp_path / "store", embedder, modes=("word-level",))
+    reindexed, peak = traced_peak(lambda: loaded.reindex(cfg))
+    assert peak <= 0.5, peak
+    built = ExampleStore.build(sentences, product_schema(), embedder, cfg, modes=("word-level",))
+    got, want = reindexed.indexes["word-level"], built.indexes["word-level"]
+    assert index_arrays(got).keys() == index_arrays(want).keys()
+    for name, array in index_arrays(want).items():
+        assert index_arrays(got)[name].tobytes() == array.tobytes(), name
 
 
 # --- degenerate inputs ----------------------------------------------------------------
@@ -737,6 +768,23 @@ def test_reindex_builds_the_indexes_a_build_under_its_config_does(tmp_path, firs
         for name, array in index_arrays(got).items():
             assert array.dtype == arrays[name].dtype
             assert array.tobytes() == arrays[name].tobytes(), name
+
+
+def test_a_reindexed_store_keeps_no_index(tmp_path):
+    held = build_fixture_store(tmp_path)
+    held.reindex(RetrieverConfig(index_kind="ivf", nlist=2))
+    assert held.indexes == {}
+    with pytest.raises(KeyError):
+        retrieve([fixture_query()], held, RetrieverConfig())
+    with pytest.raises(ConfigError, match="needs the word-level index"):
+        held.require_index(RetrieverConfig())
+
+
+def test_a_failed_reindex_still_spends_its_store(tmp_path):
+    held = build_fixture_store(tmp_path)  # 2 sentences, more words
+    with pytest.raises(NlistTooLarge):
+        held.reindex(RetrieverConfig(index_kind="ivf", nlist=3))
+    assert held.indexes == {}
 
 
 # --- persistence ---------------------------------------------------------------------

@@ -1004,3 +1004,71 @@ def test_ivf_build_traces_at_most_one_and_a_half_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * matrix.nbytes, peak / matrix.nbytes
+
+
+# --- regrouping in place ---------------------------------------------------------
+
+def permuted_in_place(matrix: np.ndarray, order, segment_rows: int = 3) -> np.ndarray:
+    """A copy of matrix after `_permute_rows`, moving `segment_rows` rows per step."""
+    got = matrix.copy()
+    segment_bytes = segment_rows * matrix.itemsize * matrix.shape[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vector_index, "_PERMUTE_BYTES", segment_bytes)
+        vector_index._permute_rows(got, np.asarray(order, dtype=np.int64))
+    return got
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+def test_the_identity_permutation_leaves_every_row(n):
+    matrix = np.random.default_rng(107).normal(size=(n, 4))
+    assert permuted_in_place(matrix, np.arange(n)).tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("n, segment_rows", [(2, 1), (3, 1), (10, 3), (10, 9), (10, 20),
+                                             (1000, 64)])
+def test_one_cycle_through_every_row_equals_the_gather(n, segment_rows):
+    matrix = np.random.default_rng(109).normal(size=(n, 5))
+    order = np.roll(np.arange(n), -1)  # row i takes row i + 1: one n-cycle
+    assert np.array_equal(permuted_in_place(matrix, order, segment_rows), matrix[order])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.integers(1, n + 1))), st.integers(1, 6))
+def test_any_permutation_in_place_equals_the_gather(order_and_segment, dim):
+    order, segment_rows = order_and_segment
+    order = np.array(order, dtype=np.int64)
+    matrix = np.arange(len(order) * dim, dtype=np.float64).reshape(len(order), dim)
+    assert np.array_equal(permuted_in_place(matrix, order, segment_rows), matrix[order])
+
+
+def test_an_ivf_build_that_owns_its_matrix_regroups_it_in_place():
+    matrix = unit_rows(np.random.default_rng(113), 300, 8)
+    copied = ivf_from_matrix(matrix, np.arange(300), None, 12, 8, 113)
+    owned = matrix.copy()
+    regrouped = ivf_from_matrix(owned, np.arange(300), None, 12, 8, 113, copy=False)
+    assert regrouped.grouped is owned
+    for name in ("grouped", "row_record_ids", "offsets", "centroids", "sentence_ids"):
+        assert getattr(regrouped, name).tobytes() == getattr(copied, name).tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+def test_a_loaded_index_matrix_refuses_assignment(tmp_path, kind):
+    matrix = unit_rows(np.random.default_rng(127), 40, 6)
+    save_index(word_flat(matrix) if kind == "flat" else word_ivf(matrix, 4), tmp_path / "i.bin")
+    loaded = load_index(tmp_path / "i.bin")
+    rows = loaded.matrix if kind == "flat" else loaded.grouped
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf"])
+def test_taking_a_loaded_index_rows_gives_record_order_and_leaves_its_file(tmp_path, kind):
+    matrix = unit_rows(np.random.default_rng(131), 40, 6)
+    save_index(word_flat(matrix) if kind == "flat" else word_ivf(matrix, 4), tmp_path / "i.bin")
+    before = (tmp_path / "i.bin").read_bytes()
+    rows = vector_index.take_rows(load_index(tmp_path / "i.bin"))
+    assert rows.tobytes() == matrix.tobytes()
+    rows[:] = 0.0  # a copy-on-write map: the file never sees it
+    del rows
+    assert (tmp_path / "i.bin").read_bytes() == before
